@@ -15,7 +15,6 @@ enum Stream : std::uint64_t {
   kStreamSilent = 0x73696c74ULL,        // "silt"
   kStreamBadBlock = 0x62616462ULL,      // "badb"
   kStreamNvme = 0x6e766d65ULL,          // "nvme"
-  kStreamPeHang = 0x70656861ULL,        // "peha"
   kStreamShardPeHang = 0x73686864ULL,   // "shhd"
 };
 
@@ -124,12 +123,6 @@ std::uint32_t FaultInjector::next_nvme_timeouts() {
     ++timeouts;
   }
   return timeouts;
-}
-
-bool FaultInjector::next_pe_hang(std::size_t pe_index) {
-  if (!enabled_ || profile_.pe_fault_rate <= 0.0) return false;
-  const std::uint64_t ordinal = pe_dispatch_seq_[pe_index]++;
-  return u01(kStreamPeHang, pe_index, ordinal) < profile_.pe_fault_rate;
 }
 
 bool FaultInjector::next_shard_pe_hang(std::uint64_t shard_id) {

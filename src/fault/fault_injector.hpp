@@ -8,7 +8,7 @@
 // fixed fault seed (the obs_determinism contract).
 //
 // The injector only *decides*; the device models (FlashModel, NvmeLink,
-// HardwareNdp, PlacementPolicy) apply the latency/behaviour consequences
+// the NDP executor, PlacementPolicy) apply the latency/behaviour consequences
 // and publish the metrics.
 #pragma once
 
@@ -61,16 +61,13 @@ class FaultInjector {
   [[nodiscard]] std::uint32_t next_nvme_timeouts();
 
   // --- NDP --------------------------------------------------------------
-  /// True when the next dispatch on PE `pe_index` hangs (no ready/valid
-  /// progress until the watchdog fires).
-  [[nodiscard]] bool next_pe_hang(std::size_t pe_index);
-
-  /// Per-shard variant for the multi-PE scan engine: the decision stream
-  /// is keyed by the stable shard id (not the platform PE index), on a
-  /// stream distinct from next_pe_hang, so shard outcomes depend only on
-  /// (seed, shard id, dispatch ordinal) — never on thread interleaving or
-  /// on how shards happen to map onto platform PEs. Draw serially, in
-  /// block order, before fanning work out to threads.
+  /// True when the next dispatch on PE shard `shard_id` hangs (no
+  /// ready/valid progress until the watchdog fires). Every PE dispatch of
+  /// the executor — scan, aggregate and GET — draws here. The stream is
+  /// keyed by the stable shard id (not the platform PE index), so the
+  /// outcome depends only on (seed, shard id, dispatch ordinal) — never on
+  /// thread interleaving or on how shards map onto platform PEs. Draw
+  /// serially, in block order, before fanning work out to threads.
   [[nodiscard]] bool next_shard_pe_hang(std::uint64_t shard_id);
 
   // --- Introspection (tests) --------------------------------------------
@@ -99,9 +96,7 @@ class FaultInjector {
 
   /// Per-page read ordinals (read-disturb stream positions).
   std::unordered_map<std::uint64_t, std::uint32_t> page_read_seq_;
-  /// Per-PE dispatch ordinals.
-  std::unordered_map<std::size_t, std::uint64_t> pe_dispatch_seq_;
-  /// Per-shard dispatch ordinals (multi-PE scan engine).
+  /// Per-shard PE dispatch ordinals.
   std::unordered_map<std::uint64_t, std::uint64_t> shard_dispatch_seq_;
   std::uint64_t nvme_command_seq_ = 0;
   std::uint64_t page_reads_decided_ = 0;

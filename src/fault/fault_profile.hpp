@@ -13,7 +13,7 @@
 //  * silent corruption    — ECC-missed bytes; caught by the SST block
 //                           CRC32C and routed into the degraded-read path.
 //  * NVMe command timeout — NvmeLink (bounded retry, exponential backoff).
-//  * PE hang              — HardwareNdp dispatch (watchdog detection,
+//  * PE hang              — executor PE dispatch (watchdog detection,
 //                           block degraded to the software NDP path).
 #pragma once
 

@@ -82,6 +82,15 @@ std::optional<std::vector<std::uint8_t>> SSTReader::get(const Key& key) const {
   if (block_index < 0) return std::nullopt;
   const std::vector<std::uint8_t> block =
       read_block(static_cast<std::uint32_t>(block_index));
+  if (const auto record = find_in_block(block, key, extractor_)) {
+    return std::vector<std::uint8_t>(record->begin(), record->end());
+  }
+  return std::nullopt;
+}
+
+std::optional<std::span<const std::uint8_t>> SSTReader::find_in_block(
+    std::span<const std::uint8_t> block, const Key& key,
+    const KeyExtractor& extractor) {
   const BlockTrailer trailer = read_trailer(block);
   // Binary search over the fixed-size records.
   std::uint32_t lo = 0;
@@ -89,13 +98,13 @@ std::optional<std::vector<std::uint8_t>> SSTReader::get(const Key& key) const {
   while (lo < hi) {
     const std::uint32_t mid = lo + (hi - lo) / 2;
     const auto record = block_record(block, trailer, mid);
-    const Key mid_key = extractor_(record);
+    const Key mid_key = extractor(record);
     if (mid_key < key) {
       lo = mid + 1;
     } else if (key < mid_key) {
       hi = mid;
     } else {
-      return std::vector<std::uint8_t>(record.begin(), record.end());
+      return record;
     }
   }
   return std::nullopt;

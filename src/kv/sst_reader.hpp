@@ -45,6 +45,12 @@ class SSTReader {
   [[nodiscard]] std::optional<std::vector<std::uint8_t>> get(
       const Key& key) const;
 
+  /// In-block binary search over an already assembled, key-sorted data
+  /// block: the record whose key equals `key`, or nullopt.
+  [[nodiscard]] static std::optional<std::span<const std::uint8_t>>
+  find_in_block(std::span<const std::uint8_t> block, const Key& key,
+                const KeyExtractor& extractor);
+
   /// Iterates all records of the table in key order.
   void for_each_record(
       const std::function<void(std::span<const std::uint8_t>)>& fn) const;

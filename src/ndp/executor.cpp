@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <bit>
-#include <optional>
 #include <unordered_set>
 
 #include "fault/fault_injector.hpp"
 #include "kv/placement.hpp"
 #include "kv/sst_reader.hpp"
-#include "ndp/pe_shard.hpp"
 #include "obs/obs.hpp"
 #include "support/bitvec.hpp"
 #include "support/crc32c.hpp"
@@ -88,7 +86,187 @@ void publish_scan_phases(obs::MetricsRegistry& m,
   }
 }
 
+/// `,"ctx":<trace id>` while a request context is active, else empty.
+std::string ctx_arg(const obs::Observability& obs) {
+  return obs.request_ctx.active()
+             ? ",\"ctx\":" + std::to_string(obs.request_ctx.trace_id)
+             : std::string();
+}
+
+/// Publishes an operation's fault accounting as "<prefix>.*" counters.
+/// Called only under a fault profile so the default metrics dump stays
+/// byte-identical to a fault-free build.
+void publish_reliability(obs::MetricsRegistry& m, const std::string& prefix,
+                         const ReliabilityStats& r) {
+  m.add(m.counter(prefix + ".blocks_retried"), r.blocks_retried);
+  m.add(m.counter(prefix + ".blocks_degraded_to_software"),
+        r.blocks_degraded_to_software);
+  m.add(m.counter(prefix + ".uncorrectable_blocks"), r.uncorrectable_blocks);
+  m.add(m.counter(prefix + ".integrity_blocks"), r.integrity_blocks);
+}
+
+/// Recency-aware tombstone suppression for the scan merge: a tombstone
+/// hides only versions stored in tables OLDER than its own, so a key that
+/// was deleted and later re-written stays visible. Blocks reach the merge
+/// in recency order; entering a block's table first admits the tombstones
+/// of every strictly newer table.
+class TombstoneFilter {
+ public:
+  explicit TombstoneFilter(std::vector<std::shared_ptr<kv::SSTable>> tables)
+      : tables_(std::move(tables)) {}
+
+  void enter(const kv::SSTable* table) {
+    while (next_ < tables_.size() && tables_[next_].get() != table) {
+      for (const auto& tombstone : tables_[next_]->tombstones) {
+        deleted_.insert(tombstone.key);
+      }
+      ++next_;
+    }
+  }
+
+  [[nodiscard]] bool hides(const kv::Key& key) const {
+    return deleted_.contains(key);
+  }
+
+ private:
+  std::vector<std::shared_ptr<kv::SSTable>> tables_;
+  std::size_t next_ = 0;
+  std::unordered_set<kv::Key, kv::KeyHash> deleted_;
+};
+
+/// Where a block runs.
+enum class Route : std::uint8_t {
+  kPe,    ///< A PE shard.
+  kArm,   ///< SoftwareNdp on the device ARM (also the degraded path).
+  kHost,  ///< The classical host path: the block crosses NVMe first.
+};
+
+/// One matching tuple's contribution in the ACCUMULATOR encoding the PE's
+/// aggregation unit produces: 1 for a count, otherwise the raw field value
+/// with floats widened to f64 and signed integers sign-extended. Folding
+/// these with fold() reproduces the tuple-by-tuple software fold exactly.
+std::uint64_t accumulator_value(hwgen::AggOp op,
+                                const analysis::FieldLayout& field,
+                                std::uint64_t raw) {
+  if (op == hwgen::AggOp::kCount) return 1;
+  if (spec::is_float(field.primitive)) {
+    return std::bit_cast<std::uint64_t>(
+        field.storage_width_bits == 32
+            ? static_cast<double>(
+                  std::bit_cast<float>(static_cast<std::uint32_t>(raw)))
+            : std::bit_cast<double>(raw));
+  }
+  if (spec::is_signed(field.primitive)) {
+    return static_cast<std::uint64_t>(
+        hwgen::sign_extend(raw, field.storage_width_bits));
+  }
+  return raw;
+}
+
+/// Folds one accumulator-encoded value — a tuple's accumulator_value(), a
+/// PE block result, or a shard's accumulator — into the running
+/// accumulator. Counts and integer min/max/sum combine associatively, so
+/// block- and shard-level folds match the tuple-by-tuple fold exactly;
+/// float sums combine in fold order (see DESIGN.md for the ordering
+/// caveat).
+void fold(hwgen::AggOp op, const analysis::FieldLayout& field,
+          std::uint64_t value, std::uint64_t& acc, bool first) {
+  using hwgen::AggOp;
+  const bool is_float = spec::is_float(field.primitive);
+  if (op == AggOp::kMin || op == AggOp::kMax) {
+    const auto better = [op](auto v, auto current) {
+      return op == AggOp::kMin ? v < current : v > current;
+    };
+    bool take;
+    if (first) {
+      take = true;
+    } else if (is_float) {
+      take = better(std::bit_cast<double>(value), std::bit_cast<double>(acc));
+    } else if (spec::is_signed(field.primitive)) {
+      take = better(static_cast<std::int64_t>(value),
+                    static_cast<std::int64_t>(acc));
+    } else {
+      take = better(value, acc);
+    }
+    if (take) acc = value;
+    return;
+  }
+  if (first) acc = 0;
+  if (op == AggOp::kSum && is_float) {
+    acc = std::bit_cast<std::uint64_t>(std::bit_cast<double>(acc) +
+                                       std::bit_cast<double>(value));
+  } else {
+    acc += value;  // Counts, and integer sums in two's complement.
+  }
+}
+
+/// True when `record` passes every predicate of the conjunction.
+bool passes(const analysis::AnalyzedParser& parser,
+            const hwgen::OperatorSet& operators,
+            std::span<const std::uint8_t> record,
+            const std::vector<BoundPredicate>& predicates) {
+  return std::all_of(predicates.begin(), predicates.end(),
+                     [&](const BoundPredicate& predicate) {
+                       return eval_predicate_sw(parser.input, operators,
+                                                record, predicate);
+                     });
+}
+
 }  // namespace
+
+/// Per-block flash completion times and media flags of one read batch.
+struct HybridExecutor::BlockReads {
+  std::vector<platform::SimTime> ready;
+  std::vector<std::uint8_t> media;
+  std::uint64_t bytes = 0;
+};
+
+/// One checked, assembled and routed block.
+struct HybridExecutor::Routed {
+  std::vector<std::uint8_t> block;
+  std::uint64_t payload = 0;
+  Route route = Route::kArm;
+  platform::SimTime penalty = 0;  ///< Recovery pass + watchdog horizon.
+  bool hang = false;              ///< PE hung: reprogram it before reuse.
+  bool via_software = false;      ///< Partial block on a static-geometry PE.
+};
+
+/// What one operation does with each block.
+struct HybridExecutor::Plan {
+  bool aggregate = false;  ///< Accumulate instead of collecting records.
+  std::vector<BoundPredicate> bound;        ///< The PE/ARM conjunction.
+  std::vector<BoundPredicate> post_filter;  ///< Beyond the PE's stages.
+  hwgen::AggOp op = hwgen::AggOp::kNone;
+  const analysis::FieldLayout* field = nullptr;
+  std::uint32_t field_select = 0;
+};
+
+/// What running one block produced.
+struct HybridExecutor::Outcome {
+  platform::SimTime start = 0;
+  platform::SimTime cost = 0;
+  std::uint64_t tuples_in = 0;
+  std::uint64_t matched = 0;  ///< Survivors, or tuples folded (aggregate).
+  std::uint64_t pe_cycles = 0;
+  std::vector<std::vector<std::uint8_t>> survivors;
+  std::uint64_t pe_result = 0;  ///< PE block accumulator (aggregate).
+  /// Aggregate off the PE: the matching tuples' accumulator values, in
+  /// tuple order.
+  std::vector<std::uint64_t> values;
+};
+
+/// The timing and accounting of a SCAN/AGGREGATE pipeline run.
+struct HybridExecutor::PipelineRun {
+  platform::SimTime t0 = 0;
+  platform::SimTime cmd_done = 0;
+  platform::SimTime flash_done = 0;  ///< Relative to t0, like ScanStats.
+  platform::SimTime pipe_end = 0;
+  std::uint32_t shards = 1;
+  std::uint64_t bytes_from_flash = 0;
+  std::uint64_t pe_phase_cycles = 0;
+  std::uint64_t via_software = 0;
+  ReliabilityStats reliability;
+};
 
 HybridExecutor::HybridExecutor(kv::NKV& db,
                                const analysis::AnalyzedParser& parser,
@@ -102,13 +280,21 @@ HybridExecutor::HybridExecutor(kv::NKV& db,
   if (config_.mode == ExecMode::kHardware) {
     NDPGEN_CHECK_ARG(!config_.pe_indices.empty(),
                      "hardware execution needs at least one PE");
+    auto& platform = db.platform();
     for (const std::size_t index : config_.pe_indices) {
-      hardware_.push_back(
-          std::make_unique<HardwareNdp>(db.platform(), index));
-      NDPGEN_CHECK_ARG(
-          hardware_.back()->design().parser.input.storage_bits ==
-              parser_.input.storage_bits,
-          "PE input layout does not match the executor's parser");
+      NDPGEN_CHECK_ARG(platform.pe(index).design().parser.input.storage_bits ==
+                           parser_.input.storage_bits,
+                       "PE input layout does not match the executor's parser");
+    }
+    // One thread-confined driver per shard, built once and reused by
+    // every call (each call resets its per-call state).
+    const hwgen::PEDesign& design =
+        platform.pe(config_.pe_indices.front()).design();
+    for (std::uint32_t k = 0; k < effective_shards(); ++k) {
+      shards_.push_back(std::make_unique<PeShard>(
+          k, design, platform.timing(), platform.config().axi,
+          /*arm_watchdog=*/faults_enabled(), /*enable_trace=*/false,
+          obs::RequestContext{}, config_.sim_mode));
     }
   }
 }
@@ -121,13 +307,6 @@ std::vector<HybridExecutor::BlockRef> HybridExecutor::collect_blocks() const {
     }
   }
   return blocks;
-}
-
-std::vector<std::uint8_t> HybridExecutor::assemble_block(
-    const BlockRef& ref) const {
-  kv::SSTReader reader(*ref.table, db_.platform().flash(),
-                       db_.config().extractor);
-  return reader.read_block(ref.block_index);
 }
 
 void HybridExecutor::check_store_ready() const {
@@ -241,422 +420,241 @@ std::uint32_t HybridExecutor::effective_shards() const noexcept {
   return shards;
 }
 
-ScanStats HybridExecutor::scan_blocks(
-    const std::vector<BlockRef>& blocks,
-    const std::vector<FilterPredicate>& predicates,
-    std::vector<std::vector<std::uint8_t>>* results,
-    const std::vector<KeyRange>& key_ranges) {
-  if (const std::uint32_t shard_count = effective_shards(); shard_count > 1) {
-    return scan_blocks_sharded(blocks, predicates, results, key_ranges,
-                               shard_count);
+bool HybridExecutor::faults_enabled() const {
+  const fault::FaultInjector* injector =
+      db_.platform().flash().fault_injector();
+  return injector != nullptr && injector->enabled();
+}
+
+HybridExecutor::BlockReads HybridExecutor::read_blocks(
+    const std::vector<BlockRef>& blocks) {
+  auto& queue = db_.platform().events();
+  auto& flash = db_.platform().flash();
+  BlockReads reads;
+  reads.ready.assign(blocks.size(), 0);
+  reads.media.assign(blocks.size(), 0);
+  std::vector<std::size_t> remaining(blocks.size(), 0);
+  std::size_t pending = 0;
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const auto& handle = blocks[b].table->blocks[blocks[b].block_index];
+    remaining[b] = handle.flash_pages.size();
+    if (remaining[b] > 0) ++pending;
+    for (const std::uint64_t page : handle.flash_pages) {
+      flash.read_page_checked(
+          flash.delinearize(page),
+          [&reads, &remaining, &pending, &queue,
+           b](const platform::PageReadResult& r) {
+            if (r.retries > 0) reads.media[b] |= kMediaRetried;
+            if (r.uncorrectable) reads.media[b] |= kMediaUncorrectable;
+            if (--remaining[b] == 0) {
+              reads.ready[b] = queue.now();
+              --pending;
+            }
+          });
+    }
+    reads.bytes += handle.flash_pages.size() * flash.topology().page_bytes;
   }
+  while (pending > 0 && queue.step()) {
+  }
+  NDPGEN_CHECK(pending == 0, "flash read did not complete");
+  return reads;
+}
+
+HybridExecutor::Routed HybridExecutor::assemble_and_route(
+    const BlockRef& ref, std::uint8_t media, std::uint32_t shard,
+    ReliabilityStats& reliability) {
+  const auto& timing = db_.platform().timing();
+  kv::SSTReader reader(*ref.table, db_.platform().flash(),
+                       db_.config().extractor);
+  Routed item;
+  // Checked block assembly: an uncorrectable page, or a checksum mismatch
+  // from an ECC miscorrection, routes the block through the firmware
+  // recovery pass (soft-decision re-read) instead of aborting the
+  // operation — degraded, never failed.
+  bool recovered = (media & kMediaUncorrectable) != 0;
+  if (auto checked = reader.read_block_checked(ref.block_index);
+      checked.ok()) {
+    item.block = std::move(checked).value();
+  } else {
+    recovered = true;
+    item.block = reader.reread_block_recovered(ref.block_index);
+    // Transient miscorrections clear on the recovery pass; content that
+    // still fails the index CRC is rotten on flash itself.
+    const kv::BlockHandle& handle = ref.table->blocks[ref.block_index];
+    if (handle.crc32c != 0 && support::crc32c(item.block) != handle.crc32c) {
+      ++reliability.integrity_blocks;
+    }
+  }
+  if ((media & kMediaRetried) != 0) ++reliability.blocks_retried;
+  item.payload = kv::block_payload_bytes(kv::read_trailer(item.block));
+
+  switch (config_.mode) {
+    case ExecMode::kHardware: item.route = Route::kPe; break;
+    case ExecMode::kSoftware: item.route = Route::kArm; break;
+    case ExecMode::kHostClassic: item.route = Route::kHost; break;
+  }
+  if (recovered) {
+    ++reliability.uncorrectable_blocks;
+    item.penalty += timing.flash_recovery_latency;
+    if (item.route == Route::kPe) {
+      // The recovered copy is firmware-assembled; process it on the
+      // trusted software path rather than re-staging it for the PE.
+      item.route = Route::kArm;
+      ++reliability.blocks_degraded_to_software;
+    }
+  }
+  if (item.route == Route::kPe) {
+    const std::uint32_t static_payload =
+        shards_.front()->design().static_payload_bytes;
+    if (static_payload != 0 && item.payload != static_payload) {
+      // Partially filled block on a hand-crafted (static-geometry) PE:
+      // the firmware routes it through the software path.
+      item.route = Route::kArm;
+      item.via_software = true;
+    }
+  }
+  if (item.route == Route::kPe && faults_enabled() &&
+      db_.platform().flash().fault_injector()->next_shard_pe_hang(shard)) {
+    // The injected hang makes no ready/valid progress; the kernel
+    // watchdog fires, firmware resets the PE (it must be reconfigured)
+    // and reroutes the block to software.
+    item.penalty += timing.pe_cycles_to_ns(timing.pe_watchdog_cycles);
+    item.hang = true;
+    item.route = Route::kArm;
+    ++reliability.blocks_degraded_to_software;
+  }
+  return item;
+}
+
+HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
+                                                  const Plan& plan,
+                                                  PeShard* shard) const {
+  const auto& timing = db_.platform().timing();
+  Outcome out;
+  if (item.route == Route::kPe) {
+    // The PE reads the block where the flash DMA staged it. Cost =
+    // dispatch overhead + PE cycles.
+    auto result = shard->process_block(
+        std::span<const std::uint8_t>(item.block).first(item.payload),
+        plan.bound, /*collect=*/!plan.aggregate,
+        /*reconfigure=*/!shard->configured());
+    out.cost = result.overhead + result.pe_time;
+    out.pe_cycles = result.stats.cycles;
+    out.tuples_in = result.stats.tuples_in;
+    if (plan.aggregate) {
+      out.matched = result.stats.agg_folded;
+      out.pe_result = result.stats.agg_result;
+      return out;
+    }
+    out.matched = result.stats.tuples_out;
+    out.survivors = std::move(result.records);
+  } else if (plan.aggregate) {
+    // Filter + fold input on the ARM core (or the host CPU).
+    const kv::BlockTrailer trailer = kv::read_trailer(item.block);
+    for (std::uint32_t i = 0; i < trailer.record_count; ++i) {
+      const auto record = kv::block_record(item.block, trailer, i);
+      if (!passes(parser_, operators_, record, plan.bound)) continue;
+      out.values.push_back(accumulator_value(
+          plan.op, *plan.field,
+          support::BitVector::from_bytes(record).extract_u64(
+              plan.field->storage_offset_bits,
+              std::min<std::uint32_t>(plan.field->storage_width_bits, 64))));
+    }
+    out.tuples_in = trailer.record_count;
+    out.matched = out.values.size();
+    out.cost =
+        item.route == Route::kHost
+            ? timing.host_io_stack_per_block +
+                  timing.nvme_transfer_time(kv::kDataBlockBytes) +
+                  timing.host_parse_time(item.payload)
+            : software_.block_cost(item.payload, trailer.record_count,
+                                   static_cast<std::uint32_t>(
+                                       plan.bound.size()),
+                                   /*tuples_out=*/0) +
+                  out.matched * timing.arm_predicate_per_tuple;
+    return out;
+  } else {
+    auto result = software_.filter_block(item.block, plan.bound, true);
+    out.tuples_in = result.tuples_in;
+    out.matched = result.tuples_out;
+    out.survivors = std::move(result.records);
+    // Classical path (Fig. 1, left): the whole block crosses the
+    // intermediate layers and the NVMe link; the host CPU filters.
+    out.cost = item.route == Route::kHost
+                   ? timing.host_io_stack_per_block +
+                         timing.nvme_transfer_time(kv::kDataBlockBytes) +
+                         timing.host_parse_time(item.payload) +
+                         result.tuples_in * plan.bound.size() *
+                             (timing.arm_predicate_per_tuple / 3)
+                   : result.arm_cost;
+  }
+  if (!plan.post_filter.empty()) {
+    // Software post-filter for predicates beyond the PE's chain length
+    // ([1]-style single-stage PEs cannot chain predicates).
+    out.cost += out.survivors.size() * plan.post_filter.size() *
+                timing.arm_predicate_per_tuple;
+    std::erase_if(out.survivors, [&](const std::vector<std::uint8_t>& r) {
+      return !passes(parser_, operators_, r, plan.post_filter);
+    });
+    out.matched = out.survivors.size();
+  }
+  return out;
+}
+
+void HybridExecutor::begin_shards(std::uint32_t count, hwgen::AggOp op,
+                                  std::uint32_t field_select) {
+  const obs::Observability& obs = db_.platform().observability();
+  for (std::uint32_t k = 0; k < count; ++k) {
+    PeShard& shard = *shards_[k];
+    shard.begin_call(obs.request_ctx, obs.tracing());
+    if (shard.supports_aggregation()) shard.set_aggregate(op, field_select);
+  }
+}
+
+void HybridExecutor::merge_shard_obs(std::uint32_t count) {
+  obs::Observability& obs = db_.platform().observability();
+  for (std::uint32_t k = 0; k < count; ++k) {
+    obs.metrics.merge_from(shards_[k]->metrics());
+    if (obs.tracing()) {
+      obs.trace->append_from(shards_[k]->trace(),
+                             "shard" + std::to_string(k) + ".");
+    }
+  }
+}
+
+HybridExecutor::PipelineRun HybridExecutor::run_pipeline(
+    const std::vector<BlockRef>& blocks, const Plan& plan,
+    std::uint32_t shard_count, const BlockFold& fold) {
   auto& platform = db_.platform();
   auto& queue = platform.events();
-  auto& flash = platform.flash();
-  const auto& timing = platform.timing();
-  const platform::SimTime t0 = queue.now();
-  // One NDP command covers the whole scan, so the firmware command cost
-  // amortizes away (unlike GET). Its NVMe submission still owes any
+  PipelineRun run;
+  run.shards = shard_count;
+  run.t0 = queue.now();
+  // One NDP command covers the whole operation, so the firmware command
+  // cost amortizes away (unlike GET). Its NVMe submission still owes any
   // injected timeout/backoff latency (0 on a fault-free link).
   platform.arm().ndp_command();
   if (const platform::SimTime penalty = platform.nvme().retry_penalty();
       penalty > 0) {
     queue.run_until(queue.now() + penalty);
   }
-  const platform::SimTime cmd_done = queue.now();
+  run.cmd_done = queue.now();
 
-  ScanStats stats;
-  const std::uint32_t sw_stages =
-      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(predicates.size()));
-  const std::uint32_t hw_stages =
-      config_.mode == ExecMode::kHardware
-          ? hardware_.front()->design().filter_stage_count()
-          : sw_stages;
-
-  // Predicates beyond the PE's chain length are evaluated in software on
-  // the hardware survivors — the only option on [1]'s non-chainable
-  // architecture, and only possible when the transform keeps the input
-  // layout intact.
-  std::vector<FilterPredicate> hw_predicates = predicates;
-  std::vector<BoundPredicate> post_filter;
-  if (config_.mode == ExecMode::kHardware &&
-      predicates.size() > hw_stages) {
-    NDPGEN_CHECK_ARG(
-        parser_.mapping.identity,
-        "conjunction exceeds the PE's filter stages and the transform is "
-        "not identity: software post-filtering is impossible");
-    for (std::size_t i = hw_stages; i < predicates.size(); ++i) {
-      post_filter.push_back(
-          bind_predicate(parser_.input, operators_, predicates[i]));
-    }
-    hw_predicates.resize(hw_stages);
-  }
-  const auto bound = bind_conjunction(
-      parser_.input, operators_, hw_predicates,
-      config_.mode == ExecMode::kHardware ? hw_stages : sw_stages);
-
-  // 1. Schedule every data-block page read on the DES; collect per-block
-  //    flash completion times (this models the ~200 MB/s aggregate limit,
-  //    LUN parallelism and controller-bus serialization).
-  std::vector<platform::SimTime> ready(blocks.size(), 0);
-  std::vector<std::uint8_t> media_flags(blocks.size(), 0);
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const auto& handle = blocks[b].table->blocks[blocks[b].block_index];
-    auto remaining = std::make_shared<std::size_t>(handle.flash_pages.size());
-    for (const std::uint64_t page : handle.flash_pages) {
-      flash.read_page_checked(
-          flash.delinearize(page),
-          [&ready, &media_flags, b, remaining,
-           &queue](const platform::PageReadResult& r) {
-            if (r.retries > 0) media_flags[b] |= kMediaRetried;
-            if (r.uncorrectable) media_flags[b] |= kMediaUncorrectable;
-            if (--*remaining == 0) ready[b] = queue.now();
-          });
-    }
-    stats.bytes_from_flash +=
-        handle.flash_pages.size() * flash.topology().page_bytes;
-  }
-  queue.run();  // Drains the DES (flash events, incl. unrelated traffic).
-  for (const platform::SimTime t : ready) {
-    stats.flash_done = std::max(stats.flash_done, t);
-  }
-  if (stats.flash_done > t0) stats.flash_done -= t0;
-
-  // 2. Pipeline block processing against flash availability, one pipeline
-  //    per worker (ARM core for SW, host CPU for classic, one per PE for
-  //    HW).
-  const std::size_t workers =
-      config_.mode == ExecMode::kHardware ? hardware_.size() : 1;
-  std::vector<platform::SimTime> worker_free(workers, t0);
-  std::vector<std::uint64_t> worker_cycles(workers, 0);
-
-  // Recency/tombstone reconciliation state (software part of the hybrid).
-  std::unordered_set<kv::Key, kv::KeyHash> deleted;
-  for (const auto& table : db_.version().recency_ordered()) {
-    for (const auto& tombstone : table->tombstones) {
-      deleted.insert(tombstone.key);
-    }
-  }
-  std::unordered_set<kv::Key, kv::KeyHash> seen;
-
-  obs::Observability& obs = platform.observability();
-
-  fault::FaultInjector* injector = flash.fault_injector();
-  const bool faults = injector != nullptr && injector->enabled();
-
-  std::vector<bool> pe_configured(workers, false);
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const std::size_t w = b % workers;
-
-    // Checked block assembly: an uncorrectable page, or a checksum
-    // mismatch from an ECC miscorrection, routes the block through the
-    // firmware recovery pass (soft-decision re-read) instead of aborting
-    // the scan — degraded, never failed.
-    kv::SSTReader reader(*blocks[b].table, db_.platform().flash(),
-                         db_.config().extractor);
-    bool needs_recovery = (media_flags[b] & kMediaUncorrectable) != 0;
-    std::vector<std::uint8_t> block;
-    if (auto checked = reader.read_block_checked(blocks[b].block_index);
-        checked.ok()) {
-      block = std::move(checked).value();
-    } else {
-      needs_recovery = true;
-      block = reader.reread_block_recovered(blocks[b].block_index);
-      // Transient miscorrections clear on the recovery pass; content that
-      // still fails the index CRC is rotten on flash itself.
-      const kv::BlockHandle& handle =
-          blocks[b].table->blocks[blocks[b].block_index];
-      if (handle.crc32c != 0 && support::crc32c(block) != handle.crc32c) {
-        ++stats.integrity_blocks;
-      }
-    }
-    if ((media_flags[b] & kMediaRetried) != 0) ++stats.blocks_retried;
-
-    const kv::BlockTrailer trailer = kv::read_trailer(block);
-    const std::uint64_t payload = kv::block_payload_bytes(trailer);
-
-    const bool collect = config_.collect_results || results != nullptr;
-    std::uint64_t matched = 0;
-    std::vector<std::vector<std::uint8_t>> survivors;
-    platform::SimTime cost = 0;
-
-    bool use_hw = config_.mode == ExecMode::kHardware;
-    if (needs_recovery) {
-      ++stats.uncorrectable_blocks;
-      cost += timing.flash_recovery_latency;
-      if (use_hw) {
-        // The recovered copy is firmware-assembled; process it on the
-        // trusted software path rather than re-staging it for the PE.
-        use_hw = false;
-        ++stats.blocks_degraded_to_software;
-      }
-    }
-    if (use_hw) {
-      auto& hw = *hardware_[w];
-      const std::uint32_t static_payload = hw.design().static_payload_bytes;
-      if (static_payload != 0 && payload != static_payload) {
-        // Partially filled block on a hand-crafted (static-geometry) PE:
-        // the firmware routes it through the software path.
-        use_hw = false;
-        ++stats.blocks_via_software;
-      }
-    }
-    if (use_hw && faults &&
-        injector->next_pe_hang(config_.pe_indices[w])) {
-      // The injected hang makes no ready/valid progress; the kernel
-      // watchdog fires, firmware resets the PE (it must be reconfigured)
-      // and reroutes the block to software.
-      cost += timing.pe_cycles_to_ns(timing.pe_watchdog_cycles);
-      pe_configured[w] = false;
-      use_hw = false;
-      ++stats.blocks_degraded_to_software;
-    }
-
-    if (use_hw) {
-      auto& hw = *hardware_[w];
-      if (!pe_configured[w] && hw.supports_aggregation()) {
-        // A previous aggregate() may have left the unit armed.
-        hw.set_aggregate(hwgen::AggOp::kNone, 0);
-      }
-      auto result = hw.process_block(
-          std::span<const std::uint8_t>(block).first(payload), bound,
-          /*collect=*/true, /*reconfigure=*/!pe_configured[w]);
-      pe_configured[w] = true;
-      // The generated software interface also DMAs the block DRAM->DRAM?
-      // No: the PE reads the staged block directly; flash DMA already
-      // deposited it. Cost = dispatch overhead + PE cycles.
-      cost += result.overhead + result.pe_time;
-      worker_cycles[w] += result.stats.cycles;
-      matched = result.stats.tuples_out;
-      survivors = std::move(result.records);
-      stats.tuples_scanned += result.stats.tuples_in;
-      if (!post_filter.empty()) {
-        // Software post-filter on the hardware survivors ([1]-style
-        // single-stage PEs cannot chain predicates).
-        std::vector<std::vector<std::uint8_t>> kept;
-        for (auto& record : survivors) {
-          bool pass = true;
-          for (const auto& predicate : post_filter) {
-            if (!eval_predicate_sw(parser_.input, operators_, record,
-                                   predicate)) {
-              pass = false;
-              break;
-            }
-          }
-          if (pass) kept.push_back(std::move(record));
-        }
-        cost += survivors.size() * post_filter.size() *
-                timing.arm_predicate_per_tuple;
-        survivors = std::move(kept);
-        matched = survivors.size();
-      }
-    } else if (config_.mode == ExecMode::kHostClassic) {
-      // Classical path (Fig. 1, left): the whole block crosses the
-      // intermediate layers and the NVMe link; the host CPU filters.
-      const auto result = software_.filter_block(block, bound, true);
-      cost += timing.host_io_stack_per_block +
-              timing.nvme_transfer_time(kv::kDataBlockBytes) +
-              timing.host_parse_time(payload) +
-              result.tuples_in * bound.size() *
-                  (timing.arm_predicate_per_tuple / 3);
-      matched = result.tuples_out;
-      survivors = std::move(result.records);
-      stats.tuples_scanned += result.tuples_in;
-    } else {
-      const auto result = software_.filter_block(block, bound, true);
-      cost += result.arm_cost;
-      matched = result.tuples_out;
-      survivors = std::move(result.records);
-      stats.tuples_scanned += result.tuples_in;
-    }
-
-    // Per-block worker span: the block starts when both its flash pages
-    // and the worker are available; `cost` is its processing time.
-    const platform::SimTime block_start = std::max(worker_free[w], ready[b]);
-    worker_free[w] = block_start + cost;
-    if (obs.tracing()) {
-      std::string block_args = "{\"block\":" + std::to_string(b) +
-                               ",\"matched\":" + std::to_string(matched);
-      if (obs.request_ctx.active()) {
-        block_args += ",\"ctx\":" + std::to_string(obs.request_ctx.trace_id);
-      }
-      block_args += "}";
-      obs.trace->complete(
-          obs.trace->track("ndp.worker" + std::to_string(w)), "block", "ndp",
-          block_start, cost, std::move(block_args));
-    }
-    stats.tuples_matched += matched;
-    ++stats.blocks;
-
-    // Software finalization: recency dedup + tombstone suppression on the
-    // result keys (blocks arrive in recency order, so the first version
-    // seen per key is the authoritative one).
-    for (auto& record : survivors) {
-      if (config_.result_key_extractor) {
-        const kv::Key key = config_.result_key_extractor(record);
-        if (!key_ranges.empty() && !key_in_ranges(key, key_ranges)) {
-          continue;  // Boundary-block record outside every span.
-        }
-        if (deleted.contains(key)) continue;
-        if (!seen.insert(key).second) continue;
-      }
-      ++stats.results;
-      stats.result_bytes += record.size();
-      if (results != nullptr) results->push_back(std::move(record));
-    }
-    (void)collect;
-  }
-
-  // 3. Makespan + finalization + NVMe result transfer (the classic path
-  //    already paid the link per block; its results are host-resident).
-  //    The makespan is the SCAN's own critical path — concurrent unrelated
-  //    device traffic (e.g. background compaction on other channels) only
-  //    affects it through the per-block ready times above.
-  platform::SimTime pipe_end = t0;
-  for (const platform::SimTime t : worker_free) {
-    pipe_end = std::max(pipe_end, t);
-  }
-  const platform::SimTime finalize_end =
-      pipe_end + stats.results * kFinalizePerResult;
-  platform::SimTime end = finalize_end;
-  if (config_.mode != ExecMode::kHostClassic) {
-    // Result transfer reserves the shared host link: uncontended it costs
-    // exactly nvme_transfer_time plus the injected timeout/backoff share;
-    // under concurrent host-service traffic it additionally waits for
-    // earlier grants to drain.
-    end = platform.nvme().reserve(end, stats.result_bytes).done;
-  }
-  if (end > queue.now()) queue.advance_to(end);
-  stats.elapsed = end - t0;
-  stats.phases = attribute_scan_phases(t0, cmd_done, t0 + stats.flash_done,
-                                       pipe_end, finalize_end, end);
-  for (const std::uint64_t cycles : worker_cycles) {
-    stats.pe_phase_cycles = std::max(stats.pe_phase_cycles, cycles);
-  }
-
-  obs::MetricsRegistry& m = obs.metrics;
-  m.add(m.counter("ndp.scan.commands"), 1);
-  m.add(m.counter("ndp.scan.blocks"), stats.blocks);
-  m.add(m.counter("ndp.scan.blocks_via_software"),
-        stats.blocks_via_software);
-  m.add(m.counter("ndp.scan.tuples_scanned"), stats.tuples_scanned);
-  m.add(m.counter("ndp.scan.tuples_matched"), stats.tuples_matched);
-  m.add(m.counter("ndp.scan.results"), stats.results);
-  m.add(m.counter("ndp.scan.bytes_from_flash"), stats.bytes_from_flash);
-  m.add(m.counter("ndp.scan.result_bytes"), stats.result_bytes);
-  m.observe(m.histogram("ndp.scan.elapsed_ns"), stats.elapsed);
-  publish_scan_phases(m, stats.phases);
-  if (faults) {
-    // Registered only under a fault profile so the default metrics dump
-    // stays byte-identical to a fault-free build.
-    m.add(m.counter("ndp.scan.blocks_retried"), stats.blocks_retried);
-    m.add(m.counter("ndp.scan.blocks_degraded_to_software"),
-          stats.blocks_degraded_to_software);
-    m.add(m.counter("ndp.scan.uncorrectable_blocks"),
-          stats.uncorrectable_blocks);
-    m.add(m.counter("ndp.scan.integrity_blocks"), stats.integrity_blocks);
-  }
-  if (obs.tracing()) {
-    std::string args =
-        std::string("{\"mode\":\"") + std::string(to_string(config_.mode)) +
-        "\",\"blocks\":" + std::to_string(stats.blocks) +
-        ",\"tuples_scanned\":" + std::to_string(stats.tuples_scanned) +
-        ",\"tuples_matched\":" + std::to_string(stats.tuples_matched) +
-        ",\"results\":" + std::to_string(stats.results) +
-        ",\"phases\":" + stats.phases.json();
-    if (obs.request_ctx.active()) {
-      args += ",\"ctx\":" + std::to_string(obs.request_ctx.trace_id);
-    }
-    args += "}";
-    const obs::TrackId ndp_track = obs.trace->track("ndp");
-    obs.trace->complete(ndp_track, "scan", "ndp", t0, stats.elapsed,
-                        std::move(args));
-    if (obs.request_ctx.active()) {
-      // The flow arrow threads the request through the device: it binds
-      // to the scan slice just emitted on the "ndp" track.
-      obs.trace->flow_step(ndp_track, "request", "request", t0,
-                           obs.request_ctx.trace_id);
-    }
-  }
-  return stats;
-}
-
-ScanStats HybridExecutor::scan_blocks_sharded(
-    const std::vector<BlockRef>& blocks,
-    const std::vector<FilterPredicate>& predicates,
-    std::vector<std::vector<std::uint8_t>>* results,
-    const std::vector<KeyRange>& key_ranges,
-    std::uint32_t shard_count) {
-  auto& platform = db_.platform();
-  auto& queue = platform.events();
-  auto& flash = platform.flash();
-  const auto& timing = platform.timing();
-  const platform::SimTime t0 = queue.now();
-  platform.arm().ndp_command();
-  if (const platform::SimTime penalty = platform.nvme().retry_penalty();
-      penalty > 0) {
-    queue.run_until(queue.now() + penalty);
-  }
-  const platform::SimTime cmd_done = queue.now();
-
-  ScanStats stats;
-  stats.shards = shard_count;
-  const bool hw_mode = config_.mode == ExecMode::kHardware;
-  const std::uint32_t sw_stages =
-      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(predicates.size()));
-  const hwgen::PEDesign* design =
-      hw_mode ? &hardware_.front()->design() : nullptr;
-  const std::uint32_t hw_stages =
-      hw_mode ? design->filter_stage_count() : sw_stages;
-
-  std::vector<FilterPredicate> hw_predicates = predicates;
-  std::vector<BoundPredicate> post_filter;
-  if (hw_mode && predicates.size() > hw_stages) {
-    NDPGEN_CHECK_ARG(
-        parser_.mapping.identity,
-        "conjunction exceeds the PE's filter stages and the transform is "
-        "not identity: software post-filtering is impossible");
-    for (std::size_t i = hw_stages; i < predicates.size(); ++i) {
-      post_filter.push_back(
-          bind_predicate(parser_.input, operators_, predicates[i]));
-    }
-    hw_predicates.resize(hw_stages);
-  }
-  const auto bound = bind_conjunction(parser_.input, operators_,
-                                      hw_predicates,
-                                      hw_mode ? hw_stages : sw_stages);
-
-  // 1. Flash scheduling, exactly as in the serial path: every shard's
-  //    page reads share the same DES, LUN timing and controller-bus
-  //    serialization, so adding PEs never makes flash magically faster.
-  std::vector<platform::SimTime> ready(blocks.size(), 0);
-  std::vector<std::uint8_t> media_flags(blocks.size(), 0);
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const auto& handle = blocks[b].table->blocks[blocks[b].block_index];
-    auto remaining = std::make_shared<std::size_t>(handle.flash_pages.size());
-    for (const std::uint64_t page : handle.flash_pages) {
-      flash.read_page_checked(
-          flash.delinearize(page),
-          [&ready, &media_flags, b, remaining,
-           &queue](const platform::PageReadResult& r) {
-            if (r.retries > 0) media_flags[b] |= kMediaRetried;
-            if (r.uncorrectable) media_flags[b] |= kMediaUncorrectable;
-            if (--*remaining == 0) ready[b] = queue.now();
-          });
-    }
-    stats.bytes_from_flash +=
-        handle.flash_pages.size() * flash.topology().page_bytes;
-  }
+  // 1. Schedule every data-block page read on the DES (this models the
+  //    ~200 MB/s aggregate limit, LUN parallelism and controller-bus
+  //    serialization, shared by all shards — adding PEs never makes flash
+  //    faster), then drain it, unrelated traffic included.
+  const BlockReads reads = read_blocks(blocks);
   queue.run();
-  for (const platform::SimTime t : ready) {
-    stats.flash_done = std::max(stats.flash_done, t);
+  run.bytes_from_flash = reads.bytes;
+  for (const platform::SimTime t : reads.ready) {
+    run.flash_done = std::max(run.flash_done, t);
   }
-  if (stats.flash_done > t0) stats.flash_done -= t0;
+  if (run.flash_done > run.t0) run.flash_done -= run.t0;
 
   // 2. Channel-affine shard assignment: each shard owns a contiguous rank
   //    range of the buses (or LUNs) the block list actually occupies, so
-  //    each PE streams from its own slice of the flash fabric even when a
-  //    level group confines the store to a few channels.
+  //    each PE streams from its own slice of the flash fabric.
   std::vector<std::uint64_t> first_pages(blocks.size(), 0);
   for (std::size_t b = 0; b < blocks.size(); ++b) {
     const auto& handle = blocks[b].table->blocks[blocks[b].block_index];
@@ -665,263 +663,200 @@ ScanStats HybridExecutor::scan_blocks_sharded(
     }
   }
   const std::vector<std::vector<std::size_t>> shard_lists =
-      kv::PlacementPolicy::shard_blocks(flash.topology(), first_pages,
-                                        shard_count);
+      kv::PlacementPolicy::shard_blocks(platform.flash().topology(),
+                                        first_pages, shard_count);
   std::vector<std::uint32_t> shard_of(blocks.size(), 0);
   for (std::uint32_t k = 0; k < shard_count; ++k) {
     for (const std::size_t b : shard_lists[k]) shard_of[b] = k;
   }
 
-  fault::FaultInjector* injector = flash.fault_injector();
-  const bool faults = injector != nullptr && injector->enabled();
-
-  // 3. Serial block assembly + fault pre-draws. Everything that mutates
-  //    shared state — the flash content path (checksums consume pending
-  //    silent-corruption marks), SSTReader recovery, and the injector's
-  //    per-shard dispatch ordinals — happens here, in global block order.
-  //    The parallel phase below is pure compute over owned buffers, which
-  //    is what makes the outcome independent of thread interleaving.
-  struct Work {
-    std::vector<std::uint8_t> block;
-    std::uint64_t payload = 0;
-    bool needs_recovery = false;
-    bool integrity = false;  ///< Still CRC-bad after the recovery re-read.
-    bool retried = false;
-    bool static_mismatch = false;
-    bool hang = false;
+  // 3. Assembly + routing, serially in global block order. Everything
+  //    that mutates shared state — the flash content path (checksums
+  //    consume pending silent-corruption marks), recovery, and the
+  //    injector's per-shard hang ordinals — happens here, so execution is
+  //    pure compute over owned buffers and its outcome is independent of
+  //    thread interleaving.
+  const auto route = [&](std::size_t b) {
+    Routed item = assemble_and_route(blocks[b], reads.media[b], shard_of[b],
+                                     run.reliability);
+    if (item.via_software) ++run.via_software;
+    return item;
   };
-  std::vector<Work> work(blocks.size());
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    Work& item = work[b];
-    kv::SSTReader reader(*blocks[b].table, flash, db_.config().extractor);
-    item.needs_recovery = (media_flags[b] & kMediaUncorrectable) != 0;
-    if (auto checked = reader.read_block_checked(blocks[b].block_index);
-        checked.ok()) {
-      item.block = std::move(checked).value();
-    } else {
-      item.needs_recovery = true;
-      item.block = reader.reread_block_recovered(blocks[b].block_index);
-      const kv::BlockHandle& handle =
-          blocks[b].table->blocks[blocks[b].block_index];
-      item.integrity =
-          handle.crc32c != 0 && support::crc32c(item.block) != handle.crc32c;
-    }
-    item.retried = (media_flags[b] & kMediaRetried) != 0;
-    item.payload = kv::block_payload_bytes(kv::read_trailer(item.block));
-    if (hw_mode && !item.needs_recovery) {
-      const std::uint32_t static_payload = design->static_payload_bytes;
-      item.static_mismatch =
-          static_payload != 0 && item.payload != static_payload;
-      if (!item.static_mismatch && faults) {
-        item.hang = injector->next_shard_pe_hang(shard_of[b]);
-      }
-    }
+  // 4. Execution: each shard pipelines its blocks against their flash
+  //    completion times, touching only its own slots.
+  const bool on_pe = config_.mode == ExecMode::kHardware;
+  if (on_pe) {
+    begin_shards(shard_count, plan.aggregate ? plan.op : hwgen::AggOp::kNone,
+                 plan.field_select);
   }
-
-  obs::Observability& obs = platform.observability();
-
-  // 4. One thread-confined PE bench per shard (created serially so metric
-  //    registration order is deterministic).
-  std::vector<std::unique_ptr<PeShard>> shards;
-  if (hw_mode) {
-    shards.reserve(shard_count);
-    for (std::uint32_t k = 0; k < shard_count; ++k) {
-      shards.push_back(std::make_unique<PeShard>(
-          k, *design, timing, platform.config().axi, faults, obs.tracing(),
-          obs.request_ctx, config_.sim_mode));
-    }
-  }
-
-  // 5. Parallel shard execution. Each task touches only its own shard's
-  //    slots (work/outcomes at its block indices, shard_free/shard_cycles
-  //    at its shard index) — no locks needed, nothing ordering-dependent.
-  struct Outcome {
-    platform::SimTime start = 0;
-    platform::SimTime cost = 0;
-    std::uint64_t matched = 0;
-    std::uint64_t tuples_in = 0;
-    std::vector<std::vector<std::uint8_t>> survivors;
-    bool degraded = false;
-    bool via_software = false;
-  };
-  std::vector<Outcome> outcomes(blocks.size());
-  std::vector<platform::SimTime> shard_free(shard_count, t0);
+  std::vector<platform::SimTime> shard_free(shard_count, run.t0);
   std::vector<std::uint64_t> shard_cycles(shard_count, 0);
-
-  auto run_shard = [&](std::size_t k) {
-    platform::SimTime free_at = t0;
-    for (const std::size_t b : shard_lists[k]) {
-      Work& item = work[b];
-      Outcome& out = outcomes[b];
-      platform::SimTime cost = 0;
-      bool use_hw = hw_mode;
-      if (item.needs_recovery) {
-        cost += timing.flash_recovery_latency;
-        if (use_hw) {
-          use_hw = false;
-          out.degraded = true;
-        }
-      }
-      if (use_hw && item.static_mismatch) {
-        use_hw = false;
-        out.via_software = true;
-      }
-      if (use_hw && item.hang) {
-        cost += timing.pe_cycles_to_ns(timing.pe_watchdog_cycles);
-        shards[k]->invalidate_config();
-        use_hw = false;
-        out.degraded = true;
-      }
-
-      std::uint64_t matched = 0;
-      std::vector<std::vector<std::uint8_t>> survivors;
-      if (use_hw) {
-        PeShard& shard = *shards[k];
-        if (!shard.configured() && shard.supports_aggregation()) {
-          shard.set_aggregate(hwgen::AggOp::kNone, 0);
-        }
-        auto result = shard.process_block(
-            std::span<const std::uint8_t>(item.block).first(item.payload),
-            bound, /*collect=*/true, /*reconfigure=*/!shard.configured());
-        cost += result.overhead + result.pe_time;
-        shard_cycles[k] += result.stats.cycles;
-        matched = result.stats.tuples_out;
-        survivors = std::move(result.records);
-        out.tuples_in = result.stats.tuples_in;
-        if (!post_filter.empty()) {
-          std::vector<std::vector<std::uint8_t>> kept;
-          for (auto& record : survivors) {
-            bool pass = true;
-            for (const auto& predicate : post_filter) {
-              if (!eval_predicate_sw(parser_.input, operators_, record,
-                                     predicate)) {
-                pass = false;
-                break;
-              }
-            }
-            if (pass) kept.push_back(std::move(record));
-          }
-          cost += survivors.size() * post_filter.size() *
-                  timing.arm_predicate_per_tuple;
-          survivors = std::move(kept);
-          matched = survivors.size();
-        }
-      } else {
-        const auto result = software_.filter_block(item.block, bound, true);
-        cost += result.arm_cost;
-        matched = result.tuples_out;
-        survivors = std::move(result.records);
-        out.tuples_in = result.tuples_in;
-      }
-
-      const platform::SimTime block_start = std::max(free_at, ready[b]);
-      free_at = block_start + cost;
-      out.start = block_start;
-      out.cost = cost;
-      out.matched = matched;
-      out.survivors = std::move(survivors);
-      item.block = {};  // Release the payload copy as soon as possible.
-    }
-    shard_free[k] = free_at;
+  const auto execute = [&](std::uint32_t k, std::size_t b, Routed& item,
+                           Outcome& out) {
+    if (item.hang) shards_[k]->invalidate_config();
+    out = run_block(item, plan, on_pe ? shards_[k].get() : nullptr);
+    out.cost += item.penalty;
+    out.start = std::max(shard_free[k], reads.ready[b]);
+    shard_free[k] = out.start + out.cost;
+    shard_cycles[k] += out.pe_cycles;
+    item.block = {};  // Release the payload copy as soon as possible.
   };
-  {
-    const std::size_t threads =
-        config_.pe_threads != 0
-            ? config_.pe_threads
-            : support::ThreadPool::default_threads(shard_count);
-    support::ThreadPool pool(threads);
-    support::parallel_for(pool, shard_count, run_shard);
-  }
-
-  // 6. Deterministic merge, in GLOBAL block order — the same order the
-  //    serial path processes blocks, so dedup/tombstone resolution and the
-  //    result set are byte-identical for every shard count.
-  std::unordered_set<kv::Key, kv::KeyHash> deleted;
-  for (const auto& table : db_.version().recency_ordered()) {
-    for (const auto& tombstone : table->tombstones) {
-      deleted.insert(tombstone.key);
-    }
-  }
-  std::unordered_set<kv::Key, kv::KeyHash> seen;
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    Outcome& out = outcomes[b];
-    if (work[b].retried) ++stats.blocks_retried;
-    if (work[b].needs_recovery) ++stats.uncorrectable_blocks;
-    if (work[b].integrity) ++stats.integrity_blocks;
-    if (out.degraded) ++stats.blocks_degraded_to_software;
-    if (out.via_software) ++stats.blocks_via_software;
-    stats.tuples_scanned += out.tuples_in;
-    stats.tuples_matched += out.matched;
-    ++stats.blocks;
+  // 5. The per-operation fold, in global block order, after the block's
+  //    span: it starts when both its flash pages and its shard are
+  //    available; the width is its processing time.
+  obs::Observability& obs = platform.observability();
+  const auto complete = [&](std::size_t b, Outcome& out) {
     if (obs.tracing()) {
-      std::string block_args = "{\"block\":" + std::to_string(b) +
-                               ",\"matched\":" + std::to_string(out.matched);
-      if (obs.request_ctx.active()) {
-        block_args += ",\"ctx\":" + std::to_string(obs.request_ctx.trace_id);
-      }
-      block_args += "}";
       obs.trace->complete(
           obs.trace->track("ndp.shard" + std::to_string(shard_of[b])),
-          "block", "ndp", out.start, out.cost, std::move(block_args));
+          "block", "ndp", out.start, out.cost,
+          "{\"block\":" + std::to_string(b) +
+              ",\"matched\":" + std::to_string(out.matched) + ctx_arg(obs) +
+              "}");
     }
+    fold(b, shard_of[b], out);
+  };
+  if (shard_count == 1) {
+    // One shard streams on the calling thread: only one block buffer and
+    // one block's survivors are live at a time.
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      Routed item = route(b);
+      Outcome out;
+      execute(0, b, item, out);
+      complete(b, out);
+    }
+  } else {
+    std::vector<Routed> work;
+    work.reserve(blocks.size());
+    for (std::size_t b = 0; b < blocks.size(); ++b) work.push_back(route(b));
+    std::vector<Outcome> outcomes(blocks.size());
+    support::ThreadPool pool(
+        config_.pe_threads != 0
+            ? config_.pe_threads
+            : support::ThreadPool::default_threads(shard_count));
+    support::parallel_for(pool, shard_count, [&](std::size_t k) {
+      for (const std::size_t b : shard_lists[k]) {
+        execute(static_cast<std::uint32_t>(k), b, work[b], outcomes[b]);
+      }
+    });
+    for (std::size_t b = 0; b < blocks.size(); ++b) complete(b, outcomes[b]);
+  }
+  // The PE phase ends when the SLOWEST shard drains: replicated PEs divide
+  // the cycle work, but the critical path is the worst shard.
+  run.pipe_end = run.t0;
+  for (std::uint32_t k = 0; k < shard_count; ++k) {
+    run.pipe_end = std::max(run.pipe_end, shard_free[k]);
+    run.pe_phase_cycles = std::max(run.pe_phase_cycles, shard_cycles[k]);
+  }
+  return run;
+}
+
+platform::SimTime HybridExecutor::finish(const PipelineRun& run,
+                                         std::uint64_t results,
+                                         std::uint64_t result_bytes,
+                                         bool transfer) {
+  auto& platform = db_.platform();
+  auto& queue = platform.events();
+  // Finalization and the NVMe result transfer stay serial behind the PE
+  // phase. The result transfer reserves the shared host link: uncontended
+  // it costs exactly nvme_transfer_time plus the injected timeout/backoff
+  // share; under concurrent host-service traffic it additionally waits
+  // for earlier grants to drain.
+  const platform::SimTime finalize_end =
+      run.pipe_end + results * kFinalizePerResult;
+  const platform::SimTime end =
+      transfer ? platform.nvme().reserve(finalize_end, result_bytes).done
+               : finalize_end;
+  if (end > queue.now()) queue.advance_to(end);
+
+  if (config_.mode == ExecMode::kHardware) merge_shard_obs(run.shards);
+  obs::Observability& obs = platform.observability();
+  if (obs.tracing()) {
+    obs.trace->complete(obs.trace->track("ndp"), "merge", "ndp",
+                        run.pipe_end, end - run.pipe_end,
+                        "{\"shards\":" + std::to_string(run.shards) +
+                            ",\"results\":" + std::to_string(results) +
+                            ctx_arg(obs) + "}");
+  }
+  return end;
+}
+
+ScanStats HybridExecutor::scan_blocks(
+    const std::vector<BlockRef>& blocks,
+    const std::vector<FilterPredicate>& predicates,
+    std::vector<std::vector<std::uint8_t>>* results,
+    const std::vector<KeyRange>& key_ranges) {
+  const bool hw_mode = config_.mode == ExecMode::kHardware;
+  const std::uint32_t sw_stages =
+      std::max<std::uint32_t>(1, static_cast<std::uint32_t>(predicates.size()));
+  const std::uint32_t stages =
+      hw_mode ? shards_.front()->design().filter_stage_count() : sw_stages;
+
+  // Predicates beyond the PE's chain length are evaluated in software on
+  // the survivors — the only option on [1]'s non-chainable architecture,
+  // and only possible when the transform keeps the input layout intact.
+  Plan plan;
+  std::vector<FilterPredicate> chained = predicates;
+  if (hw_mode && predicates.size() > stages) {
+    NDPGEN_CHECK_ARG(
+        parser_.mapping.identity,
+        "conjunction exceeds the PE's filter stages and the transform is "
+        "not identity: software post-filtering is impossible");
+    for (std::size_t i = stages; i < predicates.size(); ++i) {
+      plan.post_filter.push_back(
+          bind_predicate(parser_.input, operators_, predicates[i]));
+    }
+    chained.resize(stages);
+  }
+  plan.bound = bind_conjunction(parser_.input, operators_, chained, stages);
+
+  // Software finalization in GLOBAL block order, so the result set is
+  // byte-identical for every shard count: recency dedup + tombstone
+  // suppression on the result keys (blocks arrive in recency order, so the
+  // first version seen per key is the authoritative one).
+  ScanStats stats;
+  TombstoneFilter tombstones(db_.version().recency_ordered());
+  std::unordered_set<kv::Key, kv::KeyHash> seen;
+  const auto collect = [&](std::size_t b, std::uint32_t, Outcome& out) {
+    stats.tuples_scanned += out.tuples_in;
+    stats.tuples_matched += out.matched;
+    tombstones.enter(blocks[b].table);
     for (auto& record : out.survivors) {
       if (config_.result_key_extractor) {
         const kv::Key key = config_.result_key_extractor(record);
         if (!key_ranges.empty() && !key_in_ranges(key, key_ranges)) {
-          continue;
+          continue;  // Boundary-block record outside every span.
         }
-        if (deleted.contains(key)) continue;
+        if (tombstones.hides(key)) continue;
         if (!seen.insert(key).second) continue;
       }
       ++stats.results;
       stats.result_bytes += record.size();
       if (results != nullptr) results->push_back(std::move(record));
     }
-  }
+    out.survivors = {};
+  };
+  const PipelineRun run =
+      run_pipeline(blocks, plan, effective_shards(), collect);
+  static_cast<ReliabilityStats&>(stats) = run.reliability;
+  stats.shards = run.shards;
+  stats.blocks = blocks.size();
+  stats.bytes_from_flash = run.bytes_from_flash;
+  stats.flash_done = run.flash_done;
+  stats.blocks_via_software = run.via_software;
+  stats.pe_phase_cycles = run.pe_phase_cycles;
 
-  // 7. Timing composition: the PE phase ends when the SLOWEST shard
-  //    drains (max over shards — replicated PEs divide cycle work but the
-  //    critical path is the worst shard); finalization and the NVMe result
-  //    transfer stay serial behind it.
-  platform::SimTime pe_phase_end = t0;
-  for (const platform::SimTime t : shard_free) {
-    pe_phase_end = std::max(pe_phase_end, t);
-  }
-  for (const std::uint64_t cycles : shard_cycles) {
-    stats.pe_phase_cycles = std::max(stats.pe_phase_cycles, cycles);
-  }
-  const platform::SimTime finalize_end =
-      pe_phase_end + stats.results * kFinalizePerResult;
-  platform::SimTime end = finalize_end;
-  end = platform.nvme().reserve(end, stats.result_bytes).done;
-  if (end > queue.now()) queue.advance_to(end);
-  stats.elapsed = end - t0;
-  stats.phases = attribute_scan_phases(t0, cmd_done, t0 + stats.flash_done,
-                                       pe_phase_end, finalize_end, end);
+  // The classic path already paid the link per block; its results are
+  // host-resident.
+  const platform::SimTime end =
+      finish(run, stats.results, stats.result_bytes,
+             /*transfer=*/config_.mode != ExecMode::kHostClassic);
+  stats.elapsed = end - run.t0;
+  stats.phases = attribute_scan_phases(
+      run.t0, run.cmd_done, run.t0 + stats.flash_done, run.pipe_end,
+      run.pipe_end + stats.results * kFinalizePerResult, end);
 
-  // 8. Fold the shard-local observability into the platform, in shard
-  //    order: counters add, gauges high-water, per-shard trace lanes get a
-  //    stable "shardN." prefix.
-  for (const auto& shard : shards) {
-    obs.metrics.merge_from(shard->metrics());
-  }
-  if (obs.tracing()) {
-    for (const auto& shard : shards) {
-      obs.trace->append_from(
-          shard->trace(),
-          "shard" + std::to_string(shard->shard_id()) + ".");
-    }
-    std::string merge_args = "{\"shards\":" + std::to_string(shard_count) +
-                             ",\"results\":" + std::to_string(stats.results);
-    if (obs.request_ctx.active()) {
-      merge_args += ",\"ctx\":" + std::to_string(obs.request_ctx.trace_id);
-    }
-    merge_args += "}";
-    obs.trace->complete(obs.trace->track("ndp"), "merge", "ndp",
-                        pe_phase_end, end - pe_phase_end,
-                        std::move(merge_args));
-  }
-
+  obs::Observability& obs = db_.platform().observability();
   obs::MetricsRegistry& m = obs.metrics;
   m.add(m.counter("ndp.scan.commands"), 1);
   m.add(m.counter("ndp.scan.blocks"), stats.blocks);
@@ -934,158 +869,29 @@ ScanStats HybridExecutor::scan_blocks_sharded(
   m.add(m.counter("ndp.scan.result_bytes"), stats.result_bytes);
   m.observe(m.histogram("ndp.scan.elapsed_ns"), stats.elapsed);
   publish_scan_phases(m, stats.phases);
-  m.raise(m.gauge("ndp.scan.shards"), shard_count);
+  m.raise(m.gauge("ndp.scan.shards"), stats.shards);
   m.raise(m.gauge("ndp.scan.pe_phase_cycles"), stats.pe_phase_cycles);
-  if (faults) {
-    m.add(m.counter("ndp.scan.blocks_retried"), stats.blocks_retried);
-    m.add(m.counter("ndp.scan.blocks_degraded_to_software"),
-          stats.blocks_degraded_to_software);
-    m.add(m.counter("ndp.scan.uncorrectable_blocks"),
-          stats.uncorrectable_blocks);
-    m.add(m.counter("ndp.scan.integrity_blocks"), stats.integrity_blocks);
-  }
+  if (faults_enabled()) publish_reliability(m, "ndp.scan", stats);
   if (obs.tracing()) {
-    std::string args =
-        std::string("{\"mode\":\"") + std::string(to_string(config_.mode)) +
-        "\",\"shards\":" + std::to_string(shard_count) +
-        ",\"blocks\":" + std::to_string(stats.blocks) +
-        ",\"tuples_scanned\":" + std::to_string(stats.tuples_scanned) +
-        ",\"tuples_matched\":" + std::to_string(stats.tuples_matched) +
-        ",\"results\":" + std::to_string(stats.results) +
-        ",\"phases\":" + stats.phases.json();
-    if (obs.request_ctx.active()) {
-      args += ",\"ctx\":" + std::to_string(obs.request_ctx.trace_id);
-    }
-    args += "}";
     const obs::TrackId ndp_track = obs.trace->track("ndp");
-    obs.trace->complete(ndp_track, "scan", "ndp", t0, stats.elapsed,
-                        std::move(args));
+    obs.trace->complete(
+        ndp_track, "scan", "ndp", run.t0, stats.elapsed,
+        std::string("{\"mode\":\"") + std::string(to_string(config_.mode)) +
+            "\",\"shards\":" + std::to_string(stats.shards) +
+            ",\"blocks\":" + std::to_string(stats.blocks) +
+            ",\"tuples_scanned\":" + std::to_string(stats.tuples_scanned) +
+            ",\"tuples_matched\":" + std::to_string(stats.tuples_matched) +
+            ",\"results\":" + std::to_string(stats.results) +
+            ",\"phases\":" + stats.phases.json() + ctx_arg(obs) + "}");
     if (obs.request_ctx.active()) {
-      obs.trace->flow_step(ndp_track, "request", "request", t0,
+      // The flow arrow threads the request through the device: it binds
+      // to the scan slice just emitted on the "ndp" track.
+      obs.trace->flow_step(ndp_track, "request", "request", run.t0,
                            obs.request_ctx.trace_id);
     }
   }
   return stats;
 }
-
-namespace {
-
-/// Folds one value into an accumulator under the field's interpretation.
-void fold_raw(hwgen::AggOp op, const analysis::FieldLayout& field,
-              std::uint64_t raw, std::uint64_t& acc, bool first) {
-  using hwgen::AggOp;
-  if (op == AggOp::kCount) {
-    ++acc;
-    return;
-  }
-  const bool is_float = spec::is_float(field.primitive);
-  const bool is_signed = spec::is_signed(field.primitive);
-  auto as_double = [&](std::uint64_t bits) {
-    return field.storage_width_bits == 32
-               ? static_cast<double>(
-                     std::bit_cast<float>(static_cast<std::uint32_t>(bits)))
-               : std::bit_cast<double>(bits);
-  };
-  switch (op) {
-    case AggOp::kSum:
-      if (is_float) {
-        const double current = first ? 0.0 : std::bit_cast<double>(acc);
-        acc = std::bit_cast<std::uint64_t>(current + as_double(raw));
-      } else if (is_signed) {
-        const std::int64_t current =
-            first ? 0 : static_cast<std::int64_t>(acc);
-        acc = static_cast<std::uint64_t>(
-            current + hwgen::sign_extend(raw, field.storage_width_bits));
-      } else {
-        acc = (first ? 0 : acc) + raw;
-      }
-      return;
-    case AggOp::kMin:
-    case AggOp::kMax: {
-      if (first) {
-        if (is_float) {
-          acc = std::bit_cast<std::uint64_t>(as_double(raw));
-        } else if (is_signed) {
-          acc = static_cast<std::uint64_t>(
-              hwgen::sign_extend(raw, field.storage_width_bits));
-        } else {
-          acc = raw;
-        }
-        return;
-      }
-      bool take;
-      if (is_float) {
-        const double value = as_double(raw);
-        const double current = std::bit_cast<double>(acc);
-        take = op == AggOp::kMin ? value < current : value > current;
-        if (take) acc = std::bit_cast<std::uint64_t>(value);
-      } else if (is_signed) {
-        const std::int64_t value =
-            hwgen::sign_extend(raw, field.storage_width_bits);
-        const std::int64_t current = static_cast<std::int64_t>(acc);
-        take = op == AggOp::kMin ? value < current : value > current;
-        if (take) acc = static_cast<std::uint64_t>(value);
-      } else {
-        take = op == AggOp::kMin ? raw < acc : raw > acc;
-        if (take) acc = raw;
-      }
-      return;
-    }
-    default:
-      return;
-  }
-}
-
-/// Folds one block's (or shard's) hardware aggregation result into the
-/// running accumulator. Block results are already in ACCUMULATOR encoding
-/// (the PE widens floats to f64 and sign-extends integers), so combining
-/// is a plain 64-bit fold — the same code merges per-shard accumulators in
-/// shard order on the multi-PE path. Counts and integer min/max/sum
-/// combine associatively, so shard-order merging matches the serial fold
-/// exactly; float sums combine in shard order (see DESIGN.md for the
-/// ordering caveat).
-void fold_hw_agg(hwgen::AggOp op, const analysis::FieldLayout& field,
-                 std::uint64_t block_result, std::uint64_t& acc, bool first) {
-  using hwgen::AggOp;
-  if (op == AggOp::kCount) {
-    acc = (first ? 0 : acc) + block_result;
-    return;
-  }
-  if (op == AggOp::kSum) {
-    // Sums combine additively in the accumulator's own encoding.
-    if (spec::is_float(field.primitive)) {
-      const double current = first ? 0.0 : std::bit_cast<double>(acc);
-      acc = std::bit_cast<std::uint64_t>(
-          current + std::bit_cast<double>(block_result));
-    } else {
-      acc = (first ? 0 : acc) + block_result;
-    }
-    return;
-  }
-  // Min/max: fold the block result as a 64-bit value of the accumulator's
-  // interpretation.
-  if (first) {
-    acc = block_result;
-    return;
-  }
-  if (spec::is_float(field.primitive)) {
-    const double value = std::bit_cast<double>(block_result);
-    const double current = std::bit_cast<double>(acc);
-    if (op == AggOp::kMin ? value < current : value > current) {
-      acc = block_result;
-    }
-  } else if (spec::is_signed(field.primitive)) {
-    const auto value = static_cast<std::int64_t>(block_result);
-    const auto current = static_cast<std::int64_t>(acc);
-    if (op == AggOp::kMin ? value < current : value > current) {
-      acc = block_result;
-    }
-  } else if (op == AggOp::kMin ? block_result < acc : block_result > acc) {
-    acc = block_result;
-  }
-}
-
-}  // namespace
 
 AggregateStats HybridExecutor::aggregate(
     const std::vector<FilterPredicate>& predicates, hwgen::AggOp op,
@@ -1093,271 +899,97 @@ AggregateStats HybridExecutor::aggregate(
   check_store_ready();
   NDPGEN_CHECK_ARG(op != hwgen::AggOp::kNone,
                    "aggregate requires a real operation");
-  auto& platform = db_.platform();
-  auto& queue = platform.events();
-  auto& flash = platform.flash();
-  const auto& timing = platform.timing();
-  const platform::SimTime t0 = queue.now();
-  platform.arm().ndp_command();
-
   const auto field_index = parser_.input.find_field(field_path);
   NDPGEN_CHECK_ARG(field_index.has_value() &&
                        parser_.input.fields[*field_index].relevant,
                    "aggregate field must be a filterable input field");
-  const auto& field = parser_.input.fields[*field_index];
-  // Field selector = position among the relevant fields.
-  std::uint32_t field_sel = 0;
-  for (const std::size_t index : parser_.input.relevant_indices()) {
-    if (index == *field_index) break;
-    ++field_sel;
-  }
-
-  AggregateStats stats;
-  stats.op = op;
-  const std::uint32_t stages =
-      config_.mode == ExecMode::kHardware
-          ? hardware_.front()->design().filter_stage_count()
-          : std::max<std::uint32_t>(
-                1, static_cast<std::uint32_t>(predicates.size()));
-  const auto bound =
-      bind_conjunction(parser_.input, operators_, predicates, stages);
-
-  // Flash schedule (same pipeline structure as scan()).
-  const std::vector<BlockRef> blocks = collect_blocks();
-  std::vector<platform::SimTime> ready(blocks.size(), 0);
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const auto& handle = blocks[b].table->blocks[blocks[b].block_index];
-    auto remaining = std::make_shared<std::size_t>(handle.flash_pages.size());
-    for (const std::uint64_t page : handle.flash_pages) {
-      flash.read_page(flash.delinearize(page), [&ready, b, remaining, &queue] {
-        if (--*remaining == 0) ready[b] = queue.now();
-      });
-    }
-  }
-  queue.run();
-
-  // One pipeline per PE in hardware mode; the ARM core and the host CPU
-  // are single pipelines (kHostClassic previously computed 0 workers here
-  // and divided by it — a latent crash on the classical aggregate path).
-  const std::size_t workers =
-      config_.mode == ExecMode::kHardware
-          ? std::max<std::size_t>(std::size_t{1}, hardware_.size())
-          : 1;
-  std::vector<platform::SimTime> worker_free(workers, t0);
-  std::vector<bool> pe_configured(workers, false);
-
-  std::uint64_t acc = 0;
-  bool first = true;
-
-  // Multi-PE hardware aggregate: shard blocks by channel affinity, fold
-  // per-shard on thread-confined benches, then merge the per-shard
-  // accumulators in shard order with the same fold_hw_agg the serial path
-  // uses per block. Software folding stays serial: the SW path folds raw
-  // field values tuple-by-tuple and float sums would be order-sensitive.
-  if (const std::uint32_t shard_count = effective_shards();
-      shard_count > 1 && config_.mode == ExecMode::kHardware) {
-    stats.shards = shard_count;
-    NDPGEN_CHECK_ARG(hardware_.front()->supports_aggregation(),
+  const bool hw_mode = config_.mode == ExecMode::kHardware;
+  if (hw_mode) {
+    NDPGEN_CHECK_ARG(shards_.front()->supports_aggregation(),
                      "executor PE lacks an aggregation unit (generate "
                      "with enable_aggregation)");
-    const hwgen::PEDesign& design = hardware_.front()->design();
-
-    struct AggWork {
-      std::vector<std::uint8_t> block;
-      std::uint64_t payload = 0;
-    };
-    std::vector<AggWork> work(blocks.size());
-    std::vector<std::uint64_t> first_pages(blocks.size(), 0);
-    for (std::size_t b = 0; b < blocks.size(); ++b) {
-      const auto& handle = blocks[b].table->blocks[blocks[b].block_index];
-      if (!handle.flash_pages.empty()) {
-        first_pages[b] = handle.flash_pages.front();
-      }
-      work[b].block = assemble_block(blocks[b]);
-      work[b].payload =
-          kv::block_payload_bytes(kv::read_trailer(work[b].block));
-    }
-    const std::vector<std::vector<std::size_t>> shard_lists =
-        kv::PlacementPolicy::shard_blocks(flash.topology(), first_pages,
-                                          shard_count);
-
-    obs::Observability& obs = platform.observability();
-    std::vector<std::unique_ptr<PeShard>> shards;
-    shards.reserve(shard_count);
-    for (std::uint32_t k = 0; k < shard_count; ++k) {
-      shards.push_back(std::make_unique<PeShard>(
-          k, design, timing, platform.config().axi, /*arm_watchdog=*/false,
-          obs.tracing(), obs::RequestContext{}, config_.sim_mode));
-    }
-
-    std::vector<platform::SimTime> shard_free(shard_count, t0);
-    std::vector<std::uint64_t> shard_acc(shard_count, 0);
-    std::vector<std::uint64_t> shard_folded(shard_count, 0);
-    std::vector<std::uint64_t> shard_tuples(shard_count, 0);
-    auto run_shard = [&](std::size_t k) {
-      PeShard& shard = *shards[k];
-      platform::SimTime free_at = t0;
-      bool shard_first = true;
-      for (const std::size_t b : shard_lists[k]) {
-        AggWork& item = work[b];
-        if (!shard.configured()) shard.set_aggregate(op, field_sel);
-        const auto result = shard.process_block(
-            std::span<const std::uint8_t>(item.block).first(item.payload),
-            bound, /*collect=*/false, /*reconfigure=*/!shard.configured());
-        shard_tuples[k] += result.stats.tuples_in;
-        if (result.stats.agg_folded > 0) {
-          fold_hw_agg(op, field, result.stats.agg_result, shard_acc[k],
-                      shard_first);
-          shard_first = false;
-          shard_folded[k] += result.stats.agg_folded;
-        }
-        free_at = std::max(free_at, ready[b]) + result.overhead +
-                  result.pe_time;
-        item.block = {};
-      }
-      shard_free[k] = free_at;
-    };
-    {
-      const std::size_t threads =
-          config_.pe_threads != 0
-              ? config_.pe_threads
-              : support::ThreadPool::default_threads(shard_count);
-      support::ThreadPool pool(threads);
-      support::parallel_for(pool, shard_count, run_shard);
-    }
-
-    // Merge in shard order.
-    for (std::uint32_t k = 0; k < shard_count; ++k) {
-      stats.tuples_scanned += shard_tuples[k];
-      if (shard_folded[k] == 0) continue;
-      fold_hw_agg(op, field, shard_acc[k], acc, first);
-      first = false;
-      stats.folded += shard_folded[k];
-    }
-    stats.blocks = blocks.size();
-    stats.raw_result = acc;
-    stats.result_bytes = 16;
-    platform::SimTime end = t0;
-    for (const platform::SimTime t : shard_free) end = std::max(end, t);
-    end = platform.nvme().reserve(end, stats.result_bytes).done;
-    if (end > queue.now()) queue.advance_to(end);
-    stats.elapsed = end - t0;
-
-    for (const auto& shard : shards) {
-      obs.metrics.merge_from(shard->metrics());
-    }
-    if (obs.tracing()) {
-      for (const auto& shard : shards) {
-        obs.trace->append_from(
-            shard->trace(),
-            "shard" + std::to_string(shard->shard_id()) + ".");
-      }
-    }
-    obs::MetricsRegistry& m = obs.metrics;
-    m.add(m.counter("ndp.aggregate.commands"), 1);
-    m.add(m.counter("ndp.aggregate.blocks"), stats.blocks);
-    m.add(m.counter("ndp.aggregate.tuples_scanned"), stats.tuples_scanned);
-    m.add(m.counter("ndp.aggregate.folded"), stats.folded);
-    m.observe(m.histogram("ndp.aggregate.elapsed_ns"), stats.elapsed);
-    m.raise(m.gauge("ndp.aggregate.shards"), shard_count);
-    if (obs.tracing()) {
-      obs.trace->complete(
-          obs.trace->track("ndp"), "aggregate", "ndp", t0, stats.elapsed,
-          std::string("{\"mode\":\"") +
-              std::string(to_string(config_.mode)) +
-              "\",\"shards\":" + std::to_string(shard_count) +
-              ",\"blocks\":" + std::to_string(stats.blocks) +
-              ",\"folded\":" + std::to_string(stats.folded) + "}");
-    }
-    return stats;
   }
-  for (std::size_t b = 0; b < blocks.size(); ++b) {
-    const std::size_t w = b % workers;
-    const std::vector<std::uint8_t> block = assemble_block(blocks[b]);
-    const kv::BlockTrailer trailer = kv::read_trailer(block);
-    platform::SimTime cost = 0;
-
-    if (config_.mode == ExecMode::kHardware) {
-      auto& hw = *hardware_[w];
-      NDPGEN_CHECK_ARG(hw.supports_aggregation(),
-                       "executor PE lacks an aggregation unit (generate "
-                       "with enable_aggregation)");
-      if (!pe_configured[w]) hw.set_aggregate(op, field_sel);
-      const auto result = hw.process_block(
-          std::span<const std::uint8_t>(block).first(
-              kv::block_payload_bytes(trailer)),
-          bound, /*collect=*/false, /*reconfigure=*/!pe_configured[w]);
-      pe_configured[w] = true;
-      cost = result.overhead + result.pe_time;
-      stats.tuples_scanned += result.stats.tuples_in;
-      // Combine the per-block hardware aggregate in software (cheap).
-      if (result.stats.agg_folded > 0) {
-        fold_hw_agg(op, field, result.stats.agg_result, acc, first);
-        first = false;
-        stats.folded += result.stats.agg_folded;
-      }
-    } else {
-      // Software: filter + fold on the ARM core.
-      std::uint64_t folded_here = 0;
-      for (std::uint32_t i = 0; i < trailer.record_count; ++i) {
-        const auto record = kv::block_record(block, trailer, i);
-        bool pass = true;
-        for (const auto& predicate : bound) {
-          if (!eval_predicate_sw(parser_.input, operators_, record,
-                                 predicate)) {
-            pass = false;
-            break;
-          }
-        }
-        if (!pass) continue;
-        const auto bits = support::BitVector::from_bytes(record);
-        const std::uint64_t raw = bits.extract_u64(
-            field.storage_offset_bits,
-            std::min<std::uint32_t>(field.storage_width_bits, 64));
-        fold_raw(op, field, raw, acc, first);
-        first = false;
-        ++folded_here;
-      }
-      stats.folded += folded_here;
-      stats.tuples_scanned += trailer.record_count;
-      if (config_.mode == ExecMode::kHostClassic) {
-        cost = timing.host_io_stack_per_block +
-               timing.nvme_transfer_time(kv::kDataBlockBytes) +
-               timing.host_parse_time(kv::block_payload_bytes(trailer));
-      } else {
-        cost = software_.block_cost(kv::block_payload_bytes(trailer),
-                                    trailer.record_count,
-                                    static_cast<std::uint32_t>(bound.size()),
-                                    /*tuples_out=*/0) +
-               folded_here * timing.arm_predicate_per_tuple;
-      }
-    }
-    worker_free[w] = std::max(worker_free[w], ready[b]) + cost;
-    ++stats.blocks;
+  Plan plan;
+  plan.aggregate = true;
+  plan.op = op;
+  plan.field = &parser_.input.fields[*field_index];
+  // Field selector = position among the relevant fields.
+  for (const std::size_t index : parser_.input.relevant_indices()) {
+    if (index == *field_index) break;
+    ++plan.field_select;
   }
+  const std::uint32_t stages =
+      hw_mode ? shards_.front()->design().filter_stage_count()
+              : std::max<std::uint32_t>(
+                    1, static_cast<std::uint32_t>(predicates.size()));
+  plan.bound = bind_conjunction(parser_.input, operators_, predicates, stages);
 
+  // Software folds tuple by tuple in global block order on one
+  // pipeline (float sums are order-sensitive); PE blocks fold per block,
+  // then per shard, then across shards in shard order.
+  const std::uint32_t shard_count = hw_mode ? effective_shards() : 1;
+  const std::vector<BlockRef> blocks = collect_blocks();
+  AggregateStats stats;
+  const analysis::FieldLayout& field = *plan.field;
+  std::uint64_t acc = 0;
+  bool first = true;
+  std::vector<std::uint64_t> shard_acc(shard_count, 0);
+  std::vector<std::uint64_t> shard_folded(shard_count, 0);
+  const auto accumulate = [&](std::size_t, std::uint32_t k, Outcome& out) {
+    stats.tuples_scanned += out.tuples_in;
+    stats.folded += out.matched;
+    if (!hw_mode) {
+      for (const std::uint64_t value : out.values) {
+        fold(op, field, value, acc, first);
+        first = false;
+      }
+      return;
+    }
+    if (out.matched == 0) return;
+    // A degraded block folds in software into a block result like the
+    // PE's before joining its shard.
+    std::uint64_t block_acc = out.pe_result;
+    for (std::size_t i = 0; i < out.values.size(); ++i) {
+      fold(op, field, out.values[i], block_acc, i == 0);
+    }
+    fold(op, field, block_acc, shard_acc[k], shard_folded[k] == 0);
+    shard_folded[k] += out.matched;
+  };
+  const PipelineRun run =
+      run_pipeline(blocks, plan, shard_count, accumulate);
+  for (std::uint32_t k = 0; k < shard_count; ++k) {
+    if (shard_folded[k] == 0) continue;
+    fold(op, field, shard_acc[k], acc, first);
+    first = false;
+  }
+  static_cast<ReliabilityStats&>(stats) = run.reliability;
+  stats.op = op;
+  stats.shards = shard_count;
+  stats.blocks = blocks.size();
   stats.raw_result = acc;
   // Only the result registers cross the NVMe link.
   stats.result_bytes = 16;
-  platform::SimTime end = t0;
-  for (const platform::SimTime t : worker_free) end = std::max(end, t);
-  end = platform.nvme().reserve(end, stats.result_bytes).done;
-  if (end > queue.now()) queue.advance_to(end);
-  stats.elapsed = end - t0;
+  stats.elapsed = finish(run, /*results=*/0, stats.result_bytes,
+                         /*transfer=*/true) -
+                  run.t0;
 
-  obs::Observability& obs = platform.observability();
+  obs::Observability& obs = db_.platform().observability();
   obs::MetricsRegistry& m = obs.metrics;
   m.add(m.counter("ndp.aggregate.commands"), 1);
   m.add(m.counter("ndp.aggregate.blocks"), stats.blocks);
   m.add(m.counter("ndp.aggregate.tuples_scanned"), stats.tuples_scanned);
   m.add(m.counter("ndp.aggregate.folded"), stats.folded);
   m.observe(m.histogram("ndp.aggregate.elapsed_ns"), stats.elapsed);
+  m.raise(m.gauge("ndp.aggregate.shards"), shard_count);
+  if (faults_enabled()) publish_reliability(m, "ndp.aggregate", stats);
   if (obs.tracing()) {
     obs.trace->complete(
-        obs.trace->track("ndp"), "aggregate", "ndp", t0, stats.elapsed,
+        obs.trace->track("ndp"), "aggregate", "ndp", run.t0, stats.elapsed,
         std::string("{\"mode\":\"") + std::string(to_string(config_.mode)) +
-            "\",\"blocks\":" + std::to_string(stats.blocks) +
-            ",\"folded\":" + std::to_string(stats.folded) + "}");
+            "\",\"shards\":" + std::to_string(shard_count) +
+            ",\"blocks\":" + std::to_string(stats.blocks) +
+            ",\"folded\":" + std::to_string(stats.folded) + ctx_arg(obs) +
+            "}");
   }
   return stats;
 }
@@ -1367,7 +999,7 @@ GetStats HybridExecutor::get(const kv::Key& key) {
   auto& platform = db_.platform();
   auto& queue = platform.events();
   auto& arm = platform.arm();
-  auto& flash = platform.flash();
+  const auto& timing = platform.timing();
   const platform::SimTime t0 = queue.now();
 
   obs::Observability& obs = platform.observability();
@@ -1386,13 +1018,7 @@ GetStats HybridExecutor::get(const kv::Key& key) {
       m.add(m.counter("ndp.get.tables_probed"), stats.tables_probed);
       m.add(m.counter("ndp.get.blocks_fetched"), stats.blocks_fetched);
       m.observe(m.histogram("ndp.get.elapsed_ns"), stats.elapsed);
-      if (faults) {
-        m.add(m.counter("ndp.get.blocks_retried"), stats.blocks_retried);
-        m.add(m.counter("ndp.get.blocks_degraded_to_software"),
-              stats.blocks_degraded_to_software);
-        m.add(m.counter("ndp.get.uncorrectable_blocks"),
-              stats.uncorrectable_blocks);
-      }
+      if (faults) publish_reliability(m, "ndp.get", stats);
       if (obs.tracing()) {
         obs.trace->complete(
             obs.trace->track("ndp"), "get", "ndp", t0, stats.elapsed,
@@ -1404,11 +1030,8 @@ GetStats HybridExecutor::get(const kv::Key& key) {
     }
   };
 
-  fault::FaultInjector* injector = flash.fault_injector();
-  const bool faults = injector != nullptr && injector->enabled();
-
   GetStats stats;
-  const Publish publish{obs, stats, config_.mode, t0, faults};
+  const Publish publish{obs, stats, config_.mode, t0, faults_enabled()};
   // Device firmware handles one NDP command per GET. The submission
   // crosses the NVMe link: a timed-out command retries with exponential
   // backoff before the device sees it (0-cost on a fault-free link).
@@ -1438,11 +1061,12 @@ GetStats HybridExecutor::get(const kv::Key& key) {
       parser_.input.fields[relevant.front()].path, "eq", key.hi});
   const std::uint32_t stages =
       config_.mode == ExecMode::kHardware
-          ? hardware_.front()->design().filter_stage_count()
+          ? shards_.front()->design().filter_stage_count()
           : 1;
   const auto bound =
       bind_conjunction(parser_.input, operators_, key_predicate, stages);
 
+  bool pe_used = false;
   for (const auto& table : db_.version().recency_ordered()) {
     if (key < table->min_key || table->max_key < key) continue;
     // Bloom probe (a handful of DRAM bit tests) skips tables that
@@ -1461,93 +1085,41 @@ GetStats HybridExecutor::get(const kv::Key& key) {
     const int block_index = table->find_block(key);
     if (block_index < 0) continue;
 
-    // Fetch the data block from flash (DES-timed).
-    const auto& handle =
-        table->blocks[static_cast<std::size_t>(block_index)];
-    bool fetched = false;
-    std::uint8_t media = 0;
-    auto remaining = std::make_shared<std::size_t>(handle.flash_pages.size());
-    for (const std::uint64_t page : handle.flash_pages) {
-      flash.read_page_checked(
-          flash.delinearize(page),
-          [remaining, &fetched, &media](const platform::PageReadResult& r) {
-            if (r.retries > 0) media |= kMediaRetried;
-            if (r.uncorrectable) media |= kMediaUncorrectable;
-            if (--*remaining == 0) fetched = true;
-          });
-    }
-    while (!fetched && queue.step()) {
-    }
-    NDPGEN_CHECK(fetched, "flash read did not complete");
+    // The shared pipeline steps, one block at a time on the DES clock
+    // (GET is sequential: the ARM waits for each step).
+    const BlockRef ref{table.get(), static_cast<std::uint32_t>(block_index)};
+    const BlockReads reads = read_blocks({ref});
     ++stats.blocks_fetched;
-    if ((media & kMediaRetried) != 0) ++stats.blocks_retried;
-
-    kv::SSTReader reader(*table, flash, db_.config().extractor);
-    bool needs_recovery = (media & kMediaUncorrectable) != 0;
-    std::vector<std::uint8_t> block;
-    if (auto checked =
-            reader.read_block_checked(static_cast<std::uint32_t>(block_index));
-        checked.ok()) {
-      block = std::move(checked).value();
-    } else {
-      needs_recovery = true;
-      block = reader.reread_block_recovered(
-          static_cast<std::uint32_t>(block_index));
-    }
-    const kv::BlockTrailer trailer = kv::read_trailer(block);
-    const std::uint64_t payload = kv::block_payload_bytes(trailer);
+    const Routed item =
+        assemble_and_route(ref, reads.media.front(), /*shard=*/0, stats);
+    if (item.penalty > 0) queue.run_until(queue.now() + item.penalty);
 
     std::vector<std::vector<std::uint8_t>> survivors;
-    bool use_hw = config_.mode == ExecMode::kHardware;
-    if (needs_recovery) {
-      // Firmware recovery pass; the recovered copy is handled on the
-      // trusted software path (graceful degradation, same as SCAN).
-      ++stats.uncorrectable_blocks;
-      queue.run_until(queue.now() + platform.timing().flash_recovery_latency);
-      if (use_hw) {
-        use_hw = false;
-        ++stats.blocks_degraded_to_software;
+    if (item.route == Route::kPe) {
+      if (!pe_used) {
+        begin_shards(1, hwgen::AggOp::kNone, 0);
+        pe_used = true;
       }
-    }
-    if (use_hw && hardware_.front()->design().static_payload_bytes != 0 &&
-        payload != hardware_.front()->design().static_payload_bytes) {
-      use_hw = false;
-    }
-    if (use_hw && faults &&
-        injector->next_pe_hang(config_.pe_indices.front())) {
-      // Hung PE: the watchdog horizon elapses before firmware resets the
-      // unit and falls back to the software block search.
-      const auto& timing = platform.timing();
-      queue.run_until(queue.now() +
-                      timing.pe_cycles_to_ns(timing.pe_watchdog_cycles));
-      use_hw = false;
-      ++stats.blocks_degraded_to_software;
-    }
-    if (use_hw) {
-      auto& hw = *hardware_.front();
-      auto result = hw.process_block(
-          std::span<const std::uint8_t>(block).first(payload), bound,
-          /*collect=*/true, /*reconfigure=*/true);
-      // Charge the HW/SW interface + PE runtime on the DES clock (GET is
-      // sequential; the ARM waits for the PE).
+      auto result = shards_.front()->process_block(
+          std::span<const std::uint8_t>(item.block).first(item.payload),
+          bound, /*collect=*/true, /*reconfigure=*/true);
       queue.run_until(queue.now() + result.overhead + result.pe_time);
       survivors = std::move(result.records);
-    } else if (config_.mode == ExecMode::kHostClassic) {
-      // Classical path: the block crosses the I/O stack and NVMe before
-      // the host can binary-search it.
-      const auto& timing = platform.timing();
-      queue.run_until(queue.now() + timing.host_io_stack_per_block +
-                      timing.nvme_transfer_time(kv::kDataBlockBytes) +
-                      2 * platform::kNsPerUs);
-      if (auto record = reader.get(key)) {
-        survivors.push_back(transform_sw(parser_, *record));
-      }
     } else {
-      // The software path binary-searches the key-sorted block directly
-      // (the "very general algorithm" of a KV store) — no full parse.
-      arm.block_binary_search(trailer.record_count,
-                              db_.config().record_bytes);
-      if (auto record = reader.get(key)) {
+      if (item.route == Route::kHost) {
+        // Classical path: the block crosses the I/O stack and NVMe before
+        // the host can binary-search it.
+        queue.run_until(queue.now() + timing.host_io_stack_per_block +
+                        timing.nvme_transfer_time(kv::kDataBlockBytes) +
+                        2 * platform::kNsPerUs);
+      } else {
+        // The software path binary-searches the key-sorted block directly
+        // (the "very general algorithm" of a KV store) — no full parse.
+        arm.block_binary_search(kv::read_trailer(item.block).record_count,
+                                db_.config().record_bytes);
+      }
+      if (const auto record = kv::SSTReader::find_in_block(
+              item.block, key, db_.config().extractor)) {
         survivors.push_back(transform_sw(parser_, *record));
       }
     }
@@ -1555,15 +1127,9 @@ GetStats HybridExecutor::get(const kv::Key& key) {
     // Software verification of the full 128-bit key on the survivors.
     for (auto& record : survivors) {
       // Verify against the ORIGINAL input record when the transform keeps
-      // the key; otherwise re-check via the store (rare).
-      if (record.size() == db_.config().record_bytes &&
+      // the key; otherwise trust the filter.
+      if (record.size() != db_.config().record_bytes ||
           db_.config().extractor(record) == key) {
-        stats.found = true;
-        stats.record = std::move(record);
-        break;
-      }
-      if (record.size() != db_.config().record_bytes) {
-        // Transform dropped key fields; fall back to trusting the filter.
         stats.found = true;
         stats.record = std::move(record);
         break;
@@ -1571,6 +1137,7 @@ GetStats HybridExecutor::get(const kv::Key& key) {
     }
     if (stats.found) break;
   }
+  if (pe_used) merge_shard_obs(1);
   stats.elapsed = queue.now() - t0;
   return stats;
 }

@@ -7,24 +7,33 @@
 // The software part (index traversal, recency/tombstone reconciliation,
 // result assembly) always runs on the ARM model; the block-level
 // filter+transform step runs either in software (SoftwareNdp) or on one or
-// more simulated PEs (HardwareNdp), selected by ExecMode.
+// more simulated PEs (PeShard), selected by ExecMode.
 //
-// Timing composition for SCAN: all data-block flash reads are scheduled on
-// the DES (which models LUN parallelism and controller-bus serialization);
-// block processing is pipelined against the per-block flash completion
-// times, one pipeline per worker (ARM core or PE). The reported elapsed
+// Every operation runs its blocks through ONE pipeline: checked page reads
+// scheduled on the DES, checked block assembly with a firmware recovery
+// pass on failure, routing to PE / ARM / host (or degraded to the ARM on
+// recovery or a hung PE), execution on N >= 1 shards, and a per-operation
+// fold — collect for scans, accumulate for aggregate, PE filter or binary
+// search for GET. So every offload shares one fault contract.
+//
+// Timing composition for SCAN/AGGREGATE: all data-block flash reads are
+// scheduled on the DES (which models LUN parallelism and controller-bus
+// serialization); block processing is pipelined against the per-block
+// flash completion times, one pipeline per shard. The reported elapsed
 // time is the makespan of that pipeline plus result finalization and the
-// NVMe transfer of the (much smaller) result set to the host.
+// NVMe transfer of the (much smaller) result set to the host. GET steps
+// the DES table by table, charging each block's costs sequentially.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "hwsim/kernel.hpp"
 #include "kv/db.hpp"
-#include "ndp/hardware_ndp.hpp"
+#include "ndp/pe_shard.hpp"
 #include "ndp/software_ndp.hpp"
 #include "ndp/predicate.hpp"
 #include "obs/request_trace.hpp"
@@ -50,7 +59,26 @@ enum class ExecMode : std::uint8_t {
   return "?";
 }
 
-struct ScanStats {
+/// Per-block fault accounting shared by every operation (all zero on
+/// fault-free media).
+struct ReliabilityStats {
+  /// Blocks that needed at least one ECC read-retry step on some page.
+  std::uint64_t blocks_retried = 0;
+  /// Blocks rerouted from the HW path to SoftwareNdp (uncorrectable
+  /// media, checksum mismatch, or a hung PE caught by the watchdog).
+  std::uint64_t blocks_degraded_to_software = 0;
+  /// Blocks whose read was uncorrectable or failed checksum verification
+  /// and went through the firmware recovery pass.
+  std::uint64_t uncorrectable_blocks = 0;
+  /// Blocks that STILL fail their index CRC after the recovery re-read:
+  /// the stored flash content itself is corrupt (latent bit-rot), so
+  /// whatever the operation produced from them is untrustworthy. The
+  /// cluster coordinator uses this to discard the sub-scan and re-fetch
+  /// its partitions from a healthy replica (read-repair).
+  std::uint64_t integrity_blocks = 0;
+};
+
+struct ScanStats : ReliabilityStats {
   std::uint64_t blocks = 0;
   std::uint64_t tuples_scanned = 0;
   std::uint64_t tuples_matched = 0;   ///< Survivors before dedup.
@@ -69,33 +97,17 @@ struct ScanStats {
   std::uint64_t blocks_via_software = 0;  ///< Partial blocks on HW path.
 
   // --- Multi-PE scaling (paper Fig. 10) ---------------------------------
-  /// PE shards the scan ran on (1 = the serial single-pipeline path).
+  /// PE shards (pipelines) the scan ran on.
   std::uint32_t shards = 1;
   /// Simulated PE-phase critical path: the largest per-shard sum of PE
   /// cycles (HW mode; 0 when no block ran on a PE). Sharding divides this
   /// while the shared flash/bus serialization in `flash_done` does not —
   /// which is exactly the paper-shaped speedup story.
   std::uint64_t pe_phase_cycles = 0;
-
-  // --- Reliability (all zero on fault-free media) -----------------------
-  /// Blocks that needed at least one ECC read-retry step on some page.
-  std::uint64_t blocks_retried = 0;
-  /// Blocks rerouted from the HW path to SoftwareNdp (uncorrectable
-  /// media, checksum mismatch, or a hung PE caught by the watchdog).
-  std::uint64_t blocks_degraded_to_software = 0;
-  /// Blocks whose read was uncorrectable or failed checksum verification
-  /// and went through the firmware recovery pass.
-  std::uint64_t uncorrectable_blocks = 0;
-  /// Blocks that STILL fail their index CRC after the recovery re-read:
-  /// the stored flash content itself is corrupt (latent bit-rot), so the
-  /// record bytes this scan produced from them are untrustworthy. The
-  /// cluster coordinator uses this to discard the sub-scan and re-fetch
-  /// its partitions from a healthy replica (read-repair).
-  std::uint64_t integrity_blocks = 0;
 };
 
 /// Result of an aggregate scan (extension; paper §VII outlook).
-struct AggregateStats {
+struct AggregateStats : ReliabilityStats {
   hwgen::AggOp op = hwgen::AggOp::kNone;
   std::uint64_t raw_result = 0;  ///< Field-encoded result bits.
   std::uint64_t folded = 0;      ///< Tuples folded (post-filter matches).
@@ -113,17 +125,12 @@ struct AggregateStats {
   }
 };
 
-struct GetStats {
+struct GetStats : ReliabilityStats {
   bool found = false;
   std::vector<std::uint8_t> record;  ///< Output-layout record if found.
   platform::SimTime elapsed = 0;
   std::uint32_t tables_probed = 0;
   std::uint32_t blocks_fetched = 0;
-
-  // --- Reliability (all zero on fault-free media) -----------------------
-  std::uint64_t blocks_retried = 0;
-  std::uint64_t blocks_degraded_to_software = 0;
-  std::uint64_t uncorrectable_blocks = 0;
 };
 
 struct ExecutorConfig {
@@ -133,10 +140,12 @@ struct ExecutorConfig {
   /// Number of parallel PE shards for SCAN/AGGREGATE (multi-PE scaling,
   /// paper Fig. 10). Blocks are sharded by flash channel affinity; each
   /// shard runs its own thread-confined PE instance and the results merge
-  /// deterministically. 1 (the default) keeps the serial path and its
-  /// byte-identical output. kHardware uses max(num_pes, pe_indices.size())
-  /// effective shards; kHostClassic ignores this (the classical path has
-  /// no device-side parallelism to replicate).
+  /// deterministically, byte-identical for every shard count. 1 (the
+  /// default) runs the single shard on the calling thread. kHardware uses
+  /// max(num_pes, pe_indices.size()) effective shards; kHostClassic
+  /// ignores this (the classical path has no device-side parallelism to
+  /// replicate), and so does a software aggregate (its tuple-order fold
+  /// runs on one ARM pipeline).
   std::uint32_t num_pes = 1;
   /// Host worker threads driving the shard benches; 0 = one per shard,
   /// capped at the hardware concurrency. The thread count NEVER affects
@@ -145,8 +154,6 @@ struct ExecutorConfig {
   /// PE-kernel fidelity for shard benches (exact ticking vs event-driven
   /// fast-forward). Results are byte-identical either way; see SimMode.
   hwsim::SimMode sim_mode = hwsim::sim_mode_from_env();
-  /// Collect result records (vs count-only aggregates).
-  bool collect_results = false;
   /// Extracts the key from an OUTPUT-layout record, enabling recency
   /// dedup and tombstone suppression on scan results. When the transform
   /// drops the key fields, leave unset: the scan then reports raw
@@ -204,32 +211,74 @@ class HybridExecutor {
     const kv::SSTable* table;
     std::uint32_t block_index;
   };
+  struct BlockReads;
+  struct Routed;
+  struct Plan;
+  struct Outcome;
+  struct PipelineRun;
+  /// The per-operation fold of one block's outcome (block index, shard).
+  using BlockFold = std::function<void(std::size_t, std::uint32_t, Outcome&)>;
 
   /// NDP offload must not observe a half-recovered store: every public
   /// operation raises Error{kStorage} while db_.recovering().
   void check_store_ready() const;
 
   [[nodiscard]] std::vector<BlockRef> collect_blocks() const;
-  [[nodiscard]] std::vector<std::uint8_t> assemble_block(
-      const BlockRef& ref) const;
 
-  /// Shared scan core: processes `blocks`; `key_ranges` (sorted, disjoint;
-  /// empty = unfiltered) additionally drops finalized records outside
-  /// every span.
+  /// Pipeline step 1: schedules every page of `blocks` as a checked flash
+  /// read on the DES and steps it until the last page has landed.
+  [[nodiscard]] BlockReads read_blocks(const std::vector<BlockRef>& blocks);
+
+  /// Pipeline steps 2-3: checked assembly (recovery pass on failure) and
+  /// routing to PE / ARM / host, counting faults into `reliability`. Must
+  /// run serially in block order: it consumes corruption marks and draws
+  /// `shard`'s hang decisions.
+  [[nodiscard]] Routed assemble_and_route(const BlockRef& ref,
+                                          std::uint8_t media,
+                                          std::uint32_t shard,
+                                          ReliabilityStats& reliability);
+
+  /// Runs one routed block on its route (`shard` for kPe): PE dispatch,
+  /// ARM filter or host filter, plus the plan's per-block fold input.
+  /// Touches only `shard` and the outcome, so shards run it in parallel.
+  [[nodiscard]] Outcome run_block(const Routed& item, const Plan& plan,
+                                  PeShard* shard) const;
+
+  /// The SCAN/AGGREGATE pipeline: command, reads, routing and per-block
+  /// execution on `shard_count` shards, then `fold` of every block's
+  /// outcome in global block order. The caller then calls finish().
+  [[nodiscard]] PipelineRun run_pipeline(const std::vector<BlockRef>& blocks,
+                                         const Plan& plan,
+                                         std::uint32_t shard_count,
+                                         const BlockFold& fold);
+
+  /// Composes the end of a pipeline run (finalization of `results`
+  /// records, the NVMe transfer of `result_bytes` unless the results are
+  /// already host-resident) and merges the shards' observability.
+  /// Returns the completion time.
+  platform::SimTime finish(const PipelineRun& run, std::uint64_t results,
+                           std::uint64_t result_bytes, bool transfer);
+
+  /// SCAN/RANGE/MULTI-RANGE on the pipeline, folding survivors through
+  /// recency dedup, tombstone suppression and `key_ranges` bounds (sorted,
+  /// disjoint; empty = unfiltered).
   ScanStats scan_blocks(
       const std::vector<BlockRef>& blocks,
       const std::vector<FilterPredicate>& predicates,
       std::vector<std::vector<std::uint8_t>>* results,
       const std::vector<KeyRange>& key_ranges);
 
-  /// Multi-PE variant of scan_blocks: channel-affine sharding, one
-  /// thread-confined PE bench per shard, deterministic shard-order merge.
-  ScanStats scan_blocks_sharded(
-      const std::vector<BlockRef>& blocks,
-      const std::vector<FilterPredicate>& predicates,
-      std::vector<std::vector<std::uint8_t>>* results,
-      const std::vector<KeyRange>& key_ranges,
-      std::uint32_t shard_count);
+  /// Starts a call on the first `count` PE shards and arms their
+  /// aggregation units with `op` (kNone = pass-through).
+  void begin_shards(std::uint32_t count, hwgen::AggOp op,
+                    std::uint32_t field_select);
+
+  /// Folds the first `count` shards' metrics and trace events into the
+  /// platform, in shard order (trace lanes under a "shardN." prefix).
+  void merge_shard_obs(std::uint32_t count);
+
+  /// True when the platform injects faults (gates the fault metrics).
+  [[nodiscard]] bool faults_enabled() const;
 
   /// Effective shard count for SCAN/AGGREGATE under the current config.
   [[nodiscard]] std::uint32_t effective_shards() const noexcept;
@@ -239,7 +288,9 @@ class HybridExecutor {
   const hwgen::OperatorSet& operators_;
   ExecutorConfig config_;
   SoftwareNdp software_;
-  std::vector<std::unique_ptr<HardwareNdp>> hardware_;
+  /// The PE drivers (kHardware only): one per effective shard, built once
+  /// and reused by every call.
+  std::vector<std::unique_ptr<PeShard>> shards_;
 };
 
 }  // namespace ndpgen::ndp

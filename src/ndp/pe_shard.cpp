@@ -7,6 +7,20 @@ namespace ndpgen::ndp {
 
 namespace hw = ndpgen::hwgen;
 
+platform::SimTime hw_dispatch_overhead(const platform::TimingConfig& timing,
+                                       const hw::PEDesign& design,
+                                       bool reconfigure) {
+  const bool configurable = design.flavor == hw::DesignFlavor::kGenerated;
+  // Address (4) + size (1, if configurable) + doorbell (1) + completion
+  // readback (2) register accesses; 4 more per stage when reconfiguring.
+  std::uint64_t accesses = 4 + (configurable ? 1 : 0) + 1 + 2;
+  if (reconfigure) {
+    accesses += std::uint64_t{4} * design.filter_stage_count();
+  }
+  return timing.firmware(accesses * timing.register_access +
+                         timing.pe_dispatch_overhead);
+}
+
 PeShard::PeShard(std::size_t shard_id, const hw::PEDesign& design,
                  const platform::TimingConfig& timing,
                  hwsim::AxiInterconnect::Config axi, bool arm_watchdog,
@@ -14,19 +28,24 @@ PeShard::PeShard(std::size_t shard_id, const hw::PEDesign& design,
                  hwsim::SimMode sim_mode)
     : shard_id_(shard_id),
       timing_(timing),
-      bench_(design, hwsim::PEBenchConfig{.axi = axi, .sim_mode = sim_mode}) {
-  // Staging layout inside the bench's private memory: input block at the
-  // bottom, output records in the upper half (same 64-byte alignment the
-  // platform DRAM allocator hands HardwareNdp).
+      bench_(design, hwsim::PEBenchConfig{.dram_bytes = 2 * kv::kDataBlockBytes,
+                                          .axi = axi,
+                                          .sim_mode = sim_mode}) {
+  // Staging layout inside the bench's private memory: one data block of
+  // input at the bottom, one block of output records above it.
   src_staging_ = 0;
-  dst_staging_ = bench_.memory().size() / 2;
-  NDPGEN_CHECK(dst_staging_ >= kv::kDataBlockBytes,
-               "shard bench memory too small for a data block");
+  dst_staging_ = kv::kDataBlockBytes;
   if (arm_watchdog) bench_.kernel().set_watchdog(timing.pe_watchdog_cycles);
-  if (enable_trace) {
-    tracing_ = true;
-    bench_.observability().trace = &trace_;
-  }
+  begin_call(trace_ctx, enable_trace);
+}
+
+void PeShard::begin_call(obs::RequestContext trace_ctx, bool enable_trace) {
+  bench_.kernel().reset();
+  configured_ = false;
+  bench_.observability().metrics.reset_values();
+  trace_.clear();
+  tracing_ = enable_trace;
+  bench_.observability().trace = enable_trace ? &trace_ : nullptr;
   bench_.observability().request_ctx = trace_ctx;
 }
 

@@ -1,4 +1,4 @@
-// PeShard: a thread-confined PE instance for the multi-PE scan engine.
+// PeShard: the executor's PE driver — one thread-confined PE instance.
 //
 // The platform's PEs all advance in one shared SimKernel, which cannot be
 // ticked from several host threads at once. Each shard therefore owns a
@@ -9,10 +9,13 @@
 // trace events and timing into the platform deterministically (in shard
 // order) after all shard threads have joined.
 //
-// Cycle counts are identical to the platform path by construction: the
-// bench instantiates the same simulated modules with the same elastic
-// streams, and the HW/SW-interface overhead is charged through the shared
-// hw_dispatch_overhead formula.
+// Content-exact: the block payload is staged in the bench memory, the PE
+// is configured through its MMIO registers (the generated register map),
+// executed cycle-by-cycle, and the transformed survivors are read back
+// from the result staging area. The HW/SW-interface cost (dispatch,
+// register writes, polling) is computed against the platform timing model
+// and returned alongside the PE's cycle time, so the executor composes
+// pipelines without double-charging the DES clock.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +23,27 @@
 #include <vector>
 
 #include "hwsim/pe_sim.hpp"
-#include "ndp/hardware_ndp.hpp"
+#include "ndp/predicate.hpp"
 #include "obs/trace.hpp"
 #include "platform/timing.hpp"
 
 namespace ndpgen::ndp {
+
+/// HW/SW-interface overhead of dispatching one block to a PE of `design`
+/// (excl. PE runtime): address/size register writes + doorbell +
+/// completion poll/readback, plus the filter-stage writes when
+/// reconfiguring. Pure function of the timing model and the design.
+[[nodiscard]] platform::SimTime hw_dispatch_overhead(
+    const platform::TimingConfig& timing, const hwgen::PEDesign& design,
+    bool reconfigure);
+
+/// Outcome of hardware-processing one data block.
+struct HwBlockResult {
+  hwsim::ChunkStats stats;
+  platform::SimTime pe_time = 0;      ///< Pure PE execution (cycles @ clk).
+  platform::SimTime overhead = 0;     ///< Dispatch + registers + polling.
+  std::vector<std::vector<std::uint8_t>> records;  ///< If collected.
+};
 
 class PeShard {
  public:
@@ -45,12 +64,23 @@ class PeShard {
           obs::RequestContext trace_ctx = obs::RequestContext{},
           hwsim::SimMode sim_mode = hwsim::sim_mode_from_env());
 
-  /// Same contract as HardwareNdp::process_block, confined to this shard's
-  /// bench. Safe to call from exactly one thread at a time.
+  /// Processes one block payload (records only, no trailer).
+  /// `reconfigure` controls whether the filter-stage registers are written
+  /// (the firmware skips reconfiguration when the predicate is unchanged
+  /// across blocks of one scan — only addresses/size change). Safe to call
+  /// from exactly one thread at a time.
   [[nodiscard]] HwBlockResult process_block(
       std::span<const std::uint8_t> payload,
       const std::vector<BoundPredicate>& predicates, bool collect,
       bool reconfigure);
+
+  /// Starts a new executor call on a reused shard: resets the bench kernel
+  /// (cycle counter, module and stream state) so the call runs exactly as
+  /// on a freshly built shard, forces the next dispatch to reprogram the
+  /// filter registers, drops the previous call's metric values and trace
+  /// events (the executor merged them already), and tags the call's spans
+  /// with `trace_ctx`. `enable_trace` attaches the shard-local TraceSink.
+  void begin_call(obs::RequestContext trace_ctx, bool enable_trace);
 
   /// Configures the PE's aggregation unit (AggOp::kNone = pass-through).
   void set_aggregate(hwgen::AggOp op, std::uint32_t field_select);

@@ -81,7 +81,7 @@ struct TimingConfig {
   // --- Fault detection ---------------------------------------------------
   /// Ready/valid watchdog horizon: a PE kernel that makes no stream
   /// progress for this many cycles is declared hung (hwsim::SimKernel and
-  /// the HardwareNdp dispatch fault path).
+  /// the executor's PE dispatch fault path).
   std::uint64_t pe_watchdog_cycles = 100'000;
 
   // --- Classical (non-NDP) host path --------------------------------------

@@ -125,7 +125,6 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
   exec_config.num_pes = options.pes;
   exec_config.pe_threads = options.threads;
   exec_config.sim_mode = options.sim_mode;
-  exec_config.collect_results = true;
   exec_config.result_key_extractor =
       papers ? workload::paper_result_key : workload::ref_key;
   if (leaf.offloaded) {

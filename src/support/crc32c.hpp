@@ -6,11 +6,15 @@
 // clean-looking page with wrong bytes. The block-level CRC32C catches
 // exactly that class, the same layering real storage engines use.
 //
-// Table-driven byte-at-a-time implementation; the table is computed at
-// compile time so the header stays dependency-free.
+// Table-driven slicing-by-8: eight 256-entry tables, computed at compile
+// time so the header stays dependency-free, fold eight input bytes per
+// step; the tail (< 8 bytes) goes byte-at-a-time through table 0. Bytes
+// are composed explicitly (no unaligned loads), so the code is constexpr
+// and independent of host endianness.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -18,29 +22,49 @@ namespace ndpgen::support {
 
 namespace detail {
 
-constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
-  std::array<std::uint32_t, 256> table{};
+using Crc32cTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+/// tables[0] is the classic byte-at-a-time table; tables[k][i] is the CRC
+/// of byte i followed by k zero bytes.
+constexpr Crc32cTables make_crc32c_tables() {
+  Crc32cTables tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
       crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
     }
-    table[i] = crc;
+    tables[0][i] = crc;
   }
-  return table;
+  for (std::size_t k = 1; k < tables.size(); ++k) {
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      const std::uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xFFu];
+    }
+  }
+  return tables;
 }
 
-inline constexpr std::array<std::uint32_t, 256> kCrc32cTable =
-    make_crc32c_table();
+inline constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
 
 }  // namespace detail
 
 /// Incremental update: feeds `data` into a running CRC (start from 0).
 [[nodiscard]] constexpr std::uint32_t crc32c_update(
     std::uint32_t crc, std::span<const std::uint8_t> data) noexcept {
+  const auto& t = detail::kCrc32cTables;
   crc = ~crc;
-  for (const std::uint8_t byte : data) {
-    crc = (crc >> 8) ^ detail::kCrc32cTable[(crc ^ byte) & 0xFFu];
+  const std::uint8_t* p = data.data();
+  std::size_t n = data.size();
+  for (; n >= 8; n -= 8, p += 8) {
+    const std::uint32_t lo =
+        crc ^ (std::uint32_t{p[0]} | std::uint32_t{p[1]} << 8 |
+               std::uint32_t{p[2]} << 16 | std::uint32_t{p[3]} << 24);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^
+          t[2][p[5]] ^ t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; n > 0; --n, ++p) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return ~crc;
 }

@@ -307,7 +307,7 @@ TEST(FaultInjector, DisabledInjectorDrawsNothing) {
   EXPECT_EQ(fault.raw_bit_errors, 0u);
   EXPECT_FALSE(injector.is_bad_block(0, 0));
   EXPECT_EQ(injector.next_nvme_timeouts(), 0u);
-  EXPECT_FALSE(injector.next_pe_hang(0));
+  EXPECT_FALSE(injector.next_shard_pe_hang(0));
   EXPECT_EQ(injector.page_reads_decided(), 0u);
 }
 
@@ -317,7 +317,9 @@ TEST(FaultInjector, PeHangRateIsPlausible) {
   profile.pe_fault_rate = 0.5;
   FaultInjector injector(profile);
   std::uint32_t hangs = 0;
-  for (int i = 0; i < 200; ++i) hangs += injector.next_pe_hang(0) ? 1 : 0;
+  for (int i = 0; i < 200; ++i) {
+    hangs += injector.next_shard_pe_hang(0) ? 1 : 0;
+  }
   EXPECT_GT(hangs, 60u);
   EXPECT_LT(hangs, 140u);
 }

@@ -4,6 +4,7 @@
 // performance comparison.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <tuple>
 
 #include "core/framework.hpp"
@@ -15,7 +16,10 @@
 namespace ndpgen::hwgen {
 namespace {
 
-using Param = std::tuple<const char* /*op*/, std::uint32_t /*stages*/>;
+// The operator is a std::string, not a const char*: gtest prints a char
+// pointer with its (ASLR-randomised) address, which would leak into the
+// discovered ctest names and make them differ from build to build.
+using Param = std::tuple<std::string /*op*/, std::uint32_t /*stages*/>;
 
 class FlavorEquivalence : public ::testing::TestWithParam<Param> {};
 
@@ -83,7 +87,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          "nop"),
                        ::testing::Values(1u, 3u)),
     [](const ::testing::TestParamInfo<Param>& info) {
-      return std::string(std::get<0>(info.param)) + "_stages" +
+      return std::get<0>(info.param) + "_stages" +
              std::to_string(std::get<1>(info.param));
     });
 

@@ -8,7 +8,7 @@
 //   * software NDP aggregation on the device ARM.
 #include "bench_common.hpp"
 
-#include "hwgen/template_builder.hpp"
+#include "core/testbed.hpp"
 #include "support/bytes.hpp"
 
 using namespace ndpgen;
@@ -22,28 +22,16 @@ int main() {
               "query: SUM(n_cited) WHERE year < 1990\n\n",
               static_cast<unsigned long long>(scale));
 
-  platform::CosmosPlatform cosmos;
-  const workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = scale});
-  kv::NKV db(cosmos, bench::paper_db_config());
-  workload::load_papers(db, generator);
-
-  core::FrameworkOptions options;
-  options.hw.enable_aggregation = true;
-  const core::Framework framework(options);
-  const auto compiled = framework.compile(workload::pubgraph_spec_source());
-  const auto& artifacts = compiled.get("PaperScan");
-  cosmos.attach_pe(artifacts.design);
-  const std::size_t pe = cosmos.pe_count() - 1;
+  core::TestbedConfig config;
+  config.scale_divisor = scale;
+  config.framework.hw.enable_aggregation = true;
+  config.executor.mode = ndp::ExecMode::kHardware;
+  core::Testbed testbed(std::move(config));
 
   const std::vector<ndp::FilterPredicate> predicate = {{"year", "lt", 1990}};
 
   // 1. Hardware NDP with the aggregate unit.
-  ndp::ExecutorConfig hw_config;
-  hw_config.mode = ndp::ExecMode::kHardware;
-  hw_config.pe_indices = {pe};
-  ndp::HybridExecutor hw(db, artifacts.analyzed, artifacts.design.operators,
-                         hw_config);
+  ndp::HybridExecutor& hw = testbed.executor();
   const auto hw_agg = hw.aggregate(predicate, hwgen::AggOp::kSum, "n_cited");
 
   // 2. Hardware NDP filter, aggregation at the host (result set crosses
@@ -56,11 +44,8 @@ int main() {
   }
 
   // 3. Software NDP aggregation on the ARM core.
-  ndp::ExecutorConfig sw_config;
-  sw_config.mode = ndp::ExecMode::kSoftware;
-  ndp::HybridExecutor sw(db, artifacts.analyzed, artifacts.design.operators,
-                         sw_config);
-  const auto sw_agg = sw.aggregate(predicate, hwgen::AggOp::kSum, "n_cited");
+  const auto sw = testbed.make_executor(ndp::ExecMode::kSoftware);
+  const auto sw_agg = sw->aggregate(predicate, hwgen::AggOp::kSum, "n_cited");
 
   std::printf("%-36s %12s %14s %14s\n", "strategy", "time [ms]",
               "NVMe bytes", "SUM(n_cited)");

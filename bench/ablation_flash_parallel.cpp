@@ -24,9 +24,7 @@ double streaming_mbps(std::uint32_t controllers, std::uint32_t luns) {
 
   const workload::PubGraphGenerator generator(
       workload::PubGraphConfig{.scale_divisor = 256});
-  kv::DBConfig db_config;
-  db_config.record_bytes = workload::PaperRecord::kBytes;
-  db_config.extractor = workload::paper_key;
+  auto db_config = workload::db_config(workload::Dataset::kPapers);
   db_config.level_groups = 1;  // Use every LUN for the one level.
   kv::NKV db(cosmos, db_config);
   workload::load_papers(db, generator);

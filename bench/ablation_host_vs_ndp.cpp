@@ -9,29 +9,18 @@
 // generated PE.
 #include "bench_common.hpp"
 
+#include "core/testbed.hpp"
+
 using namespace ndpgen;
 
 namespace {
 
-double run(ndp::ExecMode mode, std::uint64_t scale,
-           const core::CompileResult& compiled) {
-  platform::CosmosPlatform cosmos;
-  const workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = scale});
-  kv::NKV db(cosmos, bench::paper_db_config());
-  workload::load_papers(db, generator);
-
-  const auto& artifacts = compiled.get("PaperScan");
-  ndp::ExecutorConfig config;
-  config.mode = mode;
-  config.result_key_extractor = workload::paper_result_key;
-  if (mode == ndp::ExecMode::kHardware) {
-    cosmos.attach_pe(artifacts.design);
-    config.pe_indices = {cosmos.pe_count() - 1};
-  }
-  ndp::HybridExecutor executor(db, artifacts.analyzed,
-                               artifacts.design.operators, config);
-  const auto stats = executor.scan({{"year", "lt", 1990}});
+double run(ndp::ExecMode mode, std::uint64_t scale) {
+  core::TestbedConfig config;
+  config.scale_divisor = scale;
+  config.executor.mode = mode;
+  core::Testbed testbed(std::move(config));
+  const auto stats = testbed.executor().scan({{"year", "lt", 1990}});
   return bench::to_seconds(stats.elapsed) * static_cast<double>(scale);
 }
 
@@ -45,12 +34,9 @@ int main() {
   std::printf("dataset: papers at 1/%llu scale; full-scale seconds\n\n",
               static_cast<unsigned long long>(scale));
 
-  const core::Framework framework;
-  const auto compiled = framework.compile(workload::pubgraph_spec_source());
-
-  const double host = run(ndp::ExecMode::kHostClassic, scale, compiled);
-  const double sw = run(ndp::ExecMode::kSoftware, scale, compiled);
-  const double hw = run(ndp::ExecMode::kHardware, scale, compiled);
+  const double host = run(ndp::ExecMode::kHostClassic, scale);
+  const double sw = run(ndp::ExecMode::kSoftware, scale);
+  const double hw = run(ndp::ExecMode::kHardware, scale);
 
   std::printf("%-34s %10s %10s\n", "path", "scan [s]", "vs host");
   std::printf("%-34s %10.3f %10s\n", "classical host (no NDP)", host, "1.00x");

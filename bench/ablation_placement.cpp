@@ -27,7 +27,9 @@ Outcome scan_outcome(std::uint32_t level_groups, std::uint64_t scale) {
     const workload::PubGraphGenerator generator(
         workload::PubGraphConfig{.scale_divisor = scale});
 
-    auto db_config = bench::paper_db_config();
+    const workload::DatasetInfo& papers =
+        workload::describe(workload::Dataset::kPapers);
+    auto db_config = workload::db_config(workload::Dataset::kPapers);
     db_config.level_groups = level_groups;
     auto placement = std::make_shared<kv::PlacementPolicy>(
         cosmos.flash().topology(), level_groups);
@@ -36,10 +38,7 @@ Outcome scan_outcome(std::uint32_t level_groups, std::uint64_t scale) {
     workload::load_papers(db, generator, /*level=*/2);
 
     // Victim data on level 3 (own channel group when level_groups > 1).
-    auto victim_config = bench::paper_db_config();
-    victim_config.level_groups = level_groups;
-    victim_config.shared_placement = placement;
-    kv::NKV victim(cosmos, victim_config);
+    kv::NKV victim(cosmos, db_config);
     workload::load_papers(victim, generator, /*level=*/3);
 
     if (background) {
@@ -58,12 +57,12 @@ Outcome scan_outcome(std::uint32_t level_groups, std::uint64_t scale) {
     const core::Framework framework;
     const auto compiled =
         framework.compile(workload::pubgraph_spec_source());
-    const auto& artifacts = compiled.get("PaperScan");
+    const auto& artifacts = compiled.get(papers.parser);
     cosmos.attach_pe(artifacts.design);
     ndp::ExecutorConfig config;
     config.mode = ndp::ExecMode::kHardware;
     config.pe_indices = {0};
-    config.result_key_extractor = workload::paper_result_key;
+    config.result_key_extractor = papers.result_key;
     ndp::HybridExecutor executor(db, artifacts.analyzed,
                                  artifacts.design.operators, config);
     const auto stats = executor.scan({{"year", "lt", 1990}});

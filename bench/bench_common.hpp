@@ -76,28 +76,6 @@ inline double to_millis(platform::SimTime time) {
   return static_cast<double>(time) / 1e6;
 }
 
-/// Builds a paper store at the given scale; returns records loaded.
-inline std::uint64_t load_paper_store(platform::CosmosPlatform& cosmos,
-                                      kv::NKV& db,
-                                      const workload::PubGraphGenerator& gen) {
-  (void)cosmos;
-  return workload::load_papers(db, gen);
-}
-
-inline kv::DBConfig paper_db_config() {
-  kv::DBConfig config;
-  config.record_bytes = workload::PaperRecord::kBytes;
-  config.extractor = workload::paper_key;
-  return config;
-}
-
-inline kv::DBConfig ref_db_config() {
-  kv::DBConfig config;
-  config.record_bytes = workload::RefRecord::kBytes;
-  config.extractor = workload::ref_key;
-  return config;
-}
-
 /// Machine-readable companion to a bench's stdout tables: collects rows of
 /// (series, x, value [, unit]) and writes them as BENCH_<name>.json into
 /// $NDPGEN_BENCH_JSON_DIR (no file is written when the variable is unset).

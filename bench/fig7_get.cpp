@@ -10,6 +10,7 @@
 // the firmware factor's effect explicitly.
 #include "bench_common.hpp"
 
+#include "core/testbed.hpp"
 #include "hwgen/template_builder.hpp"
 #include "kv/block_format.hpp"
 
@@ -32,37 +33,24 @@ double run_gets(Variant variant, std::uint64_t scale, double firmware_factor,
                 std::uint64_t num_gets,
                 const fault::FaultProfile& fault_profile,
                 bench::FaultCounters& faults, std::uint32_t num_pes = 1) {
-  platform::CosmosConfig cosmos_config;
-  cosmos_config.timing.firmware_overhead_factor = firmware_factor;
-  cosmos_config.fault = fault_profile;
-  platform::CosmosPlatform cosmos(cosmos_config);
-  const core::Framework framework;
-  const auto compiled = framework.compile(workload::pubgraph_spec_source());
-  const auto& artifacts = compiled.get("PaperScan");
-  const workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = scale});
-  kv::NKV db(cosmos, bench::paper_db_config());
-  workload::load_papers(db, generator);
-
-  ndp::ExecutorConfig config;
-  config.result_key_extractor = workload::paper_result_key;
-  config.num_pes = num_pes;
-  if (variant == Variant::kSoftware) {
-    config.mode = ndp::ExecMode::kSoftware;
-  } else {
-    config.mode = ndp::ExecMode::kHardware;
-    hwgen::TemplateOptions options;
-    if (variant == Variant::kHwBaseline) {
-      options.flavor = hwgen::DesignFlavor::kHandcraftedBaseline;
-      options.static_payload_bytes =
-          kv::records_per_block(workload::PaperRecord::kBytes) *
-          workload::PaperRecord::kBytes;
-    }
-    cosmos.attach_pe(hwgen::build_pe_design(artifacts.analyzed, options));
-    config.pe_indices = {cosmos.pe_count() - 1};
+  core::TestbedConfig config;
+  config.scale_divisor = scale;
+  config.cosmos.timing.firmware_overhead_factor = firmware_factor;
+  config.cosmos.fault = fault_profile;
+  config.executor.num_pes = num_pes;
+  config.executor.mode = variant == Variant::kSoftware
+                             ? ndp::ExecMode::kSoftware
+                             : ndp::ExecMode::kHardware;
+  if (variant == Variant::kHwBaseline) {
+    hwgen::TemplateOptions& options = config.framework.hw;
+    options.flavor = hwgen::DesignFlavor::kHandcraftedBaseline;
+    options.static_payload_bytes =
+        kv::records_per_block(workload::PaperRecord::kBytes) *
+        workload::PaperRecord::kBytes;
   }
-  ndp::HybridExecutor executor(db, artifacts.analyzed,
-                               artifacts.design.operators, config);
+  core::Testbed testbed(std::move(config));
+  ndp::HybridExecutor& executor = testbed.executor();
+  const workload::PubGraphGenerator& generator = testbed.generator();
 
   platform::SimTime total = 0;
   std::uint64_t found = 0;

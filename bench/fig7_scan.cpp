@@ -10,6 +10,7 @@
 
 #include <chrono>
 
+#include "core/testbed.hpp"
 #include "hwgen/template_builder.hpp"
 #include "hwsim/pe_sim.hpp"
 #include "kv/block_format.hpp"
@@ -35,13 +36,15 @@ const char* name_of(Variant variant) {
   return "?";
 }
 
-double run_scan(kv::NKV& db, const core::ParserArtifacts& artifacts,
-                Variant variant, platform::CosmosPlatform& cosmos,
+double run_scan(kv::NKV& db, const core::CompileResult& compiled,
+                workload::Dataset dataset, Variant variant,
+                platform::CosmosPlatform& cosmos,
                 const std::vector<ndp::FilterPredicate>& predicates,
-                kv::KeyExtractor result_key, std::uint64_t scale,
-                bench::FaultCounters& faults) {
+                std::uint64_t scale, bench::FaultCounters& faults) {
+  const core::ParserArtifacts& artifacts =
+      compiled.get(workload::describe(dataset).parser);
   ndp::ExecutorConfig config;
-  config.result_key_extractor = std::move(result_key);
+  config.result_key_extractor = workload::describe(dataset).result_key;
   if (variant == Variant::kSoftware) {
     config.mode = ndp::ExecMode::kSoftware;
   } else {
@@ -101,24 +104,25 @@ int main() {
     // the scan sees the full ~200 MB/s aggregate (§III-B parallelism).
     auto placement = std::make_shared<kv::PlacementPolicy>(
         cosmos.flash().topology(), 1);
-    auto papers_config = bench::paper_db_config();
-    papers_config.shared_placement = placement;
-    kv::NKV papers(cosmos, papers_config);
-    workload::load_papers(papers, generator);
-    auto refs_config = bench::ref_db_config();
-    refs_config.shared_placement = placement;
-    kv::NKV refs(cosmos, refs_config);
-    workload::load_refs(refs, generator);
+    const auto load = [&](workload::Dataset dataset) {
+      auto config = workload::db_config(dataset);
+      config.shared_placement = placement;
+      auto store = std::make_unique<kv::NKV>(cosmos, config);
+      workload::describe(dataset).load(*store, generator);
+      return store;
+    };
+    const auto papers = load(workload::Dataset::kPapers);
+    const auto refs = load(workload::Dataset::kRefs);
 
     bench::FaultCounters faults;
-    outcomes[v].papers_s = run_scan(
-        papers, compiled.get("PaperScan"), variants[v], cosmos,
-        {{"year", "lt", 1990}}, workload::paper_result_key, scale, faults);
+    outcomes[v].papers_s =
+        run_scan(*papers, compiled, workload::Dataset::kPapers, variants[v],
+                 cosmos, {{"year", "lt", 1990}}, scale, faults);
     outcomes[v].refs_s = run_scan(
-        refs, compiled.get("RefScan"), variants[v], cosmos,
+        *refs, compiled, workload::Dataset::kRefs, variants[v], cosmos,
         {{"dst", "ge", generator.paper_count() / 4},
          {"dst", "lt", generator.paper_count() / 2}},
-        workload::ref_key, scale, faults);
+        scale, faults);
     std::printf("%-22s %12.3f %12.3f %12.3f\n", name_of(variants[v]),
                 outcomes[v].papers_s, outcomes[v].refs_s,
                 outcomes[v].total());
@@ -146,26 +150,13 @@ int main() {
               "speedup");
   std::uint64_t serial_pe_cycles = 0;
   for (const std::uint32_t pes : {1u, 2u, 4u, 8u}) {
-    platform::CosmosConfig cosmos_config;
-    cosmos_config.fault = fault_profile;
-    platform::CosmosPlatform cosmos(cosmos_config);
-    auto placement = std::make_shared<kv::PlacementPolicy>(
-        cosmos.flash().topology(), 1);
-    auto papers_config = bench::paper_db_config();
-    papers_config.shared_placement = placement;
-    kv::NKV papers(cosmos, papers_config);
-    workload::load_papers(papers, generator);
-
-    const auto& artifacts = compiled.get("PaperScan");
-    ndp::ExecutorConfig config;
-    config.result_key_extractor = workload::paper_result_key;
-    config.mode = ndp::ExecMode::kHardware;
-    config.num_pes = pes;
-    cosmos.attach_pe(hwgen::build_pe_design(artifacts.analyzed, {}));
-    config.pe_indices = {cosmos.pe_count() - 1};
-    ndp::HybridExecutor executor(papers, artifacts.analyzed,
-                                 artifacts.design.operators, config);
-    const auto stats = executor.scan({{"year", "lt", 1990}});
+    core::TestbedConfig config;
+    config.scale_divisor = scale;
+    config.cosmos.fault = fault_profile;
+    config.executor.mode = ndp::ExecMode::kHardware;
+    config.executor.num_pes = pes;
+    core::Testbed testbed(std::move(config));
+    const auto stats = testbed.executor().scan({{"year", "lt", 1990}});
     if (pes == 1) serial_pe_cycles = stats.pe_phase_cycles;
     const double seconds =
         bench::to_seconds(stats.elapsed) * static_cast<double>(scale);
@@ -190,8 +181,8 @@ int main() {
       json.add(series, "phase_" + std::string(obs::phase_name(phase)),
                static_cast<double>(stats.phases[phase]), "ns");
     }
-    cosmos.publish_metrics();
-    const auto& metrics = cosmos.observability().metrics;
+    testbed.platform().publish_metrics();
+    const auto& metrics = testbed.platform().observability().metrics;
     if (metrics.contains("hwsim.idle_cycle_fraction")) {
       json.add(series, "idle_cycle_fraction",
                static_cast<double>(

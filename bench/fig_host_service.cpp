@@ -26,6 +26,7 @@
 #include <array>
 #include <cmath>
 
+#include "core/testbed.hpp"
 #include "host/service.hpp"
 #include "hwsim/kernel.hpp"
 
@@ -42,44 +43,34 @@ struct PointConfig {
   std::uint64_t requests = 192;
 };
 
-host::ServiceReport run_point(const core::Framework& framework,
-                              const core::CompileResult& compiled,
-                              const workload::PubGraphGenerator& generator,
+host::ServiceReport run_point(std::uint64_t scale,
                               const fault::FaultProfile& fault_profile,
                               const PointConfig& point) {
-  // Fresh platform + store per point so DES/flash state never leaks
-  // between load levels.
-  platform::CosmosConfig cosmos_config;
-  cosmos_config.fault = fault_profile;
-  platform::CosmosPlatform cosmos(cosmos_config);
-  kv::NKV db(cosmos, bench::paper_db_config());
-  workload::load_papers(db, generator);
-
-  const auto& artifacts = compiled.get("PaperScan");
-  ndp::ExecutorConfig exec_config;
-  exec_config.mode = ndp::ExecMode::kHardware;
-  exec_config.num_pes = point.pes;
-  exec_config.pe_threads = point.threads;
-  exec_config.result_key_extractor = workload::paper_result_key;
-  exec_config.pe_indices = {
-      framework.instantiate(compiled, "PaperScan", cosmos)};
-  ndp::HybridExecutor executor(db, artifacts.analyzed,
-                               artifacts.design.operators, exec_config);
+  // Fresh testbed per point so DES/flash state never leaks between load
+  // levels.
+  core::TestbedConfig config;
+  config.scale_divisor = scale;
+  config.cosmos.fault = fault_profile;
+  config.executor.mode = ndp::ExecMode::kHardware;
+  config.executor.num_pes = point.pes;
+  config.executor.pe_threads = point.threads;
+  core::Testbed testbed(std::move(config));
 
   host::ServiceConfig service_config;
   service_config.tenants = 4;
   service_config.queue_depth = 16;
   service_config.batch_limit = point.batch_limit;
-  service_config.result_key = workload::paper_result_key;
+  service_config.result_key = testbed.dataset().result_key;
 
   host::LoadConfig load_config;
   load_config.tenants = 4;
   load_config.requests = point.requests;
   load_config.arrival_rate = std::max<std::uint64_t>(1, point.arrival_rate);
   load_config.closed_loop_clients = point.closed_loop_clients;
-  load_config.key_space = generator.paper_count();
+  load_config.key_space = testbed.generator().paper_count();
 
-  host::QueryService service(executor, cosmos, service_config);
+  host::QueryService service(testbed.executor(), testbed.platform(),
+                             service_config);
   host::LoadGenerator load(load_config);
   return service.run(load);
 }
@@ -107,10 +98,6 @@ int main() {
               "(set NDPGEN_SCALE to change)\n\n",
               static_cast<unsigned long long>(scale));
 
-  const core::Framework framework;
-  const auto compiled = framework.compile(workload::pubgraph_spec_source());
-  const workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = scale});
   const fault::FaultProfile fault_profile = bench::fault_profile_from_env();
   if (fault_profile.any_enabled()) {
     std::fprintf(stderr, "%s\n", fault_profile.summary().c_str());
@@ -131,12 +118,11 @@ int main() {
   PointConfig closed;
   closed.closed_loop_clients = 32;
   closed.requests = fast ? 512 : 128;
-  const auto saturated = run_point(framework, compiled, generator,
-                                   fault_profile, closed);
+  const auto saturated = run_point(scale, fault_profile, closed);
   PointConfig closed_nobatch = closed;
   closed_nobatch.batch_limit = 1;
-  const auto saturated_nobatch = run_point(framework, compiled, generator,
-                                           fault_profile, closed_nobatch);
+  const auto saturated_nobatch =
+      run_point(scale, fault_profile, closed_nobatch);
   const double capacity = saturated.throughput_rps;
   const double capacity_nobatch = saturated_nobatch.throughput_rps;
   const double batching_gain =
@@ -180,12 +166,10 @@ int main() {
     PointConfig point;
     point.arrival_rate = static_cast<std::uint64_t>(
         std::llround(capacity * fractions[i].value));
-    swept[i] =
-        run_point(framework, compiled, generator, fault_profile, point);
+    swept[i] = run_point(scale, fault_profile, point);
     PointConfig nobatch = point;
     nobatch.batch_limit = 1;
-    swept_nobatch[i] = run_point(framework, compiled, generator,
-                                 fault_profile, nobatch);
+    swept_nobatch[i] = run_point(scale, fault_profile, nobatch);
     const auto& b = swept[i];
     const auto& nb = swept_nobatch[i];
     std::printf("%8s %12llu | %11.0f %9.3f %9.3f %6llu | %11.0f %9.3f "
@@ -225,19 +209,16 @@ int main() {
     point.arrival_rate =
         static_cast<std::uint64_t>(std::llround(capacity * 0.5));
     point.pes = pes;
-    pes_reports[pes - 1] =
-        run_point(framework, compiled, generator, fault_profile, point);
+    pes_reports[pes - 1] = run_point(scale, fault_profile, point);
     const auto& report = pes_reports[pes - 1];
     // Re-run the identical point: the full report must be byte-equal.
-    const auto rerun =
-        run_point(framework, compiled, generator, fault_profile, point);
+    const auto rerun = run_point(scale, fault_profile, point);
     const bool reproducible = reports_equal(report, rerun);
     // Thread count never touches virtual time or results.
     PointConfig threaded = point;
     threaded.threads = 4;
-    const bool thread_invariant = reports_equal(
-        report,
-        run_point(framework, compiled, generator, fault_profile, threaded));
+    const bool thread_invariant =
+        reports_equal(report, run_point(scale, fault_profile, threaded));
     // Outcomes (not timing) must match the 1-PE run.
     const auto& base = pes_reports[0];
     const bool outcomes_invariant =

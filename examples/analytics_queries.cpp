@@ -7,38 +7,21 @@
 //     (only two registers cross the NVMe link).
 #include <cstdio>
 
-#include "core/framework.hpp"
-#include "ndp/executor.hpp"
-#include "support/bytes.hpp"
-#include "workload/pubgraph.hpp"
+#include "core/testbed.hpp"
 
 int main() {
   using namespace ndpgen;
 
-  platform::CosmosPlatform platform;
-  core::FrameworkOptions options;
-  options.hw.enable_aggregation = true;
-  core::Framework framework(options);
-  const auto compiled = framework.compile(workload::pubgraph_spec_source());
-
-  workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = 2048});
-  kv::DBConfig db_config;
-  db_config.record_bytes = workload::PaperRecord::kBytes;
-  db_config.extractor = workload::paper_key;
-  kv::NKV db(platform, db_config);
-  const auto loaded = workload::load_papers(db, generator);
+  // Papers at 1/2048 scale on a PaperScan PE with the aggregate unit.
+  core::TestbedConfig config;
+  config.scale_divisor = 2048;
+  config.framework.hw.enable_aggregation = true;
+  config.executor.mode = ndp::ExecMode::kHardware;
+  core::Testbed testbed(std::move(config));
+  kv::NKV& db = testbed.store();
+  ndp::HybridExecutor& executor = testbed.executor();
   std::printf("== smart-SSD analytics over %llu papers ==\n\n",
-              static_cast<unsigned long long>(loaded));
-
-  const std::size_t pe = framework.instantiate(compiled, "PaperScan", platform);
-  const auto& artifacts = compiled.get("PaperScan");
-  ndp::ExecutorConfig config;
-  config.mode = ndp::ExecMode::kHardware;
-  config.pe_indices = {pe};
-  config.result_key_extractor = workload::paper_result_key;
-  ndp::HybridExecutor executor(db, artifacts.analyzed,
-                               artifacts.design.operators, config);
+              static_cast<unsigned long long>(testbed.records_loaded()));
 
   // Query 1: SELECT * WHERE 1000 <= id <= 1200 AND year < 1990.
   std::vector<std::vector<std::uint8_t>> results;
@@ -67,7 +50,7 @@ int main() {
               static_cast<unsigned long long>(max_cited.raw_result));
 
   // Query 4: SELECT SUM(n_refs) for one venue.
-  const std::uint32_t venue = generator.paper(0).venue_id;
+  const std::uint32_t venue = testbed.generator().paper(0).venue_id;
   const auto sum = executor.aggregate({{"venue_id", "eq", venue}},
                                       hwgen::AggOp::kSum, "n_refs");
   std::printf("SUM(n_refs) for venue %u: %llu over %llu papers\n", venue,
@@ -75,12 +58,9 @@ int main() {
               static_cast<unsigned long long>(sum.folded));
 
   // Cross-check query 2 against the software path.
-  ndp::ExecutorConfig sw_config;
-  sw_config.result_key_extractor = workload::paper_result_key;
-  ndp::HybridExecutor sw(db, artifacts.analyzed, artifacts.design.operators,
-                         sw_config);
   const auto sw_count =
-      sw.aggregate({{"year", "lt", 1990}}, hwgen::AggOp::kCount, "year");
+      testbed.make_executor(ndp::ExecMode::kSoftware)
+          ->aggregate({{"year", "lt", 1990}}, hwgen::AggOp::kCount, "year");
   std::printf("\nhardware and software agree on COUNT: %s\n",
               count.raw_result == sw_count.raw_result ? "yes" : "NO");
   return count.raw_result == sw_count.raw_result ? 0 : 1;

@@ -1,33 +1,25 @@
 // Publication-graph scan: the paper's motivating workload end to end.
 //
-// Builds a scaled publication reference graph in the nKV store (records
-// placed on physical flash pages), generates the Paper PE from the format
-// specification, and runs the hardware-accelerated hybrid SCAN
-// (year-range predicate) against the software baseline, printing both
-// virtual runtimes.
+// Builds a testbed: a scaled publication reference graph in the nKV store
+// (records placed on physical flash pages) plus the Paper PE generated
+// from the format specification. Runs the hardware-accelerated hybrid
+// SCAN (year-range predicate) against the software baseline, printing
+// both virtual runtimes.
 #include <cstdio>
 
-#include "core/framework.hpp"
-#include "ndp/executor.hpp"
-#include "workload/pubgraph.hpp"
+#include "core/testbed.hpp"
 
 int main() {
   using namespace ndpgen;
 
-  platform::CosmosPlatform platform;
-  core::Framework framework;
-  const auto compiled = framework.compile(workload::pubgraph_spec_source());
-
-  // Load a 1/1024-scale publication graph (papers only, for brevity).
-  workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = 1024});
-  kv::DBConfig db_config;
-  db_config.record_bytes = workload::PaperRecord::kBytes;
-  db_config.extractor = workload::paper_key;
-  kv::NKV db(platform, db_config);
-  const auto loaded = workload::load_papers(db, generator);
+  // A 1/1024-scale publication graph (papers only, for brevity).
+  core::TestbedConfig config;
+  config.scale_divisor = 1024;
+  config.executor.mode = ndp::ExecMode::kHardware;
+  core::Testbed testbed(std::move(config));
+  kv::NKV& db = testbed.store();
   std::printf("loaded %llu papers into %zu SSTs (%llu data bytes)\n",
-              static_cast<unsigned long long>(loaded),
+              static_cast<unsigned long long>(testbed.records_loaded()),
               db.version().total_ssts(),
               static_cast<unsigned long long>(
                   db.version().total_data_bytes()));
@@ -35,25 +27,12 @@ int main() {
   // SCAN(year < 1990): hardware vs software.
   const std::vector<ndp::FilterPredicate> predicate = {
       {"year", "lt", 1990}};
-  const auto& artifacts = compiled.get("PaperScan");
+  const auto hw_stats = testbed.executor().scan(predicate);
+  const auto sw_stats =
+      testbed.make_executor(ndp::ExecMode::kSoftware)
+          ->scan(predicate);
 
-  const std::size_t pe = framework.instantiate(compiled, "PaperScan", platform);
-  ndp::ExecutorConfig hw_config;
-  hw_config.mode = ndp::ExecMode::kHardware;
-  hw_config.pe_indices = {pe};
-  hw_config.result_key_extractor = workload::paper_result_key;
-  ndp::HybridExecutor hw(db, artifacts.analyzed, artifacts.design.operators,
-                         hw_config);
-  const auto hw_stats = hw.scan(predicate);
-
-  ndp::ExecutorConfig sw_config;
-  sw_config.mode = ndp::ExecMode::kSoftware;
-  sw_config.result_key_extractor = workload::paper_result_key;
-  ndp::HybridExecutor sw(db, artifacts.analyzed, artifacts.design.operators,
-                         sw_config);
-  const auto sw_stats = sw.scan(predicate);
-
-  const double selectivity = generator.year_selectivity(1990);
+  const double selectivity = testbed.generator().year_selectivity(1990);
   std::printf("expected selectivity %.3f; matched %llu of %llu tuples\n",
               selectivity,
               static_cast<unsigned long long>(hw_stats.results),

@@ -4,13 +4,6 @@ namespace ndpgen::cluster {
 
 namespace {
 
-[[nodiscard]] kv::DBConfig paper_db_config() {
-  kv::DBConfig config;
-  config.record_bytes = workload::PaperRecord::kBytes;
-  config.extractor = workload::paper_key;
-  return config;
-}
-
 /// Streams the generator's papers restricted to `wanted` partitions into
 /// a device (members at build time, spares at rebuild time). Partition
 /// hashing is ring-independent, so a throwaway placement computes it.
@@ -55,7 +48,10 @@ std::unique_ptr<PubgraphCluster> build_pubgraph_cluster(
   placement_config.seed = config.seed;
   const ClusterPlacement placement(placement_config);
 
-  const auto& artifacts = cluster->compiled.get("PaperScan");
+  // Members serve the paper store through the stock PaperScan PE.
+  const workload::DatasetInfo& papers =
+      workload::describe(workload::Dataset::kPapers);
+  const auto& artifacts = cluster->compiled.get(papers.parser);
   std::vector<std::unique_ptr<SmartSsdDevice>> devices;
   const std::uint32_t total = config.devices + config.spares;
   devices.reserve(total);
@@ -65,8 +61,8 @@ std::unique_ptr<PubgraphCluster> build_pubgraph_cluster(
     // Independent per-member fault streams from one base seed.
     cosmos_config.fault.seed =
         config.media_fault.seed ^ (0x9e3779b97f4a7c15ULL * (d + 1));
-    auto device = std::make_unique<SmartSsdDevice>(d, cosmos_config,
-                                                   paper_db_config());
+    auto device = std::make_unique<SmartSsdDevice>(
+        d, cosmos_config, workload::db_config(workload::Dataset::kPapers));
     if (config.digests) {
       // Before any load: the maintained trees must see every record the
       // store ever gains. Spares get them too — they load at failover.
@@ -86,10 +82,10 @@ std::unique_ptr<PubgraphCluster> build_pubgraph_cluster(
     exec_config.mode = config.mode;
     exec_config.num_pes = config.pes;
     exec_config.pe_threads = config.threads;
-    exec_config.result_key_extractor = workload::paper_result_key;
+    exec_config.result_key_extractor = papers.result_key;
     if (config.mode == ndp::ExecMode::kHardware) {
       exec_config.pe_indices = {cluster->framework.instantiate(
-          cluster->compiled, "PaperScan", device->platform())};
+          cluster->compiled, papers.parser, device->platform())};
     }
     device->attach_executor(artifacts.analyzed, artifacts.design.operators,
                             std::move(exec_config));
@@ -101,7 +97,7 @@ std::unique_ptr<PubgraphCluster> build_pubgraph_cluster(
   coord_config.health = config.health;
   coord_config.rebuild = config.rebuild;
   coord_config.device_fault = config.device_fault;
-  coord_config.result_key = workload::paper_result_key;
+  coord_config.result_key = papers.result_key;
   coord_config.hedge_factor = config.hedge_factor;
   coord_config.hedge_floor_ns = config.hedge_floor_ns;
   coord_config.hedge_min_samples = config.hedge_min_samples;

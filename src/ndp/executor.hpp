@@ -29,6 +29,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "hwsim/kernel.hpp"
@@ -57,6 +58,15 @@ enum class ExecMode : std::uint8_t {
     case ExecMode::kHostClassic: return "HOST";
   }
   return "?";
+}
+
+/// Parses the CLI spelling ("sw", "hw", "host"); nullopt for anything else.
+[[nodiscard]] constexpr std::optional<ExecMode> parse_exec_mode(
+    std::string_view name) noexcept {
+  if (name == "sw") return ExecMode::kSoftware;
+  if (name == "hw") return ExecMode::kHardware;
+  if (name == "host") return ExecMode::kHostClassic;
+  return std::nullopt;
 }
 
 /// Per-block fault accounting shared by every operation (all zero on

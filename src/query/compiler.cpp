@@ -44,7 +44,7 @@ std::string synthesize_spec(Dataset dataset,
            "  uint64_t dst;\n"
            "} Ref;\n\n";
   }
-  const char* input = dataset == Dataset::kPapers ? "Paper" : "Ref";
+  const std::string input(workload::describe(dataset).input_type);
 
   // Identity projection reuses the input type (identity transform unit);
   // anything narrower gets its own output struct, auto-mapped by name.

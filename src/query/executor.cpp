@@ -4,11 +4,7 @@
 #include <map>
 #include <unordered_map>
 
-#include "core/framework.hpp"
-#include "kv/db.hpp"
-#include "ndp/executor.hpp"
-#include "platform/cosmos.hpp"
-#include "workload/pubgraph.hpp"
+#include "core/testbed.hpp"
 
 namespace ndpgen::query {
 
@@ -99,41 +95,24 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
   out.stats.dataset = leaf.dataset;
   out.stats.offloaded = leaf.offloaded;
 
-  const bool papers = leaf.dataset == Dataset::kPapers;
-
-  platform::CosmosConfig cosmos_config;
-  cosmos_config.fault = options.fault;
-  platform::CosmosPlatform cosmos(cosmos_config);
-
-  const core::Framework framework;
-  const auto compiled = framework.compile(leaf.spec_source);
-  const auto& artifacts = compiled.get(leaf.parser_name);
-
-  workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = options.scale_divisor});
-  kv::DBConfig db_config;
-  db_config.record_bytes = papers ? workload::PaperRecord::kBytes
-                                  : workload::RefRecord::kBytes;
-  db_config.extractor = papers ? workload::paper_key : workload::ref_key;
-  kv::NKV db(cosmos, db_config);
-  out.stats.records_loaded = papers ? workload::load_papers(db, generator)
-                                    : workload::load_refs(db, generator);
-
-  ndp::ExecutorConfig exec_config;
-  exec_config.mode = leaf.offloaded ? ndp::ExecMode::kHardware
-                                    : ndp::ExecMode::kHostClassic;
-  exec_config.num_pes = options.pes;
-  exec_config.pe_threads = options.threads;
-  exec_config.sim_mode = options.sim_mode;
-  exec_config.result_key_extractor =
-      papers ? workload::paper_result_key : workload::ref_key;
+  core::TestbedConfig config;
+  config.dataset = leaf.dataset;
+  config.scale_divisor = options.scale_divisor;
+  config.cosmos.fault = options.fault;
+  config.spec_source = leaf.spec_source;
+  config.parser_name = leaf.parser_name;
+  config.executor.mode = leaf.offloaded ? ndp::ExecMode::kHardware
+                                        : ndp::ExecMode::kHostClassic;
+  config.executor.num_pes = options.pes;
+  config.executor.pe_threads = options.threads;
+  config.executor.sim_mode = options.sim_mode;
+  core::Testbed testbed(std::move(config));
+  const core::ParserArtifacts& artifacts = testbed.artifacts();
+  ndp::HybridExecutor& executor = testbed.executor();
+  out.stats.records_loaded = testbed.records_loaded();
   if (leaf.offloaded) {
-    exec_config.pe_indices = {
-        framework.instantiate(compiled, leaf.parser_name, cosmos)};
     out.stats.hw_filter_stages = artifacts.design.filter_stage_count();
   }
-  ndp::HybridExecutor executor(db, artifacts.analyzed,
-                               artifacts.design.operators, exec_config);
   const auto predicates = to_filter_predicates(leaf.pushed);
 
   if (leaf.hw_aggregate) {

@@ -1,7 +1,7 @@
 // Compiled-plan execution: device leaves + deterministic SW tail.
 //
-// QueryExecutor owns one full device stack (CosmosPlatform + NKV + PE)
-// per scan leaf — the probe and build sides of a join live in separate
+// QueryExecutor builds one core::Testbed (platform + store + PE) per scan
+// leaf — the probe and build sides of a join live in separate
 // namespaces, served serially by the device, so the virtual elapsed time
 // is the sum of the leaf offloads plus the modeled host time of the SW
 // tail. All tail operators are implemented with deterministic data

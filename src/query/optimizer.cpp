@@ -61,10 +61,9 @@ std::vector<std::string> needed_base_columns(
 /// Key fields first, then the pruned remainder in declaration order.
 std::vector<std::string> with_key_columns_first(
     Dataset dataset, std::vector<std::string> pruned) {
-  std::vector<std::string> keys =
-      dataset == Dataset::kPapers ? std::vector<std::string>{"id"}
-                                  : std::vector<std::string>{"src", "dst"};
-  std::vector<std::string> out = keys;
+  const workload::DatasetInfo& info = workload::describe(dataset);
+  std::vector<std::string> out(info.columns.begin(),
+                               info.columns.begin() + info.key_columns);
   for (const auto& name : pruned) {
     if (!contains(out, name)) out.push_back(name);
   }

@@ -36,10 +36,6 @@ bool has_column(const std::vector<std::string>& schema,
 
 }  // namespace
 
-std::string_view to_string(Dataset dataset) noexcept {
-  return dataset == Dataset::kPapers ? "papers" : "refs";
-}
-
 std::string_view to_string(OpKind kind) noexcept {
   switch (kind) {
     case OpKind::kScan: return "scan";
@@ -53,10 +49,7 @@ std::string_view to_string(OpKind kind) noexcept {
 }
 
 const std::vector<std::string>& dataset_columns(Dataset dataset) {
-  static const std::vector<std::string> kPaperColumns = {
-      "id", "year", "venue_id", "n_refs", "n_cited"};
-  static const std::vector<std::string> kRefColumns = {"src", "dst"};
-  return dataset == Dataset::kPapers ? kPaperColumns : kRefColumns;
+  return workload::describe(dataset).columns;
 }
 
 std::string Plan::dump() const {

@@ -21,13 +21,13 @@
 #include "hwgen/pe_design.hpp"
 #include "spec/token.hpp"
 #include "support/error.hpp"
+#include "workload/pubgraph.hpp"
 
 namespace ndpgen::query {
 
 /// Base datasets of the publication graph (workload/pubgraph.hpp).
-enum class Dataset : std::uint8_t { kPapers, kRefs };
-
-[[nodiscard]] std::string_view to_string(Dataset dataset) noexcept;
+using Dataset = workload::Dataset;
+using workload::to_string;
 
 /// Filterable columns of a base dataset. The paper title is an opaque
 /// string payload (postfix segment) and is deliberately not a plan

@@ -106,8 +106,9 @@ class PlanParser {
 
   Dataset parse_dataset() {
     const Token& token = expect(TokenKind::kIdentifier, "dataset");
-    if (token.text == "papers") return Dataset::kPapers;
-    if (token.text == "refs") return Dataset::kRefs;
+    if (const auto dataset = workload::parse_dataset(token.text)) {
+      return *dataset;
+    }
     fail(token.loc,
          "unknown dataset '" + token.text + "' (expected papers or refs)");
   }

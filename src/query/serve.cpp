@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <numeric>
 
-#include "core/framework.hpp"
-#include "kv/db.hpp"
+#include "core/testbed.hpp"
 #include "query/optimizer.hpp"
-#include "workload/pubgraph.hpp"
 
 namespace ndpgen::query {
 
@@ -180,32 +178,14 @@ Result<ServeReport> serve_plan(const Plan& plan,
     project_columns.insert(project_columns.begin(), "id");
   }
 
-  platform::CosmosConfig cosmos_config;
-  cosmos_config.fault = config.fault;
-  platform::CosmosPlatform cosmos(cosmos_config);
+  core::TestbedConfig testbed_config;
+  testbed_config.scale_divisor = config.scale_divisor;
+  testbed_config.cosmos.fault = config.fault;
+  testbed_config.executor.mode = ndp::ExecMode::kHardware;
+  core::Testbed testbed(std::move(testbed_config));
 
-  core::Framework framework;
-  const auto compiled = framework.compile(workload::pubgraph_spec_source());
-  const auto& artifacts = compiled.get("PaperScan");
-
-  workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = config.scale_divisor});
-  kv::DBConfig db_config;
-  db_config.record_bytes = workload::PaperRecord::kBytes;
-  db_config.extractor = workload::paper_key;
-  kv::NKV db(cosmos, db_config);
-  workload::load_papers(db, generator);
-
-  ndp::ExecutorConfig exec_config;
-  exec_config.mode = ndp::ExecMode::kHardware;
-  exec_config.result_key_extractor = workload::paper_result_key;
-  exec_config.pe_indices = {
-      framework.instantiate(compiled, "PaperScan", cosmos)};
-  ndp::HybridExecutor executor(db, artifacts.analyzed,
-                               artifacts.design.operators, exec_config);
-
-  host::SingleDeviceTarget device(executor, cosmos);
-  PlanTarget target(device, artifacts.analyzed.output, row_filters,
+  host::SingleDeviceTarget device(testbed.executor(), testbed.platform());
+  PlanTarget target(device, testbed.artifacts().analyzed.output, row_filters,
                     project_columns);
 
   host::ServiceConfig service_config;
@@ -213,7 +193,7 @@ Result<ServeReport> serve_plan(const Plan& plan,
   service_config.queue_depth = config.queue_depth;
   service_config.batch_limit = config.batch_limit;
   service_config.predicates = device_predicates;
-  service_config.result_key = workload::paper_result_key;
+  service_config.result_key = testbed.dataset().result_key;
   host::QueryService service(target, service_config);
 
   host::LoadConfig load_config;
@@ -221,7 +201,7 @@ Result<ServeReport> serve_plan(const Plan& plan,
   load_config.requests = config.requests;
   load_config.arrival_rate = config.arrival_rate;
   load_config.seed = config.seed;
-  load_config.key_space = generator.paper_count();
+  load_config.key_space = testbed.generator().paper_count();
   host::LoadGenerator load(load_config);
 
   ServeReport report;

@@ -209,4 +209,40 @@ std::uint64_t load_refs(kv::NKV& db, const PubGraphGenerator& generator,
   return loaded;
 }
 
+const DatasetInfo& describe(Dataset dataset) {
+  static const DatasetInfo kPapers{
+      "papers", "PaperScan", "Paper", PaperRecord::kBytes,
+      {"id", "year", "venue_id", "n_refs", "n_cited"}, 1, paper_key,
+      paper_result_key,
+      [](kv::NKV& db, const PubGraphGenerator& generator) {
+        return load_papers(db, generator);
+      }};
+  // RefScan is an identity parser: output records keep the stored key.
+  static const DatasetInfo kRefs{
+      "refs", "RefScan", "Ref", RefRecord::kBytes, {"src", "dst"}, 2,
+      ref_key, ref_key,
+      [](kv::NKV& db, const PubGraphGenerator& generator) {
+        return load_refs(db, generator);
+      }};
+  return dataset == Dataset::kRefs ? kRefs : kPapers;
+}
+
+std::string_view to_string(Dataset dataset) noexcept {
+  return describe(dataset).name;
+}
+
+std::optional<Dataset> parse_dataset(std::string_view name) {
+  for (const Dataset dataset : {Dataset::kPapers, Dataset::kRefs}) {
+    if (describe(dataset).name == name) return dataset;
+  }
+  return std::nullopt;
+}
+
+kv::DBConfig db_config(Dataset dataset) {
+  kv::DBConfig config;
+  config.record_bytes = describe(dataset).record_bytes;
+  config.extractor = describe(dataset).key;
+  return config;
+}
+
 }  // namespace ndpgen::workload

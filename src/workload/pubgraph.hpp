@@ -11,8 +11,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "kv/db.hpp"
@@ -107,5 +109,33 @@ std::uint64_t load_papers(kv::NKV& db, const PubGraphGenerator& generator,
 std::uint64_t load_refs(kv::NKV& db, const PubGraphGenerator& generator,
                         std::uint32_t level = 2,
                         std::uint64_t records_per_sst = 64 * 2047);
+
+/// The two base datasets of the graph. describe() holds every fact a
+/// device build needs about one of them, so no call site restates record
+/// sizes, key extractors or parser names.
+enum class Dataset : std::uint8_t { kPapers, kRefs };
+
+struct DatasetInfo {
+  std::string_view name;        ///< "papers" / "refs" (CLI and plan text).
+  std::string_view parser;      ///< Stock parser in pubgraph_spec_source().
+  std::string_view input_type;  ///< Record struct in the spec source.
+  std::uint32_t record_bytes;
+  /// Integer fields, in record order; the title payload is not a column.
+  std::vector<std::string> columns;
+  std::size_t key_columns;  ///< The first `key_columns` columns form the key.
+  kv::Key (*key)(std::span<const std::uint8_t>);  ///< Stored record.
+  /// Key of the stock parser's OUTPUT record (the executor's recency
+  /// dedup and the host service's per-request result accounting).
+  kv::Key (*result_key)(std::span<const std::uint8_t>);
+  /// Bulk loader with its default level and SST size.
+  std::uint64_t (*load)(kv::NKV&, const PubGraphGenerator&);
+};
+
+[[nodiscard]] const DatasetInfo& describe(Dataset dataset);
+[[nodiscard]] std::string_view to_string(Dataset dataset) noexcept;
+/// "papers" / "refs" -> dataset; nullopt for anything else.
+[[nodiscard]] std::optional<Dataset> parse_dataset(std::string_view name);
+/// Store schema for the dataset (record size + key extractor).
+[[nodiscard]] kv::DBConfig db_config(Dataset dataset);
 
 }  // namespace ndpgen::workload

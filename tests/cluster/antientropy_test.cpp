@@ -21,20 +21,14 @@ std::uint32_t test_partition_of(const kv::Key& key) {
   return static_cast<std::uint32_t>(key.hi % kPartitions);
 }
 
-kv::DBConfig paper_db_config() {
-  kv::DBConfig config;
-  config.record_bytes = workload::PaperRecord::kBytes;
-  config.extractor = workload::paper_key;
-  return config;
-}
-
 /// A digest-enabled device bulk-loaded with every generator paper, packed
 /// `records_per_sst` to an SST (the layout knob the digests must ignore).
 std::unique_ptr<SmartSsdDevice> loaded_device(
     const workload::PubGraphGenerator& generator,
     std::uint64_t records_per_sst) {
   auto device = std::make_unique<SmartSsdDevice>(
-      0, platform::CosmosConfig{}, paper_db_config());
+      0, platform::CosmosConfig{},
+      workload::db_config(workload::Dataset::kPapers));
   device->enable_digests(kPartitions, test_partition_of);
   std::uint64_t index = 0;
   device->load_sorted(

@@ -17,18 +17,12 @@ namespace {
 
 constexpr platform::SimTime kMs = 1000 * 1000;
 
-kv::DBConfig paper_db_config() {
-  kv::DBConfig config;
-  config.record_bytes = workload::PaperRecord::kBytes;
-  config.extractor = workload::paper_key;
-  return config;
-}
-
 std::unique_ptr<SmartSsdDevice> loaded_device() {
   const workload::PubGraphGenerator generator(
       workload::PubGraphConfig{.scale_divisor = 2048});
   auto device = std::make_unique<SmartSsdDevice>(
-      0, platform::CosmosConfig{}, paper_db_config());
+      0, platform::CosmosConfig{},
+      workload::db_config(workload::Dataset::kPapers));
   device->enable_digests(16, [](const kv::Key& key) {
     return static_cast<std::uint32_t>(key.hi % 16);
   });

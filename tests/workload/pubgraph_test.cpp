@@ -173,5 +173,21 @@ TEST(PubGraph, RefLoaderSkipsDuplicates) {
   EXPECT_EQ(db.version().total_records(), loaded);
 }
 
+TEST(PubGraph, DatasetDescriptorsMatchTheSpecSource) {
+  const auto module = spec::parse_spec(pubgraph_spec_source());
+  for (const Dataset dataset : {Dataset::kPapers, Dataset::kRefs}) {
+    const DatasetInfo& info = describe(dataset);
+    EXPECT_EQ(parse_dataset(to_string(dataset)), dataset);
+    const auto parser = analysis::analyze_parser(module, info.parser);
+    EXPECT_EQ(parser.input.storage_bytes(), info.record_bytes);
+    EXPECT_EQ(db_config(dataset).record_bytes, info.record_bytes);
+    ASSERT_LE(info.key_columns, info.columns.size());
+    for (const auto& column : info.columns) {
+      EXPECT_TRUE(parser.input.find_field(column).has_value()) << column;
+    }
+  }
+  EXPECT_FALSE(parse_dataset("edges").has_value());
+}
+
 }  // namespace
 }  // namespace ndpgen::workload

@@ -22,6 +22,7 @@
 
 #include "cluster/pubgraph_cluster.hpp"
 #include "core/framework.hpp"
+#include "core/testbed.hpp"
 #include "fault/fault_profile.hpp"
 #include "host/service.hpp"
 #include "hwgen/testbench_emitter.hpp"
@@ -272,6 +273,92 @@ void write_observability(const obs::Observability& obs,
   }
 }
 
+/// Thrown by flag parsing on a bad flag value; main() prints the usage
+/// text and exits 2.
+struct UsageError {};
+
+/// Parses a --predicate value "field,op,value".
+ndp::FilterPredicate parse_predicate(const std::string& text) {
+  const auto pieces = support::split(text, ',');
+  if (pieces.size() != 3) throw UsageError{};
+  return ndp::FilterPredicate{pieces[0], pieces[1],
+                              std::strtoull(pieces[2].c_str(), nullptr, 0)};
+}
+
+/// The device flags scan, serve, scrub, profile and query share, parsed
+/// into the testbed they describe: --mode --scale --pes --threads
+/// --sim-mode --fault-profile --trace --metrics.
+struct DeviceFlags {
+  core::TestbedConfig testbed = [] {
+    core::TestbedConfig config;
+    config.executor.mode = ndp::ExecMode::kHardware;
+    return config;
+  }();
+  std::string trace_path;
+  std::string metrics_path;
+  obs::TraceSink sink;
+
+  /// Consumes args[i] and its value when it is a device flag; false for
+  /// any other argument. Throws UsageError on a bad value.
+  bool parse(const std::vector<std::string>& args, std::size_t& i) {
+    if (i + 1 >= args.size()) return false;
+    const std::string& flag = args[i];
+    const std::string& value = args[i + 1];
+    ndp::ExecutorConfig& executor = testbed.executor;
+    if (flag == "--mode") {
+      const auto mode = ndp::parse_exec_mode(value);
+      if (!mode) throw UsageError{};
+      executor.mode = *mode;
+    } else if (flag == "--scale") {
+      testbed.scale_divisor = std::strtoull(value.c_str(), nullptr, 10);
+    } else if (flag == "--pes") {
+      executor.num_pes = static_cast<std::uint32_t>(
+          std::strtoul(value.c_str(), nullptr, 10));
+      if (executor.num_pes == 0) throw UsageError{};
+    } else if (flag == "--threads") {
+      executor.pe_threads = static_cast<std::uint32_t>(
+          std::strtoul(value.c_str(), nullptr, 10));
+    } else if (flag == "--sim-mode") {
+      set_sim_mode_flag(value);
+      testbed.cosmos.sim_mode = executor.sim_mode = hwsim::sim_mode_from_env();
+    } else if (flag == "--fault-profile") {
+      testbed.cosmos.fault = parse_fault_profile(value);
+    } else if (flag == "--trace") {
+      trace_path = value;
+    } else if (flag == "--metrics") {
+      metrics_path = value;
+    } else {
+      return false;
+    }
+    ++i;
+    return true;
+  }
+
+  [[nodiscard]] ndp::ExecMode mode() const { return testbed.executor.mode; }
+  [[nodiscard]] std::uint32_t pes() const { return testbed.executor.num_pes; }
+  [[nodiscard]] const fault::FaultProfile& fault() const {
+    return testbed.cosmos.fault;
+  }
+  /// Copies the device flags into a cluster build; --fault-profile drives
+  /// both the media and the device-level faults.
+  void apply(cluster::ClusterBuildConfig& build) const {
+    build.scale_divisor = testbed.scale_divisor;
+    build.mode = mode();
+    build.pes = pes();
+    build.threads = testbed.executor.pe_threads;
+    build.device_fault = fault();
+    build.media_fault = fault();
+  }
+  /// The sink to attach: null unless --trace was given.
+  [[nodiscard]] obs::TraceSink* trace() {
+    return trace_path.empty() ? nullptr : &sink;
+  }
+  /// Writes the requested --trace/--metrics files.
+  void write(const obs::Observability& obs) const {
+    write_observability(obs, sink, trace_path, metrics_path);
+  }
+};
+
 /// Runs `body`; if it throws (typed Error or otherwise), invokes `flush`
 /// best-effort before rethrowing. Commands wrap their simulation phase in
 /// this so a run that dies with exit code 16/18 still leaves the
@@ -455,132 +542,59 @@ int cmd_simulate(const std::vector<std::string>& args) {
 }
 
 int cmd_scan(const std::vector<std::string>& args) {
-  std::string dataset = "papers";
-  std::string mode_name = "hw";
-  std::uint64_t scale = 32768;
-  std::uint32_t pes = 1;
-  std::uint32_t threads = 0;
-  std::string trace_path;
-  std::string metrics_path;
-  fault::FaultProfile fault_profile;
+  DeviceFlags flags;
+  core::TestbedConfig& config = flags.testbed;
   std::vector<ndp::FilterPredicate> predicates;
   for (std::size_t i = 0; i < args.size(); ++i) {
+    if (flags.parse(args, i)) continue;
     if (args[i] == "--dataset" && i + 1 < args.size()) {
-      dataset = args[++i];
-    } else if (args[i] == "--mode" && i + 1 < args.size()) {
-      mode_name = args[++i];
-    } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i] == "--pes" && i + 1 < args.size()) {
-      pes = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-      if (pes == 0) return usage();
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-    } else if (args[i] == "--trace" && i + 1 < args.size()) {
-      trace_path = args[++i];
-    } else if (args[i] == "--metrics" && i + 1 < args.size()) {
-      metrics_path = args[++i];
-    } else if (args[i] == "--sim-mode" && i + 1 < args.size()) {
-      set_sim_mode_flag(args[++i]);
-    } else if (args[i] == "--fault-profile" && i + 1 < args.size()) {
-      fault_profile = parse_fault_profile(args[++i]);
+      const auto dataset = workload::parse_dataset(args[++i]);
+      if (!dataset) return usage();
+      config.dataset = *dataset;
     } else if (args[i] == "--predicate" && i + 1 < args.size()) {
-      const auto pieces = support::split(args[++i], ',');
-      if (pieces.size() != 3) return usage();
-      predicates.push_back(ndp::FilterPredicate{
-          pieces[0], pieces[1],
-          std::strtoull(pieces[2].c_str(), nullptr, 0)});
+      predicates.push_back(parse_predicate(args[++i]));
     } else {
       return usage();
     }
   }
-  ndp::ExecMode mode;
-  if (mode_name == "sw") {
-    mode = ndp::ExecMode::kSoftware;
-  } else if (mode_name == "hw") {
-    mode = ndp::ExecMode::kHardware;
-  } else if (mode_name == "host") {
-    mode = ndp::ExecMode::kHostClassic;
-  } else {
-    return usage();
+  if (flags.fault().any_enabled()) {
+    std::fprintf(stderr, "%s\n", flags.fault().summary().c_str());
   }
-  const bool papers = dataset == "papers";
-  if (!papers && dataset != "refs") return usage();
-
-  platform::CosmosConfig cosmos_config;
-  cosmos_config.fault = fault_profile;
-  platform::CosmosPlatform cosmos(cosmos_config);
-  obs::TraceSink sink;
-  if (!trace_path.empty()) cosmos.observability().trace = &sink;
-  if (fault_profile.any_enabled()) {
-    std::fprintf(stderr, "%s\n", fault_profile.summary().c_str());
-  }
-
-  core::Framework framework;
-  const auto compiled =
-      framework.compile(workload::pubgraph_spec_source());
-  const std::string parser_name = papers ? "PaperScan" : "RefScan";
-  const auto& artifacts = compiled.get(parser_name);
-
-  workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = scale});
-  kv::DBConfig config;
-  config.record_bytes =
-      papers ? workload::PaperRecord::kBytes : workload::RefRecord::kBytes;
-  config.extractor = papers ? workload::paper_key : workload::ref_key;
-  kv::NKV db(cosmos, config);
-  const std::uint64_t loaded =
-      papers ? workload::load_papers(db, generator)
-             : workload::load_refs(db, generator);
-
+  core::Testbed testbed(config, flags.trace());
   if (predicates.empty()) {
-    if (papers) {
-      predicates.push_back(ndp::FilterPredicate{"year", "lt", 1990});
+    // Default queries: papers before 1990, edges into the lower id half.
+    if (config.dataset == workload::Dataset::kPapers) {
+      predicates = {{"year", "lt", 1990}};
     } else {
-      predicates.push_back(
-          ndp::FilterPredicate{"dst", "lt", generator.paper_count() / 2});
+      predicates = {{"dst", "lt", testbed.generator().paper_count() / 2}};
     }
   }
 
-  ndp::ExecutorConfig exec_config;
-  exec_config.mode = mode;
-  exec_config.num_pes = pes;
-  exec_config.pe_threads = threads;
-  exec_config.result_key_extractor =
-      papers ? workload::paper_result_key : workload::ref_key;
-  if (mode == ndp::ExecMode::kHardware) {
-    exec_config.pe_indices = {
-        framework.instantiate(compiled, parser_name, cosmos)};
-  }
-  ndp::HybridExecutor executor(db, artifacts.analyzed,
-                               artifacts.design.operators, exec_config);
+  const auto flush = [&] {
+    testbed.platform().publish_metrics();
+    flags.write(testbed.platform().observability());
+  };
   const auto stats = with_flush_on_error(
-      [&] { return executor.scan(predicates); },
-      [&] {
-        cosmos.publish_metrics();
-        write_observability(cosmos.observability(), sink, trace_path,
-                            metrics_path);
-      });
+      [&] { return testbed.executor().scan(predicates); }, flush);
 
   std::printf(
       "scan %s [%s]: %llu records loaded, %llu blocks, %llu scanned, "
       "%llu matched, %llu results, %.3f ms virtual\n",
-      dataset.c_str(), std::string(to_string(mode)).c_str(),
-      static_cast<unsigned long long>(loaded),
+      std::string(testbed.dataset().name).c_str(),
+      std::string(to_string(flags.mode())).c_str(),
+      static_cast<unsigned long long>(testbed.records_loaded()),
       static_cast<unsigned long long>(stats.blocks),
       static_cast<unsigned long long>(stats.tuples_scanned),
       static_cast<unsigned long long>(stats.tuples_matched),
       static_cast<unsigned long long>(stats.results),
       static_cast<double>(stats.elapsed) / 1e6);
-  if (mode == ndp::ExecMode::kHardware) {
+  if (flags.mode() == ndp::ExecMode::kHardware) {
     std::printf(
         "  PE phase: %u shard%s, %llu critical-path PE cycles\n",
         stats.shards, stats.shards == 1 ? "" : "s",
         static_cast<unsigned long long>(stats.pe_phase_cycles));
   }
-  if (fault_profile.any_enabled()) {
+  if (flags.fault().any_enabled()) {
     std::printf(
         "  degraded media: %llu blocks retried, %llu uncorrectable, "
         "%llu degraded to software\n",
@@ -588,10 +602,7 @@ int cmd_scan(const std::vector<std::string>& args) {
         static_cast<unsigned long long>(stats.uncorrectable_blocks),
         static_cast<unsigned long long>(stats.blocks_degraded_to_software));
   }
-
-  cosmos.publish_metrics();
-  write_observability(cosmos.observability(), sink, trace_path,
-                      metrics_path);
+  flush();
   return 0;
 }
 
@@ -661,18 +672,13 @@ int serve_exit_code(const host::ServiceReport& report) {
 int cmd_serve(const std::vector<std::string>& args) {
   host::ServiceConfig service_config;
   host::LoadConfig load_config;
-  std::string mode_name = "hw";
-  std::uint64_t scale = 32768;
-  std::uint32_t pes = 1;
-  std::uint32_t threads = 0;
+  DeviceFlags flags;
   std::uint32_t devices = 1;
   std::uint32_t replication = 2;
   std::uint32_t spares = 1;
   double scrub_share = 0.0;  // 0 = scrubbing off.
-  std::string trace_path;
-  std::string metrics_path;
-  fault::FaultProfile fault_profile;
   for (std::size_t i = 0; i < args.size(); ++i) {
+    if (flags.parse(args, i)) continue;
     if (args[i] == "--tenants" && i + 1 < args.size()) {
       const auto tenants = static_cast<std::uint32_t>(
           std::strtoul(args[++i].c_str(), nullptr, 10));
@@ -714,17 +720,6 @@ int cmd_serve(const std::vector<std::string>& args) {
           platform::kNsPerUs;
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
       load_config.seed = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i] == "--mode" && i + 1 < args.size()) {
-      mode_name = args[++i];
-    } else if (args[i] == "--pes" && i + 1 < args.size()) {
-      pes = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-      if (pes == 0) return usage();
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
     } else if (args[i] == "--devices" && i + 1 < args.size()) {
       devices = static_cast<std::uint32_t>(
           std::strtoul(args[++i].c_str(), nullptr, 10));
@@ -739,34 +734,13 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if (args[i] == "--scrub-share" && i + 1 < args.size()) {
       scrub_share = std::strtod(args[++i].c_str(), nullptr);
       if (scrub_share < 0.0 || scrub_share >= 1.0) return usage();
-    } else if (args[i] == "--trace" && i + 1 < args.size()) {
-      trace_path = args[++i];
-    } else if (args[i] == "--metrics" && i + 1 < args.size()) {
-      metrics_path = args[++i];
-    } else if (args[i] == "--sim-mode" && i + 1 < args.size()) {
-      set_sim_mode_flag(args[++i]);
-    } else if (args[i] == "--fault-profile" && i + 1 < args.size()) {
-      fault_profile = parse_fault_profile(args[++i]);
     } else if (args[i] == "--predicate" && i + 1 < args.size()) {
-      const auto pieces = support::split(args[++i], ',');
-      if (pieces.size() != 3) return usage();
-      service_config.predicates.push_back(ndp::FilterPredicate{
-          pieces[0], pieces[1],
-          std::strtoull(pieces[2].c_str(), nullptr, 0)});
+      service_config.predicates.push_back(parse_predicate(args[++i]));
     } else {
       return usage();
     }
   }
-  ndp::ExecMode mode;
-  if (mode_name == "sw") {
-    mode = ndp::ExecMode::kSoftware;
-  } else if (mode_name == "hw") {
-    mode = ndp::ExecMode::kHardware;
-  } else if (mode_name == "host") {
-    mode = ndp::ExecMode::kHostClassic;
-  } else {
-    return usage();
-  }
+  const fault::FaultProfile& fault_profile = flags.fault();
 
   if (devices > 1) {
     // Cluster mode: N member stacks + spares behind one coordinator that
@@ -781,20 +755,14 @@ int cmd_serve(const std::vector<std::string>& args) {
     build.devices = devices;
     build.replication = replication;
     build.spares = spares;
-    build.scale_divisor = scale;
-    build.mode = mode;
-    build.pes = pes;
-    build.threads = threads;
-    build.device_fault = fault_profile;
-    build.media_fault = fault_profile;
+    flags.apply(build);
     if (scrub_share > 0.0) {
       build.scrub.enabled = true;
       build.scrub.scrub_share = scrub_share;
     }
     const auto cluster_stack = cluster::build_pubgraph_cluster(build);
     cluster::ClusterCoordinator& coord = *cluster_stack->coordinator;
-    obs::TraceSink sink;
-    if (!trace_path.empty()) coord.observability().trace = &sink;
+    coord.observability().trace = flags.trace();
     if (fault_profile.any_enabled() ||
         fault_profile.device_fault_enabled()) {
       std::fprintf(stderr, "%s\n", fault_profile.summary().c_str());
@@ -810,15 +778,15 @@ int cmd_serve(const std::vector<std::string>& args) {
 
     host::QueryService service(coord, service_config);
     host::LoadGenerator load(load_config);
-    const host::ServiceReport report = with_flush_on_error(
-        [&] { return service.run(load); },
-        [&] {
-          coord.publish_metrics();
-          write_observability(coord.observability(), sink, trace_path,
-                              metrics_path);
-        });
+    const auto flush = [&] {
+      coord.publish_metrics();
+      flags.write(coord.observability());
+    };
+    const host::ServiceReport report =
+        with_flush_on_error([&] { return service.run(load); }, flush);
 
-    print_serve_report(mode, pes, loaded, service_config, load, report);
+    print_serve_report(flags.mode(), flags.pes(), loaded, service_config,
+                       load, report);
     const cluster::ClusterReport& cr = coord.report();
     std::printf(
         "  cluster: %u devices (R=%u, %u spare%s), %llu sub-scans "
@@ -858,63 +826,30 @@ int cmd_serve(const std::vector<std::string>& args) {
           static_cast<unsigned long long>(cr.bytes_repaired));
     }
 
-    coord.publish_metrics();
-    write_observability(coord.observability(), sink, trace_path,
-                        metrics_path);
+    flush();
     return serve_exit_code(report);
   }
 
-  platform::CosmosConfig cosmos_config;
-  cosmos_config.fault = fault_profile;
-  platform::CosmosPlatform cosmos(cosmos_config);
-  obs::TraceSink sink;
-  if (!trace_path.empty()) cosmos.observability().trace = &sink;
   if (fault_profile.any_enabled()) {
     std::fprintf(stderr, "%s\n", fault_profile.summary().c_str());
   }
+  core::Testbed testbed(flags.testbed, flags.trace());
+  load_config.key_space = testbed.generator().paper_count();
+  service_config.result_key = testbed.dataset().result_key;
 
-  core::Framework framework;
-  const auto compiled =
-      framework.compile(workload::pubgraph_spec_source());
-  const auto& artifacts = compiled.get("PaperScan");
-
-  workload::PubGraphGenerator generator(
-      workload::PubGraphConfig{.scale_divisor = scale});
-  kv::DBConfig db_config;
-  db_config.record_bytes = workload::PaperRecord::kBytes;
-  db_config.extractor = workload::paper_key;
-  kv::NKV db(cosmos, db_config);
-  const std::uint64_t loaded = workload::load_papers(db, generator);
-  load_config.key_space = generator.paper_count();
-  service_config.result_key = workload::paper_result_key;
-
-  ndp::ExecutorConfig exec_config;
-  exec_config.mode = mode;
-  exec_config.num_pes = pes;
-  exec_config.pe_threads = threads;
-  exec_config.result_key_extractor = workload::paper_result_key;
-  if (mode == ndp::ExecMode::kHardware) {
-    exec_config.pe_indices = {
-        framework.instantiate(compiled, "PaperScan", cosmos)};
-  }
-  ndp::HybridExecutor executor(db, artifacts.analyzed,
-                               artifacts.design.operators, exec_config);
-
-  host::QueryService service(executor, cosmos, service_config);
+  host::QueryService service(testbed.executor(), testbed.platform(),
+                             service_config);
   host::LoadGenerator load(load_config);
-  const host::ServiceReport report = with_flush_on_error(
-      [&] { return service.run(load); },
-      [&] {
-        cosmos.publish_metrics();
-        write_observability(cosmos.observability(), sink, trace_path,
-                            metrics_path);
-      });
+  const auto flush = [&] {
+    testbed.platform().publish_metrics();
+    flags.write(testbed.platform().observability());
+  };
+  const host::ServiceReport report =
+      with_flush_on_error([&] { return service.run(load); }, flush);
 
-  print_serve_report(mode, pes, loaded, service_config, load, report);
-
-  cosmos.publish_metrics();
-  write_observability(cosmos.observability(), sink, trace_path,
-                      metrics_path);
+  print_serve_report(flags.mode(), flags.pes(), testbed.records_loaded(),
+                     service_config, load, report);
+  flush();
   return serve_exit_code(report);
 }
 
@@ -924,14 +859,14 @@ int cmd_scrub(const std::vector<std::string>& args) {
   host::ServiceConfig service_config;
   host::LoadConfig load_config;
   load_config.requests = 96;
-  std::string mode_name = "hw";
-  std::string trace_path;
-  std::string metrics_path;
-  fault::FaultProfile fault_profile =
-      parse_fault_profile("bit-rot");  // Default drill: seeded rot.
+  DeviceFlags flags;
+  flags.testbed.scale_divisor = build.scale_divisor;
+  // Default drill: seeded rot.
+  flags.testbed.cosmos.fault = parse_fault_profile("bit-rot");
   double scrub_share = 0.1;
   double bandwidth_mbps = 200.0;
   for (std::size_t i = 0; i < args.size(); ++i) {
+    if (flags.parse(args, i)) continue;
     if (args[i] == "--devices" && i + 1 < args.size()) {
       build.devices = static_cast<std::uint32_t>(
           std::strtoul(args[++i].c_str(), nullptr, 10));
@@ -945,8 +880,6 @@ int cmd_scrub(const std::vector<std::string>& args) {
           std::strtoul(args[++i].c_str(), nullptr, 10));
     } else if (args[i] == "--requests" && i + 1 < args.size()) {
       load_config.requests = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      build.scale_divisor = std::strtoull(args[++i].c_str(), nullptr, 10);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
       load_config.seed = std::strtoull(args[++i].c_str(), nullptr, 10);
     } else if (args[i] == "--scrub-share" && i + 1 < args.size()) {
@@ -955,35 +888,9 @@ int cmd_scrub(const std::vector<std::string>& args) {
     } else if (args[i] == "--bandwidth-mbps" && i + 1 < args.size()) {
       bandwidth_mbps = std::strtod(args[++i].c_str(), nullptr);
       if (bandwidth_mbps <= 0.0) return usage();
-    } else if (args[i] == "--mode" && i + 1 < args.size()) {
-      mode_name = args[++i];
-    } else if (args[i] == "--pes" && i + 1 < args.size()) {
-      build.pes = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-      if (build.pes == 0) return usage();
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      build.threads = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-    } else if (args[i] == "--trace" && i + 1 < args.size()) {
-      trace_path = args[++i];
-    } else if (args[i] == "--metrics" && i + 1 < args.size()) {
-      metrics_path = args[++i];
-    } else if (args[i] == "--sim-mode" && i + 1 < args.size()) {
-      set_sim_mode_flag(args[++i]);
-    } else if (args[i] == "--fault-profile" && i + 1 < args.size()) {
-      fault_profile = parse_fault_profile(args[++i]);
     } else {
       return usage();
     }
-  }
-  if (mode_name == "sw") {
-    build.mode = ndp::ExecMode::kSoftware;
-  } else if (mode_name == "hw") {
-    build.mode = ndp::ExecMode::kHardware;
-  } else if (mode_name == "host") {
-    build.mode = ndp::ExecMode::kHostClassic;
-  } else {
-    return usage();
   }
   if (build.replication > build.devices) {
     std::fprintf(stderr, "ndpgen: --replication %u exceeds --devices %u\n",
@@ -991,16 +898,14 @@ int cmd_scrub(const std::vector<std::string>& args) {
     return usage();
   }
 
-  build.device_fault = fault_profile;
-  build.media_fault = fault_profile;
+  flags.apply(build);
   build.scrub.enabled = true;
   build.scrub.scrub_share = scrub_share;
   build.scrub.bandwidth_mbps = bandwidth_mbps;
   const auto cluster_stack = cluster::build_pubgraph_cluster(build);
   cluster::ClusterCoordinator& coord = *cluster_stack->coordinator;
-  obs::TraceSink sink;
-  if (!trace_path.empty()) coord.observability().trace = &sink;
-  std::fprintf(stderr, "%s\n", fault_profile.summary().c_str());
+  coord.observability().trace = flags.trace();
+  std::fprintf(stderr, "%s\n", flags.fault().summary().c_str());
 
   load_config.key_space = cluster_stack->generator.paper_count();
   service_config.result_key = workload::paper_result_key;
@@ -1010,8 +915,7 @@ int cmd_scrub(const std::vector<std::string>& args) {
   host::LoadGenerator load(load_config);
   const auto flush = [&] {
     coord.publish_metrics();
-    write_observability(coord.observability(), sink, trace_path,
-                        metrics_path);
+    flags.write(coord.observability());
   };
   const host::ServiceReport report =
       with_flush_on_error([&] { return service.run(load); }, flush);
@@ -1069,32 +973,16 @@ int cmd_scrub(const std::vector<std::string>& args) {
 
 int cmd_profile(const std::vector<std::string>& args) {
   std::string workload_name = "scan";
-  std::string mode_name = "hw";
-  std::uint64_t scale = 32768;
-  std::uint32_t pes = 1;
-  std::uint32_t threads = 0;
+  DeviceFlags flags;
   std::size_t top_k = 5;
-  std::string trace_path;
-  std::string metrics_path;
   std::string attribution_path;
-  fault::FaultProfile fault_profile;
   std::vector<ndp::FilterPredicate> predicates;
   host::ServiceConfig service_config;
   host::LoadConfig load_config;
   for (std::size_t i = 0; i < args.size(); ++i) {
+    if (flags.parse(args, i)) continue;
     if (args[i] == "--workload" && i + 1 < args.size()) {
       workload_name = args[++i];
-    } else if (args[i] == "--mode" && i + 1 < args.size()) {
-      mode_name = args[++i];
-    } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i] == "--pes" && i + 1 < args.size()) {
-      pes = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-      if (pes == 0) return usage();
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
     } else if (args[i] == "--top" && i + 1 < args.size()) {
       top_k = std::strtoull(args[++i].c_str(), nullptr, 10);
     } else if (args[i] == "--tenants" && i + 1 < args.size()) {
@@ -1118,38 +1006,16 @@ int cmd_profile(const std::vector<std::string>& args) {
       load_config.seed = std::strtoull(args[++i].c_str(), nullptr, 10);
     } else if (args[i] == "--span" && i + 1 < args.size()) {
       load_config.span_keys = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i] == "--trace" && i + 1 < args.size()) {
-      trace_path = args[++i];
-    } else if (args[i] == "--metrics" && i + 1 < args.size()) {
-      metrics_path = args[++i];
     } else if (args[i] == "--attribution" && i + 1 < args.size()) {
       attribution_path = args[++i];
-    } else if (args[i] == "--sim-mode" && i + 1 < args.size()) {
-      set_sim_mode_flag(args[++i]);
-    } else if (args[i] == "--fault-profile" && i + 1 < args.size()) {
-      fault_profile = parse_fault_profile(args[++i]);
     } else if (args[i] == "--predicate" && i + 1 < args.size()) {
-      const auto pieces = support::split(args[++i], ',');
-      if (pieces.size() != 3) return usage();
-      predicates.push_back(ndp::FilterPredicate{
-          pieces[0], pieces[1],
-          std::strtoull(pieces[2].c_str(), nullptr, 0)});
+      predicates.push_back(parse_predicate(args[++i]));
     } else {
       return usage();
     }
   }
   const bool serve = workload_name == "serve";
   if (!serve && workload_name != "scan") return usage();
-  ndp::ExecMode mode;
-  if (mode_name == "sw") {
-    mode = ndp::ExecMode::kSoftware;
-  } else if (mode_name == "hw") {
-    mode = ndp::ExecMode::kHardware;
-  } else if (mode_name == "host") {
-    mode = ndp::ExecMode::kHostClassic;
-  } else {
-    return usage();
-  }
 
   struct RunResult {
     platform::SimTime elapsed = 0;  ///< Scan elapsed / serve makespan.
@@ -1164,45 +1030,19 @@ int cmd_profile(const std::vector<std::string>& args) {
   // guards the two BENCH rows against each other.
   auto run_once = [&](obs::RequestProfiler* profiler,
                       obs::TraceSink* sink) -> RunResult {
-    platform::CosmosConfig cosmos_config;
-    cosmos_config.fault = fault_profile;
-    platform::CosmosPlatform cosmos(cosmos_config);
+    core::Testbed testbed(flags.testbed, sink, profiler);
+    auto& cosmos = testbed.platform();
     obs::Observability& ob = cosmos.observability();
-    if (sink != nullptr) ob.trace = sink;
-    if (profiler != nullptr) ob.profiler = profiler;
     const bool instrumented = profiler != nullptr;
-
-    core::Framework framework;
-    const auto compiled =
-        framework.compile(workload::pubgraph_spec_source());
-    const auto& artifacts = compiled.get("PaperScan");
-    workload::PubGraphGenerator generator(
-        workload::PubGraphConfig{.scale_divisor = scale});
-    kv::DBConfig db_config;
-    db_config.record_bytes = workload::PaperRecord::kBytes;
-    db_config.extractor = workload::paper_key;
-    kv::NKV db(cosmos, db_config);
-    workload::load_papers(db, generator);
-
-    ndp::ExecutorConfig exec_config;
-    exec_config.mode = mode;
-    exec_config.num_pes = pes;
-    exec_config.pe_threads = threads;
-    exec_config.result_key_extractor = workload::paper_result_key;
-    if (mode == ndp::ExecMode::kHardware) {
-      exec_config.pe_indices = {
-          framework.instantiate(compiled, "PaperScan", cosmos)};
-    }
-    ndp::HybridExecutor executor(db, artifacts.analyzed,
-                                 artifacts.design.operators, exec_config);
 
     RunResult out;
     auto body = [&] {
       if (serve) {
-        load_config.key_space = generator.paper_count();
-        service_config.result_key = workload::paper_result_key;
+        load_config.key_space = testbed.generator().paper_count();
+        service_config.result_key = testbed.dataset().result_key;
         service_config.predicates = predicates;
-        host::QueryService service(executor, cosmos, service_config);
+        host::QueryService service(testbed.executor(), cosmos,
+                                   service_config);
         host::LoadGenerator load(load_config);
         const host::ServiceReport report = service.run(load);
         out.elapsed = report.makespan_ns;
@@ -1219,7 +1059,7 @@ int cmd_profile(const std::vector<std::string>& args) {
         ob.request_ctx = obs::RequestContext::mint(0);
         ndp::ScanStats stats;
         try {
-          stats = executor.scan(preds);
+          stats = testbed.executor().scan(preds);
         } catch (...) {
           ob.request_ctx = obs::RequestContext{};
           throw;
@@ -1252,13 +1092,13 @@ int cmd_profile(const std::vector<std::string>& args) {
               ob.metrics.gauge_value("hwsim.idle_cycle_fraction");
           out.have_idle = true;
         }
-        write_observability(ob, *sink, trace_path, metrics_path);
+        flags.write(ob);
       }
     };
     if (instrumented) {
       with_flush_on_error(body, [&] {
         cosmos.publish_metrics();
-        write_observability(ob, *sink, trace_path, metrics_path);
+        flags.write(ob);
       });
     } else {
       body();
@@ -1267,15 +1107,14 @@ int cmd_profile(const std::vector<std::string>& args) {
   };
 
   obs::RequestProfiler profiler;
-  obs::TraceSink sink;
-  const RunResult traced = run_once(&profiler, &sink);
+  const RunResult traced = run_once(&profiler, &flags.sink);
   const RunResult untraced = run_once(nullptr, nullptr);
 
   std::printf(
       "profile %s [%s, %u PE%s]: %llu request%s profiled, %.3f ms "
       "virtual\n",
-      workload_name.c_str(), std::string(to_string(mode)).c_str(), pes,
-      pes == 1 ? "" : "s",
+      workload_name.c_str(), std::string(to_string(flags.mode())).c_str(),
+      flags.pes(), flags.pes() == 1 ? "" : "s",
       static_cast<unsigned long long>(profiler.size()),
       profiler.size() == 1 ? "" : "s",
       static_cast<double>(traced.elapsed) / 1e6);
@@ -1521,32 +1360,15 @@ std::string resolve_plan_source(const std::string& arg) {
 
 int cmd_query(const std::vector<std::string>& args) {
   std::string plan_arg;
-  std::string mode_name = "hw";
-  std::uint64_t scale = 32768;
-  std::uint32_t pes = 1;
-  std::uint32_t threads = 0;
+  DeviceFlags flags;
   bool explain = false;
   bool check = true;
   bool serve = false;
   std::size_t dump_rows = 10;
-  fault::FaultProfile fault_profile;
   for (std::size_t i = 0; i < args.size(); ++i) {
+    if (flags.parse(args, i)) continue;
     if (args[i] == "--plan" && i + 1 < args.size()) {
       plan_arg = args[++i];
-    } else if (args[i] == "--mode" && i + 1 < args.size()) {
-      mode_name = args[++i];
-    } else if (args[i] == "--scale" && i + 1 < args.size()) {
-      scale = std::strtoull(args[++i].c_str(), nullptr, 10);
-    } else if (args[i] == "--pes" && i + 1 < args.size()) {
-      pes = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-    } else if (args[i] == "--threads" && i + 1 < args.size()) {
-      threads = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
-    } else if (args[i] == "--sim-mode" && i + 1 < args.size()) {
-      set_sim_mode_flag(args[++i]);
-    } else if (args[i] == "--fault-profile" && i + 1 < args.size()) {
-      fault_profile = parse_fault_profile(args[++i]);
     } else if (args[i] == "--rows" && i + 1 < args.size()) {
       dump_rows = std::strtoull(args[++i].c_str(), nullptr, 10);
     } else if (args[i] == "--explain") {
@@ -1564,8 +1386,13 @@ int cmd_query(const std::vector<std::string>& args) {
       return usage();
     }
   }
-  if (plan_arg.empty()) return usage();
-  if (mode_name != "hw" && mode_name != "sw") return usage();
+  // A plan runs HW-offloaded or on the SW fallback, and writes no
+  // trace or metrics files.
+  if (plan_arg.empty() || flags.mode() == ndp::ExecMode::kHostClassic ||
+      !flags.trace_path.empty() || !flags.metrics_path.empty()) {
+    return usage();
+  }
+  const core::TestbedConfig& device = flags.testbed;
 
   const std::string source = resolve_plan_source(plan_arg);
   auto parsed = query::parse_plan(source);
@@ -1579,8 +1406,8 @@ int cmd_query(const std::vector<std::string>& args) {
 
   if (serve) {
     query::ServePlanConfig serve_config;
-    serve_config.scale_divisor = scale;
-    serve_config.fault = fault_profile;
+    serve_config.scale_divisor = device.scale_divisor;
+    serve_config.fault = device.cosmos.fault;
     auto served = query::serve_plan(plan, serve_config);
     if (!served.ok()) {
       throw Error(served.status().kind, served.status().message);
@@ -1607,7 +1434,8 @@ int cmd_query(const std::vector<std::string>& args) {
   }
 
   query::CompileOptions compile_options;
-  compile_options.force_software = mode_name == "sw";
+  compile_options.force_software =
+      flags.mode() == ndp::ExecMode::kSoftware;
   auto compiled = query::compile_plan(plan, compile_options);
   if (!compiled.ok()) {
     std::fprintf(stderr, "ndpgen: %s\n",
@@ -1623,12 +1451,13 @@ int cmd_query(const std::vector<std::string>& args) {
   }
 
   query::QueryExecOptions exec_options;
-  exec_options.scale_divisor = scale;
-  exec_options.pes = pes;
-  exec_options.threads = threads;
-  exec_options.fault = fault_profile;
-  if (fault_profile.any_enabled()) {
-    std::fprintf(stderr, "%s\n", fault_profile.summary().c_str());
+  exec_options.scale_divisor = device.scale_divisor;
+  exec_options.pes = device.executor.num_pes;
+  exec_options.threads = device.executor.pe_threads;
+  exec_options.sim_mode = device.executor.sim_mode;
+  exec_options.fault = device.cosmos.fault;
+  if (flags.fault().any_enabled()) {
+    std::fprintf(stderr, "%s\n", flags.fault().summary().c_str());
   }
   query::QueryStats stats;
   const query::ResultTable table =
@@ -1672,7 +1501,7 @@ int cmd_query(const std::vector<std::string>& args) {
   if (check) {
     query::ReferenceStats ref_stats;
     const query::ResultTable reference =
-        query::reference_execute(plan, scale, &ref_stats);
+        query::reference_execute(plan, device.scale_divisor, &ref_stats);
     const bool equal = table.to_bytes() == reference.to_bytes();
     std::printf(
         "  reference: %llu rows, fingerprint %08x, modeled %.2f ms "
@@ -1724,6 +1553,8 @@ int main(int argc, char** argv) {
     if (args[0] == "recover") {
       return cmd_recover({args.begin() + 1, args.end()});
     }
+    return usage();
+  } catch (const UsageError&) {
     return usage();
   } catch (const ndpgen::Error& error) {
     // Typed failures carry their kind into the process exit code (10-17,

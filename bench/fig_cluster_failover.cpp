@@ -24,8 +24,8 @@
 //  5. determinism: the faulted timeline — including the failure timeline
 //     itself — replays byte-identically and is --threads-invariant.
 //
-// All times are virtual; BENCH "failover_p99" rows feed the dedicated
-// --failover-p99-threshold CI guard.
+// All times are virtual; BENCH "failover_p99" rows feed the
+// failover-p99 rule of the CI bench guard.
 #include "bench_common.hpp"
 
 #include <algorithm>

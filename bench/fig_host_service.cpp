@@ -19,8 +19,8 @@
 //     through the host service).
 //
 // All times are virtual, so every row is deterministic for a fixed seed
-// and NDPGEN_SCALE; BENCH rows feed the CI regression guard (p99 rows get
-// the dedicated --p99-threshold).
+// and NDPGEN_SCALE; BENCH rows feed the CI bench guard (p99 rows get the
+// tighter p99 rule).
 #include "bench_common.hpp"
 
 #include <array>
@@ -69,8 +69,8 @@ host::ServiceReport run_point(std::uint64_t scale,
   load_config.closed_loop_clients = point.closed_loop_clients;
   load_config.key_space = testbed.generator().paper_count();
 
-  host::QueryService service(testbed.executor(), testbed.platform(),
-                             service_config);
+  host::SingleDeviceTarget device(testbed.executor(), testbed.platform());
+  host::QueryService service(device, service_config);
   host::LoadGenerator load(load_config);
   return service.run(load);
 }
@@ -134,7 +134,7 @@ int main() {
   json.add("capacity_nobatch", "closed", capacity_nobatch, "rps");
   json.add("batching_speedup", "saturation", batching_gain, "x");
   // Where did the saturated latency go? Phase attribution summed over
-  // every completion (ns rows are informational for the guard).
+  // every completion (ns rows: lower-better in the bench guard).
   std::printf("saturated phase attribution:");
   for (std::size_t p = 0; p < obs::kRequestPhaseCount; ++p) {
     const auto phase = static_cast<obs::RequestPhase>(p);

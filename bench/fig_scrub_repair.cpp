@@ -9,8 +9,8 @@
 //     knee, so p99 shifts are scrub contention, not queueing);
 //  2. sweep the background scrubber's bandwidth share over
 //     {off, 5%, 10%, 20%} on a fault-free cluster and measure foreground
-//     p99 — the "foreground_p99" rows feed the dedicated
-//     --scrub-overhead-threshold CI guard. The sweep runs CLOSED loop:
+//     p99 — the "foreground_p99" rows feed the scrub-overhead rule of
+//     the CI bench guard. The sweep runs CLOSED loop:
 //     every latency component is then the service time of some inflated
 //     sub-scan, so measured end-to-end overhead provably lands in
 //     [0, share/(1-share)] (an open loop near the knee amplifies the

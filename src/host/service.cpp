@@ -22,19 +22,7 @@ std::vector<std::uint32_t> normalized_weights(const ServiceConfig& config) {
 }  // namespace
 
 QueryService::QueryService(OffloadTarget& target, ServiceConfig config)
-    : QueryService(nullptr, &target, std::move(config)) {}
-
-QueryService::QueryService(ndp::HybridExecutor& executor,
-                           platform::CosmosPlatform& platform,
-                           ServiceConfig config)
-    : QueryService(
-          std::make_unique<SingleDeviceTarget>(executor, platform), nullptr,
-          std::move(config)) {}
-
-QueryService::QueryService(std::unique_ptr<OffloadTarget> owned,
-                           OffloadTarget* target, ServiceConfig config)
-    : owned_target_(std::move(owned)),
-      target_(target != nullptr ? target : owned_target_.get()),
+    : target_(&target),
       config_(std::move(config)),
       arbiter_(normalized_weights(config_)) {
   NDPGEN_CHECK_ARG(config_.batch_limit >= 1,

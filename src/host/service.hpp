@@ -29,7 +29,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -119,12 +118,6 @@ class QueryService {
   /// or a cluster frontend).
   QueryService(OffloadTarget& target, ServiceConfig config);
 
-  /// Convenience for the original topology: wraps (executor, platform) in
-  /// an owned SingleDeviceTarget. Behavior is byte-identical to driving
-  /// the pair directly.
-  QueryService(ndp::HybridExecutor& executor,
-               platform::CosmosPlatform& platform, ServiceConfig config);
-
   /// Drives the load to exhaustion (all issued requests completed or
   /// dropped) and returns the report. Throws the executor's typed errors
   /// (kStorage mid-recovery) and config errors (kInvalidArg); admission
@@ -139,12 +132,6 @@ class QueryService {
   }
 
  private:
-  /// Delegation target for both public ctors: exactly one of `owned` /
-  /// `target` is set, so a throwing config check can never leak the
-  /// adapter (the unique_ptr member is constructed first).
-  QueryService(std::unique_ptr<OffloadTarget> owned, OffloadTarget* target,
-               ServiceConfig config);
-
   enum class EventKind : std::uint8_t { kArrival, kRetry, kCompletion };
 
   struct Event {
@@ -178,7 +165,6 @@ class QueryService {
   void pull_open_arrival(LoadGenerator& load);
   void resolve_metric_handles();
 
-  std::unique_ptr<OffloadTarget> owned_target_;  ///< Legacy-ctor adapter.
   OffloadTarget* target_;  ///< Never null; the device side being driven.
   ServiceConfig config_;
   WrrArbiter arbiter_;

@@ -25,17 +25,6 @@ std::size_t column_index(const std::vector<std::string>& columns,
   return static_cast<std::size_t>(it - columns.begin());
 }
 
-/// Unsigned comparison by operator name (the validated plan vocabulary).
-bool compare(std::uint64_t lhs, const std::string& op, std::uint64_t rhs) {
-  if (op == "ne") return lhs != rhs;
-  if (op == "eq") return lhs == rhs;
-  if (op == "gt") return lhs > rhs;
-  if (op == "ge") return lhs >= rhs;
-  if (op == "lt") return lhs < rhs;
-  if (op == "le") return lhs <= rhs;
-  raise(ErrorKind::kInternal, "unknown comparison operator '" + op + "'");
-}
-
 /// Total-order row comparator for top-k: primary on `order` (descending
 /// or ascending), full-row lexicographic ascending tiebreak — no two
 /// distinct rows ever compare equal, so the sort is deterministic.
@@ -59,24 +48,6 @@ std::vector<ndp::FilterPredicate> to_filter_predicates(
     out.push_back(ndp::FilterPredicate{pred.column, pred.op, pred.value});
   }
   return out;
-}
-
-/// Byte-aligned LE field read; every pubgraph column is u32/u64 packed.
-std::uint64_t read_field(const std::vector<std::uint8_t>& record,
-                         std::uint32_t offset_bits,
-                         std::uint32_t width_bits) {
-  NDPGEN_CHECK(offset_bits % 8 == 0 && width_bits % 8 == 0 &&
-                   width_bits <= 64,
-               "query columns must be byte-aligned integer fields");
-  const std::size_t offset = offset_bits / 8;
-  const std::size_t width = width_bits / 8;
-  NDPGEN_CHECK(offset + width <= record.size(),
-               "record too short for column read");
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    value |= static_cast<std::uint64_t>(record[offset + i]) << (8 * i);
-  }
-  return value;
 }
 
 struct LeafOutput {
@@ -158,7 +129,7 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
     Row row;
     row.reserve(fields.size());
     for (const auto& field : fields) {
-      row.push_back(read_field(record, field.offset_bits, field.width_bits));
+      row.push_back(read_column(record, field.offset_bits, field.width_bits));
     }
     out.rows.push_back(std::move(row));
   }
@@ -173,7 +144,7 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
     *host_ns += kHostFilterNsPerRowPred * out.rows.size() * bound.size();
     std::erase_if(out.rows, [&](const Row& row) {
       for (const auto& [index, pred] : bound) {
-        if (!compare(row[index], pred->op, pred->value)) return true;
+        if (!compare_op(row[index], pred->op, pred->value)) return true;
       }
       return false;
     });
@@ -209,6 +180,33 @@ struct Accumulator {
 };
 
 }  // namespace
+
+bool compare_op(std::uint64_t lhs, const std::string& op, std::uint64_t rhs) {
+  if (op == "ne") return lhs != rhs;
+  if (op == "eq") return lhs == rhs;
+  if (op == "gt") return lhs > rhs;
+  if (op == "ge") return lhs >= rhs;
+  if (op == "lt") return lhs < rhs;
+  if (op == "le") return lhs <= rhs;
+  raise(ErrorKind::kInternal, "unknown comparison operator '" + op + "'");
+}
+
+std::uint64_t read_column(const std::vector<std::uint8_t>& record,
+                          std::uint32_t offset_bits,
+                          std::uint32_t width_bits) {
+  NDPGEN_CHECK(offset_bits % 8 == 0 && width_bits % 8 == 0 &&
+                   width_bits <= 64,
+               "query columns must be byte-aligned integer fields");
+  const std::size_t offset = offset_bits / 8;
+  const std::size_t width = width_bits / 8;
+  NDPGEN_CHECK(offset + width <= record.size(),
+               "record too short for column read");
+  std::uint64_t value = 0;
+  for (std::size_t i = 0; i < width; ++i) {
+    value |= static_cast<std::uint64_t>(record[offset + i]) << (8 * i);
+  }
+  return value;
+}
 
 ResultTable execute_plan(const CompiledPlan& plan,
                          const QueryExecOptions& options, QueryStats* stats) {
@@ -253,7 +251,7 @@ ResultTable execute_plan(const CompiledPlan& plan,
         host_ns += kHostFilterNsPerRowPred * rows.size() * bound.size();
         std::erase_if(rows, [&](const Row& row) {
           for (const auto& [index, pred] : bound) {
-            if (!compare(row[index], pred->op, pred->value)) return true;
+            if (!compare_op(row[index], pred->op, pred->value)) return true;
           }
           return false;
         });

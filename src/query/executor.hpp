@@ -17,6 +17,8 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <vector>
 
 #include "fault/fault_profile.hpp"
 #include "hwsim/kernel.hpp"
@@ -64,6 +66,16 @@ struct QueryStats {
 [[nodiscard]] ResultTable execute_plan(const CompiledPlan& plan,
                                        const QueryExecOptions& options,
                                        QueryStats* stats = nullptr);
+
+/// Unsigned comparison by operator name (the validated plan vocabulary).
+/// Shared by the executor's tail and the serving path's row filter.
+[[nodiscard]] bool compare_op(std::uint64_t lhs, const std::string& op,
+                              std::uint64_t rhs);
+
+/// Byte-aligned LE field read; every pubgraph column is u32/u64 packed.
+[[nodiscard]] std::uint64_t read_column(
+    const std::vector<std::uint8_t>& record, std::uint32_t offset_bits,
+    std::uint32_t width_bits);
 
 // --- Host cost model (ns; see DESIGN.md §14) ---------------------------
 inline constexpr std::uint64_t kHostOpDispatchNs = 2'000;

@@ -8,37 +8,6 @@
 
 namespace ndpgen::query {
 
-namespace {
-
-bool row_compare(std::uint64_t lhs, const std::string& op,
-                 std::uint64_t rhs) {
-  if (op == "ne") return lhs != rhs;
-  if (op == "eq") return lhs == rhs;
-  if (op == "gt") return lhs > rhs;
-  if (op == "ge") return lhs >= rhs;
-  if (op == "lt") return lhs < rhs;
-  if (op == "le") return lhs <= rhs;
-  raise(ErrorKind::kInternal, "unknown comparison operator '" + op + "'");
-}
-
-std::uint64_t read_bits(const std::vector<std::uint8_t>& record,
-                        std::uint32_t offset_bits, std::uint32_t width_bits) {
-  NDPGEN_CHECK(offset_bits % 8 == 0 && width_bits % 8 == 0 &&
-                   width_bits <= 64,
-               "streamable tail needs byte-aligned integer fields");
-  const std::size_t offset = offset_bits / 8;
-  const std::size_t width = width_bits / 8;
-  NDPGEN_CHECK(offset + width <= record.size(),
-               "record too short for tail field read");
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    value |= static_cast<std::uint64_t>(record[offset + i]) << (8 * i);
-  }
-  return value;
-}
-
-}  // namespace
-
 PlanTarget::PlanTarget(host::OffloadTarget& inner,
                        const analysis::TupleLayout& layout,
                        std::vector<PlanPredicate> row_filters,
@@ -77,9 +46,9 @@ ndp::ScanStats PlanTarget::multi_range_scan(
     tail_ns += kHostFilterNsPerRowPred * rows_in * filters_.size();
     std::erase_if(*records, [&](const std::vector<std::uint8_t>& record) {
       for (const auto& [field, pred] : filters_) {
-        if (!row_compare(read_bits(record, field.offset_bits,
-                                   field.width_bits),
-                         pred.op, pred.value)) {
+        if (!compare_op(
+                read_column(record, field.offset_bits, field.width_bits),
+                pred.op, pred.value)) {
           return true;
         }
       }

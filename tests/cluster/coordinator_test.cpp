@@ -198,7 +198,8 @@ TEST(ClusterCoordinatorTest, MatchesSingleDeviceServiceResults) {
       framework.instantiate(compiled, "PaperScan", cosmos)};
   ndp::HybridExecutor executor(db, artifacts.analyzed,
                                artifacts.design.operators, exec_config);
-  host::QueryService single(executor, cosmos, service_config_for(2));
+  host::SingleDeviceTarget device(executor, cosmos);
+  host::QueryService single(device, service_config_for(2));
   host::LoadGenerator load(
       load_config_for(2, 48, generator.paper_count()));
   const host::ServiceReport reference = single.run(load);

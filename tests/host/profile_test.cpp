@@ -75,7 +75,8 @@ ProfileRunResult run_profiled(const ProfileRunParams& params) {
   load_config.key_space = generator.paper_count();
   load_config.seed = params.seed;
 
-  QueryService service(executor, cosmos, service_config);
+  SingleDeviceTarget device(executor, cosmos);
+  QueryService service(device, service_config);
   LoadGenerator load(load_config);
   ProfileRunResult out;
   out.report = service.run(load);
@@ -127,7 +128,8 @@ TEST(RequestProfileTest, EveryCompletionPhaseSumsToItsLatency) {
   load_config.key_space = generator.paper_count();
   load_config.seed = 7;
 
-  QueryService service(executor, cosmos, service_config);
+  SingleDeviceTarget device(executor, cosmos);
+  QueryService service(device, service_config);
   LoadGenerator load(load_config);
   const ServiceReport report = service.run(load);
 

@@ -80,7 +80,8 @@ RunResult run_service(const RunParams& params) {
   load_config.key_space = generator.paper_count();
   load_config.seed = params.seed;
 
-  QueryService service(executor, cosmos, service_config);
+  SingleDeviceTarget device(executor, cosmos);
+  QueryService service(device, service_config);
   LoadGenerator load(load_config);
   RunResult out;
   out.report = service.run(load);
@@ -280,7 +281,8 @@ TEST(QueryServiceTest, MidRecoveryStorageErrorPropagates) {
     load_config.tenants = 1;
     load_config.requests = 1;
     load_config.key_space = generator.paper_count();
-    QueryService service(executor, platform, service_config);
+    SingleDeviceTarget device(executor, platform);
+    QueryService service(device, service_config);
     LoadGenerator load(load_config);
     try {
       service.run(load);
@@ -324,22 +326,23 @@ TEST(QueryServiceTest, ValidatesConfiguration) {
   exec_config.result_key_extractor = workload::paper_result_key;
   ndp::HybridExecutor executor(db, artifacts.analyzed,
                                artifacts.design.operators, exec_config);
+  SingleDeviceTarget device(executor, cosmos);
 
   ServiceConfig missing_key;
   missing_key.tenants = 1;
-  EXPECT_THROW(QueryService(executor, cosmos, missing_key), Error);
+  EXPECT_THROW(QueryService(device, missing_key), Error);
 
   ServiceConfig bad_weights;
   bad_weights.tenants = 2;
   bad_weights.weights = {1};  // One weight for two tenants.
   bad_weights.result_key = workload::paper_result_key;
-  EXPECT_THROW(QueryService(executor, cosmos, bad_weights), Error);
+  EXPECT_THROW(QueryService(device, bad_weights), Error);
 
   // Tenant mismatch between load and service.
   ServiceConfig ok;
   ok.tenants = 2;
   ok.result_key = workload::paper_result_key;
-  QueryService service(executor, cosmos, ok);
+  QueryService service(device, ok);
   LoadConfig load_config;
   load_config.tenants = 3;
   load_config.requests = 1;

@@ -837,8 +837,8 @@ int cmd_serve(const std::vector<std::string>& args) {
   load_config.key_space = testbed.generator().paper_count();
   service_config.result_key = testbed.dataset().result_key;
 
-  host::QueryService service(testbed.executor(), testbed.platform(),
-                             service_config);
+  host::SingleDeviceTarget device(testbed.executor(), testbed.platform());
+  host::QueryService service(device, service_config);
   host::LoadGenerator load(load_config);
   const auto flush = [&] {
     testbed.platform().publish_metrics();
@@ -1041,8 +1041,8 @@ int cmd_profile(const std::vector<std::string>& args) {
         load_config.key_space = testbed.generator().paper_count();
         service_config.result_key = testbed.dataset().result_key;
         service_config.predicates = predicates;
-        host::QueryService service(testbed.executor(), cosmos,
-                                   service_config);
+        host::SingleDeviceTarget device(testbed.executor(), cosmos);
+        host::QueryService service(device, service_config);
         host::LoadGenerator load(load_config);
         const host::ServiceReport report = service.run(load);
         out.elapsed = report.makespan_ns;

@@ -1,9 +1,10 @@
 // Quickstart: the Fig. 4 example end to end.
 //
 // Compiles the Point3D -> Point2D parser specification, prints the
-// generated artifacts, instantiates the PE on a simulated Cosmos+ and
-// filters/transforms a handful of points through the actual cycle-level
-// hardware model.
+// generated artifacts, and filters/transforms a handful of points through
+// the generated PE on a cycle-level test bench — the same bench (its own
+// DRAM, AXI interconnect and kernel) each PE shard of a simulated Cosmos+
+// runs.
 #include <cstdio>
 #include <vector>
 

@@ -57,8 +57,7 @@ std::size_t Framework::instantiate(const CompileResult& compiled,
                                    std::string_view parser_name,
                                    platform::CosmosPlatform& platform) const {
   const ParserArtifacts& artifacts = compiled.get(parser_name);
-  platform.attach_pe(artifacts.design);
-  return platform.pe_count() - 1;
+  return platform.attach_pe(artifacts.design);
 }
 
 }  // namespace ndpgen::core

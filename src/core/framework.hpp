@@ -61,8 +61,8 @@ class Framework {
   /// Throws ndpgen::Error on any stage failure.
   [[nodiscard]] CompileResult compile(std::string_view spec_source) const;
 
-  /// Convenience: compiles and attaches the named parser's PE to a
-  /// platform; returns the PE index.
+  /// Attaches the named parser's PE design to a platform; returns the PE
+  /// index (ExecutorConfig::pe_indices).
   std::size_t instantiate(const CompileResult& compiled,
                           std::string_view parser_name,
                           platform::CosmosPlatform& platform) const;

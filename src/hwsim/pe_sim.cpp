@@ -282,7 +282,7 @@ void SimulatedPE::run_to_completion(std::uint64_t max_cycles) {
 }
 
 PETestBench::PETestBench(const hw::PEDesign& design, PEBenchConfig config)
-    : memory_(config.dram_bytes) {
+    : memory_(config.memory_bytes) {
   kernel_.set_observability(&obs_);
   kernel_.set_mode(config.sim_mode);
   interconnect_ = std::make_unique<AxiInterconnect>(memory_, config.axi);

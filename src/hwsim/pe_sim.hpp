@@ -132,7 +132,9 @@ class SimulatedPE final : public Module {
 
 /// Configuration of a PETestBench.
 struct PEBenchConfig {
-  std::size_t dram_bytes = 8 * 1024 * 1024;
+  /// Size of the bench memory: the PS-DRAM the PE reads and writes over
+  /// the AXI interconnect.
+  std::size_t memory_bytes = 8 * 1024 * 1024;
   AxiInterconnect::Config axi{};
   /// Exact ticking vs event-driven fast-forward (results are identical
   /// either way; see SimMode).

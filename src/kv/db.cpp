@@ -181,29 +181,6 @@ std::uint64_t NKV::compact() {
   return ran;
 }
 
-std::vector<std::uint8_t> NKV::snapshot_manifest() const {
-  return encode_manifest(version_);
-}
-
-void NKV::restore_manifest(std::span<const std::uint8_t> bytes) {
-  NDPGEN_CHECK_ARG(memtable_->empty(),
-                   "restore requires an empty MemTable (flush first)");
-  version_ = decode_manifest(bytes);
-  // Resume counters past everything the manifest references, and mark the
-  // surviving pages so the allocator never reuses them.
-  for (const auto& table : version_.recency_ordered()) {
-    next_sst_id_ = std::max(next_sst_id_, table->id + 1);
-    seq_ = std::max(seq_, table->max_seq);
-    NDPGEN_CHECK_ARG(table->record_bytes == config_.record_bytes,
-                     "manifest schema does not match this store");
-    for (const auto& handle : table->blocks) {
-      for (const auto page : handle.flash_pages) {
-        placement_->note_existing_page(page);
-      }
-    }
-  }
-}
-
 void NKV::bulk_load_sorted(
     std::uint32_t level,
     const std::function<bool(std::vector<std::uint8_t>&)>& next_record,

@@ -135,15 +135,6 @@ class NKV {
       const std::function<bool(std::vector<std::uint8_t>&)>& next_record,
       std::uint64_t records_per_sst);
 
-  /// Serializes the current version (see kv/manifest.hpp).
-  [[nodiscard]] std::vector<std::uint8_t> snapshot_manifest() const;
-
-  /// Recovery: replaces the LSM state with a decoded manifest. The flash
-  /// content the manifest references must still be present (it is: flash
-  /// is persistent). The MemTable must be empty (flush first). Sequence
-  /// and SST-id counters resume past the restored maxima.
-  void restore_manifest(std::span<const std::uint8_t> bytes);
-
   /// Crash recovery for a durable store. Call on a freshly constructed NKV
   /// over the surviving flash device (detach any crash scheduler first —
   /// recovery runs with power restored). Re-erases unstable blocks, rolls

@@ -278,18 +278,17 @@ HybridExecutor::HybridExecutor(kv::NKV& db,
       config_(std::move(config)),
       software_(parser_, operators_, db.platform().timing()) {
   if (config_.mode == ExecMode::kHardware) {
-    NDPGEN_CHECK_ARG(!config_.pe_indices.empty(),
-                     "hardware execution needs at least one PE");
+    NDPGEN_CHECK_ARG(config_.pe_indices.size() == 1,
+                     "hardware execution needs exactly one PE index "
+                     "(num_pes sets the shard count)");
     auto& platform = db.platform();
-    for (const std::size_t index : config_.pe_indices) {
-      NDPGEN_CHECK_ARG(platform.pe(index).design().parser.input.storage_bits ==
-                           parser_.input.storage_bits,
-                       "PE input layout does not match the executor's parser");
-    }
+    const hwgen::PEDesign& design =
+        platform.pe_design(config_.pe_indices.front());
+    NDPGEN_CHECK_ARG(
+        design.parser.input.storage_bits == parser_.input.storage_bits,
+        "PE input layout does not match the executor's parser");
     // One thread-confined driver per shard, built once and reused by
     // every call (each call resets its per-call state).
-    const hwgen::PEDesign& design =
-        platform.pe(config_.pe_indices.front()).design();
     for (std::uint32_t k = 0; k < effective_shards(); ++k) {
       shards_.push_back(std::make_unique<PeShard>(
           k, design, platform.timing(), platform.config().axi,
@@ -412,12 +411,7 @@ std::uint32_t HybridExecutor::effective_shards() const noexcept {
   // The classical path ships whole blocks to the host; there is no
   // device-side PE fabric to shard over.
   if (config_.mode == ExecMode::kHostClassic) return 1;
-  std::uint32_t shards = std::max<std::uint32_t>(1, config_.num_pes);
-  if (config_.mode == ExecMode::kHardware) {
-    shards = std::max<std::uint32_t>(
-        shards, static_cast<std::uint32_t>(config_.pe_indices.size()));
-  }
-  return shards;
+  return std::max<std::uint32_t>(1, config_.num_pes);
 }
 
 bool HybridExecutor::faults_enabled() const {

@@ -145,14 +145,15 @@ struct GetStats : ReliabilityStats {
 
 struct ExecutorConfig {
   ExecMode mode = ExecMode::kSoftware;
-  /// PE indices on the platform (kHardware only); one pipeline per PE.
+  /// kHardware only: the index of the attached PE (CosmosPlatform::
+  /// attach_pe) whose design every shard instantiates. Exactly one index;
+  /// the shard count comes from num_pes alone.
   std::vector<std::size_t> pe_indices;
   /// Number of parallel PE shards for SCAN/AGGREGATE (multi-PE scaling,
   /// paper Fig. 10). Blocks are sharded by flash channel affinity; each
   /// shard runs its own thread-confined PE instance and the results merge
   /// deterministically, byte-identical for every shard count. 1 (the
-  /// default) runs the single shard on the calling thread. kHardware uses
-  /// max(num_pes, pe_indices.size()) effective shards; kHostClassic
+  /// default) runs the single shard on the calling thread. kHostClassic
   /// ignores this (the classical path has no device-side parallelism to
   /// replicate), and so does a software aggregate (its tuple-order fold
   /// runs on one ARM pipeline).

@@ -28,9 +28,10 @@ PeShard::PeShard(std::size_t shard_id, const hw::PEDesign& design,
                  hwsim::SimMode sim_mode)
     : shard_id_(shard_id),
       timing_(timing),
-      bench_(design, hwsim::PEBenchConfig{.dram_bytes = 2 * kv::kDataBlockBytes,
-                                          .axi = axi,
-                                          .sim_mode = sim_mode}) {
+      bench_(design,
+             hwsim::PEBenchConfig{.memory_bytes = 2 * kv::kDataBlockBytes,
+                                  .axi = axi,
+                                  .sim_mode = sim_mode}) {
   // Staging layout inside the bench's private memory: one data block of
   // input at the bottom, one block of output records above it.
   src_staging_ = 0;

@@ -1,13 +1,15 @@
 // PeShard: the executor's PE driver — one thread-confined PE instance.
 //
-// The platform's PEs all advance in one shared SimKernel, which cannot be
-// ticked from several host threads at once. Each shard therefore owns a
-// self-contained PETestBench — its own SimMemory, AxiInterconnect,
-// SimKernel and SimulatedPE built from the SAME PEDesign — plus a private
-// Observability context and TraceSink. A shard never touches the DES, the
-// flash model or the platform registry; the executor merges its metrics,
-// trace events and timing into the platform deterministically (in shard
-// order) after all shard threads have joined.
+// Every PE cycle of the device model runs here. The platform only records
+// the attached PE designs; each shard owns a self-contained PETestBench
+// built from one of them — its own SimMemory (the PS-DRAM staging area),
+// AxiInterconnect, SimKernel and SimulatedPE — plus a private
+// Observability context and TraceSink, so shards tick on separate host
+// threads. What shards share on the device is the flash bus, which the
+// executor models on the DES. A shard never touches the DES, the flash
+// model or the platform registry; the executor merges its metrics, trace
+// events and timing into the platform deterministically (in shard order)
+// after all shard threads have joined.
 //
 // Content-exact: the block payload is staged in the bench memory, the PE
 // is configured through its MMIO registers (the generated register map),

@@ -41,7 +41,7 @@ class SoftwareNdp {
 
   /// ARM cost of software-filtering a block of `payload_bytes` payload
   /// with `tuples` tuples and `stages` predicates, of which `tuples_out`
-  /// survive. Mirrors ArmCoreModel::software_filter_block.
+  /// survive (each emitted as one output-layout record).
   [[nodiscard]] platform::SimTime block_cost(std::uint64_t payload_bytes,
                                              std::uint64_t tuples,
                                              std::uint32_t stages,

@@ -6,24 +6,10 @@ namespace ndpgen::platform {
 
 SimTime ArmCoreModel::charge(SimTime cost) {
   // The core is busy for `cost`; device-side events (flash completions,
-  // other PEs) continue to fire while it computes.
+  // NVMe transfers) continue to fire while it computes.
   queue_.run_until(queue_.now() + cost);
   busy_time_ += cost;
   return cost;
-}
-
-SimTime ArmCoreModel::software_filter_block(std::uint64_t bytes,
-                                            std::uint64_t tuples,
-                                            std::uint32_t predicate_stages,
-                                            std::uint64_t tuples_out) {
-  const SimTime parse = timing_.arm_parse_time(bytes);
-  const SimTime predicates =
-      tuples * predicate_stages * timing_.arm_predicate_per_tuple;
-  // Transform/copy-out of survivors: roughly one parse-rate pass over the
-  // emitted bytes (dominated by memcpy of the projected tuples).
-  const SimTime emit = timing_.arm_parse_time(tuples_out * 8) / 2;
-  return charge(timing_.firmware(timing_.arm_block_dispatch) + parse +
-                predicates + emit);
 }
 
 SimTime ArmCoreModel::index_probe(std::uint64_t entries) {
@@ -37,14 +23,6 @@ SimTime ArmCoreModel::index_probe(std::uint64_t entries) {
 SimTime ArmCoreModel::bloom_probe() {
   // 6 hashed bit tests against DRAM-resident filter words.
   return charge(6 * timing_.dram_latency);
-}
-
-SimTime ArmCoreModel::register_access() {
-  return charge(timing_.firmware(timing_.register_access));
-}
-
-SimTime ArmCoreModel::pe_dispatch() {
-  return charge(timing_.firmware(timing_.pe_dispatch_overhead));
 }
 
 SimTime ArmCoreModel::ndp_command() {
@@ -62,23 +40,6 @@ SimTime ArmCoreModel::block_binary_search(std::uint64_t records,
                                   timing_.dram_latency);
   return charge(timing_.firmware(probes) +
                 timing_.arm_parse_time(record_bytes));
-}
-
-SimTime ArmCoreModel::poll_until(SimTime ready_at) {
-  const SimTime now = queue_.now();
-  if (ready_at <= now) {
-    // One final poll confirming completion.
-    return charge(timing_.firmware(timing_.register_access));
-  }
-  const SimTime wait = ready_at - now;
-  // Round the wait up to whole polling intervals plus the final readback.
-  const SimTime intervals =
-      (wait + timing_.poll_interval - 1) / timing_.poll_interval;
-  const SimTime total = intervals * timing_.poll_interval +
-                        timing_.firmware(timing_.register_access);
-  queue_.run_until(now + total);
-  busy_time_ += total;
-  return total;
 }
 
 }  // namespace ndpgen::platform

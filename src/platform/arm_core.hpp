@@ -1,10 +1,12 @@
-// ARM Cortex-A9 cost model (software NDP path + firmware).
+// ARM Cortex-A9 firmware cost model.
 //
 // The Zynq PS cores execute the device firmware and the software variants
-// of the NDP operations. This model charges virtual time for the
-// operations the evaluation exercises: block parsing with predicate
-// evaluation (software SCAN/GET), index probing, and the HW/SW interface
-// costs (register accesses, PE dispatch, polling).
+// of the NDP operations. This model charges virtual time for the firmware
+// steps the executors run on the DES clock: NDP command handling, index
+// and Bloom-filter probes, and the in-block search of a software GET. The
+// per-block costs that the executors compose into pipelines themselves
+// are pure functions: ndp::SoftwareNdp::block_cost (software filter) and
+// ndp::hw_dispatch_overhead (PE dispatch over the HW/SW interface).
 #pragma once
 
 #include <cstdint>
@@ -19,25 +21,11 @@ class ArmCoreModel {
   ArmCoreModel(EventQueue& queue, const TimingConfig& timing)
       : queue_(queue), timing_(timing) {}
 
-  /// Software NDP over one data block: format parsing of `bytes` plus
-  /// `tuples * stages` predicate evaluations and transform of the
-  /// passing tuples. Advances virtual time (the core is busy).
-  SimTime software_filter_block(std::uint64_t bytes, std::uint64_t tuples,
-                                std::uint32_t predicate_stages,
-                                std::uint64_t tuples_out);
-
   /// Binary search over an index block with `entries` entries.
   SimTime index_probe(std::uint64_t entries);
 
   /// Bloom-filter membership probe (k bit tests in device DRAM).
   SimTime bloom_probe();
-
-  /// One control-register access (read or write) via AXI4-Lite.
-  SimTime register_access();
-
-  /// Firmware cost of launching one PE run (address setup, cache
-  /// maintenance, doorbell). The reason GET does not profit from HW.
-  SimTime pe_dispatch();
 
   /// Firmware handling of one NDP command (GET or SCAN session).
   SimTime ndp_command();
@@ -46,9 +34,6 @@ class ArmCoreModel {
   /// copy-out of one record of `record_bytes` (the software GET path).
   SimTime block_binary_search(std::uint64_t records,
                               std::uint64_t record_bytes);
-
-  /// Busy-wait until `ready_at`; returns the polling overhead charged.
-  SimTime poll_until(SimTime ready_at);
 
   [[nodiscard]] SimTime busy_time() const noexcept { return busy_time_; }
   void reset_stats() noexcept { busy_time_ = 0; }

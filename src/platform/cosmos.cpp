@@ -1,7 +1,5 @@
 #include "platform/cosmos.hpp"
 
-#include "support/error.hpp"
-
 namespace ndpgen::platform {
 
 namespace hw = ndpgen::hwgen;
@@ -11,24 +9,17 @@ CosmosPlatform::CosmosPlatform(CosmosConfig config)
       fault_(config_.fault),
       crash_(config_.crash),
       flash_(queue_, config_.timing, config_.flash),
-      dram_(queue_, config_.timing, config_.dram_bytes),
       arm_(queue_, config_.timing),
-      nvme_(queue_, config_.timing),
-      mmio_(arm_) {
-  axi_ = std::make_unique<hwsim::AxiInterconnect>(dram_.memory(), config_.axi);
-  pe_kernel_.set_mode(config_.sim_mode);
-  pe_kernel_.add_module(axi_.get());
-  // One observability context for the whole device: DES models and the PE
-  // cycle kernel all publish into it (kv/ndp reach it through flash()).
+      nvme_(queue_, config_.timing) {
+  // One observability context for the whole device: the DES models
+  // publish into it (kv/ndp reach it through flash()).
   flash_.set_observability(&obs_);
   nvme_.set_observability(&obs_);
-  pe_kernel_.set_observability(&obs_);
   // One fault injector for the whole device; the kv/ndp layers reach it
   // through flash().fault_injector(). Armed only by a nonzero profile.
   if (fault_.enabled()) {
     flash_.set_fault_injector(&fault_);
     nvme_.set_fault_injector(&fault_);
-    pe_kernel_.set_watchdog(config_.timing.pe_watchdog_cycles);
   }
   // Power-loss injection: armed only by a nonzero crash step, so default
   // platforms never pay the per-program branch.
@@ -111,114 +102,10 @@ void CosmosPlatform::publish_metrics() {
   }
 }
 
-std::uint64_t CosmosPlatform::attach_pe(const hw::PEDesign& design) {
-  pes_.push_back(
-      std::make_unique<hwsim::SimulatedPE>(design, pe_kernel_, *axi_));
-  return mmio_.attach(pes_.back().get());
-}
-
-void CosmosPlatform::configure_pe_filter(std::size_t pe_index,
-                                         std::uint32_t stage,
-                                         std::uint32_t field_sel,
-                                         std::uint32_t op_encoding,
-                                         std::uint64_t compare_value) {
-  hwsim::SimulatedPE& pe = *pes_.at(pe_index);
-  const auto& map = pe.regmap();
-  const std::uint64_t base = mmio_.window_base(pe_index);
-  mmio_.write(base + map.offset_of(hw::reg::filter_field(stage)), field_sel);
-  mmio_.write(base + map.offset_of(hw::reg::filter_value_lo(stage)),
-              static_cast<std::uint32_t>(compare_value));
-  mmio_.write(base + map.offset_of(hw::reg::filter_value_hi(stage)),
-              static_cast<std::uint32_t>(compare_value >> 32));
-  mmio_.write(base + map.offset_of(hw::reg::filter_op(stage)), op_encoding);
-}
-
-hwsim::ChunkStats CosmosPlatform::run_pe_chunk(std::size_t pe_index,
-                                               std::uint64_t src_addr,
-                                               std::uint64_t dst_addr,
-                                               std::uint32_t payload_bytes) {
-  hwsim::SimulatedPE& pe = *pes_.at(pe_index);
-  const auto& map = pe.regmap();
-  const std::uint64_t base = mmio_.window_base(pe_index);
-
-  // Firmware: program the run parameters (each write charges ARM time).
-  mmio_.write(base + map.offset_of(hw::reg::kInAddrLo),
-              static_cast<std::uint32_t>(src_addr));
-  mmio_.write(base + map.offset_of(hw::reg::kInAddrHi),
-              static_cast<std::uint32_t>(src_addr >> 32));
-  mmio_.write(base + map.offset_of(hw::reg::kOutAddrLo),
-              static_cast<std::uint32_t>(dst_addr));
-  mmio_.write(base + map.offset_of(hw::reg::kOutAddrHi),
-              static_cast<std::uint32_t>(dst_addr >> 32));
-  if (map.find(hw::reg::kInSize) != nullptr) {
-    mmio_.write(base + map.offset_of(hw::reg::kInSize), payload_bytes);
-  }
-  arm_.pe_dispatch();
-  mmio_.write(base + map.offset_of(hw::reg::kStart), 1);
-
-  // Cycle-level execution of the chunk.
-  const SimTime hw_start = queue_.now();
-  pe.run_to_completion();
-  const hwsim::ChunkStats stats = pe.last_stats();
-  const SimTime hw_end = hw_start + config_.timing.pe_cycles_to_ns(stats.cycles);
-
-  // Firmware: poll BUSY until the PE signals completion, then read back
-  // the result registers.
-  arm_.poll_until(hw_end);
-  [[maybe_unused]] const std::uint32_t tuple_count =
-      mmio_.read(base + map.offset_of(hw::reg::kTupleCount));
-  [[maybe_unused]] const std::uint32_t out_size =
-      mmio_.read(base + map.offset_of(hw::reg::kOutSize));
-  return stats;
-}
-
-hwsim::ChunkStats CosmosPlatform::run_pe_chunk_raw(std::size_t pe_index,
-                                                   std::uint64_t src_addr,
-                                                   std::uint64_t dst_addr,
-                                                   std::uint32_t payload_bytes) {
-  hwsim::SimulatedPE& pe = *pes_.at(pe_index);
-  const auto& map = pe.regmap();
-  pe.mmio_write(map.offset_of(hw::reg::kInAddrLo),
-                static_cast<std::uint32_t>(src_addr));
-  pe.mmio_write(map.offset_of(hw::reg::kInAddrHi),
-                static_cast<std::uint32_t>(src_addr >> 32));
-  pe.mmio_write(map.offset_of(hw::reg::kOutAddrLo),
-                static_cast<std::uint32_t>(dst_addr));
-  pe.mmio_write(map.offset_of(hw::reg::kOutAddrHi),
-                static_cast<std::uint32_t>(dst_addr >> 32));
-  if (map.find(hw::reg::kInSize) != nullptr) {
-    pe.mmio_write(map.offset_of(hw::reg::kInSize), payload_bytes);
-  }
-  pe.mmio_write(map.offset_of(hw::reg::kStart), 1);
-  pe.run_to_completion();
-  return pe.last_stats();
-}
-
-void CosmosPlatform::fetch_pages_to_dram(
-    const std::vector<std::uint64_t>& pages, std::uint64_t dram_addr,
-    std::function<void()> on_done) {
-  NDPGEN_CHECK_ARG(!pages.empty(), "fetch requires at least one page");
-  auto remaining = std::make_shared<std::size_t>(pages.size());
-  auto done = std::make_shared<std::function<void()>>(std::move(on_done));
-  const std::uint32_t page_bytes = flash_.topology().page_bytes;
-  for (std::size_t i = 0; i < pages.size(); ++i) {
-    const FlashAddr addr = flash_.delinearize(pages[i]);
-    const std::uint64_t target = dram_addr + i * std::uint64_t{page_bytes};
-    flash_.read_page(addr, [this, addr, target, remaining, done] {
-      // Controller DMA deposits the page into device DRAM.
-      dram_.memory().write_bytes(target, flash_.page_data(addr));
-      if (--*remaining == 0 && *done) (*done)();
-    });
-  }
-}
-
-void CosmosPlatform::fetch_pages_to_dram_sync(
-    const std::vector<std::uint64_t>& pages, std::uint64_t dram_addr) {
-  bool finished = false;
-  fetch_pages_to_dram(pages, dram_addr, [&finished] { finished = true; });
-  while (!finished && queue_.step()) {
-  }
-  NDPGEN_CHECK(finished, "flash fetch did not complete");
+std::size_t CosmosPlatform::attach_pe(const hw::PEDesign& design) {
+  design.validate();
+  pe_designs_.push_back(design);
+  return pe_designs_.size() - 1;
 }
 
 }  // namespace ndpgen::platform

@@ -1,27 +1,27 @@
 // Cosmos+ OpenSSD platform composition (Fig. 2).
 //
-// Glues the discrete-event device models (flash, DRAM, ARM, NVMe) to the
-// cycle-level PE simulator: PEs attach to a shared AXI interconnect over
-// the device DRAM, and their control windows are mapped on the MMIO bus.
-// The bridge between the two time domains is run_pe_chunk(): firmware
-// (ArmCoreModel) configures the PE through MMIO, the cycle kernel executes
-// the chunk, and the resulting cycle count is charged to virtual time at
-// the 100 MHz PE clock.
+// The device's discrete-event model — event queue, flash, ARM firmware
+// cost model, NVMe link, fault injector, crash scheduler and
+// observability — plus the list of PE designs attached to it. The PEs
+// themselves run in the executor's shards (ndp::PeShard): each shard's
+// bench owns the PS-DRAM staging memory, AXI interconnect and cycle
+// kernel its PE reads blocks through, and the executor charges the
+// resulting cycle counts to virtual time at the 100 MHz PE clock. What
+// the shards share on the device is the flash bus modelled here.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <memory>
-#include <vector>
+#include <deque>
 
 #include "fault/crash_scheduler.hpp"
 #include "fault/fault_injector.hpp"
-#include "hwsim/pe_sim.hpp"
+#include "hwgen/pe_design.hpp"
+#include "hwsim/kernel.hpp"
+#include "hwsim/memport.hpp"
+#include "obs/obs.hpp"
 #include "platform/arm_core.hpp"
-#include "platform/dram.hpp"
 #include "platform/event_queue.hpp"
 #include "platform/flash.hpp"
-#include "platform/mmio.hpp"
 #include "platform/nvme.hpp"
 #include "platform/timing.hpp"
 
@@ -30,10 +30,11 @@ namespace ndpgen::platform {
 struct CosmosConfig {
   TimingConfig timing{};
   FlashTopology flash{};
-  std::size_t dram_bytes = 64 * 1024 * 1024;
+  /// AXI fabric of each PE shard's bench (the executor reads it).
   hwsim::AxiInterconnect::Config axi{};
-  /// PE-kernel fidelity: exact ticking or event-driven fast-forward.
-  /// Results (stats, metrics, traces) are byte-identical either way.
+  /// Unread: the platform runs no PE kernel; PE-kernel fidelity is
+  /// ndp::ExecutorConfig::sim_mode. Kept because ndpbench, which changes
+  /// only together with the benchmark definition, still assigns it.
   hwsim::SimMode sim_mode = hwsim::sim_mode_from_env();
   /// Reliability model. The default (all rates zero) disables every fault
   /// path and keeps runs byte-identical to a fault-free build.
@@ -56,13 +57,12 @@ class CosmosPlatform {
     return config_.timing;
   }
   [[nodiscard]] FlashModel& flash() noexcept { return flash_; }
-  [[nodiscard]] DramModel& dram() noexcept { return dram_; }
   [[nodiscard]] ArmCoreModel& arm() noexcept { return arm_; }
   [[nodiscard]] NvmeLink& nvme() noexcept { return nvme_; }
-  [[nodiscard]] MmioBus& mmio() noexcept { return mmio_; }
 
-  /// Observability context shared by every device model and the PE cycle
-  /// kernel. Attach a TraceSink via `observability().trace = &sink`.
+  /// Observability context shared by every device model; the executor
+  /// merges its shards' PE metrics and traces into it. Attach a TraceSink
+  /// via `observability().trace = &sink`.
   [[nodiscard]] obs::Observability& observability() noexcept { return obs_; }
 
   /// The platform-owned deterministic fault injector (enabled() is false
@@ -84,46 +84,19 @@ class CosmosPlatform {
   /// Call once at the end of a run, before dumping metrics.
   void publish_metrics();
 
-  /// Attaches a PE built from `design`; returns its MMIO window base.
-  std::uint64_t attach_pe(const hwgen::PEDesign& design);
+  /// Attaches a PE of `design` (rejected with kGeneration unless it
+  /// validates); returns its index. Attaching adds no metric and takes no
+  /// virtual time.
+  std::size_t attach_pe(const hwgen::PEDesign& design);
 
-  [[nodiscard]] std::size_t pe_count() const noexcept { return pes_.size(); }
-  [[nodiscard]] hwsim::SimulatedPE& pe(std::size_t index) {
-    return *pes_.at(index);
+  [[nodiscard]] std::size_t pe_count() const noexcept {
+    return pe_designs_.size();
   }
-
-  /// Full hardware-NDP chunk execution: firmware configures filter stages
-  /// (values in `stage_configs` as (field, op, value) triples were already
-  /// written by the caller via configure_pe_filters or raw MMIO), programs
-  /// addresses/size, starts the PE, and polls until completion. Advances
-  /// virtual time by configuration + execution + polling. Returns PE stats.
-  hwsim::ChunkStats run_pe_chunk(std::size_t pe_index, std::uint64_t src_addr,
-                                 std::uint64_t dst_addr,
-                                 std::uint32_t payload_bytes);
-
-  /// Firmware helper: configures one filter stage of a PE through MMIO
-  /// (charging register-access time).
-  void configure_pe_filter(std::size_t pe_index, std::uint32_t stage,
-                           std::uint32_t field_sel, std::uint32_t op_encoding,
-                           std::uint64_t compare_value);
-
-  /// Raw variant for executors that compose timing themselves: configures
-  /// registers directly (no ARM charge), runs the cycle kernel to
-  /// completion, and does NOT advance the DES clock. Returns PE stats.
-  hwsim::ChunkStats run_pe_chunk_raw(std::size_t pe_index,
-                                     std::uint64_t src_addr,
-                                     std::uint64_t dst_addr,
-                                     std::uint32_t payload_bytes);
-
-  /// Reads `pages` (linear flash page numbers) into DRAM at `dram_addr`,
-  /// copying content as each page lands; `on_done` fires after the last.
-  void fetch_pages_to_dram(const std::vector<std::uint64_t>& pages,
-                           std::uint64_t dram_addr,
-                           std::function<void()> on_done);
-
-  /// Blocking variant: runs the event queue until the fetch completes.
-  void fetch_pages_to_dram_sync(const std::vector<std::uint64_t>& pages,
-                                std::uint64_t dram_addr);
+  /// The design attached at `index`; the reference stays valid while more
+  /// PEs attach.
+  [[nodiscard]] const hwgen::PEDesign& pe_design(std::size_t index) const {
+    return pe_designs_.at(index);
+  }
 
  private:
   CosmosConfig config_;
@@ -132,13 +105,9 @@ class CosmosPlatform {
   fault::CrashScheduler crash_;
   EventQueue queue_;
   FlashModel flash_;
-  DramModel dram_;
   ArmCoreModel arm_;
   NvmeLink nvme_;
-  hwsim::SimKernel pe_kernel_;
-  std::unique_ptr<hwsim::AxiInterconnect> axi_;
-  MmioBus mmio_;
-  std::vector<std::unique_ptr<hwsim::SimulatedPE>> pes_;
+  std::deque<hwgen::PEDesign> pe_designs_;
 };
 
 }  // namespace ndpgen::platform

@@ -38,8 +38,10 @@ struct TimingConfig {
   /// software path reprocesses it.
   SimTime flash_recovery_latency = 400 * kNsPerUs;
 
-  // --- DRAM (PS DDR, shared) -------------------------------------------
-  double dram_bandwidth_mbps = 1600.0;
+  // --- DRAM (PS DDR) -----------------------------------------------------
+  /// One firmware access to DRAM-resident metadata (Bloom-filter words,
+  /// record keys during an in-block search). Bulk block traffic is not
+  /// charged here: PEs read it through each shard bench's AXI model.
   SimTime dram_latency = 50;  ///< ns, single access.
 
   // --- ARM core (software NDP cost model) ------------------------------
@@ -56,8 +58,6 @@ struct TimingConfig {
   // --- HW/SW interface --------------------------------------------------
   /// One control-register write/read from the ARM core via AXI4-Lite.
   SimTime register_access = 150;  ///< ns.
-  /// Polling interval of wait_until_done (firmware busy-wait granularity).
-  SimTime poll_interval = 1 * kNsPerUs;
   /// Interrupt/firmware path cost to launch one PE run over a data block
   /// (the "configuration-overhead ... too high" of Fig. 7a's GET).
   SimTime pe_dispatch_overhead = 11 * kNsPerUs;
@@ -106,11 +106,6 @@ struct TimingConfig {
   [[nodiscard]] SimTime flash_transfer_time(std::uint64_t bytes) const noexcept {
     return static_cast<SimTime>(static_cast<double>(bytes) * 1000.0 /
                                 flash_controller_mbps);
-  }
-  [[nodiscard]] SimTime dram_transfer_time(std::uint64_t bytes) const noexcept {
-    return dram_latency +
-           static_cast<SimTime>(static_cast<double>(bytes) * 1000.0 /
-                                dram_bandwidth_mbps);
   }
   [[nodiscard]] SimTime arm_parse_time(std::uint64_t bytes) const noexcept {
     return static_cast<SimTime>(static_cast<double>(bytes) * 1000.0 /

@@ -75,7 +75,7 @@ TEST(Framework, InstantiateAttachesPe) {
       framework.instantiate(result, "Point3DTo2D", platform);
   EXPECT_EQ(index, 0u);
   EXPECT_EQ(platform.pe_count(), 1u);
-  EXPECT_EQ(platform.pe(0).design().name, "Point3DTo2D");
+  EXPECT_EQ(platform.pe_design(0).name, "Point3DTo2D");
 }
 
 TEST(Framework, OptionsFlowThrough) {

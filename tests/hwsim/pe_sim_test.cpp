@@ -208,7 +208,7 @@ TEST(PESim, BaselineStaticTransfersFullChunk) {
                                  hw::DesignFlavor::kHandcraftedBaseline,
                                  2047 * 16);
   PEBenchConfig config;
-  config.dram_bytes = 1 << 20;
+  config.memory_bytes = 1 << 20;
   PETestBench bench(design, config);
   std::vector<std::uint8_t> data(2047 * 16);
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -1,6 +1,9 @@
-// Device-restart recovery: manifest snapshot -> fresh store -> identical
-// behavior against the (persistent) flash content.
+// Device-restart recovery of a durable store: the in-DRAM store object is
+// lost, a fresh one recover()s from the persistent flash content and
+// behaves exactly like the store that was lost.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "kv/db.hpp"
 #include "platform/cosmos.hpp"
@@ -28,47 +31,66 @@ DBConfig config() {
   result.extractor = extract;
   result.auto_flush = false;
   result.auto_compact = false;
+  result.durability.enabled = true;
   return result;
 }
 
+std::uint64_t max_sst_id(const NKV& db) {
+  std::uint64_t id = 0;
+  for (const auto& table : db.version().recency_ordered()) {
+    id = std::max(id, table->id);
+  }
+  return id;
+}
+
 TEST(Recovery, RestoredStoreServesReadsAndWrites) {
+  constexpr std::uint64_t kKeys = 2000;
   platform::CosmosPlatform cosmos;
-  std::vector<std::uint8_t> manifest;
+  std::uint64_t records_before = 0;
   {
     NKV db(cosmos, config());
-    for (std::uint64_t key = 0; key < 5000; ++key) {
+    for (std::uint64_t key = 0; key < kKeys; ++key) {
       db.put(make_record(key, key * 2));
+      // Flushing truncates the WAL (one synced page per put).
+      if ((key + 1) % 500 == 0) db.flush();
     }
-    db.flush();
     db.del(Key{100, 0});
     db.flush();
-    manifest = db.snapshot_manifest();
+    records_before = db.version().total_records();
   }  // "Power loss": the in-DRAM store object is gone; flash survives.
 
   NKV restored(cosmos, config());
-  restored.restore_manifest(manifest);
-  EXPECT_EQ(restored.version().total_records(), 5000u);
+  const RecoveryReport report = restored.recover();
+  EXPECT_TRUE(report.manifest_found);
+  EXPECT_EQ(report.tables_restored, 5u);
+  EXPECT_EQ(report.torn_sst_blocks, 0u);
+  EXPECT_EQ(restored.version().total_records(), records_before);
   // Reads see the pre-restart state, including the deletion.
-  const auto hit = restored.get(Key{4321, 0});
+  const auto hit = restored.get(Key{1321, 0});
   ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(support::get_u64(*hit, 8), 4321u * 2);
+  EXPECT_EQ(support::get_u64(*hit, 8), 1321u * 2);
   EXPECT_FALSE(restored.get(Key{100, 0}).has_value());
 
   // New writes allocate fresh pages (no collision with restored data)
   // and shadow the old versions.
-  restored.put(make_record(4321, 999));
+  restored.put(make_record(1321, 999));
   restored.flush();
-  const auto updated = restored.get(Key{4321, 0});
+  const auto updated = restored.get(Key{1321, 0});
   ASSERT_TRUE(updated.has_value());
   EXPECT_EQ(support::get_u64(*updated, 8), 999u);
-  // The pre-restart records remain intact underneath.
-  EXPECT_TRUE(restored.get(Key{4999, 0}).has_value());
+  // Every pre-restart record remains intact underneath.
+  for (std::uint64_t key = 0; key < kKeys; ++key) {
+    if (key == 100 || key == 1321) continue;
+    const auto record = restored.get(Key{key, 0});
+    ASSERT_TRUE(record.has_value()) << key;
+    EXPECT_EQ(support::get_u64(*record, 8), key * 2) << key;
+  }
 }
 
 TEST(Recovery, SequenceAndIdCountersResume) {
   platform::CosmosPlatform cosmos;
-  std::vector<std::uint8_t> manifest;
   SequenceNumber last_seq = 0;
+  std::uint64_t last_id = 0;
   {
     NKV db(cosmos, config());
     for (std::uint64_t key = 0; key < 100; ++key) {
@@ -76,14 +98,15 @@ TEST(Recovery, SequenceAndIdCountersResume) {
     }
     db.flush();
     last_seq = db.last_sequence();
-    manifest = db.snapshot_manifest();
+    last_id = max_sst_id(db);
   }
   NKV restored(cosmos, config());
-  restored.restore_manifest(manifest);
+  (void)restored.recover();
   EXPECT_GE(restored.last_sequence(), last_seq);
   // A post-restart flush must be recognized as NEWER than restored data.
   restored.put(make_record(50, 777));
   restored.flush();
+  EXPECT_GT(max_sst_id(restored), last_id);
   restored.compact();
   const auto hit = restored.get(Key{50, 0});
   ASSERT_TRUE(hit.has_value());
@@ -92,28 +115,35 @@ TEST(Recovery, SequenceAndIdCountersResume) {
 
 TEST(Recovery, RequiresEmptyMemtable) {
   platform::CosmosPlatform cosmos;
-  NKV db(cosmos, config());
-  db.put(make_record(1, 1));
-  db.flush();
-  const auto manifest = db.snapshot_manifest();
-  db.put(make_record(2, 2));  // Unflushed.
-  EXPECT_THROW(db.restore_manifest(manifest), ndpgen::Error);
+  {
+    NKV db(cosmos, config());
+    db.put(make_record(1, 1));
+    db.flush();
+  }
+  NKV restored(cosmos, config());
+  restored.put(make_record(2, 2));  // Unflushed.
+  EXPECT_THROW((void)restored.recover(), ndpgen::Error);
+  // Flushed is not fresh either: the store already wrote on its own.
+  restored.flush();
+  EXPECT_THROW((void)restored.recover(), ndpgen::Error);
 }
 
 TEST(Recovery, RejectsSchemaMismatch) {
   platform::CosmosPlatform cosmos;
-  NKV db(cosmos, config());
-  db.put(make_record(1, 1));
-  db.flush();
-  const auto manifest = db.snapshot_manifest();
-
+  {
+    NKV db(cosmos, config());
+    db.put(make_record(1, 1));
+    db.flush();
+  }
   DBConfig other = config();
   other.record_bytes = 32;
-  other.extractor = [](std::span<const std::uint8_t> record) {
-    return Key{support::get_u64(record, 0), 0};
-  };
   NKV wrong(cosmos, other);
-  EXPECT_THROW(wrong.restore_manifest(manifest), ndpgen::Error);
+  try {
+    (void)wrong.recover();
+    FAIL() << "a manifest of another schema must be refused";
+  } catch (const ndpgen::Error& error) {
+    EXPECT_EQ(error.kind(), ndpgen::ErrorKind::kInvalidArg);
+  }
 }
 
 }  // namespace

@@ -145,10 +145,10 @@ TEST_F(AggExecutorFixture, RejectsBadInputs) {
 }
 
 TEST_F(AggExecutorFixture, MultiPeAggregateAgrees) {
-  cosmos_.attach_pe(compiled_.get("PaperScan").design);  // Second PE.
   ExecutorConfig config;
   config.mode = ExecMode::kHardware;
-  config.pe_indices = {0, 1};
+  config.num_pes = 2;
+  config.pe_indices = {0};
   const auto& artifacts = compiled_.get("PaperScan");
   HybridExecutor multi(db_, artifacts.analyzed, artifacts.design.operators,
                        config);

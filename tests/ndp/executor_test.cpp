@@ -4,6 +4,7 @@
 
 #include "core/framework.hpp"
 #include "support/bytes.hpp"
+#include "support/error.hpp"
 #include "workload/pubgraph.hpp"
 
 namespace ndpgen::ndp {
@@ -182,12 +183,29 @@ TEST_F(ExecutorFixture, HardwareNeedsPeIndices) {
                ndpgen::Error);
 }
 
-TEST_F(ExecutorFixture, MultiPeScanAgreesAndIsNotSlower) {
+TEST_F(ExecutorFixture, HardwareRejectsTwoPeIndices) {
+  // The shard count comes from num_pes alone; a second index would only
+  // have added a shard of the first index's design.
   const std::size_t pe2 = framework_.instantiate(compiled_, "PaperScan",
                                                  cosmos_);
   ExecutorConfig config;
   config.mode = ExecMode::kHardware;
   config.pe_indices = {pe_index_, pe2};
+  const auto& artifacts = compiled_.get("PaperScan");
+  try {
+    HybridExecutor(db_, artifacts.analyzed, artifacts.design.operators,
+                   config);
+    FAIL() << "two PE indices must be rejected";
+  } catch (const ndpgen::Error& error) {
+    EXPECT_EQ(error.kind(), ndpgen::ErrorKind::kInvalidArg);
+  }
+}
+
+TEST_F(ExecutorFixture, MultiPeScanAgreesAndIsNotSlower) {
+  ExecutorConfig config;
+  config.mode = ExecMode::kHardware;
+  config.num_pes = 2;
+  config.pe_indices = {pe_index_};
   config.result_key_extractor = workload::paper_result_key;
   const auto& artifacts = compiled_.get("PaperScan");
   HybridExecutor multi(db_, artifacts.analyzed, artifacts.design.operators,

@@ -45,7 +45,6 @@ class SimModeEquivalenceFixture : public ::testing::Test {
                 const fault::FaultProfile& profile = {}) {
     platform::CosmosConfig cosmos_config;
     cosmos_config.fault = profile;
-    cosmos_config.sim_mode = sim_mode;
     platform::CosmosPlatform cosmos(cosmos_config);
     obs::TraceSink sink;
     cosmos.observability().trace = &sink;

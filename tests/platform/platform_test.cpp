@@ -1,10 +1,9 @@
-// Tests for ArmCoreModel, NvmeLink, MmioBus and CosmosPlatform.
+// Tests for ArmCoreModel, NvmeLink and CosmosPlatform.
 #include <gtest/gtest.h>
 
 #include "hwgen/template_builder.hpp"
 #include "platform/cosmos.hpp"
 #include "spec/parser.hpp"
-#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::platform {
@@ -17,28 +16,9 @@ TEST(ArmCore, ChargesAdvanceTime) {
   TimingConfig timing;
   ArmCoreModel arm(queue, timing);
   const SimTime t0 = queue.now();
-  arm.register_access();
-  EXPECT_EQ(queue.now() - t0, timing.firmware(timing.register_access));
-  EXPECT_GT(arm.busy_time(), 0u);
-}
-
-TEST(ArmCore, SoftwareFilterScalesWithBytes) {
-  EventQueue queue;
-  TimingConfig timing;
-  ArmCoreModel arm(queue, timing);
-  const SimTime small = arm.software_filter_block(1024, 8, 1, 4);
-  const SimTime large = arm.software_filter_block(32768, 256, 1, 128);
-  EXPECT_GT(large, small);
-  EXPECT_GT(large, timing.arm_parse_time(32768));
-}
-
-TEST(ArmCore, PredicateStagesAddCost) {
-  EventQueue queue;
-  TimingConfig timing;
-  ArmCoreModel arm(queue, timing);
-  const SimTime one = arm.software_filter_block(32768, 2048, 1, 0);
-  const SimTime three = arm.software_filter_block(32768, 2048, 3, 0);
-  EXPECT_EQ(three - one, 2u * 2048 * timing.arm_predicate_per_tuple);
+  arm.ndp_command();
+  EXPECT_EQ(queue.now() - t0, timing.firmware(timing.ndp_command_firmware));
+  EXPECT_EQ(arm.busy_time(), queue.now() - t0);
 }
 
 TEST(ArmCore, IndexProbeIsLogarithmic) {
@@ -49,24 +29,6 @@ TEST(ArmCore, IndexProbeIsLogarithmic) {
   const SimTime large = arm.index_probe(1 << 20);
   EXPECT_GT(large, small);
   EXPECT_LT(large, small * 20);
-}
-
-TEST(ArmCore, PollUntilWaitsAndCharges) {
-  EventQueue queue;
-  TimingConfig timing;
-  ArmCoreModel arm(queue, timing);
-  arm.poll_until(10 * kNsPerUs);
-  EXPECT_GE(queue.now(), 10 * kNsPerUs);
-}
-
-TEST(ArmCore, PollRunsPendingEventsWhileWaiting) {
-  EventQueue queue;
-  TimingConfig timing;
-  ArmCoreModel arm(queue, timing);
-  bool fired = false;
-  queue.schedule_at(5 * kNsPerUs, [&] { fired = true; });
-  arm.poll_until(10 * kNsPerUs);
-  EXPECT_TRUE(fired);
 }
 
 TEST(Nvme, TransferChargesLatencyPlusBandwidth) {
@@ -80,105 +42,50 @@ TEST(Nvme, TransferChargesLatencyPlusBandwidth) {
   EXPECT_EQ(nvme.commands(), 1u);
 }
 
-TEST(Cosmos, FetchPagesToDramMovesContent) {
-  CosmosPlatform cosmos;
-  const std::vector<std::uint8_t> data(16 * 1024, 0x99);
-  const FlashAddr addr = cosmos.flash().delinearize(5);
-  cosmos.flash().write_page_immediate(addr, data);
-  cosmos.fetch_pages_to_dram_sync({5}, 4096);
-  EXPECT_EQ(cosmos.dram().memory().read_bytes(4096, 1)[0], 0x99);
-  EXPECT_GT(cosmos.events().now(), 0u);
-}
-
-TEST(Cosmos, DramAllocatorAlignsAndExhausts) {
-  CosmosConfig config;
-  config.dram_bytes = 4096;
-  CosmosPlatform cosmos(config);
-  const auto a = cosmos.dram().allocate(100, 64);
-  const auto b = cosmos.dram().allocate(100, 64);
-  EXPECT_EQ(a % 64, 0u);
-  EXPECT_EQ(b % 64, 0u);
-  EXPECT_GE(b, a + 100);
-  EXPECT_THROW(cosmos.dram().allocate(8192), ndpgen::Error);
-}
-
-hw::PEDesign point_design() {
+hw::PEDesign point_design(const char* name = "Pt") {
   const auto module = spec::parse_spec(
-      "typedef struct { uint32_t x, y, z; } P3;"
-      "typedef struct { uint32_t x, y; } P2;"
-      "/* @autogen define parser Pt with input = P3, output = P2, "
+      std::string("typedef struct { uint32_t x, y, z; } P3;"
+                  "typedef struct { uint32_t x, y; } P2;"
+                  "/* @autogen define parser ") +
+      name +
+      " with input = P3, output = P2, "
       "mapping = { output.x = input.y, output.y = input.z } */");
-  return hw::build_pe_design(analysis::analyze_parser(module, "Pt"));
+  return hw::build_pe_design(analysis::analyze_parser(module, name));
 }
 
-TEST(Cosmos, AttachAndRunPeThroughMmio) {
+TEST(Cosmos, AttachPeRecordsDesigns) {
   CosmosPlatform cosmos;
-  const std::uint64_t base = cosmos.attach_pe(point_design());
-  EXPECT_EQ(base, MmioBus::kDefaultBase);
-  ASSERT_EQ(cosmos.pe_count(), 1u);
-
-  std::vector<std::uint8_t> points;
-  for (std::uint32_t i = 0; i < 10; ++i) {
-    support::put_u32(points, i);
-    support::put_u32(points, i + 100);
-    support::put_u32(points, i + 200);
+  const obs::MetricsRegistry& metrics = cosmos.observability().metrics;
+  const std::size_t metrics_before = metrics.size();
+  const std::string dump_before = metrics.dump_json();
+  EXPECT_EQ(cosmos.pe_count(), 0u);
+  EXPECT_EQ(cosmos.attach_pe(point_design("First")), 0u);
+  const hw::PEDesign& first = cosmos.pe_design(0);
+  // Later attaches must not move earlier designs.
+  for (std::size_t i = 1; i < 40; ++i) {
+    EXPECT_EQ(cosmos.attach_pe(point_design("Next")), i);
   }
-  const auto src = cosmos.dram().allocate(points.size());
-  const auto dst = cosmos.dram().allocate(4096);
-  cosmos.dram().memory().write_bytes(src, points);
+  EXPECT_EQ(cosmos.pe_count(), 40u);
+  EXPECT_EQ(&first, &cosmos.pe_design(0));
+  EXPECT_EQ(first.name, "First");
+  EXPECT_EQ(cosmos.pe_design(39).name, "Next");
+  EXPECT_THROW((void)cosmos.pe_design(40), std::out_of_range);
 
-  // Configure "y > 104" through the firmware path (charges ARM time).
-  cosmos.configure_pe_filter(0, 0, 1, 2 /* gt */, 104);
-  const SimTime before = cosmos.events().now();
-  const auto stats = cosmos.run_pe_chunk(
-      0, src, dst, static_cast<std::uint32_t>(points.size()));
-  EXPECT_EQ(stats.tuples_in, 10u);
-  EXPECT_EQ(stats.tuples_out, 5u);
-  // Firmware + PE execution advanced the virtual clock.
-  EXPECT_GT(cosmos.events().now(), before);
-  // Results are in DRAM.
-  EXPECT_EQ(support::get_u32(cosmos.dram().memory().read_bytes(dst, 4), 0),
-            105u);
-}
+  hw::PEDesign broken = point_design();
+  broken.connections.push_back({"nowhere", "tuple_in"});
+  try {
+    cosmos.attach_pe(broken);
+    FAIL() << "an invalid design must be rejected";
+  } catch (const ndpgen::Error& error) {
+    EXPECT_EQ(error.kind(), ndpgen::ErrorKind::kGeneration);
+  }
+  EXPECT_EQ(cosmos.pe_count(), 40u);
 
-TEST(Cosmos, MmioChargesArmTime) {
-  CosmosPlatform cosmos;
-  cosmos.attach_pe(point_design());
-  const SimTime t0 = cosmos.events().now();
-  cosmos.mmio().write(MmioBus::kDefaultBase + 8, 123);
-  EXPECT_GT(cosmos.events().now(), t0);
-  EXPECT_EQ(cosmos.mmio().read(MmioBus::kDefaultBase + 8), 123u);
-}
-
-TEST(Cosmos, MmioDecodeRejectsBadAddresses) {
-  CosmosPlatform cosmos;
-  cosmos.attach_pe(point_design());
-  EXPECT_THROW(cosmos.mmio().write(0x1000, 1), ndpgen::Error);
-  EXPECT_THROW(
-      cosmos.mmio().write(MmioBus::kDefaultBase + MmioBus::kWindowSize, 1),
-      ndpgen::Error);
-}
-
-TEST(Cosmos, MultiplePesGetDistinctWindows) {
-  CosmosPlatform cosmos;
-  const auto base0 = cosmos.attach_pe(point_design());
-  const auto base1 = cosmos.attach_pe(point_design());
-  EXPECT_EQ(base1 - base0, MmioBus::kWindowSize);
-  EXPECT_EQ(cosmos.pe_count(), 2u);
-}
-
-TEST(Cosmos, RawRunDoesNotAdvanceDes) {
-  CosmosPlatform cosmos;
-  cosmos.attach_pe(point_design());
-  std::vector<std::uint8_t> points(120, 0);
-  const auto src = cosmos.dram().allocate(points.size());
-  const auto dst = cosmos.dram().allocate(4096);
-  cosmos.dram().memory().write_bytes(src, points);
-  const SimTime t0 = cosmos.events().now();
-  const auto stats = cosmos.run_pe_chunk_raw(
-      0, src, dst, static_cast<std::uint32_t>(points.size()));
-  EXPECT_EQ(cosmos.events().now(), t0);
-  EXPECT_EQ(stats.tuples_in, 10u);
+  // Attaching is bookkeeping only: no metric, no virtual time.
+  EXPECT_EQ(metrics.size(), metrics_before);
+  EXPECT_EQ(metrics.dump_json(), dump_before);
+  EXPECT_EQ(cosmos.events().now(), 0u);
+  EXPECT_EQ(cosmos.events().dispatched(), 0u);
 }
 
 }  // namespace

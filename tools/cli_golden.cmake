@@ -22,6 +22,9 @@ set(cases
   "scan_papers_hw_pes4|scan --dataset papers --mode hw --pes 4 --scale 4096"
   "scan_refs_hw_pes4|scan --dataset refs --mode hw --pes 4 --scale 4096"
   "serve_single|serve --tenants 2 --qd 8 --arrival-rate 2000 --requests 48 --scale 65536"
+  "serve_cluster|serve --devices 4 --replication 2 --requests 48 --scale 65536"
+  "serve_cluster_device_loss|serve --devices 4 --replication 2 --requests 48 --scale 65536 --fault-profile device-loss"
+  "scrub|scrub --requests 64 --scale 65536"
   "query_early_count|query --plan early_count --scale 8192"
   "query_hot_window|query --plan hot_window --scale 8192")
 

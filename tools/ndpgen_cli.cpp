@@ -320,7 +320,7 @@ struct DeviceFlags {
           std::strtoul(value.c_str(), nullptr, 10));
     } else if (flag == "--sim-mode") {
       set_sim_mode_flag(value);
-      testbed.cosmos.sim_mode = executor.sim_mode = hwsim::sim_mode_from_env();
+      executor.sim_mode = hwsim::sim_mode_from_env();
     } else if (flag == "--fault-profile") {
       testbed.cosmos.fault = parse_fault_profile(value);
     } else if (flag == "--trace") {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <string_view>
 #include <vector>
 
@@ -62,6 +63,65 @@ struct ModelStream {
 }
 
 }  // namespace
+
+OutputCopyPlan FastChunkEngine::plan_output(const SimulatedPE& pe) {
+  const analysis::TupleLayout& lin = pe.design_.parser.input;
+  const analysis::TupleLayout& lout = pe.design_.parser.output;
+  const SimTransformUnit& xform = *pe.transform_;
+  // Follows every bit through the three steps: the input storage bit it
+  // came from, or kZero when nothing wrote it.
+  constexpr std::int32_t kZero = -1;
+  using Bits = std::vector<std::int32_t>;
+  const auto copy = [](const Bits& from, std::uint64_t src, Bits& to,
+                       std::uint64_t dst, std::uint64_t width) {
+    if (src + width > from.size() || dst + width > to.size()) return false;
+    std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(src), width,
+                to.begin() + static_cast<std::ptrdiff_t>(dst));
+    return true;
+  };
+  OutputCopyPlan plan;
+  Bits storage(lin.storage_bits);
+  std::iota(storage.begin(), storage.end(), 0);
+  Bits padded(lin.padded_bits, kZero);
+  for (const auto& field : lin.fields) {
+    if (!copy(storage, field.storage_offset_bits, padded,
+              field.padded_offset_bits, field.storage_width_bits)) {
+      return plan;
+    }
+  }
+  if (!xform.identity_) {
+    Bits mapped(xform.out_bits_, kZero);
+    for (const auto& wire : xform.wires_) {
+      if (!copy(padded, wire.src_offset, mapped, wire.dst_offset,
+                wire.width)) {
+        return plan;
+      }
+    }
+    padded = std::move(mapped);
+  }
+  Bits out(lout.storage_bits, kZero);
+  for (const auto& field : lout.fields) {
+    if (!copy(padded, field.padded_offset_bits, out,
+              field.storage_offset_bits, field.storage_width_bits)) {
+      return plan;
+    }
+  }
+  for (std::uint32_t bit = 0; bit < out.size(); ++bit) {
+    if (out[bit] == kZero) continue;
+    const auto src = static_cast<std::uint32_t>(out[bit]);
+    CopySegment* last =
+        plan.segments.empty() ? nullptr : &plan.segments.back();
+    if (last != nullptr && last->width < 64 &&
+        last->dst_bit + last->width == bit &&
+        last->src_bit + last->width == src) {
+      ++last->width;
+    } else {
+      plan.segments.push_back(CopySegment{src, bit, 1});
+    }
+  }
+  plan.valid = true;
+  return plan;
+}
 
 bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
                           std::uint64_t max_cycles) {
@@ -221,7 +281,6 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   std::vector<std::vector<std::uint8_t>> stage_pass(num_stages);
   std::vector<std::uint32_t> survivors;
   std::vector<std::uint64_t> out_words;
-  std::uint64_t out_bits_width = 0;
   const bool agg_consumes =
       pe.aggregate_ != nullptr && agg_op != hw::AggOp::kNone;
   try {
@@ -262,32 +321,20 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     survivors = std::move(cur);
 
     if (!agg_consumes) {
-      support::BitVector out_bits;
+      const OutputCopyPlan& plan = pe.output_plan_;
+      if (!plan.valid && !survivors.empty()) return false;
+      support::BitVector out_bits(survivors.size() * out_storage_bits);
+      std::uint64_t out_at = 0;
       for (const std::uint32_t id : survivors) {
-        const Tuple storage =
-            payload.slice(std::uint64_t{id} * storage_bits, storage_bits);
-        Tuple padded = pad_tuple(lin, storage);
-        if (!pe.transform_->identity_) {
-          Tuple mapped(pe.transform_->out_bits_);
-          for (const auto& wire : pe.transform_->wires_) {
-            mapped.deposit(wire.dst_offset,
-                           padded.slice(wire.src_offset, wire.width));
-          }
-          padded = std::move(mapped);
+        const std::uint64_t in_at = std::uint64_t{id} * storage_bits;
+        for (const CopySegment& seg : plan.segments) {
+          out_bits.deposit_u64(out_at + seg.dst_bit, seg.width,
+                               payload.extract_u64(in_at + seg.src_bit,
+                                                   seg.width));
         }
-        out_bits.append(unpad_tuple(lout, padded));
+        out_at += out_storage_bits;
       }
-      out_bits_width = out_bits.width();
-      const std::uint64_t full_words = out_bits_width / 64;
-      const std::uint64_t partial_bits = out_bits_width % 64;
-      out_words.reserve(full_words + (partial_bits != 0 ? 1 : 0));
-      for (std::uint64_t k = 0; k < full_words; ++k) {
-        out_words.push_back(out_bits.extract_u64(k * 64, 64));
-      }
-      if (partial_bits != 0) {
-        out_words.push_back(
-            out_bits.extract_u64(full_words * 64, partial_bits));
-      }
+      out_words.assign(out_bits.words().begin(), out_bits.words().end());
     }
   } catch (...) {
     return false;  // Anything start_run/the datapath would raise: exact.

@@ -23,14 +23,37 @@
 #pragma once
 
 #include <cstdint>
+#include <vector>
 
 namespace ndpgen::hwsim {
 
 class SimKernel;
 class SimulatedPE;
 
+/// One run of output-tuple bits copied from consecutive input-tuple bits.
+struct CopySegment {
+  std::uint32_t src_bit;  ///< Offset in the input storage tuple.
+  std::uint32_t dst_bit;  ///< Offset in the output storage tuple.
+  std::uint32_t width;    ///< 1..64 bits.
+};
+
+/// A design's whole output plane — storage->padded (input layout), the
+/// transform wires or identity, padded->storage (output layout) — composed
+/// into copy segments, so a survivor's output bytes cost a few word
+/// extracts and deposits. Later fields and wires overwrite earlier ones;
+/// bits no segment covers are zero.
+struct OutputCopyPlan {
+  std::vector<CopySegment> segments;
+  /// False when a step's range leaves its tuple (the exact datapath would
+  /// raise): the fast path then leaves any chunk with survivors to it.
+  bool valid = false;
+};
+
 class FastChunkEngine {
  public:
+  /// Composes `pe`'s output plane; SimulatedPE builds it once.
+  static OutputCopyPlan plan_output(const SimulatedPE& pe);
+
   /// Attempts to run the chunk started on `pe` (START written, run not
   /// yet begun) to completion analytically. Returns true when the fast
   /// path applied; false means nothing was touched and the caller must

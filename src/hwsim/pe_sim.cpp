@@ -73,6 +73,7 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
   kernel.add_module(out_buffer_.get());
   kernel.add_module(store_.get());
   kernel.add_module(this);  // Sequencer runs after the datapath.
+  output_plan_ = FastChunkEngine::plan_output(*this);
 }
 
 void SimulatedPE::mmio_write(std::uint32_t offset, std::uint32_t value) {

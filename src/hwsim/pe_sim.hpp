@@ -14,6 +14,7 @@
 
 #include "hwgen/pe_design.hpp"
 #include "hwsim/aggregate_unit.hpp"
+#include "hwsim/fast_path.hpp"
 #include "obs/obs.hpp"
 #include "hwsim/filter_stage.hpp"
 #include "hwsim/load_unit.hpp"
@@ -122,6 +123,7 @@ class SimulatedPE final : public Module {
   std::unique_ptr<SimTransformUnit> transform_;
   std::unique_ptr<SimTupleOutputBuffer> out_buffer_;
   std::unique_ptr<SimStoreUnit> store_;
+  OutputCopyPlan output_plan_;  ///< The fast path's survivor -> output copy.
 
   bool running_ = false;
   bool start_pending_ = false;

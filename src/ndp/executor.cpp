@@ -17,7 +17,10 @@ namespace ndpgen::ndp {
 
 namespace {
 
-/// Per-result software finalization cost (hash-set dedup + copy-out).
+/// Per-result software finalization cost on the device firmware (hash-set
+/// dedup + copy-out). It models the firmware, not this simulator: every
+/// result is charged, even where the scan merge skips the dedup set
+/// because the result's table overlaps no other.
 constexpr platform::SimTime kFinalizePerResult = 35;  // ns
 
 /// Per-block media flags accumulated from the timed page reads.
@@ -133,6 +136,35 @@ class TombstoneFilter {
   std::size_t next_ = 0;
   std::unordered_set<kv::Key, kv::KeyHash> deleted_;
 };
+
+/// The tables whose [min_key, max_key] overlaps another table's (a
+/// tombstone widens its table's range). SST keys strictly ascend, so only
+/// these tables can share a key with another one: the scan merge dedups
+/// just their results.
+std::unordered_set<const kv::SSTable*> overlapping_tables(
+    const std::vector<std::shared_ptr<kv::SSTable>>& tables) {
+  std::vector<const kv::SSTable*> by_min;
+  by_min.reserve(tables.size());
+  for (const auto& table : tables) by_min.push_back(table.get());
+  std::sort(by_min.begin(), by_min.end(),
+            [](const kv::SSTable* a, const kv::SSTable* b) {
+              return a->min_key < b->min_key;
+            });
+  // In min_key order a table overlaps an earlier one iff it starts at or
+  // before the farthest max_key so far, and a later one iff the next
+  // table starts at or before its own max_key.
+  std::unordered_set<const kv::SSTable*> overlapping;
+  kv::Key reach = kv::Key::min();
+  for (std::size_t i = 0; i < by_min.size(); ++i) {
+    const kv::SSTable* table = by_min[i];
+    const bool earlier = i > 0 && !(reach < table->min_key);
+    const bool later =
+        i + 1 < by_min.size() && !(table->max_key < by_min[i + 1]->min_key);
+    if (earlier || later) overlapping.insert(table);
+    reach = std::max(reach, table->max_key);
+  }
+  return overlapping;
+}
 
 /// Where a block runs.
 enum class Route : std::uint8_t {
@@ -807,14 +839,20 @@ ScanStats HybridExecutor::scan_blocks(
   // Software finalization in GLOBAL block order, so the result set is
   // byte-identical for every shard count: recency dedup + tombstone
   // suppression on the result keys (blocks arrive in recency order, so the
-  // first version seen per key is the authoritative one).
+  // first version seen per key is the authoritative one). Only tables
+  // whose key range overlaps another's can repeat a key, so only their
+  // results enter `seen`.
   ScanStats stats;
-  TombstoneFilter tombstones(db_.version().recency_ordered());
+  const auto tables = db_.version().recency_ordered();
+  const std::unordered_set<const kv::SSTable*> overlapping =
+      overlapping_tables(tables);
+  TombstoneFilter tombstones(tables);
   std::unordered_set<kv::Key, kv::KeyHash> seen;
   const auto collect = [&](std::size_t b, std::uint32_t, Outcome& out) {
     stats.tuples_scanned += out.tuples_in;
     stats.tuples_matched += out.matched;
     tombstones.enter(blocks[b].table);
+    const bool dedup = overlapping.contains(blocks[b].table);
     for (auto& record : out.survivors) {
       if (config_.result_key_extractor) {
         const kv::Key key = config_.result_key_extractor(record);
@@ -822,7 +860,7 @@ ScanStats HybridExecutor::scan_blocks(
           continue;  // Boundary-block record outside every span.
         }
         if (tombstones.hides(key)) continue;
-        if (!seen.insert(key).second) continue;
+        if (dedup && !seen.insert(key).second) continue;
       }
       ++stats.results;
       stats.result_bytes += record.size();

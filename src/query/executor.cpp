@@ -280,22 +280,24 @@ ResultTable execute_plan(const CompiledPlan& plan,
             column_index(columns, op.probe_column);
         const std::size_t build_index =
             column_index(build->columns, op.build_column);
-        // Insertion-ordered buckets: probe order x build order makes the
-        // multi-match emission order deterministic.
+        // Buckets keyed on the probe side (usually the far smaller one),
+        // filled by walking the build rows in order: probe order x build
+        // order makes the multi-match emission order deterministic. The
+        // cost model still charges a classic build + probe.
         std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> table;
-        table.reserve(build->rows.size());
+        table.reserve(rows.size());
+        for (const Row& row : rows) table.try_emplace(row[probe_index]);
         const auto build_count =
             static_cast<std::uint32_t>(build->rows.size());
         for (std::uint32_t i = 0; i < build_count; ++i) {
-          table[build->rows[i][build_index]].push_back(i);
+          const auto it = table.find(build->rows[i][build_index]);
+          if (it != table.end()) it->second.push_back(i);
         }
         host_ns += kHostJoinBuildNsPerRow * build->rows.size() +
                    kHostJoinProbeNsPerRow * rows.size();
         std::vector<Row> joined;
         for (const Row& row : rows) {
-          const auto it = table.find(row[probe_index]);
-          if (it == table.end()) continue;
-          for (const std::uint32_t i : it->second) {
+          for (const std::uint32_t i : table.find(row[probe_index])->second) {
             Row out = row;
             out.insert(out.end(), build->rows[i].begin(),
                        build->rows[i].end());

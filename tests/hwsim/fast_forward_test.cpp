@@ -12,10 +12,14 @@
 
 #include "hwgen/register_map.hpp"
 #include "hwgen/template_builder.hpp"
+#include "hwsim/fast_path.hpp"
 #include "hwsim/pe_sim.hpp"
+#include "properties/random_spec.hpp"
 #include "spec/parser.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
+#include "workload/pubgraph.hpp"
 
 namespace ndpgen::hwsim {
 namespace {
@@ -335,6 +339,102 @@ TEST(FastForward, ForeignModuleForcesExactFallbackWithSameResults) {
   const auto [sf, mf] = run(SimMode::kFast, true);
   expect_chunk_eq(se, sf);
   EXPECT_EQ(me, mf);
+}
+
+// ---- Output plane: the per-design copy plan vs the exact datapath -------
+
+/// Runs `payload` through `design` in both modes — stage 0 applies
+/// (field 0, `op`, `value`), every later stage passes all — and expects
+/// the same output DRAM image (well past the written bytes), ChunkStats
+/// and metrics. The fast run must apply its copy plan.
+void expect_output_plane_matches_exact(const hw::PEDesign& design,
+                                       const std::vector<std::uint8_t>& payload,
+                                       std::uint32_t op, std::uint64_t value) {
+  constexpr std::uint64_t kOut = 1 << 20;
+  auto run = [&](SimMode mode) {
+    PETestBench bench(design, bench_config(mode));
+    EXPECT_TRUE(FastChunkEngine::plan_output(bench.pe()).valid);
+    bench.memory().write_bytes(0, payload);
+    bench.set_filter(0, 0, op, value);
+    for (std::uint32_t s = 1; s < design.filter_stage_count(); ++s) {
+      bench.set_filter(s, 0, 6 /* nop */, 0);
+    }
+    const ChunkStats stats = bench.run_chunk(
+        0, kOut, static_cast<std::uint32_t>(payload.size()));
+    return std::tuple{stats,
+                      to_vec(bench.memory().read_bytes(kOut, 64 * 1024)),
+                      bench.observability().metrics.dump_json()};
+  };
+  const auto [se, me, je] = run(SimMode::kExact);
+  const auto [sf, mf, jf] = run(SimMode::kFast);
+  expect_chunk_eq(se, sf);
+  EXPECT_GT(se.tuples_out, 0u);
+  EXPECT_EQ(me, mf);
+  EXPECT_EQ(je, jf);
+}
+
+std::vector<std::uint8_t> random_bytes(support::Xoshiro256& rng,
+                                       std::size_t count) {
+  std::vector<std::uint8_t> bytes(count);
+  for (auto& byte : bytes) byte = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+TEST(FastForward, RefsIdentityOutputPlaneMatchesExact) {
+  const auto design =
+      design_for(workload::pubgraph_spec_source(), "RefScan");
+  const workload::PubGraphGenerator generator(
+      workload::PubGraphConfig{.scale_divisor = 65536});
+  std::vector<std::uint8_t> payload;
+  for (std::uint64_t i = 0; i < 200; ++i) {
+    const auto record = generator.ref(i).serialize();
+    payload.insert(payload.end(), record.begin(), record.end());
+  }
+  expect_output_plane_matches_exact(design, payload, 2 /* gt */, 5);
+}
+
+TEST(FastForward, PaperProjectionOutputPlaneMatchesExact) {
+  // Paper carries a 104-byte title wider than any copy segment; the
+  // projection to PaperResult drops it.
+  const auto design =
+      design_for(workload::pubgraph_spec_source(), "PaperScan");
+  const workload::PubGraphGenerator generator(
+      workload::PubGraphConfig{.scale_divisor = 65536});
+  std::vector<std::uint8_t> payload;
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    const auto record = generator.paper(i).serialize();
+    payload.insert(payload.end(), record.begin(), record.end());
+  }
+  expect_output_plane_matches_exact(design, payload, 2 /* gt */, 3);
+}
+
+TEST(FastForward, ReorderedDuplicatingMappingMatchesExact) {
+  const std::string spec =
+      "/* @autogen define parser R with chunksize = 32, input = Wide, "
+      "output = Shuffled, mapping = { output.a = input.z, "
+      "output.b = input.x, output.c = input.y, output.d = input.x } */"
+      "typedef struct { uint64_t x; uint16_t y; uint32_t z; } Wide;"
+      "typedef struct { uint32_t a; uint64_t b; uint16_t c; uint64_t d; } "
+      "Shuffled;";
+  const auto design = design_for(spec, "R");
+  support::Xoshiro256 rng(42);
+  expect_output_plane_matches_exact(design, random_bytes(rng, 14 * 60),
+                                    2 /* gt */, 1ull << 62);
+}
+
+TEST(FastForward, RandomSpecOutputPlanesMatchExact) {
+  for (std::uint64_t seed = 0; seed <= 8; ++seed) {
+    support::Xoshiro256 rng(seed);
+    for (int iteration = 0; iteration < 4; ++iteration) {
+      const std::string source = test_support::random_spec(rng, 8);
+      SCOPED_TRACE("seed " + std::to_string(seed) + "\n" + source);
+      const auto design = design_for(source, "P");
+      const std::uint32_t tuple_bytes = design.parser.input.storage_bytes();
+      expect_output_plane_matches_exact(
+          design, random_bytes(rng, std::size_t{tuple_bytes} * 24),
+          0 /* ne */, 0);
+    }
+  }
 }
 
 }  // namespace

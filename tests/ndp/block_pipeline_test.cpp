@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <vector>
 
@@ -22,10 +23,14 @@ constexpr std::uint64_t kScale = 4096;
 
 /// One platform + paper store + aggregation-capable PaperScan PE.
 struct Store {
+  /// `records_per_sst` 0 keeps load_papers' table size.
   Store(const core::Framework& framework, const core::CompileResult& compiled,
-        const fault::FaultProfile& profile, bool auto_compact = true)
+        const fault::FaultProfile& profile, bool auto_compact = true,
+        std::uint64_t records_per_sst = 0)
       : cosmos(make_config(profile)), db(cosmos, db_config(auto_compact)) {
-    loaded = workload::load_papers(db, generator);
+    loaded = records_per_sst == 0
+                 ? workload::load_papers(db, generator)
+                 : workload::load_papers(db, generator, 2, records_per_sst);
     pe = framework.instantiate(compiled, "PaperScan", cosmos);
   }
 
@@ -260,6 +265,89 @@ TEST_F(BlockPipelineFixture, TombstoneHidesOnlyOlderVersions) {
       const auto all = ids(scan);
       EXPECT_TRUE(std::binary_search(all.begin(), all.end(), 7u));
       EXPECT_FALSE(std::binary_search(all.begin(), all.end(), 9u));
+    }
+  }
+}
+
+TEST_F(BlockPipelineFixture, OverlapAwareDedupMatchesMapModel) {
+  // Bulk-loaded C2 tables never overlap, so their results skip the dedup
+  // set; the C1 tables written below overlap each other and, through one
+  // tombstone, the C2 range. Every scan flavour must still equal a
+  // std::map model of the store.
+  Store store(framework_, compiled_, {}, /*auto_compact=*/false,
+              /*records_per_sst=*/255);
+  ASSERT_GE(store.db.version().recency_ordered().size(), 3u);
+  std::map<std::uint64_t, std::vector<std::uint8_t>> model;
+  for (std::uint64_t i = 0; i < store.loaded; ++i) {
+    const auto record = store.generator.paper(i).serialize();
+    model[support::get_u64(record, 0)] = record;
+  }
+  const auto put = [&](std::uint64_t index, std::uint32_t n_cited) {
+    workload::PaperRecord paper = store.generator.paper(index);
+    paper.n_cited = n_cited;
+    const auto record = paper.serialize();
+    store.db.put(record);
+    model[paper.id] = record;
+  };
+  const auto del = [&](std::uint64_t id) {
+    store.db.del({id, 0});
+    model.erase(id);
+  };
+  // Two overlapping C1 tables: overwrites over [7, 20], then a delete and
+  // a second overwrite inside that range.
+  put(6, 1001);
+  put(19, 1002);
+  store.db.flush();
+  del(9);
+  put(14, 1003);
+  store.db.flush();
+  // A table of new keys past the bulk load whose range reaches back into
+  // C2 only through its tombstone.
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    workload::PaperRecord paper = store.generator.paper(i);
+    paper.id = store.loaded + 1 + i;
+    const auto record = paper.serialize();
+    store.db.put(record);
+    model[paper.id] = record;
+  }
+  del(30);
+  store.db.flush();
+
+  // Results are PaperResult records: the Paper prefix up to the title.
+  const std::size_t out_bytes =
+      compiled_.get("PaperScan").analyzed.output.storage_bytes();
+  const auto expected = [&](std::uint64_t lo, std::uint64_t hi) {
+    std::map<std::uint64_t, std::vector<std::uint8_t>> out;
+    for (auto it = model.lower_bound(lo);
+         it != model.end() && it->first <= hi; ++it) {
+      out[it->first].assign(it->second.begin(),
+                            it->second.begin() + out_bytes);
+    }
+    return out;
+  };
+  const auto as_map = [](const std::vector<std::vector<std::uint8_t>>& rs) {
+    std::map<std::uint64_t, std::vector<std::uint8_t>> out;
+    for (const auto& record : rs) {
+      EXPECT_TRUE(out.emplace(support::get_u64(record, 0), record).second)
+          << "duplicate key " << support::get_u64(record, 0);
+    }
+    return out;
+  };
+  for (const ExecMode mode :
+       {ExecMode::kHardware, ExecMode::kSoftware, ExecMode::kHostClassic}) {
+    for (const std::uint32_t pes : {1u, 4u}) {
+      SCOPED_TRACE(describe({mode, pes}));
+      auto executor = store.executor(compiled_, mode, pes);
+      std::vector<std::vector<std::uint8_t>> scan, range, multi;
+      executor.scan({}, &scan);
+      executor.range_scan({5, 0}, {40, 0}, {}, &range);
+      executor.multi_range_scan(
+          {{{1, 0}, {10, 0}}, {{25, 0}, {store.loaded + 2, 0}}}, {}, &multi);
+      EXPECT_EQ(as_map(scan), expected(0, ~std::uint64_t{0}));
+      EXPECT_EQ(as_map(range), expected(5, 40));
+      auto multi_expected = expected(1, 10);
+      multi_expected.merge(expected(25, store.loaded + 2));
+      EXPECT_EQ(as_map(multi), multi_expected);
     }
   }
 }

@@ -2,57 +2,14 @@
 // specifications (fuzz-style, seeded and deterministic).
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "analysis/analyzer.hpp"
 #include "core/framework.hpp"
+#include "properties/random_spec.hpp"
 #include "spec/parser.hpp"
 #include "support/rng.hpp"
 
 namespace ndpgen::analysis {
 namespace {
-
-/// Generates a random (but valid) struct spec: primitives, arrays, nested
-/// structs and string fields.
-std::string random_spec(support::Xoshiro256& rng, std::uint32_t max_fields) {
-  static const char* kPrimitives[] = {"uint8_t",  "uint16_t", "uint32_t",
-                                      "uint64_t", "int8_t",   "int16_t",
-                                      "int32_t",  "int64_t",  "float",
-                                      "double"};
-  std::ostringstream out;
-  const bool nested = rng.below(2) == 1;
-  if (nested) {
-    out << "typedef struct { uint32_t a; uint16_t b[2]; } Inner;\n";
-  }
-  out << "typedef struct {\n";
-  const std::uint32_t fields =
-      1 + static_cast<std::uint32_t>(rng.below(max_fields));
-  bool any_primitive = false;
-  for (std::uint32_t f = 0; f < fields; ++f) {
-    const auto choice = rng.below(nested ? 4 : 3);
-    if (choice == 0) {
-      out << "  " << kPrimitives[rng.below(10)] << " f" << f << ";\n";
-      any_primitive = true;
-    } else if (choice == 1) {
-      out << "  " << kPrimitives[rng.below(10)] << " f" << f << "["
-          << 1 + rng.below(4) << "];\n";
-      any_primitive = true;
-    } else if (choice == 2) {
-      const std::uint32_t prefix = 1 + rng.below(8);
-      const std::uint32_t length = prefix + 1 + rng.below(24);
-      out << "  /* @string prefix = " << prefix << " */ char f" << f << "["
-          << length << "];\n";
-      any_primitive = true;  // Prefix is filterable.
-    } else {
-      out << "  Inner f" << f << ";\n";
-      any_primitive = true;
-    }
-  }
-  if (!any_primitive) out << "  uint32_t fallback;\n";
-  out << "} T;\n";
-  out << "/* @autogen define parser P with input = T, output = T */\n";
-  return out.str();
-}
 
 class RandomSpecProperties : public ::testing::TestWithParam<std::uint64_t> {
 };
@@ -60,7 +17,7 @@ class RandomSpecProperties : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(RandomSpecProperties, AnalysisInvariantsHold) {
   support::Xoshiro256 rng(GetParam());
   for (int iteration = 0; iteration < 20; ++iteration) {
-    const std::string source = random_spec(rng, 8);
+    const std::string source = test_support::random_spec(rng, 8);
     SCOPED_TRACE(source);
     const auto module = spec::parse_spec(source);
     const auto analyzed = analyze_parser(module, "P");
@@ -113,7 +70,7 @@ TEST_P(RandomSpecProperties, FullPipelineArtifactsGenerate) {
   support::Xoshiro256 rng(GetParam() ^ 0xabcdef);
   core::Framework framework;
   for (int iteration = 0; iteration < 6; ++iteration) {
-    const std::string source = random_spec(rng, 6);
+    const std::string source = test_support::random_spec(rng, 6);
     SCOPED_TRACE(source);
     const auto compiled = framework.compile(source);
     const auto& artifacts = compiled.get("P");

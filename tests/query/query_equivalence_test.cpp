@@ -80,6 +80,41 @@ TEST(QueryEquivalence, JoinTopKInvariantAcrossMatrix) {
   }
 }
 
+TEST(QueryEquivalence, JoinEmitsProbeThenBuildOrder) {
+  // No sorting before the comparison: the compiled join must emit probe
+  // order, then build order within a key, exactly like the reference.
+  // refs -> papers repeats probe keys; the recent_top join without its
+  // top-k (and without any tail) has many build matches per probe key.
+  const char* kPlans[] = {
+      "plan RefsToPapers {\n  scan refs;\n  join papers on dst eq id;\n}\n",
+      "plan RecentGroups {\n  scan papers;\n  filter year ge 2015;\n"
+      "  join refs on id eq dst;\n  aggregate count group id;\n}\n",
+      "plan RecentJoin {\n  scan papers;\n  filter year ge 2015;\n"
+      "  join refs on id eq dst;\n}\n",
+  };
+  for (const char* source : kPlans) {
+    auto parsed = parse_plan(source);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    const Plan plan = std::move(parsed).value();
+    const ResultTable reference = reference_execute(plan, kScale);
+    ASSERT_GT(reference.rows.size(), 1u) << source;
+    auto compiled = compile_plan(plan);
+    ASSERT_TRUE(compiled.ok()) << source;
+    for (const std::uint32_t pes : {1u, 4u}) {
+      SCOPED_TRACE(std::string(source) + "pes=" + std::to_string(pes));
+      QueryExecOptions options;
+      options.scale_divisor = kScale;
+      options.pes = pes;
+      const ResultTable table = execute_plan(compiled.value(), options);
+      EXPECT_EQ(table.columns, reference.columns);
+      ASSERT_EQ(table.rows.size(), reference.rows.size());
+      for (std::size_t i = 0; i < table.rows.size(); ++i) {
+        ASSERT_EQ(table.rows[i], reference.rows[i]) << "row " << i;
+      }
+    }
+  }
+}
+
 TEST(QueryEquivalence, FaultProfilesPreserveResults) {
   const Plan plan = suite_plan("recent_top");
   const auto reference = reference_execute(plan, kScale).to_bytes();

@@ -28,7 +28,6 @@
 
 #include "core/testbed.hpp"
 #include "host/service.hpp"
-#include "hwsim/kernel.hpp"
 
 using namespace ndpgen;
 
@@ -105,19 +104,9 @@ int main() {
   bench::JsonResult json("fig_host_service");
 
   // --- 1. closed-loop saturation: device capacity with/without batching.
-  // Under the fast-forwarding kernel a full-length saturation run is
-  // affordable, so the reduced-request self-calibration workaround is
-  // gone: capacity is measured directly. Exact mode keeps the short
-  // calibrated pass so a cycle-exact run of this bench stays tractable.
-  const hwsim::SimMode sim_mode = hwsim::sim_mode_from_env();
-  const bool fast = sim_mode == hwsim::SimMode::kFast;
-  std::printf("%s\n\n",
-              fast ? "sim-mode fast: direct full-length saturation "
-                     "measurement (no calibration pass)"
-                   : "sim-mode exact: reduced-request calibration pass");
   PointConfig closed;
   closed.closed_loop_clients = 32;
-  closed.requests = fast ? 512 : 128;
+  closed.requests = 512;
   const auto saturated = run_point(scale, fault_profile, closed);
   PointConfig closed_nobatch = closed;
   closed_nobatch.batch_limit = 1;

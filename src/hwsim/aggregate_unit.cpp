@@ -128,11 +128,6 @@ void SimAggregateUnit::cycle(std::uint64_t /*now*/) {
   ++folded_;
 }
 
-std::uint64_t SimAggregateUnit::next_activity(
-    std::uint64_t now) const noexcept {
-  return in_->can_pop() ? now + 1 : kNeverActive;
-}
-
 void SimAggregateUnit::reset() {
   op_ = hwgen::AggOp::kNone;
   field_select_ = 0;

@@ -34,8 +34,6 @@ class SimAggregateUnit final : public Module {
 
   void cycle(std::uint64_t now) override;
   void reset() override;
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override;
 
   [[nodiscard]] hwgen::AggOp op() const noexcept { return op_; }
   /// Raw 64-bit result (sum/min/max bits, or the count for kCount).

@@ -154,12 +154,9 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     return false;
   }
 
-  // The active PE's module set is replayed analytically; every other
-  // module must be provably frozen for the whole window (given the empty
-  // streams and idle ports established above) and of a known type, so
-  // that "frozen" means "per-tick no-op up to the stall counters that
-  // credit_idle_cycles reproduces". An unknown module type (e.g. a fault
-  // injection hook) is a structural boundary: exact mode takes over.
+  // The active PE's module set is replayed analytically. Any other
+  // module (another PE, a fault injection hook) is a structural
+  // boundary: exact mode ticks the chunk instead.
   std::vector<const Module*> active;
   active.reserve(pe.stages_.size() + 8);
   active.push_back(&pe);
@@ -171,28 +168,11 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   active.push_back(pe.out_buffer_.get());
   active.push_back(pe.store_.get());
 
-  std::vector<Module*> foreign;
-  for (Module* m : kernel.modules_) {
+  for (const Module* m : kernel.modules_) {
     if (m == axi) continue;
-    if (std::find(active.begin(), active.end(), m) != active.end()) continue;
-    if (auto* other = dynamic_cast<SimulatedPE*>(m)) {
-      if (other->busy()) return false;
-    } else if (auto* load = dynamic_cast<SimLoadUnit*>(m)) {
-      if (!load->done()) return false;
-    } else if (auto* ib = dynamic_cast<SimTupleInputBuffer*>(m)) {
-      if (ib->pending_.width() != 0 || ib->payload_bits_remaining_ != 0) {
-        return false;
-      }
-    } else if (auto* ob = dynamic_cast<SimTupleOutputBuffer*>(m)) {
-      if (ob->pending_.width() != 0) return false;
-    } else if (auto* st = dynamic_cast<SimStoreUnit*>(m)) {
-      if (!st->idle()) return false;
-    } else if (dynamic_cast<SimFilterStage*>(m) == nullptr &&
-               dynamic_cast<SimAggregateUnit*>(m) == nullptr &&
-               dynamic_cast<SimTransformUnit*>(m) == nullptr) {
+    if (std::find(active.begin(), active.end(), m) == active.end()) {
       return false;
     }
-    foreign.push_back(m);
   }
 
   // Register programming prechecks mirror start_run()'s NDPGEN_CHECKs:
@@ -468,8 +448,8 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
 
     // --- AXI interconnect (module order position 0) ---
     // Only this PE's two ports can hold demand (all ports started idle
-    // and foreign modules are frozen), so the round-robin walk reduces
-    // to granting the cyclically-nearest grantable port; the cursor
+    // and the kernel runs no other module), so the round-robin walk
+    // reduces to granting the cyclically-nearest grantable port; the cursor
     // lands one past the last grant, exactly as the inspected-counter
     // loop leaves it.
     {
@@ -877,11 +857,6 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   kernel.cycle_stats_.idle += 1;
   kernel.now_ = nf + 1;
   kernel.last_transfer_count_ = kernel.total_transfers();
-
-  // Foreign modules saw (nf - n0 + 1) no-op ticks; credit their per-tick
-  // counter effects (e.g. idle filter stages' stall_in) arithmetically.
-  const std::uint64_t window = nf - n0 + 1;
-  for (Module* m : foreign) m->credit_idle_cycles(window);
 
   return true;
 }

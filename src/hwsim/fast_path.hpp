@@ -14,12 +14,12 @@
 // tick loop would have produced — byte-identical, at a fraction of the
 // wall-clock cost.
 //
-// Structural-event boundaries drop back to the cycle-exact path: any
-// foreign in-flight state at chunk start, a mid-chunk watchdog trip or
-// deadlock horizon, invalid register programming, or an out-of-bounds
-// DRAM window all make run() return false without mutating anything, and
-// the caller re-runs the chunk through SimKernel::run_until so every
-// raise/fault behavior is bit-preserved.
+// Structural-event boundaries drop back to the cycle-exact path: a
+// module outside the PE or in-flight state at chunk start, a mid-chunk
+// watchdog trip or deadlock horizon, invalid register programming, or an
+// out-of-bounds DRAM window all make run() return false without mutating
+// anything, and the caller re-runs the chunk through SimKernel::run_until
+// so every raise/fault behavior is bit-preserved.
 #pragma once
 
 #include <cstdint>

@@ -73,18 +73,6 @@ void SimFilterStage::cycle(std::uint64_t /*now*/) {
   }
 }
 
-std::uint64_t SimFilterStage::next_activity(
-    std::uint64_t now) const noexcept {
-  return in_->can_pop() ? now + 1 : kNeverActive;
-}
-
-void SimFilterStage::credit_idle_cycles(std::uint64_t cycles) noexcept {
-  // Only called for spans where every module is inactive, which for a
-  // filter stage means its input stream is empty: each skipped tick
-  // would have taken exactly the input-stall branch of cycle().
-  stall_in_count_ += cycles;
-}
-
 void SimFilterStage::reset() {
   pass_count_ = 0;
   drop_count_ = 0;

@@ -31,12 +31,6 @@ class SimFilterStage final : public Module {
 
   void cycle(std::uint64_t now) override;
   void reset() override;
-  /// Only an input tuple makes this stage do anything beyond bumping its
-  /// input-stall counter — which credit_idle_cycles() reproduces
-  /// arithmetically across a fast-forward jump.
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override;
-  void credit_idle_cycles(std::uint64_t cycles) noexcept override;
 
   [[nodiscard]] std::uint64_t pass_count() const noexcept {
     return pass_count_;

@@ -18,10 +18,14 @@ bool parse_sim_mode(const std::string& text, SimMode* out) noexcept {
   return false;
 }
 
-SimMode sim_mode_from_env() noexcept {
+SimMode sim_mode_from_env() {
   const char* env = std::getenv("NDPGEN_SIM_MODE");
   SimMode mode = SimMode::kFast;
-  if (env != nullptr) parse_sim_mode(env, &mode);
+  if (env != nullptr && !parse_sim_mode(env, &mode)) {
+    ndpgen::raise(ErrorKind::kInvalidArg,
+                  std::string("NDPGEN_SIM_MODE='") + env +
+                      "' (expected 'exact' or 'fast')");
+  }
   return mode;
 }
 
@@ -62,19 +66,6 @@ bool SimKernel::quiescent() const noexcept {
   return true;
 }
 
-std::uint64_t SimKernel::next_activity_horizon() const noexcept {
-  // Buffered stream data can wake a reactive consumer on the very next
-  // tick, even when every module reports a distant (or no) wake time.
-  if (!streams_empty()) return now_ + 1;
-  std::uint64_t horizon = kNeverActive;
-  for (const Module* module : modules_) {
-    const std::uint64_t next = module->next_activity(now_);
-    if (next < horizon) horizon = next;
-    if (horizon <= now_ + 1) break;  // Already pinned to exact ticking.
-  }
-  return horizon;
-}
-
 std::uint64_t SimKernel::run_until(const std::function<bool()>& done,
                                    std::uint64_t max_cycles) {
   const std::uint64_t start = now_;
@@ -97,37 +88,6 @@ std::uint64_t SimKernel::run_until(const std::function<bool()>& done,
                       "watchdog: no ready/valid progress for " +
                           std::to_string(watchdog_cycles_) +
                           " cycles (hung kernel)");
-      }
-    }
-    if (mode_ == SimMode::kFast) {
-      const std::uint64_t horizon = next_activity_horizon();
-      if (horizon > now_ + 1) {
-        // Event-driven fast-forward: no module can change dataflow state
-        // before `horizon`, so the whole gap collapses into one
-        // arithmetic credit — same classification buckets, same
-        // per-tick counter effects (via credit_idle_cycles), and
-        // total() == now() preserved. The jump is capped so the
-        // deadlock and watchdog raises above still fire at exactly the
-        // cycle the tick-by-tick loop would have reached.
-        const std::uint64_t deadline = (max_cycles > kNeverActive - start)
-                                           ? kNeverActive
-                                           : start + max_cycles;
-        std::uint64_t target = horizon < deadline ? horizon : deadline;
-        if (watchdog_cycles_ > 0 &&
-            stalled_since + watchdog_cycles_ < target) {
-          target = stalled_since + watchdog_cycles_;
-        }
-        if (target > now_) {
-          const std::uint64_t jump = target - now_;
-          const bool was_quiescent = quiescent();
-          for (Module* module : modules_) {
-            module->credit_idle_cycles(jump);
-          }
-          (was_quiescent ? cycle_stats_.idle : cycle_stats_.stalled) +=
-              jump;
-          now_ = target;
-          continue;
-        }
       }
     }
     tick();

@@ -15,25 +15,20 @@ struct Observability;
 
 namespace ndpgen::hwsim {
 
-/// Simulation fidelity selector. kExact ticks every cycle; kFast keeps
-/// the same cycle-accurate semantics but lets the kernel jump over spans
-/// where no module can change dataflow state (and lets the fused chunk
-/// engine replace whole PE chunk runs with an analytic replay). The two
-/// modes are required to produce byte-identical stats, metrics and
-/// traces — fast mode only changes wall-clock cost, never results.
+/// Simulation fidelity selector. kExact ticks the PE's module netlist
+/// every cycle; kFast replays each PE chunk with the fused chunk engine
+/// (FastChunkEngine) and ticks exactly any chunk the engine declines.
+/// The two modes are required to produce byte-identical stats, metrics
+/// and traces — fast mode only changes wall-clock cost, never results.
 enum class SimMode : std::uint8_t { kExact, kFast };
 
-/// Reads NDPGEN_SIM_MODE ("exact" or "fast"). Unset/unknown -> kFast:
-/// the default keeps every test and bench continuously validating the
-/// fast path against the committed expectations.
-[[nodiscard]] SimMode sim_mode_from_env() noexcept;
+/// Reads NDPGEN_SIM_MODE ("exact" or "fast"); unset -> kFast, so every
+/// test and bench continuously validates the fast path against the
+/// committed expectations. Throws Error{kInvalidArg} on any other value.
+[[nodiscard]] SimMode sim_mode_from_env();
 
 /// Parses "exact"/"fast"; returns false on unknown input.
 bool parse_sim_mode(const std::string& text, SimMode* out) noexcept;
-
-/// A module's next_activity() when it cannot act again until some other
-/// module moves first (an event, not the clock, will wake it).
-inline constexpr std::uint64_t kNeverActive = ~std::uint64_t{0};
 
 /// A clocked hardware module. cycle() is called once per clock tick; all
 /// stream pushes performed inside it become visible next tick.
@@ -49,27 +44,6 @@ class Module {
 
   /// True when the module has in-flight work (used for busy detection).
   [[nodiscard]] virtual bool idle() const noexcept { return true; }
-
-  /// Earliest cycle at which this module's cycle() could do anything
-  /// observable beyond the per-tick counter bumps credited by
-  /// credit_idle_cycles() — given that NO other module acts first. The
-  /// default (now + 1) is always safe: it pins the kernel to exact
-  /// ticking. Returning a later cycle (or kNeverActive) lets fast mode
-  /// jump the gap; the contract is that ticking the module anywhere in
-  /// (now, next_activity) would leave all dataflow state unchanged.
-  [[nodiscard]] virtual std::uint64_t next_activity(
-      std::uint64_t now) const noexcept {
-    return now + 1;
-  }
-
-  /// Applies the per-tick counter effects of `cycles` skipped ticks in
-  /// one arithmetic step (e.g. a filter stage's input-stall counter).
-  /// Called only for spans every module declared inactive, so the
-  /// default no-op is correct for modules whose idle cycle() has no
-  /// side effects at all.
-  virtual void credit_idle_cycles(std::uint64_t cycles) noexcept {
-    (void)cycles;
-  }
 
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
 
@@ -108,11 +82,6 @@ class SimKernel {
  public:
   /// Registers a module; evaluation order is registration order.
   void add_module(Module* module);
-
-  /// Selects exact ticking vs event-driven fast-forward (default: the
-  /// NDPGEN_SIM_MODE environment variable, falling back to kFast).
-  void set_mode(SimMode mode) noexcept { mode_ = mode; }
-  [[nodiscard]] SimMode mode() const noexcept { return mode_; }
 
   /// Creates a stream owned by the kernel.
   template <typename T>
@@ -183,9 +152,6 @@ class SimKernel {
  private:
   friend class FastChunkEngine;
 
-  /// Earliest next_activity() over all modules, or kNeverActive.
-  [[nodiscard]] std::uint64_t next_activity_horizon() const noexcept;
-
   /// True when the current (frozen) state would classify as an idle
   /// tick: all streams empty and all modules idle.
   [[nodiscard]] bool quiescent() const noexcept;
@@ -193,7 +159,6 @@ class SimKernel {
   std::vector<Module*> modules_;
   std::vector<std::unique_ptr<StreamBase>> streams_;
   std::uint64_t now_ = 0;
-  SimMode mode_ = sim_mode_from_env();
   CycleStats cycle_stats_;
   std::uint64_t last_transfer_count_ = 0;  ///< For useful-tick detection.
   std::uint64_t watchdog_cycles_ = 0;  ///< 0 = watchdog disabled.

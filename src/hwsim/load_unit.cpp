@@ -60,24 +60,4 @@ void SimLoadUnit::reset() {
 
 bool SimLoadUnit::idle() const noexcept { return done(); }
 
-std::uint64_t SimLoadUnit::next_activity(
-    std::uint64_t now) const noexcept {
-  if (done()) return kNeverActive;
-  // Can issue a read this cycle.
-  if (words_requested_ < words_total_ &&
-      port_->pending_requests() < kMaxInFlight) {
-    return now + 1;
-  }
-  // Waiting on read data: the event horizon is when the oldest response
-  // matures (assuming downstream can accept; if it can't, the consumer
-  // pops first and is itself active, pinning the kernel to exact ticks).
-  const std::uint64_t ready = port_->next_read_ready();
-  if (ready != kNeverActive && out_->can_push()) {
-    return ready > now + 1 ? ready : now + 1;
-  }
-  // Otherwise a grant (interconnect activity) or a downstream pop must
-  // happen first — both come from other modules.
-  return kNeverActive;
-}
-
 }  // namespace ndpgen::hwsim

@@ -26,8 +26,6 @@ class SimLoadUnit final : public Module {
   void cycle(std::uint64_t now) override;
   void reset() override;
   [[nodiscard]] bool idle() const noexcept override;
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override;
 
   /// True once every requested word has been pushed downstream.
   [[nodiscard]] bool done() const noexcept {

@@ -146,14 +146,4 @@ bool AxiInterconnect::idle() const noexcept {
   return true;
 }
 
-std::uint64_t AxiInterconnect::next_activity(
-    std::uint64_t now) const noexcept {
-  for (const auto& port : ports_) {
-    if (!port->read_queue_.empty() || !port->write_queue_.empty()) {
-      return now + 1;
-    }
-  }
-  return kNeverActive;
-}
-
 }  // namespace ndpgen::hwsim

@@ -54,13 +54,6 @@ class AxiPort {
   /// Pops one beat of read data (call only when available).
   [[nodiscard]] std::uint64_t pop_read_data(std::uint64_t now);
 
-  /// Cycle at which the oldest in-flight read response becomes
-  /// consumable, or kNeverActive when none is in flight (event horizon
-  /// for fast-forwarding a memory-latency wait).
-  [[nodiscard]] std::uint64_t next_read_ready() const noexcept {
-    return responses_.empty() ? kNeverActive : responses_.front().ready_at;
-  }
-
   /// Queues one write beat.
   void request_write(std::uint64_t addr, std::uint64_t data);
 
@@ -122,13 +115,6 @@ class AxiInterconnect final : public Module {
   void cycle(std::uint64_t now) override;
   void reset() override;
   [[nodiscard]] bool idle() const noexcept override;
-
-  /// The interconnect only grants when some port has queued requests;
-  /// with every queue empty its cycle() is a pure no-op (the round-robin
-  /// cursor provably returns to its starting position), so fast mode may
-  /// skip it. Pending read *responses* need no interconnect activity.
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override;
 
   // Statistics.
   [[nodiscard]] std::uint64_t total_beats() const noexcept {

@@ -274,18 +274,9 @@ void SimulatedPE::reset() {
   last_stats_ = ChunkStats{};
 }
 
-void SimulatedPE::run_to_completion(std::uint64_t max_cycles) {
-  if (kernel_->mode() == SimMode::kFast &&
-      FastChunkEngine::run(*kernel_, *this, max_cycles)) {
-    return;
-  }
-  kernel_->run_until([this] { return !busy(); }, max_cycles);
-}
-
 PETestBench::PETestBench(const hw::PEDesign& design, PEBenchConfig config)
-    : memory_(config.memory_bytes) {
+    : memory_(config.memory_bytes), sim_mode_(config.sim_mode) {
   kernel_.set_observability(&obs_);
-  kernel_.set_mode(config.sim_mode);
   interconnect_ = std::make_unique<AxiInterconnect>(memory_, config.axi);
   kernel_.add_module(interconnect_.get());
   pe_ = std::make_unique<SimulatedPE>(design, kernel_, *interconnect_);
@@ -303,9 +294,8 @@ void PETestBench::set_filter(std::uint32_t stage, std::uint32_t field_sel,
   pe_->mmio_write(map.offset_of(hw::reg::filter_op(stage)), op_encoding);
 }
 
-ChunkStats PETestBench::run_chunk(std::uint64_t src_addr,
-                                  std::uint64_t dst_addr,
-                                  std::uint32_t payload_bytes) {
+void PETestBench::start_chunk(std::uint64_t src_addr, std::uint64_t dst_addr,
+                              std::uint32_t payload_bytes) {
   const auto& map = pe_->regmap();
   pe_->mmio_write(map.offset_of(hw::reg::kInAddrLo),
                   static_cast<std::uint32_t>(src_addr));
@@ -319,7 +309,17 @@ ChunkStats PETestBench::run_chunk(std::uint64_t src_addr,
     pe_->mmio_write(map.offset_of(hw::reg::kInSize), payload_bytes);
   }
   pe_->mmio_write(map.offset_of(hw::reg::kStart), 1);
-  pe_->run_to_completion();
+}
+
+ChunkStats PETestBench::run_chunk(std::uint64_t src_addr,
+                                  std::uint64_t dst_addr,
+                                  std::uint32_t payload_bytes) {
+  start_chunk(src_addr, dst_addr, payload_bytes);
+  constexpr std::uint64_t kMaxCycles = 100'000'000;
+  if (sim_mode_ != SimMode::kFast ||
+      !FastChunkEngine::run(kernel_, *pe_, kMaxCycles)) {
+    kernel_.run_until([this] { return !pe_->busy(); }, kMaxCycles);
+  }
   return pe_->last_stats();
 }
 

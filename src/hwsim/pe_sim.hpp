@@ -68,20 +68,6 @@ class SimulatedPE final : public Module {
   void cycle(std::uint64_t now) override;
   void reset() override;
   [[nodiscard]] bool idle() const noexcept override { return !busy(); }
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override {
-    return busy() ? now + 1 : kNeverActive;
-  }
-
-  /// Drives the kernel until this PE's current run completes (the START
-  /// bit must have been written). In fast mode this dispatches to the
-  /// fused analytic chunk engine when the kernel state is eligible,
-  /// producing byte-identical stats/metrics/traces at a fraction of the
-  /// wall-clock cost; otherwise (exact mode, foreign in-flight state,
-  /// structural boundaries like an armed-watchdog trip) it falls back to
-  /// the cycle-exact run_until loop.
-  void run_to_completion(std::uint64_t max_cycles = 100'000'000);
-
   /// Statistics of the most recently completed run.
   [[nodiscard]] const ChunkStats& last_stats() const noexcept {
     return last_stats_;
@@ -138,8 +124,8 @@ struct PEBenchConfig {
   /// the AXI interconnect.
   std::size_t memory_bytes = 8 * 1024 * 1024;
   AxiInterconnect::Config axi{};
-  /// Exact ticking vs event-driven fast-forward (results are identical
-  /// either way; see SimMode).
+  /// Exact ticking vs fused chunk replay (results are identical either
+  /// way; see SimMode).
   SimMode sim_mode = sim_mode_from_env();
 };
 
@@ -165,12 +151,19 @@ class PETestBench {
   void set_filter(std::uint32_t stage, std::uint32_t field_sel,
                   std::uint32_t op_encoding, std::uint64_t compare_value);
 
-  /// Runs one chunk synchronously; returns the PE statistics.
+  /// Programs one chunk's address and size registers and writes START.
+  void start_chunk(std::uint64_t src_addr, std::uint64_t dst_addr,
+                   std::uint32_t payload_bytes);
+
+  /// Runs one chunk synchronously; returns the PE statistics. Fast mode
+  /// replays it with FastChunkEngine and ticks the kernel exactly only
+  /// when the engine declines.
   ChunkStats run_chunk(std::uint64_t src_addr, std::uint64_t dst_addr,
                        std::uint32_t payload_bytes);
 
  private:
   SimMemory memory_;
+  SimMode sim_mode_;
   obs::Observability obs_;
   SimKernel kernel_;
   std::unique_ptr<AxiInterconnect> interconnect_;

@@ -65,20 +65,4 @@ bool SimStoreUnit::done() const noexcept {
 
 bool SimStoreUnit::idle() const noexcept { return done() || !started_; }
 
-std::uint64_t SimStoreUnit::next_activity(
-    std::uint64_t now) const noexcept {
-  if (!started_) return kNeverActive;
-  if (in_->can_pop() && port_->pending_requests() < kMaxInFlight) {
-    return now + 1;
-  }
-  if (!configurable_ && upstream_done_ && !in_->can_pop() &&
-      bytes_transferred_ < chunk_bytes_ &&
-      port_->pending_requests() < kMaxInFlight) {
-    return now + 1;
-  }
-  // Waiting on upstream data or on the interconnect draining the write
-  // queue — both are other modules' activity.
-  return kNeverActive;
-}
-
 }  // namespace ndpgen::hwsim

@@ -28,8 +28,6 @@ class SimStoreUnit final : public Module {
   void cycle(std::uint64_t now) override;
   void reset() override;
   [[nodiscard]] bool idle() const noexcept override;
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override;
 
   /// All payload (and static-mode padding) has been queued to the port.
   [[nodiscard]] bool done() const noexcept;

@@ -38,11 +38,6 @@ void SimTransformUnit::cycle(std::uint64_t /*now*/) {
   ++tuples_transformed_;
 }
 
-std::uint64_t SimTransformUnit::next_activity(
-    std::uint64_t now) const noexcept {
-  return in_->can_pop() ? now + 1 : kNeverActive;
-}
-
 void SimTransformUnit::reset() { tuples_transformed_ = 0; }
 
 }  // namespace ndpgen::hwsim

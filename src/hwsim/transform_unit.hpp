@@ -23,8 +23,6 @@ class SimTransformUnit final : public Module {
 
   void cycle(std::uint64_t now) override;
   void reset() override;
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override;
 
   [[nodiscard]] std::uint64_t tuples_transformed() const noexcept {
     return tuples_transformed_;

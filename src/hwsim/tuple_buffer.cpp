@@ -88,16 +88,6 @@ bool SimTupleInputBuffer::idle() const noexcept {
          pending_.width() < layout_.storage_bits;
 }
 
-std::uint64_t SimTupleInputBuffer::next_activity(
-    std::uint64_t now) const noexcept {
-  if (in_->can_pop() ||                             // can accept a word
-      pending_.width() >= layout_.storage_bits ||   // can emit a tuple
-      (payload_bits_remaining_ == 0 && pending_.width() > 0)) {
-    return now + 1;  // trailing-slack drop pending
-  }
-  return kNeverActive;
-}
-
 SimTupleOutputBuffer::SimTupleOutputBuffer(std::string name,
                                            const analysis::TupleLayout& layout,
                                            Stream<Tuple>* in,
@@ -144,16 +134,6 @@ void SimTupleOutputBuffer::reset() {
 
 bool SimTupleOutputBuffer::idle() const noexcept {
   return pending_.width() == 0;
-}
-
-std::uint64_t SimTupleOutputBuffer::next_activity(
-    std::uint64_t now) const noexcept {
-  if (in_->can_pop() ||               // can accept a tuple
-      pending_.width() >= 64 ||       // can emit a full word
-      (upstream_done_ && pending_.width() > 0)) {  // final flush pending
-    return now + 1;
-  }
-  return kNeverActive;
 }
 
 }  // namespace ndpgen::hwsim

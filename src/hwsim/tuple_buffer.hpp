@@ -39,8 +39,6 @@ class SimTupleInputBuffer final : public Module {
   void cycle(std::uint64_t now) override;
   void reset() override;
   [[nodiscard]] bool idle() const noexcept override;
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override;
 
   [[nodiscard]] std::uint64_t tuples_produced() const noexcept {
     return tuples_produced_;
@@ -72,8 +70,6 @@ class SimTupleOutputBuffer final : public Module {
   void cycle(std::uint64_t now) override;
   void reset() override;
   [[nodiscard]] bool idle() const noexcept override;
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override;
 
   /// Valid payload bytes emitted (before word-alignment padding).
   [[nodiscard]] std::uint64_t payload_bytes() const noexcept {

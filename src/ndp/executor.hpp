@@ -162,8 +162,8 @@ struct ExecutorConfig {
   /// capped at the hardware concurrency. The thread count NEVER affects
   /// results, stats, traces or fault outcomes — only wall-clock time.
   std::uint32_t pe_threads = 0;
-  /// PE-kernel fidelity for shard benches (exact ticking vs event-driven
-  /// fast-forward). Results are byte-identical either way; see SimMode.
+  /// PE-kernel fidelity for shard benches (exact ticking vs fused chunk
+  /// replay). Results are byte-identical either way; see SimMode.
   hwsim::SimMode sim_mode = hwsim::sim_mode_from_env();
   /// Extracts the key from an OUTPUT-layout record, enabling recency
   /// dedup and tombstone suppression on scan results. When the transform

@@ -55,10 +55,10 @@ void CosmosPlatform::publish_metrics() {
   m.raise(m.gauge("platform.nvme.bytes_to_host"), nvme_.bytes_to_host());
   m.raise(m.gauge("platform.nvme.commands"), nvme_.commands());
   // Fraction of simulated PE-kernel cycles that did no useful work, in
-  // permille. This is the fast-forwarding opportunity (ROADMAP): every
-  // stalled/idle cycle is one the kernel could skip. Counters exist only
-  // once a PE chunk ran, so scans that never touch hardware keep their
-  // metrics dump byte-identical to earlier builds.
+  // permille: every stalled/idle cycle is one the exact tick loop spends
+  // without moving data. Counters exist only once a PE chunk ran, so
+  // scans that never touch hardware keep their metrics dump
+  // byte-identical to earlier builds.
   // (Merged-in shard registries drop never-moved counters, so each class
   // must be read defensively.)
   const auto counter_or_zero = [&m](std::string_view name) -> std::uint64_t {

@@ -1,7 +1,7 @@
-// Fast-forward kernel tests: the event-driven mode must produce exactly
-// the state the tick-by-tick loop produces — same virtual time, same
-// cycle classification, same stats, same memory — only faster.
-#include "hwsim/kernel.hpp"
+// Fused chunk replay tests: fast mode must produce exactly the state the
+// tick-by-tick loop produces — same virtual time, same cycle
+// classification, same stats, same memory — only faster.
+#include "hwsim/fast_path.hpp"
 
 #include <gtest/gtest.h>
 
@@ -12,9 +12,12 @@
 
 #include "hwgen/register_map.hpp"
 #include "hwgen/template_builder.hpp"
-#include "hwsim/fast_path.hpp"
 #include "hwsim/pe_sim.hpp"
+#include "kv/block_format.hpp"
 #include "properties/random_spec.hpp"
+#include "query/compiler.hpp"
+#include "query/plan_parser.hpp"
+#include "query/plan_suite.hpp"
 #include "spec/parser.hpp"
 #include "support/bytes.hpp"
 #include "support/error.hpp"
@@ -25,122 +28,6 @@ namespace ndpgen::hwsim {
 namespace {
 
 namespace hw = ndpgen::hwgen;
-
-/// Sleeps until a fixed virtual cycle, then emits one token. Declares its
-/// wake time through next_activity so fast mode can jump the gap.
-class TimerModule final : public Module {
- public:
-  TimerModule(Stream<int>* out, std::uint64_t wake_at)
-      : Module("timer"), out_(out), wake_at_(wake_at) {}
-  void cycle(std::uint64_t now) override {
-    if (!fired_ && now >= wake_at_ && out_->can_push()) {
-      out_->push(1);
-      fired_ = true;
-    }
-  }
-  [[nodiscard]] bool idle() const noexcept override { return fired_; }
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t now) const noexcept override {
-    if (fired_) return kNeverActive;
-    return wake_at_ > now ? wake_at_ : now + 1;
-  }
-
- private:
-  Stream<int>* out_;
-  std::uint64_t wake_at_;
-  bool fired_ = false;
-};
-
-/// Consumes tokens and records the idle credit it was granted.
-class CreditSink final : public Module {
- public:
-  explicit CreditSink(Stream<int>* in) : Module("sink"), in_(in) {}
-  void cycle(std::uint64_t) override {
-    if (in_->can_pop()) {
-      (void)in_->pop();
-      ++popped;
-    }
-  }
-  [[nodiscard]] std::uint64_t next_activity(
-      std::uint64_t) const noexcept override {
-    return kNeverActive;  // Purely reactive: the stream wakes the kernel.
-  }
-  void credit_idle_cycles(std::uint64_t cycles) noexcept override {
-    credited += cycles;
-  }
-  int popped = 0;
-  std::uint64_t credited = 0;
-
- private:
-  Stream<int>* in_;
-};
-
-struct GapRun {
-  std::uint64_t now;
-  CycleStats stats;
-  std::uint64_t credited;
-};
-
-GapRun run_gap(SimMode mode, std::uint64_t wake_at) {
-  SimKernel kernel;
-  kernel.set_mode(mode);
-  auto* stream = kernel.make_stream<int>("wire");
-  TimerModule timer(stream, wake_at);
-  CreditSink sink(stream);
-  kernel.add_module(&timer);
-  kernel.add_module(&sink);
-  kernel.run_until([&] { return sink.popped == 1; });
-  return {kernel.now(), kernel.cycle_stats(), sink.credited};
-}
-
-TEST(FastForward, IdleGapCollapsesToArithmeticCredit) {
-  const auto exact = run_gap(SimMode::kExact, 100'000);
-  const auto fast = run_gap(SimMode::kFast, 100'000);
-  EXPECT_EQ(exact.now, fast.now);
-  EXPECT_EQ(exact.stats.useful, fast.stats.useful);
-  EXPECT_EQ(exact.stats.stalled, fast.stats.stalled);
-  EXPECT_EQ(exact.stats.idle, fast.stats.idle);
-  // Both partitions account for every tick...
-  EXPECT_EQ(fast.stats.total(), fast.now);
-  // ...and fast mode covered (almost) the whole gap with arithmetic
-  // credit rather than ticks, while exact mode never credits.
-  EXPECT_EQ(exact.credited, 0u);
-  EXPECT_GE(fast.credited, 99'000u);
-}
-
-TEST(FastForward, WatchdogTripsAtSameVirtualCycleUnderJumps) {
-  auto trip_cycle = [](SimMode mode) {
-    SimKernel kernel;
-    kernel.set_mode(mode);
-    auto* stream = kernel.make_stream<int>("wire");
-    TimerModule timer(stream, 10'000);  // Far beyond the watchdog horizon.
-    CreditSink sink(stream);
-    kernel.add_module(&timer);
-    kernel.add_module(&sink);
-    kernel.set_watchdog(137);
-    EXPECT_THROW(kernel.run_until([&] { return sink.popped == 1; }),
-                 Error);
-    return kernel.now();
-  };
-  EXPECT_EQ(trip_cycle(SimMode::kExact), trip_cycle(SimMode::kFast));
-}
-
-TEST(FastForward, DeadlockTimeoutAtSameVirtualCycle) {
-  auto timeout_cycle = [](SimMode mode) {
-    SimKernel kernel;
-    kernel.set_mode(mode);
-    auto* stream = kernel.make_stream<int>("wire");
-    TimerModule timer(stream, 50'000);
-    CreditSink sink(stream);
-    kernel.add_module(&timer);
-    kernel.add_module(&sink);
-    EXPECT_THROW(
-        kernel.run_until([&] { return sink.popped == 1; }, 1'000),
-        Error);
-    return kernel.now();
-  };
-  EXPECT_EQ(timeout_cycle(SimMode::kExact), timeout_cycle(SimMode::kFast));
-}
 
 // ---- Fused chunk replay vs exact ticking ------------------------------
 
@@ -339,6 +226,66 @@ TEST(FastForward, ForeignModuleForcesExactFallbackWithSameResults) {
   const auto [sf, mf] = run(SimMode::kFast, true);
   expect_chunk_eq(se, sf);
   EXPECT_EQ(me, mf);
+}
+
+TEST(FastForward, FusedEngineAppliesToEveryStockDesign) {
+  // A declined chunk costs full exact ticking, yet still matches exact
+  // mode: only this test sees a decline. Each shipped design runs one
+  // full data block, programmed with the register writes run_chunk makes.
+  const workload::PubGraphGenerator generator(
+      workload::PubGraphConfig{.scale_divisor = 4096});
+  auto expect_fused = [&](const hw::PEDesign& design, bool papers,
+                          hw::AggOp agg = hw::AggOp::kNone) {
+    const std::uint32_t records =
+        kv::records_per_block(design.parser.input.storage_bytes());
+    std::vector<std::uint8_t> payload;
+    for (std::uint64_t i = 0; i < records; ++i) {
+      const auto record = papers ? generator.paper(i).serialize()
+                                 : generator.ref(i).serialize();
+      payload.insert(payload.end(), record.begin(), record.end());
+    }
+    PEBenchConfig config = bench_config(SimMode::kFast);
+    config.memory_bytes = 2 * kv::kDataBlockBytes;
+    PETestBench bench(design, config);
+    bench.memory().write_bytes(0, payload);
+    bench.set_filter(0, 0, 2 /* gt */, 5);
+    for (std::uint32_t s = 1; s < design.filter_stage_count(); ++s) {
+      bench.set_filter(s, 0, 6 /* nop */, 0);
+    }
+    if (agg != hw::AggOp::kNone) {
+      const auto& map = bench.pe().regmap();
+      bench.pe().mmio_write(map.offset_of(hw::reg::kAggOp),
+                            static_cast<std::uint32_t>(agg));
+      bench.pe().mmio_write(map.offset_of(hw::reg::kAggField), 1);
+    }
+    bench.start_chunk(0, kv::kDataBlockBytes,
+                      static_cast<std::uint32_t>(payload.size()));
+    EXPECT_TRUE(FastChunkEngine::run(bench.kernel(), bench.pe(), 100'000'000));
+    EXPECT_EQ(bench.pe().last_stats().tuples_in, records);
+  };
+  const std::string pubgraph = workload::pubgraph_spec_source();
+  expect_fused(design_for(pubgraph, "PaperScan"), true);
+  expect_fused(design_for(pubgraph, "RefScan"), false);
+  expect_fused(design_for(pubgraph, "PaperScan", hw::DesignFlavor::kGenerated,
+                          true),
+               true, hw::AggOp::kSum);
+
+  const auto paper_scan =
+      analysis::analyze_parser(spec::parse_spec(pubgraph), "PaperScan");
+  hw::TemplateOptions baseline;
+  baseline.flavor = hw::DesignFlavor::kHandcraftedBaseline;
+  baseline.static_payload_bytes =
+      kv::records_per_block(paper_scan.input.storage_bytes()) *
+      paper_scan.input.storage_bytes();
+  expect_fused(hw::build_pe_design(paper_scan, baseline), true);
+
+  const auto plan = query::compile_plan(
+      query::parse_plan(query::find_plan("recent_top")->source).value());
+  ASSERT_TRUE(plan.ok()) << plan.status().to_string();
+  const query::LeafPipeline& leaf = plan.value().probe;
+  ASSERT_EQ(leaf.dataset, workload::Dataset::kPapers);
+  ASSERT_TRUE(leaf.offloaded);
+  expect_fused(design_for(leaf.spec_source, leaf.parser_name), true);
 }
 
 // ---- Output plane: the per-design copy plan vs the exact datapath -------

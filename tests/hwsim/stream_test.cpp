@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <string>
+
 #include "hwsim/kernel.hpp"
 #include "support/error.hpp"
 
@@ -116,6 +119,27 @@ TEST(Kernel, RunUntilTimesOut) {
   SimKernel kernel;
   EXPECT_THROW(kernel.run_until([] { return false; }, 100), ndpgen::Error);
   EXPECT_EQ(kernel.now(), 100u);
+}
+
+TEST(Kernel, SimModeFromEnvRejectsUnknownValue) {
+  // A typo must not silently select fast mode: CI would then diff fast
+  // against fast.
+  const char* saved = std::getenv("NDPGEN_SIM_MODE");
+  const std::string previous = saved != nullptr ? saved : "";
+  setenv("NDPGEN_SIM_MODE", "exakt", 1);
+  try {
+    (void)sim_mode_from_env();
+    ADD_FAILURE() << "unknown NDPGEN_SIM_MODE accepted";
+  } catch (const ndpgen::Error& e) {
+    EXPECT_EQ(e.kind(), ndpgen::ErrorKind::kInvalidArg);
+    EXPECT_EQ(e.message(),
+              "NDPGEN_SIM_MODE='exakt' (expected 'exact' or 'fast')");
+  }
+  if (saved != nullptr) {
+    setenv("NDPGEN_SIM_MODE", previous.c_str(), 1);
+  } else {
+    unsetenv("NDPGEN_SIM_MODE");
+  }
 }
 
 TEST(Kernel, ResetRestoresInitialState) {

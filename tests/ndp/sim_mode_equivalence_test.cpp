@@ -1,9 +1,9 @@
 // Exact-vs-fast simulation equivalence at the executor level.
 //
-// The load-bearing acceptance of the event-driven kernel: for every
+// The load-bearing acceptance of the fused chunk replay: for every
 // dataset, shard count and fault profile, SimMode::kFast must produce
 // byte-identical results, stats and trace bytes to SimMode::kExact —
-// fast-forwarding buys wall-clock time only, never visibility.
+// fast mode buys wall-clock time only, never visibility.
 #include <gtest/gtest.h>
 
 #include <sstream>

@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Diff two BENCH_*.json files row-by-row, optionally ignoring series.
 
-The sim-equivalence CI job runs the same bench once per kernel mode
+The sim-equivalence CI job runs the same bench once per sim mode
 (NDPGEN_SIM_MODE=exact / fast) and requires every virtual-time row to be
 byte-identical between the two runs. Rows measuring *wall-clock* sim
 throughput (series "sim_throughput") legitimately differ — that gap is
-the whole point of the fast-forwarding kernel — so they are excluded
-with --ignore-series.
+the whole point of fast mode's fused chunk replay — so they are
+excluded with --ignore-series.
 
 Usage:
   diff_bench_json.py A.json B.json [--ignore-series sim_throughput ...]

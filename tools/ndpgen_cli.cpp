@@ -186,11 +186,10 @@ int usage() {
                "  host threads driving the shards (0 = one per shard).\n"
                "  --sim-mode picks the PE-kernel fidelity: exact ticks "
                "every cycle,\n"
-               "  fast (the default, or NDPGEN_SIM_MODE) fast-forwards "
-               "idle gaps and\n"
-               "  replays chunks analytically — stats, metrics and traces "
-               "are\n"
-               "  byte-identical either way.\n"
+               "  fast (the default, or NDPGEN_SIM_MODE) replays chunks "
+               "analytically —\n"
+               "  stats, metrics and traces are byte-identical either "
+               "way.\n"
                "  --fault-profile enables the deterministic storage "
                "reliability model;\n"
                "  presets: none, aged, degraded, stress, device-loss, "

@@ -14,6 +14,13 @@ namespace {
 /// scales exactly like the device-side machinery it reuses.
 constexpr platform::SimTime kMergePerResult = 35;  // ns
 
+/// Hedge deadline = max(kHedgeFloorNs, p99(sub-scan latencies) x
+/// kHedgeFactor); a sub-scan slower than that is raced against a second
+/// replica. Only active once kHedgeMinSamples latencies were observed.
+constexpr double kHedgeFactor = 3.0;
+constexpr platform::SimTime kHedgeFloorNs = 200 * 1000;  // 200 us
+constexpr std::size_t kHedgeMinSamples = 16;
+
 }  // namespace
 
 ClusterCoordinator::ClusterCoordinator(
@@ -24,17 +31,14 @@ ClusterCoordinator::ClusterCoordinator(
       devices_(std::move(devices)),
       spare_loader_(std::move(spare_loader)),
       placement_(config_.placement),
-      health_(static_cast<std::uint32_t>(devices_.size()), config_.health),
-      rebuild_(config_.rebuild),
+      health_(static_cast<std::uint32_t>(devices_.size())),
       injector_(config_.device_fault),
-      link_(queue_, config_.timing) {
+      link_(queue_, timing_) {
   NDPGEN_CHECK_ARG(devices_.size() >= config_.placement.devices,
                    "fewer device stacks than ring members");
   NDPGEN_CHECK_ARG(static_cast<bool>(config_.result_key),
                    "cluster coordinator requires result_key for partition "
                    "filtering and the global merge");
-  NDPGEN_CHECK_ARG(config_.hedge_factor >= 1.0,
-                   "hedge factor must be at least 1");
   link_.set_observability(&obs_);
   if (config_.scrub.enabled) {
     // Every device (spares included — they scrub once on the ring) gets a
@@ -112,7 +116,7 @@ std::uint32_t ClusterCoordinator::serving_replica(
 }
 
 std::optional<platform::SimTime> ClusterCoordinator::hedge_deadline() const {
-  if (latency_samples_.size() < config_.hedge_min_samples) {
+  if (latency_samples_.size() < kHedgeMinSamples) {
     return std::nullopt;
   }
   // Nearest-rank p99 over the sorted sample window (same convention as
@@ -123,8 +127,8 @@ std::optional<platform::SimTime> ClusterCoordinator::hedge_deadline() const {
       std::min(latency_samples_.size() - 1, rank == 0 ? 0 : rank - 1);
   const platform::SimTime p99 = latency_samples_[index];
   const auto deadline = static_cast<platform::SimTime>(
-      std::llround(static_cast<double>(p99) * config_.hedge_factor));
-  return std::max(config_.hedge_floor_ns, deadline);
+      std::llround(static_cast<double>(p99) * kHedgeFactor));
+  return std::max(kHedgeFloorNs, deadline);
 }
 
 void ClusterCoordinator::record_latency_sample(platform::SimTime latency) {
@@ -364,7 +368,7 @@ ndp::ScanStats ClusterCoordinator::multi_range_scan(
         // Unreachable members are detected in parallel at the NVMe
         // timeout; the retry round starts one detection window later.
         next_offset =
-            std::max(next_offset, round_offset + config_.timing.nvme_timeout);
+            std::max(next_offset, round_offset + timing_.nvme_timeout);
         failed_partitions.insert(failed_partitions.end(),
                                  assigned[d].begin(), assigned[d].end());
         if (obs_.tracing()) {

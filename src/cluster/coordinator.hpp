@@ -52,21 +52,11 @@ namespace ndpgen::cluster {
 
 struct CoordinatorConfig {
   PlacementConfig placement;
-  HealthConfig health;
-  RebuildConfig rebuild;
-  /// Frontend host-link timing (doorbells + merged result transfer).
-  platform::TimingConfig timing;
   /// Device-level fault schedule (kind/target/trigger; none by default).
   fault::FaultProfile device_fault;
   /// Extracts the key from an output-layout record: partitions device
   /// results and orders the global merge. Required.
   kv::KeyExtractor result_key;
-  /// Hedge deadline = max(floor, p99(sub-scan latencies) * factor); a
-  /// sub-scan slower than that is raced against a second replica. Only
-  /// active once min_samples latencies have been observed.
-  double hedge_factor = 3.0;
-  platform::SimTime hedge_floor_ns = 200 * 1000;  // 200 us
-  std::uint32_t hedge_min_samples = 16;
   /// Background CRC scrubbing (off by default; see cluster/scrub.hpp).
   ScrubConfig scrub;
 };
@@ -123,7 +113,7 @@ class ClusterCoordinator final : public host::OffloadTarget {
     queue_.advance_to(at);
   }
   [[nodiscard]] platform::SimTime completion_latency() const override {
-    return config_.timing.nvme_command_latency;
+    return timing_.nvme_command_latency;
   }
   ndp::ScanStats multi_range_scan(
       const std::vector<ndp::KeyRange>& ranges,
@@ -211,7 +201,7 @@ class ClusterCoordinator final : public host::OffloadTarget {
                       const std::vector<ndp::KeyRange>& ranges,
                       const std::vector<ndp::FilterPredicate>& predicates,
                       platform::SimTime now);
-  /// Current hedge deadline (nullopt until min_samples observed).
+  /// Current hedge deadline (nullopt until kHedgeMinSamples observed).
   [[nodiscard]] std::optional<platform::SimTime> hedge_deadline() const;
   void record_latency_sample(platform::SimTime latency);
   /// Probes every ring member, escalates stale suspects, and fails over
@@ -239,7 +229,10 @@ class ClusterCoordinator final : public host::OffloadTarget {
   RebuildManager rebuild_;
   fault::DeviceFaultInjector injector_;
 
-  // Frontend timeline: the host-side DES the QueryService aligns against.
+  // Frontend timeline: the host-side DES the QueryService aligns against,
+  // and its host link (doorbells + merged result transfer) at the
+  // platform's default timing.
+  platform::TimingConfig timing_;
   platform::EventQueue queue_;
   platform::NvmeLink link_;
   obs::Observability obs_;

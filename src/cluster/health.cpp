@@ -2,13 +2,8 @@
 
 namespace ndpgen::cluster {
 
-HealthMonitor::HealthMonitor(std::uint32_t devices, HealthConfig config)
-    : config_(config), entries_(devices) {
+HealthMonitor::HealthMonitor(std::uint32_t devices) : entries_(devices) {
   NDPGEN_CHECK_ARG(devices >= 1, "health monitor needs at least one device");
-  NDPGEN_CHECK_ARG(config_.ewma_alpha > 0.0 && config_.ewma_alpha <= 1.0,
-                   "EWMA alpha must be in (0, 1]");
-  NDPGEN_CHECK_ARG(config_.suspect_threshold < config_.dead_threshold,
-                   "suspect threshold must be below the dead threshold");
 }
 
 void HealthMonitor::transition(Entry& entry, DeviceState next,
@@ -25,12 +20,12 @@ void HealthMonitor::observe(std::uint32_t device, bool ok,
   NDPGEN_CHECK_ARG(device < entries_.size(), "device out of range");
   Entry& entry = entries_[device];
   if (entry.state == DeviceState::kDead) return;
-  entry.error_ewma = config_.ewma_alpha * (ok ? 0.0 : 1.0) +
-                     (1.0 - config_.ewma_alpha) * entry.error_ewma;
+  entry.error_ewma = kHealthEwmaAlpha * (ok ? 0.0 : 1.0) +
+                     (1.0 - kHealthEwmaAlpha) * entry.error_ewma;
   if (ok) entry.last_ok = now;
-  if (entry.error_ewma >= config_.dead_threshold && can_kill) {
+  if (entry.error_ewma >= kDeadThreshold && can_kill) {
     transition(entry, DeviceState::kDead, now);
-  } else if (entry.error_ewma >= config_.suspect_threshold) {
+  } else if (entry.error_ewma >= kSuspectThreshold) {
     transition(entry, DeviceState::kSuspect, now);
   } else if (ok) {
     transition(entry, DeviceState::kAlive, now);
@@ -66,7 +61,7 @@ void HealthMonitor::refresh(platform::SimTime now) {
   for (Entry& entry : entries_) {
     if (entry.state == DeviceState::kSuspect && entry.ever_missed &&
         now >= entry.last_ok &&
-        now - entry.last_ok >= config_.dead_after_ns) {
+        now - entry.last_ok >= kDeadAfterNs) {
       transition(entry, DeviceState::kDead, now);
     }
   }

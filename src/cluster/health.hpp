@@ -39,24 +39,22 @@ enum class DeviceState : std::uint8_t { kAlive, kSuspect, kDead };
   return "?";
 }
 
-struct HealthConfig {
-  /// EWMA smoothing factor for the per-device error rate.
-  double ewma_alpha = 0.5;
-  /// Error-rate EWMA above this -> Suspect (stop preferring the device).
-  double suspect_threshold = 0.4;
-  /// Error-rate EWMA above this -> Dead (trigger failover + rebuild).
-  double dead_threshold = 0.75;
-  /// A Suspect device whose last successful probe is older than this
-  /// (virtual ns) escalates to Dead even without further offload errors —
-  /// the path that retires a crashed member nobody routes work to. Must
-  /// exceed the transient-fault windows (link flaps, brownouts) so those
-  /// recover instead of being rebuilt around.
-  platform::SimTime dead_after_ns = 10 * 1000 * 1000;  // 10 ms
-};
+/// EWMA smoothing factor for the per-device error rate.
+inline constexpr double kHealthEwmaAlpha = 0.5;
+/// Error-rate EWMA at or above this -> Suspect (stop preferring the device).
+inline constexpr double kSuspectThreshold = 0.4;
+/// Error-rate EWMA at or above this -> Dead (trigger failover + rebuild).
+inline constexpr double kDeadThreshold = 0.75;
+/// A Suspect device whose last successful probe is older than this
+/// (virtual ns) escalates to Dead even without further offload errors —
+/// the path that retires a crashed member nobody routes work to. Must
+/// exceed the transient-fault windows (link flaps, brownouts) so those
+/// recover instead of being rebuilt around.
+inline constexpr platform::SimTime kDeadAfterNs = 10 * 1000 * 1000;  // 10 ms
 
 class HealthMonitor {
  public:
-  HealthMonitor(std::uint32_t devices, HealthConfig config);
+  explicit HealthMonitor(std::uint32_t devices);
 
   /// Heartbeat probe result for `device` at virtual time `now`.
   void record_heartbeat(std::uint32_t device, bool reachable,
@@ -104,7 +102,6 @@ class HealthMonitor {
                bool can_kill);
   void transition(Entry& entry, DeviceState next, platform::SimTime now);
 
-  HealthConfig config_;
   std::vector<Entry> entries_;
   std::uint64_t transitions_ = 0;
 };

@@ -43,8 +43,6 @@ std::unique_ptr<PubgraphCluster> build_pubgraph_cluster(
   PlacementConfig placement_config;
   placement_config.devices = config.devices;
   placement_config.replication = config.replication;
-  placement_config.partitions = config.partitions;
-  placement_config.vnodes = config.vnodes;
   placement_config.seed = config.seed;
   const ClusterPlacement placement(placement_config);
 
@@ -63,16 +61,14 @@ std::unique_ptr<PubgraphCluster> build_pubgraph_cluster(
         config.media_fault.seed ^ (0x9e3779b97f4a7c15ULL * (d + 1));
     auto device = std::make_unique<SmartSsdDevice>(
         d, cosmos_config, workload::db_config(workload::Dataset::kPapers));
-    if (config.digests) {
-      // Before any load: the maintained trees must see every record the
-      // store ever gains. Spares get them too — they load at failover.
-      const ClusterPlacement hash(placement_config);
-      device->enable_digests(config.partitions, [hash](const kv::Key& key) {
-        return hash.partition_of(key);
-      });
-    }
+    // Before any load: the maintained trees must see every record the
+    // store ever gains. Spares get them too — they load at failover.
+    device->enable_digests(placement_config.partitions,
+                           [placement](const kv::Key& key) {
+                             return placement.partition_of(key);
+                           });
     if (d < config.devices) {
-      std::vector<bool> wanted(config.partitions, false);
+      std::vector<bool> wanted(placement_config.partitions, false);
       for (const std::uint32_t p : placement.partitions_of(d)) {
         wanted[p] = true;
       }
@@ -94,20 +90,15 @@ std::unique_ptr<PubgraphCluster> build_pubgraph_cluster(
 
   CoordinatorConfig coord_config;
   coord_config.placement = placement_config;
-  coord_config.health = config.health;
-  coord_config.rebuild = config.rebuild;
   coord_config.device_fault = config.device_fault;
   coord_config.result_key = papers.result_key;
-  coord_config.hedge_factor = config.hedge_factor;
-  coord_config.hedge_floor_ns = config.hedge_floor_ns;
-  coord_config.hedge_min_samples = config.hedge_min_samples;
   coord_config.scrub = config.scrub;
 
   // The rebuild copy is charged by the RebuildManager; this loader is the
   // structural stand-in that materializes the copied partitions on the
   // spare from the same deterministic generator.
   const workload::PubGraphGenerator& generator = cluster->generator;
-  const std::uint32_t partitions = config.partitions;
+  const std::uint32_t partitions = placement_config.partitions;
   ClusterCoordinator::SpareLoader loader =
       [&generator, placement_config, partitions](
           SmartSsdDevice& spare,

@@ -1,8 +1,9 @@
 // Builder wiring the paper's pubgraph workload onto a smart-SSD cluster.
 //
 // Constructs N+S full device stacks (members + spares), compiles the
-// PaperScan parser once, attaches one generated PE per device, loads each
-// member with exactly the partitions placement assigns it, and returns a
+// PaperScan parser once, attaches one generated PE per device, turns on
+// the partition digests anti-entropy compares, loads each member with
+// exactly the partitions placement assigns it, and returns a
 // ClusterCoordinator ready to sit behind host::QueryService. The CLI,
 // tests and benches all build clusters through this one path so their
 // topologies — and their byte-deterministic timelines — agree.
@@ -21,8 +22,6 @@ struct ClusterBuildConfig {
   std::uint32_t devices = 4;      ///< Ring members.
   std::uint32_t replication = 2;  ///< Replicas per partition.
   std::uint32_t spares = 1;       ///< Standby devices for rebuild.
-  std::uint32_t partitions = 64;
-  std::uint32_t vnodes = 16;
   std::uint64_t scale_divisor = 2048;  ///< Pubgraph population divisor.
   std::uint64_t seed = 20210521;
   ndp::ExecMode mode = ndp::ExecMode::kHardware;
@@ -33,16 +32,8 @@ struct ClusterBuildConfig {
   /// Per-device media profile (bit errors etc.); seeded per device so the
   /// member fault streams are independent.
   fault::FaultProfile media_fault;
-  HealthConfig health;
-  RebuildConfig rebuild;
-  double hedge_factor = 3.0;
-  platform::SimTime hedge_floor_ns = 200 * 1000;
-  std::uint32_t hedge_min_samples = 16;
   /// Background CRC scrubbing (see cluster/scrub.hpp).
   ScrubConfig scrub;
-  /// Maintain per-partition digest trees on every device (required for
-  /// anti-entropy; a few extra ns per loaded record when on).
-  bool digests = true;
 };
 
 /// Owns everything the coordinator's devices borrow (compiled artifacts,

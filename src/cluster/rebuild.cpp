@@ -2,15 +2,6 @@
 
 namespace ndpgen::cluster {
 
-RebuildManager::RebuildManager(RebuildConfig config) : config_(config) {
-  NDPGEN_CHECK_ARG(config_.bandwidth_mbps >= 1,
-                   "rebuild bandwidth must be at least 1 MB/s");
-  NDPGEN_CHECK_ARG(
-      config_.rebuild_share > 0.0 && config_.rebuild_share < 1.0,
-      "rebuild share must be in (0, 1): the copy and foreground "
-      "work both need bandwidth");
-}
-
 const RebuildJob& RebuildManager::start(std::uint32_t dead,
                                         std::uint32_t spare,
                                         std::vector<std::uint32_t> sources,
@@ -25,14 +16,13 @@ const RebuildJob& RebuildManager::start(std::uint32_t dead,
   job.sources = std::move(sources);
   job.started = now;
   // Sources stream disjoint shares in parallel; each contributes
-  // rebuild_share of its bandwidth, so the window is the per-source share
+  // kRebuildShare of its bandwidth, so the window is the per-source share
   // at the arbitrated rate. Integer ns: bytes * 1000 / (MB/s) = ns for
   // decimal megabytes.
   const std::uint64_t per_source =
       (bytes + job.sources.size() - 1) / job.sources.size();
   const double rate_bytes_per_ns =
-      static_cast<double>(config_.bandwidth_mbps) * 1e6 / 1e9 *
-      config_.rebuild_share;
+      static_cast<double>(kRebuildBandwidthMbps) * 1e6 / 1e9 * kRebuildShare;
   const auto duration = static_cast<platform::SimTime>(
       static_cast<double>(per_source) / rate_bytes_per_ns);
   job.completes = now + duration;

@@ -4,9 +4,9 @@
 // spare onto the dead device's ring positions and starts a rebuild: the
 // surviving replicas of the lost partitions stream their copies to the
 // spare. The copy contends with foreground scans, so rebuild bandwidth is
-// arbitrated: `rebuild_share` of the source devices' bandwidth goes to
-// the copy (setting the rebuild duration) and foreground work dispatched
-// on a source inside the window is slowed by 1/(1 - rebuild_share).
+// arbitrated: kRebuildShare of the source devices' bandwidth goes to the
+// copy (setting the rebuild duration) and foreground work dispatched on a
+// source inside the window is slowed by 1/(1 - kRebuildShare).
 //
 // The spare starts serving reads only once the copy completes — until
 // then its partitions are served by the surviving replicas — so
@@ -23,12 +23,11 @@
 
 namespace ndpgen::cluster {
 
-struct RebuildConfig {
-  /// Aggregate copy bandwidth of one source device (MB/s, decimal).
-  std::uint64_t bandwidth_mbps = 200;
-  /// Fraction of source-device bandwidth the copy may take (0, 1).
-  double rebuild_share = 0.3;
-};
+/// Aggregate copy bandwidth of one source device (MB/s, decimal).
+inline constexpr std::uint64_t kRebuildBandwidthMbps = 200;
+/// Fraction of source-device bandwidth the copy takes; in (0, 1) so the
+/// copy and foreground work both get bandwidth.
+inline constexpr double kRebuildShare = 0.3;
 
 struct RebuildJob {
   std::uint32_t dead = 0;
@@ -41,8 +40,6 @@ struct RebuildJob {
 
 class RebuildManager {
  public:
-  explicit RebuildManager(RebuildConfig config);
-
   /// Schedules the copy of `bytes` from `sources` (read in parallel, so
   /// the duration is the largest per-source share) onto `spare`; returns
   /// the job. `sources` must be non-empty — no source means the data is
@@ -61,7 +58,7 @@ class RebuildManager {
 
   /// Latency multiplier for foreground work on a copy source.
   [[nodiscard]] double source_inflation() const noexcept {
-    return 1.0 / (1.0 - config_.rebuild_share);
+    return 1.0 / (1.0 - kRebuildShare);
   }
 
   /// True once `spare`'s catch-up copy has completed by `t` (a spare with
@@ -72,12 +69,8 @@ class RebuildManager {
   [[nodiscard]] const std::vector<RebuildJob>& jobs() const noexcept {
     return jobs_;
   }
-  [[nodiscard]] const RebuildConfig& config() const noexcept {
-    return config_;
-  }
 
  private:
-  RebuildConfig config_;
   std::vector<RebuildJob> jobs_;
 };
 

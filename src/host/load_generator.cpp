@@ -26,7 +26,7 @@ Request LoadGenerator::make_request(std::uint32_t tenant,
                                     std::uint32_t client,
                                     platform::SimTime at) {
   std::uint64_t& position = positions_[tenant];
-  if (config_.jump_one_in != 0 && rng_.below(config_.jump_one_in) == 0) {
+  if (rng_.below(kJumpOneIn) == 0) {
     position = 1 + rng_.below(config_.key_space);
   }
   const std::uint64_t lo = position;

@@ -13,7 +13,7 @@
 //
 // Requests are range scans over per-tenant key windows that mostly walk
 // forward (adjacent ranges — what the service's coalescing exploits) and
-// occasionally jump to a random position (1-in-`jump_one_in`), breaking
+// occasionally jump to a random position (1-in-kJumpOneIn), breaking
 // batches the way independent clients would.
 #pragma once
 
@@ -26,6 +26,10 @@
 #include "support/rng.hpp"
 
 namespace ndpgen::host {
+
+/// Locality break: each request jumps to a random window with
+/// probability 1/kJumpOneIn.
+inline constexpr std::uint64_t kJumpOneIn = 8;
 
 struct LoadConfig {
   std::uint32_t tenants = 4;
@@ -46,9 +50,6 @@ struct LoadConfig {
   std::uint64_t key_space = 0;
   /// Ids covered per request range.
   std::uint64_t span_keys = 48;
-  /// Locality break: each request jumps to a random window with
-  /// probability 1/N (0 = pure sequential walk).
-  std::uint64_t jump_one_in = 8;
   std::uint64_t seed = 20210521;
 };
 

@@ -17,6 +17,7 @@
 
 #include "analysis/analyzer.hpp"
 #include "hwgen/operators.hpp"
+#include "hwgen/pe_platform.hpp"
 #include "hwgen/register_map.hpp"
 
 namespace ndpgen::hwgen {
@@ -80,9 +81,6 @@ struct PEDesign {
   std::vector<ModuleInstance> modules;
   std::vector<Connection> connections;
 
-  std::uint32_t data_width_bits = 64;  ///< Native AXI width on Zynq-7000.
-  std::uint32_t fifo_depth = 2;        ///< Elastic-pipeline FIFO depth.
-  std::uint32_t clock_mhz = 100;       ///< PE clock (paper: 100 MHz).
   /// Hand-crafted baseline designs hard-code the payload geometry of a
   /// data block into the HDL (no IN_SIZE register): bytes of valid tuples
   /// per 32 KB block. 0 = fully-packed block assumed.

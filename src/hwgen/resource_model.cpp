@@ -121,7 +121,7 @@ PEResourceReport estimate_pe(const PEDesign& design, SynthesisMode mode) {
   const double padded_in = parser.input.padded_bits;
   const double storage_out = parser.output.storage_bits;
   const double padded_out = parser.output.padded_bits;
-  const double word = design.data_width_bits;
+  const double word = kDataWidthBits;
   const double cmp_width = parser.input.comparator_width_bits;
   const double n_relevant = static_cast<double>(parser.input.relevant_count());
   const double n_postfix_in =

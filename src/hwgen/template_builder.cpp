@@ -6,19 +6,10 @@ namespace ndpgen::hwgen {
 
 PEDesign build_pe_design(const analysis::AnalyzedParser& parser,
                          const TemplateOptions& options) {
-  NDPGEN_CHECK_ARG(options.data_width_bits == 32 ||
-                       options.data_width_bits == 64 ||
-                       options.data_width_bits == 128,
-                   "data width must be 32, 64 or 128 bits");
-  NDPGEN_CHECK_ARG(options.fifo_depth >= 2, "FIFO depth must be >= 2");
-
   PEDesign design;
   design.name = parser.name;
   design.flavor = options.flavor;
   design.parser = parser;
-  design.data_width_bits = options.data_width_bits;
-  design.fifo_depth = options.fifo_depth;
-  design.clock_mhz = options.clock_mhz;
   design.operators = options.use_spec_operators
                          ? OperatorSet::from_names(parser.operators)
                          : options.operators;
@@ -50,13 +41,13 @@ PEDesign build_pe_design(const analysis::AnalyzedParser& parser,
 
   // (b) Memory interface.
   auto& load = add_module(ModuleKind::kLoadUnit, "load_unit");
-  load.params["data_width"] = options.data_width_bits;
+  load.params["data_width"] = kDataWidthBits;
   load.params["max_chunk_bytes"] = parser.chunk_size_bytes;
   load.params["configurable"] = configurable_io ? 1 : 0;
 
   // (c) Accessor component, input side.
   auto& in_buffer = add_module(ModuleKind::kTupleInputBuffer, "tuple_in");
-  in_buffer.params["data_width"] = options.data_width_bits;
+  in_buffer.params["data_width"] = kDataWidthBits;
   in_buffer.params["storage_bits"] = parser.input.storage_bits;
   in_buffer.params["padded_bits"] = parser.input.padded_bits;
   in_buffer.params["relevant_fields"] = parser.input.relevant_count();
@@ -72,7 +63,7 @@ PEDesign build_pe_design(const analysis::AnalyzedParser& parser,
     filter.params["relevant_fields"] = parser.input.relevant_count();
     filter.params["tuple_bits"] = parser.input.padded_bits;
     filter.params["num_operators"] = design.operators.size();
-    filter.params["fifo_depth"] = options.fifo_depth;
+    filter.params["fifo_depth"] = kFifoDepth;
   }
 
   // ... optionally the aggregation unit (extension, §VII outlook) ...
@@ -81,7 +72,7 @@ PEDesign build_pe_design(const analysis::AnalyzedParser& parser,
     aggregate.params["comparator_width"] = parser.input.comparator_width_bits;
     aggregate.params["relevant_fields"] = parser.input.relevant_count();
     aggregate.params["tuple_bits"] = parser.input.padded_bits;
-    aggregate.params["fifo_depth"] = options.fifo_depth;
+    aggregate.params["fifo_depth"] = kFifoDepth;
   }
 
   // ... then the data transformation unit.
@@ -90,17 +81,17 @@ PEDesign build_pe_design(const analysis::AnalyzedParser& parser,
   transform.params["out_bits"] = parser.output.padded_bits;
   transform.params["wires"] = parser.mapping.wires.size();
   transform.params["identity"] = parser.mapping.identity ? 1 : 0;
-  transform.params["fifo_depth"] = options.fifo_depth;
+  transform.params["fifo_depth"] = kFifoDepth;
 
   // (c) Accessor component, output side.
   auto& out_buffer = add_module(ModuleKind::kTupleOutputBuffer, "tuple_out");
-  out_buffer.params["data_width"] = options.data_width_bits;
+  out_buffer.params["data_width"] = kDataWidthBits;
   out_buffer.params["storage_bits"] = parser.output.storage_bits;
   out_buffer.params["padded_bits"] = parser.output.padded_bits;
 
   // (b) Memory interface, store side.
   auto& store = add_module(ModuleKind::kStoreUnit, "store_unit");
-  store.params["data_width"] = options.data_width_bits;
+  store.params["data_width"] = kDataWidthBits;
   store.params["max_chunk_bytes"] = parser.chunk_size_bytes;
   store.params["configurable"] = configurable_io ? 1 : 0;
 

@@ -16,9 +16,6 @@ namespace ndpgen::hwgen {
 
 struct TemplateOptions {
   DesignFlavor flavor = DesignFlavor::kGenerated;
-  std::uint32_t data_width_bits = 64;  ///< Zynq-7000 HP-port native width.
-  std::uint32_t fifo_depth = 2;        ///< Elastic stage FIFO depth.
-  std::uint32_t clock_mhz = 100;
   /// Override the operator set (empty = derive from parser spec/standard).
   OperatorSet operators = OperatorSet::from_names({});
   bool use_spec_operators = true;

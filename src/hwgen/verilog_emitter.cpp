@@ -552,12 +552,12 @@ std::string emit_verilog_top(const PEDesign& design) {
       << "    output wire [63:0] m_axi_araddr,\n"
       << "    output wire        m_axi_arvalid,\n"
       << "    input  wire        m_axi_arready,\n"
-      << "    input  wire [" << design.data_width_bits - 1
+      << "    input  wire [" << kDataWidthBits - 1
       << ":0] m_axi_rdata,\n"
       << "    input  wire        m_axi_rvalid,\n"
       << "    output wire        m_axi_rready,\n"
       << "    output wire [63:0] m_axi_awaddr,\n"
-      << "    output wire [" << design.data_width_bits - 1
+      << "    output wire [" << kDataWidthBits - 1
       << ":0] m_axi_wdata,\n"
       << "    output wire        m_axi_wvalid,\n"
       << "    input  wire        m_axi_wready\n"
@@ -592,7 +592,7 @@ std::string emit_verilog_top(const PEDesign& design) {
     out << connection.from << "->" << connection.to << " ";
   }
   out << "\n"
-      << "  wire [" << design.data_width_bits - 1 << ":0] ld_data;\n"
+      << "  wire [" << kDataWidthBits - 1 << ":0] ld_data;\n"
       << "  wire ld_valid, ld_ready, ld_done;\n"
       << "  " << design.name << "_load_unit load_unit (\n"
       << "    .clk(clk), .rst_n(rst_n), .start(start_pulse),\n"
@@ -668,7 +668,7 @@ std::string emit_verilog_top(const PEDesign& design) {
          ".out_ready(tr_ready)\n"
       << "  );\n\n";
 
-  out << "  wire [" << design.data_width_bits - 1 << ":0] st_data;\n"
+  out << "  wire [" << kDataWidthBits - 1 << ":0] st_data;\n"
       << "  wire st_valid, st_ready, st_done;\n"
       << "  " << design.name << "_tuple_output_buffer tuple_out (\n"
       << "    .clk(clk), .rst_n(rst_n),\n"
@@ -719,7 +719,7 @@ std::string emit_verilog(const PEDesign& design) {
       << "// Output tuple: " << design.parser.output.type_name << " ("
       << design.parser.output.storage_bits << " bits packed)\n"
       << "// Filter stages: " << design.filter_stage_count()
-      << "  Clock: " << design.clock_mhz << " MHz\n"
+      << "  Clock: " << kPeClockMhz << " MHz\n"
       << "// Generated by ndpgen — do not edit.\n"
       << "// ============================================================\n\n";
   emit_stream_fifo(out);

@@ -21,10 +21,12 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
   const bool configurable =
       design_.flavor == hw::DesignFlavor::kGenerated;
   const std::uint32_t stages = design_.filter_stage_count();
-  const std::size_t depth = design_.fifo_depth;
+  const std::size_t depth = hw::kFifoDepth;
 
   const bool aggregation =
       design_.find_module("aggregate_unit") != nullptr;
+  // The memory model moves one std::uint64_t per AXI beat.
+  static_assert(hw::kDataWidthBits == 64);
   words_in_ = kernel.make_stream<std::uint64_t>(design.name + ".words_in",
                                                 /*depth=*/8);
   // Tuple streams: in-buffer -> stage0 -> ... [-> aggregate] -> transform

@@ -22,22 +22,24 @@ struct MergeEntry {
 
 Compactor::Compactor(Version& version, PlacementPolicy& placement,
                      platform::FlashModel& flash, KeyExtractor extractor,
-                     std::uint32_t record_bytes, CompactionConfig config)
+                     std::uint32_t record_bytes, CompactionConfig config,
+                     bool timed)
     : version_(version),
       placement_(placement),
       flash_(flash),
       extractor_(std::move(extractor)),
       record_bytes_(record_bytes),
-      config_(config) {
+      config_(config),
+      timed_(timed) {
   NDPGEN_CHECK_ARG(static_cast<bool>(extractor_),
                    "compactor needs a key extractor");
 }
 
 std::uint64_t Compactor::level_target_bytes(std::uint32_t level) const {
   // C2 = base, C3 = base * multiplier, ...
-  std::uint64_t target = config_.level_base_bytes;
+  std::uint64_t target = kLevelBaseBytes;
   for (std::uint32_t l = 2; l < level; ++l) {
-    target *= config_.level_size_multiplier;
+    target *= kLevelSizeMultiplier;
   }
   return target;
 }
@@ -178,7 +180,7 @@ void Compactor::compact_level(std::uint32_t level) {
   // Charge the merge I/O on the virtual clock: every input page is read
   // and every output page programmed. This is the background traffic the
   // nKV placement isolates from foreground scans (§III-B).
-  if (config_.timed) {
+  if (timed_) {
     auto pending = std::make_shared<std::size_t>(0);
     auto charge_pages = [&](const std::vector<std::shared_ptr<SSTable>>& set,
                             bool is_input) {

@@ -35,16 +35,14 @@ using RecordHook =
 struct CompactionConfig {
   /// C1 SST count that triggers compaction into C2.
   std::uint32_t l1_trigger = 8;
-  /// Size target of C2 in bytes; each deeper level is multiplier x larger.
-  std::uint64_t level_base_bytes = 8ull * 1024 * 1024;
-  std::uint32_t level_size_multiplier = 10;
   /// Data blocks per output SST.
   std::uint32_t output_sst_blocks = 64;
-  /// Charge the compaction I/O (input page reads + output page programs)
-  /// on the platform's virtual clock. Off by default so dataset setup is
-  /// free; write-path experiments turn it on.
-  bool timed = false;
 };
+
+/// Size target of C2 in bytes; each deeper level is
+/// kLevelSizeMultiplier x larger.
+inline constexpr std::uint64_t kLevelBaseBytes = 8ull * 1024 * 1024;
+inline constexpr std::uint32_t kLevelSizeMultiplier = 10;
 
 struct CompactionStats {
   std::uint64_t compactions = 0;
@@ -56,9 +54,11 @@ struct CompactionStats {
 
 class Compactor {
  public:
+  /// `timed` charges the compaction I/O (input page reads + output page
+  /// programs) on the platform's virtual clock.
   Compactor(Version& version, PlacementPolicy& placement,
             platform::FlashModel& flash, KeyExtractor extractor,
-            std::uint32_t record_bytes, CompactionConfig config = {});
+            std::uint32_t record_bytes, CompactionConfig config, bool timed);
 
   /// Runs compactions until no trigger fires. Returns compactions done.
   std::uint64_t run();
@@ -89,6 +89,7 @@ class Compactor {
   KeyExtractor extractor_;
   std::uint32_t record_bytes_;
   CompactionConfig config_;
+  bool timed_;
   CompactionStats stats_;
   RecordHook record_hook_;  ///< Null = no digest tracking.
   std::uint64_t next_id_ = 1'000'000;  ///< Compaction-output SST ids.

@@ -10,17 +10,9 @@
 
 namespace ndpgen::kv {
 
-namespace {
-/// timed_writes implies timed compaction I/O.
-DBConfig normalize(DBConfig config) {
-  config.compaction.timed = config.compaction.timed || config.timed_writes;
-  return config;
-}
-}  // namespace
-
 NKV::NKV(platform::CosmosPlatform& platform, DBConfig config)
     : platform_(platform),
-      config_(normalize(std::move(config))),
+      config_(std::move(config)),
       placement_(config_.shared_placement
                      ? config_.shared_placement
                      : std::make_shared<PlacementPolicy>(
@@ -28,7 +20,8 @@ NKV::NKV(platform::CosmosPlatform& platform, DBConfig config)
                            config_.level_groups)),
       memtable_(std::make_unique<MemTable>(config_.memtable_bytes)),
       compactor_(version_, *placement_, platform.flash(), config_.extractor,
-                 config_.record_bytes, config_.compaction) {
+                 config_.record_bytes, config_.compaction,
+                 config_.timed_writes) {
   NDPGEN_CHECK_ARG(config_.record_bytes > 0, "DBConfig.record_bytes required");
   NDPGEN_CHECK_ARG(static_cast<bool>(config_.extractor),
                    "DBConfig.extractor required");
@@ -40,12 +33,10 @@ NKV::NKV(platform::CosmosPlatform& platform, DBConfig config)
     // a store rebuilt over the surviving flash finds its WAL and manifest
     // in the same physical blocks.
     wal_ = std::make_unique<WriteAheadLog>(platform.flash(), *placement_,
-                                           config_.durability.wal_blocks,
-                                           config_.timed_writes);
+                                           kWalBlocks, config_.timed_writes);
     manifest_store_ = std::make_unique<ManifestStore>(
-        platform.flash(), *placement_,
-        config_.durability.manifest_slot_blocks,
-        config_.durability.manifest_pointer_blocks, config_.timed_writes);
+        platform.flash(), *placement_, kManifestSlotBlocks,
+        kManifestPointerBlocks, config_.timed_writes);
   }
 }
 

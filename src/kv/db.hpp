@@ -36,15 +36,16 @@ namespace ndpgen::kv {
 /// ANY write step.
 struct DurabilityConfig {
   bool enabled = false;
-  /// Reserved flash blocks for the WAL (one synced page per put; flushes
-  /// truncate, so this bounds puts per flush interval).
-  std::uint32_t wal_blocks = 4;
-  /// Reserved blocks per manifest slot (two slots alternate).
-  std::uint32_t manifest_slot_blocks = 1;
-  /// Reserved blocks for the append-only commit-pointer log (one page per
-  /// commit; bounds the number of flush/compaction commits per run).
-  std::uint32_t manifest_pointer_blocks = 2;
 };
+
+/// Reserved flash blocks for the WAL of a durable store (one synced page
+/// per put; flushes truncate, so this bounds puts per flush interval).
+inline constexpr std::uint32_t kWalBlocks = 4;
+/// Reserved blocks per manifest slot (two slots alternate).
+inline constexpr std::uint32_t kManifestSlotBlocks = 1;
+/// Reserved blocks for the append-only commit-pointer log (one page per
+/// commit; bounds the number of flush/compaction commits per run).
+inline constexpr std::uint32_t kManifestPointerBlocks = 2;
 
 struct DBConfig {
   std::uint32_t record_bytes = 0;  ///< Fixed tuple size (required).

@@ -5,7 +5,8 @@
 //  * aggregate Flash bandwidth with two Tiger4 controllers ~ 200 MB/s,
 //    making the hardware SCAN flash-bound at ~5.5 s for the ~1.1 GB
 //    publication-graph dataset;
-//  * PEs and flash controllers clock at 100 MHz, NVMe core at 250 MHz;
+//  * PEs (hwgen::kPeClockMhz) and flash controllers clock at 100 MHz,
+//    NVMe core at 250 MHz;
 //  * GET is dominated by per-block firmware/configuration overhead, so
 //    hardware offload does not pay off (Fig. 7a);
 //  * the updated Cosmos+ firmware trades ~10 % performance for
@@ -14,15 +15,12 @@
 
 #include <cstdint>
 
+#include "hwgen/pe_platform.hpp"
 #include "platform/event_queue.hpp"
 
 namespace ndpgen::platform {
 
 struct TimingConfig {
-  // --- Clocks ---------------------------------------------------------
-  std::uint32_t pe_clock_mhz = 100;
-  std::uint32_t nvme_clock_mhz = 250;
-
   // --- Flash (per Tiger4 controller) -----------------------------------
   SimTime flash_read_page_latency = 65 * kNsPerUs;   ///< tR (MLC read).
   SimTime flash_program_page_latency = 600 * kNsPerUs;  ///< tPROG.
@@ -101,7 +99,7 @@ struct TimingConfig {
 
   // Derived helpers ------------------------------------------------------
   [[nodiscard]] SimTime pe_cycles_to_ns(std::uint64_t cycles) const noexcept {
-    return cycles * 1000ull / pe_clock_mhz;
+    return cycles * 1000ull / hwgen::kPeClockMhz;
   }
   [[nodiscard]] SimTime flash_transfer_time(std::uint64_t bytes) const noexcept {
     return static_cast<SimTime>(static_cast<double>(bytes) * 1000.0 /

@@ -104,8 +104,8 @@ LeafPipeline lower_leaf(Dataset dataset,
           synthesize_spec(dataset, columns, stages, aggregate);
       const auto compiled = framework.compile(spec);
       const auto& design = compiled.get("QueryLeaf").design;
-      auto pricing =
-          hwgen::price_chain(design, options.synthesis, options.budget);
+      auto pricing = hwgen::price_chain(
+          design, hwgen::SynthesisMode::kInContext, options.budget);
       if (pricing.ok()) {
         leaf.offloaded = true;
         leaf.columns = columns;

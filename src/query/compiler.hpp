@@ -38,7 +38,6 @@ struct CompileOptions {
   bool force_software = false;
   /// Slot budget each leaf chain must fit (see hwgen::default_chain_budget).
   hwgen::ChainBudget budget = hwgen::default_chain_budget();
-  hwgen::SynthesisMode synthesis = hwgen::SynthesisMode::kInContext;
 };
 
 /// One compiled scan leaf: the device-side pipeline feeding the SW tail.

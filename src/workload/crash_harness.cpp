@@ -10,6 +10,9 @@ namespace ndpgen::workload {
 
 namespace {
 
+/// Every kDeleteEvery-th operation is a delete.
+constexpr std::uint64_t kDeleteEvery = 7;
+
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -27,13 +30,13 @@ Op make_op(const CrashHarnessConfig& config, std::uint64_t i) {
   const std::uint64_t draw = mix64(config.seed ^ mix64(i + 1));
   Op op;
   op.id = draw % config.key_space;
-  op.is_delete = config.delete_every != 0 && i > 0 &&
-                 i % config.delete_every == config.delete_every - 1;
+  op.is_delete = i > 0 && i % kDeleteEvery == kDeleteEvery - 1;
   if (!op.is_delete) {
     PaperRecord rec;
     rec.id = op.id;
-    rec.year = 1936 + static_cast<std::uint32_t>((draw >> 17) % 85);
-    rec.venue_id = static_cast<std::uint32_t>((draw >> 23) % 12'000);
+    rec.year = kMinYear + static_cast<std::uint32_t>(
+                              (draw >> 17) % (kMaxYear - kMinYear + 1));
+    rec.venue_id = static_cast<std::uint32_t>((draw >> 23) % kVenues);
     rec.n_refs = static_cast<std::uint32_t>(i);
     rec.n_cited = static_cast<std::uint32_t>((draw >> 41) % 100);
     std::snprintf(rec.title, sizeof rec.title, "crash-op-%llu-id-%llu",

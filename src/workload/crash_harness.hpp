@@ -33,7 +33,6 @@ namespace ndpgen::workload {
 
 struct CrashHarnessConfig {
   std::uint64_t ops = 160;         ///< Workload operations (puts + deletes).
-  std::uint32_t delete_every = 7;  ///< Every Nth operation is a delete.
   std::uint64_t key_space = 48;    ///< Distinct ids — forces overwrites.
   std::uint64_t seed = 20210521;
   double torn_fraction = 0.5;      ///< Completed fraction of a torn program.

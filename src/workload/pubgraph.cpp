@@ -119,13 +119,12 @@ PaperRecord PubGraphGenerator::paper(std::uint64_t index) const {
   record.id = index + 1;  // Dense, 1-based -> key-sorted by construction.
   const double u =
       static_cast<double>(mix(config_.seed, 1, index) >> 11) * 0x1.0p-53;
-  const std::uint32_t range = config_.max_year - config_.min_year;
+  constexpr std::uint32_t range = kMaxYear - kMinYear;
   // Publication years skew recent: year = min + sqrt(u) * range, so the
-  // density grows linearly toward max_year.
-  record.year = config_.min_year +
-                static_cast<std::uint32_t>(std::sqrt(u) * range);
+  // density grows linearly toward kMaxYear.
+  record.year = kMinYear + static_cast<std::uint32_t>(std::sqrt(u) * range);
   record.venue_id =
-      static_cast<std::uint32_t>(mix(config_.seed, 2, index) % config_.venues);
+      static_cast<std::uint32_t>(mix(config_.seed, 2, index) % kVenues);
   const std::uint64_t degree =
       std::max<std::uint64_t>(1, refs_ / papers_);
   record.n_refs = static_cast<std::uint32_t>(degree);
@@ -159,10 +158,10 @@ RefRecord PubGraphGenerator::ref(std::uint64_t index) const {
 }
 
 double PubGraphGenerator::year_selectivity(std::uint32_t year) const {
-  if (year <= config_.min_year) return 0.0;
-  if (year > config_.max_year) return 1.0;
-  const double range = config_.max_year - config_.min_year;
-  const double x = (year - config_.min_year) / range;  // in (0, 1]
+  if (year <= kMinYear) return 0.0;
+  if (year > kMaxYear) return 1.0;
+  constexpr double range = kMaxYear - kMinYear;
+  const double x = (year - kMinYear) / range;  // in (0, 1]
   // P(year < Y) = P(min + sqrt(u)*range < Y) = x^2.
   return x * x;
 }

@@ -63,12 +63,15 @@ struct RefRecord {
 /// over edges with two filter stages (source/destination range scans).
 [[nodiscard]] const std::string& pubgraph_spec_source();
 
+/// Publication years span [kMinYear, kMaxYear]; venue ids span
+/// [0, kVenues).
+inline constexpr std::uint32_t kMinYear = 1936;
+inline constexpr std::uint32_t kMaxYear = 2020;
+inline constexpr std::uint32_t kVenues = 12'000;
+
 struct PubGraphConfig {
   std::uint64_t scale_divisor = 256;  ///< Population divisor.
   std::uint64_t seed = 20210521;      ///< IPDPSW'21 :-)
-  std::uint32_t min_year = 1936;
-  std::uint32_t max_year = 2020;
-  std::uint32_t venues = 12'000;
 };
 
 /// Deterministic generator producing the scaled populations.

@@ -13,7 +13,7 @@ namespace {
 constexpr platform::SimTime kMs = 1000 * 1000;
 
 TEST(HealthMonitorTest, MissedBeatSuspectsAndRecoveryRestoresAlive) {
-  HealthMonitor monitor(2, HealthConfig{});
+  HealthMonitor monitor(2);
   EXPECT_EQ(monitor.state(0), DeviceState::kAlive);
 
   monitor.record_heartbeat(0, /*reachable=*/false, 1 * kMs);
@@ -29,19 +29,19 @@ TEST(HealthMonitorTest, MissedBeatSuspectsAndRecoveryRestoresAlive) {
 }
 
 TEST(HealthMonitorTest, HeartbeatMissesAloneNeverKill) {
-  HealthMonitor monitor(1, HealthConfig{});
+  HealthMonitor monitor(1);
   // A storm of misses inside the dead window: the EWMA saturates at 1.0,
   // far past the dead threshold, but heartbeats cannot kill — only the
   // stale-Suspect escalation can, and the window has not elapsed.
   for (int i = 0; i < 16; ++i) {
     monitor.record_heartbeat(0, false, (1 + i) * 100 * 1000);
   }
-  monitor.refresh(3 * kMs);  // dead_after_ns defaults to 10 ms.
+  monitor.refresh(3 * kMs);  // kDeadAfterNs is 10 ms.
   EXPECT_EQ(monitor.state(0), DeviceState::kSuspect);
 }
 
 TEST(HealthMonitorTest, StaleSuspectEscalatesToDeadAndStaysDead) {
-  HealthMonitor monitor(1, HealthConfig{});
+  HealthMonitor monitor(1);
   monitor.record_heartbeat(0, false, 1 * kMs);
   ASSERT_EQ(monitor.state(0), DeviceState::kSuspect);
 
@@ -58,7 +58,7 @@ TEST(HealthMonitorTest, StaleSuspectEscalatesToDeadAndStaysDead) {
 }
 
 TEST(HealthMonitorTest, OffloadErrorsCanKillDirectly) {
-  HealthMonitor monitor(1, HealthConfig{});
+  HealthMonitor monitor(1);
   monitor.record_error(0, 1 * kMs);  // EWMA 0.5 -> Suspect.
   EXPECT_EQ(monitor.state(0), DeviceState::kSuspect);
   monitor.record_error(0, 2 * kMs);  // EWMA 0.75 -> Dead.
@@ -67,7 +67,7 @@ TEST(HealthMonitorTest, OffloadErrorsCanKillDirectly) {
 }
 
 TEST(HealthMonitorTest, IntegrityErrorsSuspectButNeverKill) {
-  HealthMonitor monitor(2, HealthConfig{});
+  HealthMonitor monitor(2);
   monitor.record_integrity_error(0, 1 * kMs);  // EWMA 0.5 -> Suspect.
   EXPECT_EQ(monitor.state(0), DeviceState::kSuspect);
   // A replica that keeps serving rot must be routed around, but it still
@@ -76,7 +76,7 @@ TEST(HealthMonitorTest, IntegrityErrorsSuspectButNeverKill) {
   for (int i = 2; i <= 8; ++i) {
     monitor.record_integrity_error(0, i * kMs);
   }
-  EXPECT_GT(monitor.error_rate(0), HealthConfig{}.dead_threshold);
+  EXPECT_GT(monitor.error_rate(0), kDeadThreshold);
   EXPECT_EQ(monitor.state(0), DeviceState::kSuspect);
   EXPECT_EQ(monitor.state(1), DeviceState::kAlive);
 
@@ -88,7 +88,7 @@ TEST(HealthMonitorTest, IntegrityErrorsSuspectButNeverKill) {
 }
 
 TEST(HealthMonitorTest, SuccessesDecayTheErrorRate) {
-  HealthMonitor monitor(1, HealthConfig{});
+  HealthMonitor monitor(1);
   monitor.record_error(0, 1 * kMs);
   const double after_error = monitor.error_rate(0);
   monitor.record_success(0, 2 * kMs);
@@ -97,18 +97,15 @@ TEST(HealthMonitorTest, SuccessesDecayTheErrorRate) {
 }
 
 TEST(HealthMonitorTest, DeclareDeadIsImmediate) {
-  HealthMonitor monitor(2, HealthConfig{});
+  HealthMonitor monitor(2);
   monitor.declare_dead(1, 1 * kMs);
   EXPECT_EQ(monitor.state(1), DeviceState::kDead);
   EXPECT_EQ(monitor.state(0), DeviceState::kAlive);
 }
 
 TEST(HealthMonitorTest, ValidatesArguments) {
-  HealthConfig inverted;
-  inverted.suspect_threshold = 0.9;
-  inverted.dead_threshold = 0.5;
-  EXPECT_THROW(HealthMonitor(1, inverted), Error);
-  HealthMonitor monitor(1, HealthConfig{});
+  EXPECT_THROW(HealthMonitor(0), Error);
+  HealthMonitor monitor(1);
   EXPECT_THROW(monitor.state(3), Error);
   EXPECT_THROW(monitor.record_error(3, 0), Error);
 }

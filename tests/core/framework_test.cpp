@@ -80,11 +80,9 @@ TEST(Framework, InstantiateAttachesPe) {
 
 TEST(Framework, OptionsFlowThrough) {
   FrameworkOptions options;
-  options.hw.fifo_depth = 4;
   options.swif.base_address = 0x5000'0000;
   Framework framework(options);
   const CompileResult result = framework.compile(kFig4);
-  EXPECT_EQ(result.parsers[0].design.fifo_depth, 4u);
   EXPECT_NE(result.parsers[0].software_interface.find("0x50000000"),
             std::string::npos);
 }

@@ -95,15 +95,6 @@ TEST(TemplateBuilder, SpecOperatorSubset) {
   EXPECT_EQ(design.operators.find("lt"), nullptr);
 }
 
-TEST(TemplateBuilder, InvalidOptionsRejected) {
-  TemplateOptions options;
-  options.data_width_bits = 48;
-  EXPECT_THROW(build_pe_design(analyzed(kEdgeSpec), options), ndpgen::Error);
-  options = TemplateOptions{};
-  options.fifo_depth = 1;
-  EXPECT_THROW(build_pe_design(analyzed(kEdgeSpec), options), ndpgen::Error);
-}
-
 TEST(TemplateBuilder, ValidateCatchesBrokenPipelines) {
   PEDesign design = build_pe_design(analyzed(kEdgeSpec));
   design.connections.pop_back();  // Sever tuple_out -> store_unit.

@@ -92,7 +92,10 @@ int usage() {
                "                                      --serve streams the "
                "plan through the host\n"
                "                                      query service "
-               "(filter/project tails only);\n"
+               "(filter/project tails only)\n"
+               "                                      on one HW PE, so it "
+               "takes no --mode sw,\n"
+               "                                      --pes or --threads;\n"
                "                                      --plan also accepts "
                "a suite name (see\n"
                "                                      --list-plans) or "
@@ -472,6 +475,8 @@ int cmd_simulate(const std::vector<std::string>& args) {
               std::strtoul(spec.substr(0, colon).c_str(), nullptr, 10)),
           pieces[0], pieces[1],
           std::strtoull(pieces[2].c_str(), nullptr, 0)});
+    } else {
+      return usage();
     }
   }
 
@@ -522,7 +527,7 @@ int cmd_simulate(const std::vector<std::string>& args) {
                             metrics_path);
       });
   std::printf("simulated %s: %llu tuples in, %llu out, %llu cycles "
-              "(%.2f cyc/tuple, %.1f MB/s @100 MHz)\n",
+              "(%.2f cyc/tuple, %.1f MB/s @%u MHz)\n",
               artifacts.analyzed.name.c_str(),
               static_cast<unsigned long long>(stats.tuples_in),
               static_cast<unsigned long long>(stats.tuples_out),
@@ -530,8 +535,9 @@ int cmd_simulate(const std::vector<std::string>& args) {
               static_cast<double>(stats.cycles) /
                   static_cast<double>(std::max<std::uint64_t>(1,
                                                               stats.tuples_in)),
-              static_cast<double>(stats.payload_bytes_in) /
-                  (static_cast<double>(stats.cycles) * 10e-9) / 1e6);
+              static_cast<double>(stats.payload_bytes_in) *
+                  hwgen::kPeClockMhz / static_cast<double>(stats.cycles),
+              hwgen::kPeClockMhz);
   for (std::size_t s = 0; s < stats.stage_pass_counts.size(); ++s) {
     std::printf("  stage %zu passed %llu\n", s,
                 static_cast<unsigned long long>(stats.stage_pass_counts[s]));
@@ -1296,6 +1302,8 @@ int cmd_testbench(const std::vector<std::string>& args) {
       op = pieces[1];
       value = std::strtoull(pieces[2].c_str(), nullptr, 0);
       field_path = pieces[0];
+    } else {
+      return usage();
     }
   }
 
@@ -1392,6 +1400,13 @@ int cmd_query(const std::vector<std::string>& args) {
     return usage();
   }
   const core::TestbedConfig& device = flags.testbed;
+  // --serve always drives the stock single-PE HW stack.
+  const ndp::ExecutorConfig stock;
+  if (serve && (flags.mode() != ndp::ExecMode::kHardware ||
+                flags.pes() != stock.num_pes ||
+                device.executor.pe_threads != stock.pe_threads)) {
+    return usage();
+  }
 
   const std::string source = resolve_plan_source(plan_arg);
   auto parsed = query::parse_plan(source);

@@ -9,6 +9,7 @@
 // the resulting cycle counts under a constrained interconnect.
 #include <cstdio>
 
+#include "bench_common.hpp"
 #include "core/framework.hpp"
 #include "hwgen/template_builder.hpp"
 #include "hwsim/pe_sim.hpp"
@@ -62,6 +63,7 @@ int main() {
                         stats.tuples_out};
   }
 
+  bench::JsonResult json("ablation_loadstore");
   std::printf("%-22s %12s %14s %10s %8s\n", "load/store units", "read [B]",
               "written [B]", "cycles", "tuples");
   for (const auto& row : rows) {
@@ -70,7 +72,13 @@ int main() {
                 static_cast<unsigned long long>(row.bytes_written),
                 static_cast<unsigned long long>(row.cycles),
                 static_cast<unsigned long long>(row.tuples));
+    json.add(row.name, "bytes_read", static_cast<double>(row.bytes_read));
+    json.add(row.name, "bytes_written",
+             static_cast<double>(row.bytes_written));
+    json.add(row.name, "cycles", static_cast<double>(row.cycles), "cycles");
+    json.add(row.name, "tuples", static_cast<double>(row.tuples));
   }
+  json.write();
 
   const double traffic_saving =
       1.0 - static_cast<double>(rows[0].bytes_read + rows[0].bytes_written) /

@@ -3,7 +3,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -12,7 +11,7 @@
 #include "fault/fault_profile.hpp"
 #include "kv/db.hpp"
 #include "ndp/executor.hpp"
-#include "obs/json.hpp"
+#include "obs/bench_json.hpp"
 #include "support/error.hpp"
 #include "workload/pubgraph.hpp"
 
@@ -76,63 +75,8 @@ inline double to_millis(platform::SimTime time) {
   return static_cast<double>(time) / 1e6;
 }
 
-/// Machine-readable companion to a bench's stdout tables: collects rows of
-/// (series, x, value [, unit]) and writes them as BENCH_<name>.json into
-/// $NDPGEN_BENCH_JSON_DIR (no file is written when the variable is unset).
-/// Values are rendered with obs::json_fixed, so identical runs produce
-/// byte-identical files.
-class JsonResult {
- public:
-  explicit JsonResult(std::string name) : name_(std::move(name)) {}
-
-  void add(std::string series, std::string x, double value,
-           std::string unit = {}) {
-    rows_.push_back(Row{std::move(series), std::move(x), value,
-                        std::move(unit)});
-  }
-  void add(std::string series, std::uint64_t x, double value,
-           std::string unit = {}) {
-    add(std::move(series), std::to_string(x), value, std::move(unit));
-  }
-
-  /// Writes BENCH_<name>.json; returns the path, or empty when disabled.
-  std::string write() const {
-    const char* dir = std::getenv("NDPGEN_BENCH_JSON_DIR");
-    if (dir == nullptr || *dir == '\0') return {};
-    const std::string path =
-        std::string(dir) + "/BENCH_" + name_ + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "bench: cannot write %s\n", path.c_str());
-      return {};
-    }
-    out << "{\"bench\":\"" << obs::json_escape(name_) << "\",\"rows\":[\n";
-    for (std::size_t i = 0; i < rows_.size(); ++i) {
-      const Row& row = rows_[i];
-      out << "{\"series\":\"" << obs::json_escape(row.series)
-          << "\",\"x\":\"" << obs::json_escape(row.x)
-          << "\",\"value\":" << obs::json_fixed(row.value);
-      if (!row.unit.empty()) {
-        out << ",\"unit\":\"" << obs::json_escape(row.unit) << "\"";
-      }
-      out << "}" << (i + 1 < rows_.size() ? ",\n" : "\n");
-    }
-    out << "]}\n";
-    std::fprintf(stderr, "bench: wrote %s (%zu rows)\n", path.c_str(),
-                 rows_.size());
-    return path;
-  }
-
- private:
-  struct Row {
-    std::string series;
-    std::string x;
-    double value;
-    std::string unit;
-  };
-  std::string name_;
-  std::vector<Row> rows_;
-};
+/// BENCH_<name>.json rows, shared with `ndpgen profile`.
+using obs::JsonResult;
 
 /// Emits the fault counters of one series into a JsonResult. Call only
 /// under an enabled fault profile so default BENCH_*.json files keep their

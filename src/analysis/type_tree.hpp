@@ -51,10 +51,6 @@ class TypeNode {
   /// Pending @string annotation (consumed by the string-resolution pass).
   std::uint32_t string_prefix_bytes = 0;  ///< 0 = not annotated.
 
-  [[nodiscard]] bool is_leaf() const noexcept {
-    return kind == Kind::kPrimitive || kind == Kind::kStringPostfix;
-  }
-
   /// Total packed storage width of the subtree in bits.
   [[nodiscard]] std::uint64_t storage_width_bits() const;
 

@@ -597,25 +597,6 @@ ndp::ScanStats ClusterCoordinator::multi_range_scan(
   return stats;
 }
 
-ndp::GetStats ClusterCoordinator::get(const kv::Key& key) {
-  const platform::SimTime now = queue_.now();
-  ++query_seq_;
-  refresh_cluster_state(now);
-  const std::uint32_t partition = placement_.partition_of(key);
-  std::vector<bool> excluded(devices_.size(), false);
-  for (;;) {
-    const std::uint32_t d = serving_replica(partition, excluded);
-    if (!reachable_at(d, now)) {
-      health_.record_error(d, now);
-      excluded[d] = true;
-      continue;
-    }
-    ndp::GetStats stats = devices_[d]->executor().get(key);
-    health_.record_success(d, now);
-    return stats;
-  }
-}
-
 AntiEntropyReport ClusterCoordinator::run_anti_entropy() {
   const platform::SimTime start = queue_.now();
   refresh_cluster_state(start);

@@ -120,9 +120,6 @@ class ClusterCoordinator final : public host::OffloadTarget {
       const std::vector<ndp::FilterPredicate>& predicates,
       std::vector<std::vector<std::uint8_t>>* records) override;
 
-  /// Recency-correct point lookup through the same placement/health path.
-  ndp::GetStats get(const kv::Key& key);
-
   /// One anti-entropy round: computes every on-ring member's OBSERVED
   /// partition digests from actual flash content, compares them across
   /// the replicas of each partition, localizes divergence to leaf buckets

@@ -48,9 +48,6 @@ class SmartSsdDevice {
                        const hwgen::OperatorSet& operators,
                        ndp::ExecutorConfig exec_config);
 
-  [[nodiscard]] bool has_executor() const noexcept {
-    return executor_ != nullptr;
-  }
   [[nodiscard]] ndp::HybridExecutor& executor();
 
   [[nodiscard]] std::uint64_t records_loaded() const noexcept {
@@ -95,9 +92,6 @@ class SmartSsdDevice {
 
   [[nodiscard]] bool has_corruption() const noexcept {
     return !corruption_ledger_.empty();
-  }
-  [[nodiscard]] std::uint64_t corrupted_block_count() const noexcept {
-    return corruption_ledger_.size();
   }
 
  private:

@@ -30,13 +30,6 @@ const RebuildJob& RebuildManager::start(std::uint32_t dead,
   return jobs_.back();
 }
 
-bool RebuildManager::rebuilding_at(platform::SimTime t) const noexcept {
-  for (const RebuildJob& job : jobs_) {
-    if (t >= job.started && t < job.completes) return true;
-  }
-  return false;
-}
-
 bool RebuildManager::device_is_source_at(
     std::uint32_t device, platform::SimTime t) const noexcept {
   for (const RebuildJob& job : jobs_) {

@@ -48,9 +48,6 @@ class RebuildManager {
                           std::vector<std::uint32_t> sources,
                           std::uint64_t bytes, platform::SimTime now);
 
-  /// True while any job is copying at `t`.
-  [[nodiscard]] bool rebuilding_at(platform::SimTime t) const noexcept;
-
   /// True when `device` is a copy source inside a job window at `t`;
   /// foreground work dispatched on it then pays source_inflation().
   [[nodiscard]] bool device_is_source_at(std::uint32_t device,

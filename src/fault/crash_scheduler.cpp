@@ -16,14 +16,11 @@ constexpr std::uint64_t kStreamTornGarbage = 0x746f726eULL;  // "torn"
 
 }  // namespace
 
-CrashAction CrashScheduler::on_write_step(WriteStepKind kind,
-                                          std::uint64_t target) noexcept {
+CrashAction CrashScheduler::on_write_step() noexcept {
   if (crashed_) return CrashAction::kDrop;
   ++steps_;
   if (plan_.crash_at_step != 0 && steps_ == plan_.crash_at_step) {
     crashed_ = true;
-    crashed_kind_ = kind;
-    crashed_target_ = target;
     return CrashAction::kInterrupt;
   }
   return CrashAction::kProceed;

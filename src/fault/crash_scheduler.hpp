@@ -30,8 +30,6 @@ enum class CrashAction : std::uint8_t {
   kDrop,       ///< Power already failed: the operation never reaches NAND.
 };
 
-enum class WriteStepKind : std::uint8_t { kPageProgram, kBlockErase };
-
 struct CrashPlan {
   /// 1-based write step (program or erase) at which power is lost;
   /// 0 disables the scheduler (counting runs use this to learn the total
@@ -48,10 +46,9 @@ class CrashScheduler {
  public:
   explicit CrashScheduler(CrashPlan plan = CrashPlan()) : plan_(plan) {}
 
-  /// Reports one write-path operation (`target` is the linear page for
-  /// programs, the global block id for erases — recorded for diagnostics)
-  /// and returns what should happen to it. Advances the step counter.
-  CrashAction on_write_step(WriteStepKind kind, std::uint64_t target) noexcept;
+  /// Reports one write-path operation (page program or block erase) and
+  /// returns what should happen to it. Advances the step counter.
+  CrashAction on_write_step() noexcept;
 
   [[nodiscard]] const CrashPlan& plan() const noexcept { return plan_; }
   [[nodiscard]] bool crashed() const noexcept { return crashed_; }
@@ -62,12 +59,6 @@ class CrashScheduler {
   /// The step that actually crashed (0 = none yet).
   [[nodiscard]] std::uint64_t crashed_step() const noexcept {
     return crashed_ ? plan_.crash_at_step : 0;
-  }
-  [[nodiscard]] WriteStepKind crashed_kind() const noexcept {
-    return crashed_kind_;
-  }
-  [[nodiscard]] std::uint64_t crashed_target() const noexcept {
-    return crashed_target_;
   }
 
   /// Re-arms the scheduler with a fresh plan (step counter restarts).
@@ -85,8 +76,6 @@ class CrashScheduler {
   CrashPlan plan_;
   std::uint64_t steps_ = 0;
   bool crashed_ = false;
-  WriteStepKind crashed_kind_ = WriteStepKind::kPageProgram;
-  std::uint64_t crashed_target_ = 0;
 };
 
 }  // namespace ndpgen::fault

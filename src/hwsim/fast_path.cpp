@@ -123,57 +123,21 @@ OutputCopyPlan FastChunkEngine::plan_output(const SimulatedPE& pe) {
   return plan;
 }
 
-bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
-                          std::uint64_t max_cycles) {
+bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   // ============ Phase 1: structural eligibility (no mutation) ==========
   //
   // Every check that fails here is a structural-event boundary: the
   // caller falls back to the cycle-exact run_until loop, which either
   // handles the situation tick by tick or raises the very error the
   // analytic replay cannot reproduce.
-  if (!pe.start_pending_ || pe.running_ || pe.kernel_ != &kernel) {
-    return false;
-  }
-  AxiInterconnect* axi = pe.interconnect_;
-  if (axi == nullptr || kernel.modules_.empty() ||
-      kernel.modules_.front() != axi) {
-    return false;  // Arbitration must run before the PE datapath.
-  }
-  if (!kernel.streams_empty()) return false;
-  for (const auto& port : axi->ports_) {
-    if (!port->idle()) return false;  // Foreign DMA/PE traffic in flight.
-  }
-  const std::size_t num_ports = axi->ports_.size();
-  std::size_t rd_idx = num_ports;
-  std::size_t wr_idx = num_ports;
-  for (std::size_t i = 0; i < num_ports; ++i) {
-    if (axi->ports_[i].get() == pe.read_port_) rd_idx = i;
-    if (axi->ports_[i].get() == pe.write_port_) wr_idx = i;
-  }
-  if (rd_idx == num_ports || wr_idx == num_ports || rd_idx == wr_idx) {
-    return false;
-  }
-
-  // The active PE's module set is replayed analytically. Any other
-  // module (another PE, a fault injection hook) is a structural
-  // boundary: exact mode ticks the chunk instead.
-  std::vector<const Module*> active;
-  active.reserve(pe.stages_.size() + 8);
-  active.push_back(&pe);
-  active.push_back(pe.load_.get());
-  active.push_back(pe.in_buffer_.get());
-  for (const auto& stage : pe.stages_) active.push_back(stage.get());
-  if (pe.aggregate_ != nullptr) active.push_back(pe.aggregate_.get());
-  active.push_back(pe.transform_.get());
-  active.push_back(pe.out_buffer_.get());
-  active.push_back(pe.store_.get());
-
-  for (const Module* m : kernel.modules_) {
-    if (m == axi) continue;
-    if (std::find(active.begin(), active.end(), m) == active.end()) {
-      return false;
-    }
-  }
+  if (!pe.start_pending_ || pe.running_) return false;
+  SimKernel& kernel = *pe.kernel_;
+  AxiInterconnect& axi = *pe.interconnect_;
+  // The bench registers the interconnect, then the PE's modules, the
+  // sequencer last. A module added after that (a test's fault hook) is a
+  // structural boundary: exact mode ticks the chunk instead.
+  if (kernel.modules_.back() != &pe) return false;
+  if (!kernel.streams_empty() || !axi.idle()) return false;
 
   // Register programming prechecks mirror start_run()'s NDPGEN_CHECKs:
   // anything start_run would reject falls back so the exact path raises
@@ -246,7 +210,7 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   const std::uint32_t out_storage_bits = lout.storage_bits;
   if (storage_bits == 0) return false;
 
-  SimMemory& mem = axi->memory_;
+  SimMemory& mem = axi.memory_;
   const std::uint64_t read_bytes = std::uint64_t{words_total} * 8;
   if (src + read_bytes < src || src + read_bytes > mem.size()) {
     return false;  // Exact path raises "DRAM read out of bounds".
@@ -343,11 +307,9 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   // horizon reached mid-replay aborts to the exact path, which re-runs
   // the chunk from the identical pre-run state and raises at the very
   // same virtual cycle.
-  const std::uint32_t bpc = axi->config_.beats_per_cycle;
-  const std::uint32_t latency = axi->config_.read_latency;
-  const std::uint32_t max_out = axi->config_.max_outstanding;
-  const std::size_t rd_next = (rd_idx + 1) % num_ports;
-  const std::size_t wr_next = (wr_idx + 1) % num_ports;
+  const std::uint32_t bpc = axi.config_.beats_per_cycle;
+  const std::uint32_t latency = axi.config_.read_latency;
+  const std::uint32_t max_out = axi.config_.max_outstanding;
   const std::uint64_t wd = kernel.watchdog_cycles_;
   const std::uint64_t n0 = kernel.now_;
 
@@ -364,24 +326,20 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   const std::size_t xform_in = num_stages + (pe.aggregate_ != nullptr ? 1 : 0);
   const std::size_t xform_out = xform_in + 1;
 
-  // Load + read port.
+  // Load + read channel.
   std::uint32_t words_requested = 0;
   std::uint32_t words_pushed = 0;
-  std::uint32_t rdq = 0;  // read_queue_ occupancy
+  std::uint32_t rdq = 0;  // Read channel queue occupancy.
   std::vector<std::uint64_t> resp_ready(max_out);  // ready_at ring
   std::size_t resp_head = 0;
   std::size_t resp_cnt = 0;
-  std::uint64_t rd_beats_add = 0;
-  // Store + write port.
-  std::uint32_t wrq = 0;  // write_queue_ occupancy
-  std::uint64_t wr_beats_add = 0;
+  // Store + write channel.
+  std::uint32_t wrq = 0;  // Write channel queue occupancy.
   std::uint64_t store_payload = 0;
   std::uint64_t store_bytes = 0;
   bool st_upstream_done = false;
-  // Interconnect.
-  std::size_t rr = axi->rr_cursor_;
-  std::uint64_t total_beats_add = 0;
-  std::uint64_t contended_add = 0;
+  // Interconnect round-robin state.
+  bool write_first = axi.write_first_;
   // Input buffer.
   std::uint64_t payload_rem = payload_bits;
   std::uint64_t ib_pending = 0;
@@ -392,9 +350,8 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   std::vector<std::uint64_t> drop_cnt(num_stages, 0);
   std::vector<std::uint64_t> stall_in(num_stages, 0);
   std::vector<std::uint64_t> stall_out(num_stages, 0);
-  // Aggregate / transform / output buffer.
+  // Aggregate / output buffer.
   std::uint64_t agg_folded = 0;
-  std::uint64_t transformed = 0;
   std::uint64_t ob_pending = 0;
   std::uint64_t ob_tuples = 0;
   bool ob_upstream_done = false;
@@ -432,10 +389,9 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     // branches fired this tick. A tick whose actions leave every
     // occupancy unchanged provably repeats until a counter crosses a
     // guard boundary, and those repeats can be accounted arithmetically.
-    const std::size_t rr_start = rr;
+    const bool write_first_start = write_first;
     std::uint32_t grants_r_t = 0;
     std::uint32_t grants_w_t = 0;
-    bool contended_t = false;
     std::uint32_t issued_t = 0;
     bool load_push_t = false;
     bool ib_pop_t = false;
@@ -447,50 +403,24 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     bool store_pad_t = false;
 
     // --- AXI interconnect (module order position 0) ---
-    // Only this PE's two ports can hold demand (all ports started idle
-    // and the kernel runs no other module), so the round-robin walk
-    // reduces to granting the cyclically-nearest grantable port; the cursor
-    // lands one past the last grant, exactly as the inspected-counter
-    // loop leaves it.
-    {
-      std::uint32_t granted = 0;
-      while (granted < bpc) {
-        // Cyclic distances stay below 2*num_ports, so a conditional
-        // subtraction replaces the modulo (a division per tick otherwise).
-        constexpr std::size_t kNoPort = static_cast<std::size_t>(-1);
-        std::size_t d_rd = kNoPort;
-        if (rdq > 0 && resp_cnt < max_out) {
-          d_rd = rd_idx + num_ports - rr;
-          if (d_rd >= num_ports) d_rd -= num_ports;
-        }
-        std::size_t d_wr = kNoPort;
-        if (wrq > 0) {
-          d_wr = wr_idx + num_ports - rr;
-          if (d_wr >= num_ports) d_wr -= num_ports;
-        }
-        if (d_rd == kNoPort && d_wr == kNoPort) break;
-        if (d_rd <= d_wr) {
-          --rdq;
-          std::size_t slot = resp_head + resp_cnt;
-          if (slot >= max_out) slot -= max_out;
-          resp_ready[slot] = now + latency;
-          ++resp_cnt;
-          ++rd_beats_add;
-          ++grants_r_t;
-          rr = rd_next;
-        } else {
-          --wrq;
-          ++wr_beats_add;
-          ++grants_w_t;
-          rr = wr_next;
-        }
-        ++granted;
-        ++total_beats_add;
+    // AxiInterconnect::cycle on the two queue occupancies.
+    for (std::uint32_t granted = 0; granted < bpc; ++granted) {
+      const bool can_read = rdq > 0 && resp_cnt < max_out;
+      const bool can_write = wrq > 0;
+      if (!can_read && !can_write) break;
+      const bool write = can_write && (write_first || !can_read);
+      if (write) {
+        --wrq;
+        ++grants_w_t;
+      } else {
+        --rdq;
+        std::size_t slot = resp_head + resp_cnt;
+        if (slot >= max_out) slot -= max_out;
+        resp_ready[slot] = now + latency;
+        ++resp_cnt;
+        ++grants_r_t;
       }
-      if ((rdq > 0 || wrq > 0) && granted == bpc) {
-        ++contended_add;
-        contended_t = true;
-      }
+      write_first = !write;
     }
 
     // --- Load unit ---
@@ -565,7 +495,6 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     if (ts[xform_in].vis > 0 && ts[xform_out].can_push()) {
       --ts[xform_in].vis;
       ts[xform_out].push();
-      ++transformed;
       tuple_activity_t = true;
     }
 
@@ -643,7 +572,7 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     //
     // A tick with no tuple-plane activity whose actions cancel out
     // (every queue occupancy, the response count and the round-robin
-    // cursor end where they started) repeats verbatim: every branch it
+    // state end where they started) repeats verbatim: every branch it
     // took depends only on state that just proved itself stationary,
     // plus monotonic counters whose guard crossings are computable in
     // closed form. Account the longest provably-identical run of future
@@ -660,7 +589,9 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
       if (grants_w_t != (store_pop_t ? 1u : 0u) + (store_pad_t ? 1u : 0u)) {
         break;
       }
-      if (grants_r_t + grants_w_t > 0 && rr != rr_start) break;
+      if (grants_r_t + grants_w_t > 0 && write_first != write_first_start) {
+        break;
+      }
       if (ib_pop_t && payload_rem == 0) break;  // last payload word
       bool ts_empty = true;
       for (const ModelStream& t : ts) ts_empty = ts_empty && t.vis == 0;
@@ -731,10 +662,6 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
         words_requested += g;
         wi.pushes += g;
       }
-      rd_beats_add += std::uint64_t{grants_r_t} * g;
-      wr_beats_add += std::uint64_t{grants_w_t} * g;
-      total_beats_add += std::uint64_t{grants_r_t + grants_w_t} * g;
-      if (contended_t) contended_add += g;
       if (ib_pop_t) {
         ib_pending += 64 * g;
         payload_rem -= 64 * g;
@@ -802,7 +729,6 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
     }
     pe.aggregate_->folded_ = agg_folded;
   }
-  pe.transform_->tuples_transformed_ = transformed;
   pe.out_buffer_->pending_ = support::BitVector();
   pe.out_buffer_->upstream_done_ = true;
   pe.out_buffer_->payload_bits_ = ob_tuples * out_storage_bits;
@@ -835,12 +761,7 @@ bool FastChunkEngine::run(SimKernel& kernel, SimulatedPE& pe,
   }
   merge_stream(pe.words_out_, wo);
 
-  // Interconnect + port statistics.
-  pe.read_port_->read_beats_ += rd_beats_add;
-  pe.write_port_->write_beats_ += wr_beats_add;
-  axi->rr_cursor_ = rr;
-  axi->total_beats_ += total_beats_add;
-  axi->contended_cycles_ += contended_add;
+  axi.write_first_ = write_first;
 
   // DRAM effects: the write queue drained in request order, so the final
   // memory image is the payload words followed by static-mode padding.

@@ -15,11 +15,12 @@
 // wall-clock cost.
 //
 // Structural-event boundaries drop back to the cycle-exact path: a
-// module outside the PE or in-flight state at chunk start, a mid-chunk
-// watchdog trip or deadlock horizon, invalid register programming, or an
-// out-of-bounds DRAM window all make run() return false without mutating
-// anything, and the caller re-runs the chunk through SimKernel::run_until
-// so every raise/fault behavior is bit-preserved.
+// module added to the bench kernel after the PE, in-flight state at
+// chunk start, a mid-chunk watchdog trip or deadlock horizon, invalid
+// register programming, or an out-of-bounds DRAM window all make run()
+// return false without mutating anything, and the caller re-runs the
+// chunk through SimKernel::run_until so every raise/fault behavior is
+// bit-preserved.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +28,6 @@
 
 namespace ndpgen::hwsim {
 
-class SimKernel;
 class SimulatedPE;
 
 /// One run of output-tuple bits copied from consecutive input-tuple bits.
@@ -55,11 +55,10 @@ class FastChunkEngine {
   static OutputCopyPlan plan_output(const SimulatedPE& pe);
 
   /// Attempts to run the chunk started on `pe` (START written, run not
-  /// yet begun) to completion analytically. Returns true when the fast
-  /// path applied; false means nothing was touched and the caller must
-  /// fall back to the cycle-exact run_until loop.
-  static bool run(SimKernel& kernel, SimulatedPE& pe,
-                  std::uint64_t max_cycles);
+  /// yet begun) to completion analytically on its bench's kernel. Returns
+  /// true when the fast path applied; false means nothing was touched and
+  /// the caller must fall back to the cycle-exact run_until loop.
+  static bool run(SimulatedPE& pe, std::uint64_t max_cycles);
 };
 
 }  // namespace ndpgen::hwsim

@@ -136,12 +136,6 @@ class SimKernel {
     return streams_;
   }
 
-  /// Registered modules in evaluation order (for the fused fast path's
-  /// structural eligibility scan).
-  [[nodiscard]] const std::vector<Module*>& modules() const noexcept {
-    return modules_;
-  }
-
   /// Observability context shared by the modules running under this
   /// kernel. Null (the default) disables all instrumentation.
   void set_observability(obs::Observability* obs) noexcept { obs_ = obs; }

@@ -10,16 +10,16 @@ namespace {
 constexpr std::size_t kMaxInFlight = 32;
 }  // namespace
 
-SimLoadUnit::SimLoadUnit(std::string name, AxiPort* port,
+SimLoadUnit::SimLoadUnit(std::string name, AxiReadChannel* channel,
                          Stream<std::uint64_t>* out, std::uint32_t chunk_bytes,
                          bool configurable)
     : Module(std::move(name)),
-      port_(port),
+      channel_(channel),
       out_(out),
       chunk_bytes_(chunk_bytes),
       configurable_(configurable) {
-  NDPGEN_CHECK_ARG(port != nullptr && out != nullptr,
-                   "load unit needs a port and an output stream");
+  NDPGEN_CHECK_ARG(channel != nullptr && out != nullptr,
+                   "load unit needs a channel and an output stream");
   NDPGEN_CHECK_ARG(chunk_bytes % 8 == 0, "chunk size must be word aligned");
 }
 
@@ -38,14 +38,14 @@ void SimLoadUnit::start(std::uint64_t addr, std::uint32_t bytes) {
 void SimLoadUnit::cycle(std::uint64_t now) {
   // Issue new beats while the window allows.
   while (words_requested_ < words_total_ &&
-         port_->pending_requests() < kMaxInFlight) {
-    port_->request_read(addr_ + std::uint64_t{words_requested_} * 8, 1);
+         channel_->pending_requests() < kMaxInFlight) {
+    channel_->request(addr_ + std::uint64_t{words_requested_} * 8, 1);
     ++words_requested_;
   }
   // Forward returned data downstream (one word per cycle).
-  if (words_pushed_ < words_total_ && port_->read_data_available(now) &&
+  if (words_pushed_ < words_total_ && channel_->data_available(now) &&
       out_->can_push()) {
-    out_->push(port_->pop_read_data(now));
+    out_->push(channel_->pop_data(now));
     ++words_pushed_;
   }
 }

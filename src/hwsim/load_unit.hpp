@@ -17,7 +17,8 @@ class SimLoadUnit final : public Module {
  public:
   /// `configurable` selects the flexible (generated) behaviour; static
   /// units round every transfer up to `chunk_bytes`.
-  SimLoadUnit(std::string name, AxiPort* port, Stream<std::uint64_t>* out,
+  SimLoadUnit(std::string name, AxiReadChannel* channel,
+              Stream<std::uint64_t>* out,
               std::uint32_t chunk_bytes, bool configurable);
 
   /// Begins loading `bytes` from DRAM address `addr`.
@@ -46,7 +47,7 @@ class SimLoadUnit final : public Module {
  private:
   friend class FastChunkEngine;
 
-  AxiPort* port_;
+  AxiReadChannel* channel_;
   Stream<std::uint64_t>* out_;
   std::uint32_t chunk_bytes_;
   bool configurable_;

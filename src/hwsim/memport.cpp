@@ -8,8 +8,14 @@ SimMemory::SimMemory(std::size_t bytes) : data_(bytes, 0) {
   NDPGEN_CHECK_ARG(bytes > 0, "memory size must be > 0");
 }
 
+bool SimMemory::in_bounds(std::uint64_t addr,
+                          std::uint64_t length) const noexcept {
+  // Written so that no sum can wrap for addresses near 2^64.
+  return addr <= data_.size() && length <= data_.size() - addr;
+}
+
 std::uint64_t SimMemory::read_u64(std::uint64_t addr) const {
-  NDPGEN_CHECK_ARG(addr + 8 <= data_.size(), "DRAM read out of bounds");
+  NDPGEN_CHECK_ARG(in_bounds(addr, 8), "DRAM read out of bounds");
   std::uint64_t value = 0;
   for (int i = 0; i < 8; ++i) {
     value |= static_cast<std::uint64_t>(data_[addr + static_cast<std::size_t>(i)])
@@ -19,7 +25,7 @@ std::uint64_t SimMemory::read_u64(std::uint64_t addr) const {
 }
 
 void SimMemory::write_u64(std::uint64_t addr, std::uint64_t value) {
-  NDPGEN_CHECK_ARG(addr + 8 <= data_.size(), "DRAM write out of bounds");
+  NDPGEN_CHECK_ARG(in_bounds(addr, 8), "DRAM write out of bounds");
   for (int i = 0; i < 8; ++i) {
     data_[addr + static_cast<std::size_t>(i)] =
         static_cast<std::uint8_t>(value >> (8 * i));
@@ -28,44 +34,35 @@ void SimMemory::write_u64(std::uint64_t addr, std::uint64_t value) {
 
 std::span<const std::uint8_t> SimMemory::read_bytes(std::uint64_t addr,
                                                     std::size_t length) const {
-  NDPGEN_CHECK_ARG(addr + length <= data_.size(), "DRAM read out of bounds");
+  NDPGEN_CHECK_ARG(in_bounds(addr, length), "DRAM read out of bounds");
   return std::span<const std::uint8_t>(data_.data() + addr, length);
 }
 
 void SimMemory::write_bytes(std::uint64_t addr,
                             std::span<const std::uint8_t> bytes) {
-  NDPGEN_CHECK_ARG(addr + bytes.size() <= data_.size(),
-                   "DRAM write out of bounds");
+  NDPGEN_CHECK_ARG(in_bounds(addr, bytes.size()), "DRAM write out of bounds");
   std::copy(bytes.begin(), bytes.end(), data_.begin() + static_cast<std::ptrdiff_t>(addr));
 }
 
-void SimMemory::fill(std::uint8_t value) noexcept {
-  std::fill(data_.begin(), data_.end(), value);
-}
-
-void AxiPort::request_read(std::uint64_t addr, std::uint32_t beats) {
+void AxiReadChannel::request(std::uint64_t addr, std::uint32_t beats) {
   for (std::uint32_t i = 0; i < beats; ++i) {
-    read_queue_.push_back(ReadRequest{addr + std::uint64_t{i} * 8});
+    queue_.push_back(addr + std::uint64_t{i} * 8);
   }
 }
 
-bool AxiPort::read_data_available(std::uint64_t now) const noexcept {
+bool AxiReadChannel::data_available(std::uint64_t now) const noexcept {
   return !responses_.empty() && responses_.front().ready_at <= now;
 }
 
-std::uint64_t AxiPort::pop_read_data(std::uint64_t now) {
-  NDPGEN_CHECK(read_data_available(now), "no read data on port " + name_);
+std::uint64_t AxiReadChannel::pop_data(std::uint64_t now) {
+  NDPGEN_CHECK(data_available(now), "no read data on the AXI read channel");
   const std::uint64_t data = responses_.front().data;
   responses_.pop_front();
   return data;
 }
 
-void AxiPort::request_write(std::uint64_t addr, std::uint64_t data) {
-  write_queue_.push_back(WriteRequest{addr, data});
-}
-
-bool AxiPort::idle() const noexcept {
-  return read_queue_.empty() && write_queue_.empty() && responses_.empty();
+void AxiWriteChannel::request(std::uint64_t addr, std::uint64_t data) {
+  queue_.push_back(Request{addr, data});
 }
 
 AxiInterconnect::AxiInterconnect(SimMemory& memory, Config config)
@@ -73,77 +70,35 @@ AxiInterconnect::AxiInterconnect(SimMemory& memory, Config config)
   NDPGEN_CHECK_ARG(config.beats_per_cycle >= 1, "need >= 1 beat per cycle");
 }
 
-AxiPort* AxiInterconnect::create_port(std::string name) {
-  ports_.push_back(std::unique_ptr<AxiPort>(new AxiPort(std::move(name))));
-  return ports_.back().get();
-}
-
 void AxiInterconnect::cycle(std::uint64_t now) {
-  if (ports_.empty()) return;
   std::uint32_t granted = 0;
-  bool demand_left = false;
-  // Round-robin across ports, one beat per grant.
-  const std::size_t num_ports = ports_.size();
-  std::size_t inspected = 0;
-  std::size_t cursor = rr_cursor_;
-  while (granted < config_.beats_per_cycle && inspected < num_ports) {
-    AxiPort& port = *ports_[cursor];
-    bool granted_this_port = false;
-    if (!port.read_queue_.empty() &&
-        port.responses_.size() < config_.max_outstanding) {
-      const auto request = port.read_queue_.front();
-      port.read_queue_.pop_front();
-      port.responses_.push_back(AxiPort::ReadResponse{
-          now + config_.read_latency, memory_.read_u64(request.addr)});
-      ++port.read_beats_;
-      granted_this_port = true;
-    } else if (!port.write_queue_.empty()) {
-      const auto request = port.write_queue_.front();
-      port.write_queue_.pop_front();
+  while (granted < config_.beats_per_cycle) {
+    const bool can_read = !read_.queue_.empty() &&
+                          read_.responses_.size() < config_.max_outstanding;
+    const bool can_write = !write_.queue_.empty();
+    if (!can_read && !can_write) break;
+    const bool write = can_write && (write_first_ || !can_read);
+    if (write) {
+      const AxiWriteChannel::Request request = write_.queue_.front();
+      write_.queue_.pop_front();
       memory_.write_u64(request.addr, request.data);
-      ++port.write_beats_;
-      granted_this_port = true;
-    }
-    if (granted_this_port) {
-      ++granted;
-      ++total_beats_;
-      // A port that got a grant is revisited only after the others.
-      inspected = 0;
     } else {
-      ++inspected;
+      const std::uint64_t addr = read_.queue_.front();
+      read_.queue_.pop_front();
+      read_.responses_.push_back(AxiReadChannel::Response{
+          now + config_.read_latency, memory_.read_u64(addr)});
     }
-    cursor = (cursor + 1) % num_ports;
-  }
-  rr_cursor_ = cursor;
-  for (const auto& port : ports_) {
-    if (!port->read_queue_.empty() || !port->write_queue_.empty()) {
-      demand_left = true;
-      break;
-    }
-  }
-  if (demand_left && granted == config_.beats_per_cycle) {
-    ++contended_cycles_;
+    // The channel that got the grant is asked after the other one.
+    write_first_ = !write;
+    ++granted;
   }
 }
 
 void AxiInterconnect::reset() {
-  for (auto& port : ports_) {
-    port->read_queue_.clear();
-    port->write_queue_.clear();
-    port->responses_.clear();
-    port->read_beats_ = 0;
-    port->write_beats_ = 0;
-  }
-  total_beats_ = 0;
-  contended_cycles_ = 0;
-  rr_cursor_ = 0;
-}
-
-bool AxiInterconnect::idle() const noexcept {
-  for (const auto& port : ports_) {
-    if (!port->idle()) return false;
-  }
-  return true;
+  read_.queue_.clear();
+  read_.responses_.clear();
+  write_.queue_.clear();
+  write_first_ = false;
 }
 
 }  // namespace ndpgen::hwsim

@@ -1,18 +1,17 @@
-// Shared AXI memory model with contention.
+// One PE's AXI memory interface: a read channel and a write channel.
 //
-// All PEs (and the flash DMA engine) reach the PS-DRAM through one shared
-// interconnect; memory contention is the main bottleneck the configurable
-// Load/Store units of this work are designed to relieve (paper §IV-B,
-// "Memory Interface"). The interconnect grants a fixed number of 64-bit
-// beats per cycle, arbitrated round-robin across ports; read data returns
-// after a fixed latency.
+// Each PE reaches the PS-DRAM through its own Load and Store units on
+// separate AXI4 read and write masters; memory contention is the main
+// bottleneck those configurable units are designed to relieve (paper
+// §IV-B, "Memory Interface"). The interconnect grants at most a fixed
+// number of 64-bit beats per cycle, shared by the two channels and
+// granted round-robin between them; read data returns after a fixed
+// latency, in request order.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "hwsim/kernel.hpp"
@@ -33,109 +32,107 @@ class SimMemory {
       std::uint64_t addr, std::size_t length) const;
   void write_bytes(std::uint64_t addr, std::span<const std::uint8_t> bytes);
 
-  void fill(std::uint8_t value) noexcept;
-
  private:
+  /// True when [addr, addr + length) lies inside the memory.
+  [[nodiscard]] bool in_bounds(std::uint64_t addr,
+                               std::uint64_t length) const noexcept;
+
   std::vector<std::uint8_t> data_;
 };
 
-class AxiInterconnect;
-
-/// One master port on the shared interconnect (one per PE load/store pair
-/// plus one for the flash DMA).
-class AxiPort {
+/// The Load Unit's AXI read master. Beats queue here until the
+/// interconnect grants them; each granted beat's data becomes available
+/// `read_latency` cycles later.
+class AxiReadChannel {
  public:
   /// Queues a read of `beats` consecutive 64-bit beats starting at `addr`.
-  void request_read(std::uint64_t addr, std::uint32_t beats);
+  void request(std::uint64_t addr, std::uint32_t beats);
 
   /// True if read data is ready to be consumed this cycle.
-  [[nodiscard]] bool read_data_available(std::uint64_t now) const noexcept;
+  [[nodiscard]] bool data_available(std::uint64_t now) const noexcept;
 
   /// Pops one beat of read data (call only when available).
-  [[nodiscard]] std::uint64_t pop_read_data(std::uint64_t now);
+  [[nodiscard]] std::uint64_t pop_data(std::uint64_t now);
 
-  /// Queues one write beat.
-  void request_write(std::uint64_t addr, std::uint64_t data);
-
-  /// Outstanding work on this port (requests or undelivered data).
-  [[nodiscard]] bool idle() const noexcept;
-
-  /// Beats still queued for issue (backpressure signal).
+  /// Beats still queued for grant (backpressure signal).
   [[nodiscard]] std::size_t pending_requests() const noexcept {
-    return read_queue_.size() + write_queue_.size();
+    return queue_.size();
   }
 
-  [[nodiscard]] const std::string& name() const noexcept { return name_; }
-
-  // Statistics.
-  [[nodiscard]] std::uint64_t read_beats() const noexcept { return read_beats_; }
-  [[nodiscard]] std::uint64_t write_beats() const noexcept {
-    return write_beats_;
+  /// No queued beat and no undelivered data.
+  [[nodiscard]] bool idle() const noexcept {
+    return queue_.empty() && responses_.empty();
   }
 
  private:
   friend class AxiInterconnect;
-  friend class FastChunkEngine;
-  explicit AxiPort(std::string name) : name_(std::move(name)) {}
 
-  struct ReadRequest {
-    std::uint64_t addr;
-  };
-  struct WriteRequest {
-    std::uint64_t addr;
-    std::uint64_t data;
-  };
-  struct ReadResponse {
+  struct Response {
     std::uint64_t ready_at;
     std::uint64_t data;
   };
 
-  std::string name_;
-  std::deque<ReadRequest> read_queue_;
-  std::deque<WriteRequest> write_queue_;
-  std::deque<ReadResponse> responses_;
-  std::uint64_t read_beats_ = 0;
-  std::uint64_t write_beats_ = 0;
+  std::deque<std::uint64_t> queue_;  ///< Addresses awaiting grant.
+  std::deque<Response> responses_;
 };
 
-/// The shared interconnect: a Module ticked by the kernel.
+/// The Store Unit's AXI write master: a granted beat lands in memory at
+/// once.
+class AxiWriteChannel {
+ public:
+  /// Queues one write beat.
+  void request(std::uint64_t addr, std::uint64_t data);
+
+  /// Beats still queued for grant (backpressure signal).
+  [[nodiscard]] std::size_t pending_requests() const noexcept {
+    return queue_.size();
+  }
+
+  [[nodiscard]] bool idle() const noexcept { return queue_.empty(); }
+
+ private:
+  friend class AxiInterconnect;
+
+  struct Request {
+    std::uint64_t addr;
+    std::uint64_t data;
+  };
+
+  std::deque<Request> queue_;
+};
+
+/// The interconnect: a Module ticked by the kernel that grants the two
+/// channels' beats under one per-cycle cap.
 class AxiInterconnect final : public Module {
  public:
   struct Config {
-    std::uint32_t beats_per_cycle = 2;  ///< Aggregate grant bandwidth.
+    std::uint32_t beats_per_cycle = 2;  ///< Shared read + write grants.
     std::uint32_t read_latency = 20;    ///< Cycles from grant to data.
-    std::uint32_t max_outstanding = 64; ///< Per-port responses in flight.
+    std::uint32_t max_outstanding = 64; ///< Read responses in flight.
   };
 
   AxiInterconnect(SimMemory& memory, Config config);
 
-  /// Creates a port. Ports are owned by the interconnect.
-  [[nodiscard]] AxiPort* create_port(std::string name);
+  [[nodiscard]] AxiReadChannel& read_channel() noexcept { return read_; }
+  [[nodiscard]] AxiWriteChannel& write_channel() noexcept { return write_; }
 
+  /// Grants up to beats_per_cycle beats, alternating between the
+  /// channels: the one not granted last is asked first, and a channel
+  /// with nothing grantable yields to the other.
   void cycle(std::uint64_t now) override;
   void reset() override;
-  [[nodiscard]] bool idle() const noexcept override;
-
-  // Statistics.
-  [[nodiscard]] std::uint64_t total_beats() const noexcept {
-    return total_beats_;
+  [[nodiscard]] bool idle() const noexcept override {
+    return read_.idle() && write_.idle();
   }
-  [[nodiscard]] std::uint64_t contended_cycles() const noexcept {
-    return contended_cycles_;
-  }
-
-  [[nodiscard]] const Config& config() const noexcept { return config_; }
-  [[nodiscard]] SimMemory& memory() noexcept { return memory_; }
 
  private:
   friend class FastChunkEngine;
 
   SimMemory& memory_;
   Config config_;
-  std::vector<std::unique_ptr<AxiPort>> ports_;
-  std::size_t rr_cursor_ = 0;
-  std::uint64_t total_beats_ = 0;
-  std::uint64_t contended_cycles_ = 0;
+  AxiReadChannel read_;
+  AxiWriteChannel write_;
+  bool write_first_ = false;  ///< Round-robin state: who is asked first.
 };
 
 }  // namespace ndpgen::hwsim

@@ -15,8 +15,6 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
       interconnect_(&interconnect),
       regs_(design.regmap) {
   design_.validate();
-  read_port_ = interconnect.create_port(design.name + ".rd");
-  write_port_ = interconnect.create_port(design.name + ".wr");
 
   const bool configurable =
       design_.flavor == hw::DesignFlavor::kGenerated;
@@ -39,7 +37,7 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
                                                  /*depth=*/8);
 
   load_ = std::make_unique<SimLoadUnit>(
-      design.name + ".load", read_port_, words_in_,
+      design.name + ".load", &interconnect.read_channel(), words_in_,
       design_.parser.chunk_size_bytes, configurable);
   in_buffer_ = std::make_unique<SimTupleInputBuffer>(
       design.name + ".tuple_in", design_.parser.input, words_in_,
@@ -62,10 +60,9 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
   out_buffer_ = std::make_unique<SimTupleOutputBuffer>(
       design.name + ".tuple_out", design_.parser.output,
       tuple_streams_[cursor + 1], words_out_);
-  store_ = std::make_unique<SimStoreUnit>(design.name + ".store", write_port_,
-                                          words_out_,
-                                          design_.parser.chunk_size_bytes,
-                                          configurable);
+  store_ = std::make_unique<SimStoreUnit>(
+      design.name + ".store", &interconnect.write_channel(), words_out_,
+      design_.parser.chunk_size_bytes, configurable);
 
   kernel.add_module(load_.get());
   kernel.add_module(in_buffer_.get());
@@ -165,7 +162,7 @@ void SimulatedPE::cycle(std::uint64_t now) {
   const bool drained = pipeline_upstream_drained();
   out_buffer_->set_upstream_done(drained);
   store_->set_upstream_done(drained && out_buffer_->idle());
-  if (store_->done() && read_port_->idle() && write_port_->idle()) {
+  if (store_->done() && interconnect_->idle()) {
     finish_run(now);
   }
 }
@@ -241,8 +238,8 @@ void SimulatedPE::publish_observability(std::uint64_t now) {
     m.add(m.counter(stage + "stall_in"), stages_[i]->stall_in_count());
     m.add(m.counter(stage + "stall_out"), stages_[i]->stall_out_count());
   }
-  // FIFO high-water marks cover all kernel streams (this PE's streams are
-  // name-prefixed, so a multi-PE kernel stays unambiguous).
+  // FIFO high-water marks cover all kernel streams: this PE's own, named
+  // after the design.
   for (const auto& stream : kernel_->streams()) {
     m.raise(m.gauge("hwsim.fifo." + stream->name() + ".high_water"),
             stream->high_water());
@@ -277,11 +274,12 @@ void SimulatedPE::reset() {
 }
 
 PETestBench::PETestBench(const hw::PEDesign& design, PEBenchConfig config)
-    : memory_(config.memory_bytes), sim_mode_(config.sim_mode) {
+    : memory_(config.memory_bytes),
+      sim_mode_(config.sim_mode),
+      interconnect_(memory_, config.axi) {
   kernel_.set_observability(&obs_);
-  interconnect_ = std::make_unique<AxiInterconnect>(memory_, config.axi);
-  kernel_.add_module(interconnect_.get());
-  pe_ = std::make_unique<SimulatedPE>(design, kernel_, *interconnect_);
+  kernel_.add_module(&interconnect_);
+  pe_.reset(new SimulatedPE(design, kernel_, interconnect_));
 }
 
 void PETestBench::set_filter(std::uint32_t stage, std::uint32_t field_sel,
@@ -319,7 +317,7 @@ ChunkStats PETestBench::run_chunk(std::uint64_t src_addr,
   start_chunk(src_addr, dst_addr, payload_bytes);
   constexpr std::uint64_t kMaxCycles = 100'000'000;
   if (sim_mode_ != SimMode::kFast ||
-      !FastChunkEngine::run(kernel_, *pe_, kMaxCycles)) {
+      !FastChunkEngine::run(*pe_, kMaxCycles)) {
     kernel_.run_until([this] { return !pe_->busy(); }, kMaxCycles);
   }
   return pe_->last_stats();

@@ -3,9 +3,10 @@
 // SimulatedPE instantiates the simulated template modules for a generated
 // (or baseline) design, wires their elastic streams, and exposes the MMIO
 // interface decoded through the generated RegisterMap — the same addresses
-// the generated software interface (swif_generator) uses. A PE registers
-// its modules into a caller-provided SimKernel so that multiple PEs plus
-// the shared AXI interconnect advance in lock-step.
+// the generated software interface (swif_generator) uses. Only a
+// PETestBench builds one: the bench owns the PE's memory, its AXI
+// interconnect (one read and one write channel) and the kernel that ticks
+// the interconnect and the PE's modules in lock-step.
 #pragma once
 
 #include <cstdint>
@@ -51,11 +52,6 @@ struct ChunkStats {
 
 class SimulatedPE final : public Module {
  public:
-  /// Builds the PE and registers all modules (and itself) with `kernel`.
-  /// The interconnect must already be registered with the same kernel.
-  SimulatedPE(const hwgen::PEDesign& design, SimKernel& kernel,
-              AxiInterconnect& interconnect);
-
   // --- MMIO (host/firmware side) -------------------------------------
   void mmio_write(std::uint32_t offset, std::uint32_t value);
   [[nodiscard]] std::uint32_t mmio_read(std::uint32_t offset) const;
@@ -82,6 +78,13 @@ class SimulatedPE final : public Module {
 
  private:
   friend class FastChunkEngine;
+  friend class PETestBench;
+
+  /// Builds the PE on the interconnect's channel pair and registers all
+  /// modules (and itself, last) with `kernel`, which must already tick the
+  /// interconnect.
+  SimulatedPE(const hwgen::PEDesign& design, SimKernel& kernel,
+              AxiInterconnect& interconnect);
 
   void start_run(std::uint64_t now);
   void finish_run(std::uint64_t now);
@@ -90,13 +93,12 @@ class SimulatedPE final : public Module {
 
   hwgen::PEDesign design_;
   SimKernel* kernel_;  ///< Non-owning; carries the observability context.
-  AxiInterconnect* interconnect_;  ///< Non-owning; for the fused engine.
+  /// Non-owning. Its read channel feeds the load unit and its write
+  /// channel drains the store unit: separate masters, as on the AXI4 bus
+  /// (one shared queue could deadlock the elastic pipeline, the store
+  /// waiting behind the load's read window).
+  AxiInterconnect* interconnect_;
   SimRegFile regs_;
-  // Separate read/write masters, mirroring the independent AXI4 read and
-  // write channels (sharing one port can deadlock the elastic pipeline:
-  // the store would wait behind the load's read window).
-  AxiPort* read_port_;
-  AxiPort* write_port_;
 
   Stream<std::uint64_t>* words_in_;
   std::vector<Stream<Tuple>*> tuple_streams_;  ///< in-buffer ... out-buffer.
@@ -121,7 +123,7 @@ class SimulatedPE final : public Module {
 /// Configuration of a PETestBench.
 struct PEBenchConfig {
   /// Size of the bench memory: the PS-DRAM the PE reads and writes over
-  /// the AXI interconnect.
+  /// its AXI channel pair.
   std::size_t memory_bytes = 8 * 1024 * 1024;
   AxiInterconnect::Config axi{};
   /// Exact ticking vs fused chunk replay (results are identical either
@@ -129,8 +131,8 @@ struct PEBenchConfig {
   SimMode sim_mode = sim_mode_from_env();
 };
 
-/// Self-contained harness for single-PE experiments and unit tests:
-/// owns memory, interconnect, kernel and the PE.
+/// The one way to build a SimulatedPE: owns memory, interconnect, kernel
+/// and the PE.
 class PETestBench {
  public:
   explicit PETestBench(const hwgen::PEDesign& design,
@@ -139,9 +141,6 @@ class PETestBench {
   [[nodiscard]] SimMemory& memory() noexcept { return memory_; }
   [[nodiscard]] SimulatedPE& pe() noexcept { return *pe_; }
   [[nodiscard]] SimKernel& kernel() noexcept { return kernel_; }
-  [[nodiscard]] AxiInterconnect& interconnect() noexcept {
-    return *interconnect_;
-  }
   /// Metrics registry + trace attachment point for the whole bench;
   /// attach a TraceSink via `observability().trace = &sink`.
   [[nodiscard]] obs::Observability& observability() noexcept { return obs_; }
@@ -166,7 +165,7 @@ class PETestBench {
   SimMode sim_mode_;
   obs::Observability obs_;
   SimKernel kernel_;
-  std::unique_ptr<AxiInterconnect> interconnect_;
+  AxiInterconnect interconnect_;
   std::unique_ptr<SimulatedPE> pe_;
 };
 

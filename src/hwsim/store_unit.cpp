@@ -8,16 +8,16 @@ namespace {
 constexpr std::size_t kMaxInFlight = 32;
 }
 
-SimStoreUnit::SimStoreUnit(std::string name, AxiPort* port,
+SimStoreUnit::SimStoreUnit(std::string name, AxiWriteChannel* channel,
                            Stream<std::uint64_t>* in, std::uint32_t chunk_bytes,
                            bool configurable)
     : Module(std::move(name)),
-      port_(port),
+      channel_(channel),
       in_(in),
       chunk_bytes_(chunk_bytes),
       configurable_(configurable) {
-  NDPGEN_CHECK_ARG(port != nullptr && in != nullptr,
-                   "store unit needs a port and an input stream");
+  NDPGEN_CHECK_ARG(channel != nullptr && in != nullptr,
+                   "store unit needs a channel and an input stream");
   NDPGEN_CHECK_ARG(chunk_bytes % 8 == 0, "chunk size must be word aligned");
 }
 
@@ -32,8 +32,8 @@ void SimStoreUnit::start(std::uint64_t addr) {
 void SimStoreUnit::cycle(std::uint64_t /*now*/) {
   if (!started_) return;
   // Drain payload words (one per cycle).
-  if (in_->can_pop() && port_->pending_requests() < kMaxInFlight) {
-    port_->request_write(addr_ + bytes_transferred_, in_->pop());
+  if (in_->can_pop() && channel_->pending_requests() < kMaxInFlight) {
+    channel_->request(addr_ + bytes_transferred_, in_->pop());
     payload_bytes_ += 8;
     bytes_transferred_ += 8;
     return;
@@ -43,8 +43,8 @@ void SimStoreUnit::cycle(std::uint64_t /*now*/) {
   // complete data blocks").
   if (!configurable_ && upstream_done_ && !in_->can_pop() &&
       bytes_transferred_ < chunk_bytes_ &&
-      port_->pending_requests() < kMaxInFlight) {
-    port_->request_write(addr_ + bytes_transferred_, 0);
+      channel_->pending_requests() < kMaxInFlight) {
+    channel_->request(addr_ + bytes_transferred_, 0);
     bytes_transferred_ += 8;
   }
 }

@@ -16,7 +16,8 @@ namespace ndpgen::hwsim {
 
 class SimStoreUnit final : public Module {
  public:
-  SimStoreUnit(std::string name, AxiPort* port, Stream<std::uint64_t>* in,
+  SimStoreUnit(std::string name, AxiWriteChannel* channel,
+               Stream<std::uint64_t>* in,
                std::uint32_t chunk_bytes, bool configurable);
 
   /// Begins a run targeting DRAM address `addr`.
@@ -29,7 +30,7 @@ class SimStoreUnit final : public Module {
   void reset() override;
   [[nodiscard]] bool idle() const noexcept override;
 
-  /// All payload (and static-mode padding) has been queued to the port.
+  /// All payload (and static-mode padding) has been queued to the channel.
   [[nodiscard]] bool done() const noexcept;
 
   [[nodiscard]] std::uint64_t payload_bytes() const noexcept {
@@ -42,7 +43,7 @@ class SimStoreUnit final : public Module {
  private:
   friend class FastChunkEngine;
 
-  AxiPort* port_;
+  AxiWriteChannel* channel_;
   Stream<std::uint64_t>* in_;
   std::uint32_t chunk_bytes_;
   bool configurable_;

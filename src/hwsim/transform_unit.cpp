@@ -35,9 +35,6 @@ void SimTransformUnit::cycle(std::uint64_t /*now*/) {
     }
     out_->push(std::move(output));
   }
-  ++tuples_transformed_;
 }
-
-void SimTransformUnit::reset() { tuples_transformed_ = 0; }
 
 }  // namespace ndpgen::hwsim

@@ -22,11 +22,6 @@ class SimTransformUnit final : public Module {
                    Stream<Tuple>* in, Stream<Tuple>* out);
 
   void cycle(std::uint64_t now) override;
-  void reset() override;
-
-  [[nodiscard]] std::uint64_t tuples_transformed() const noexcept {
-    return tuples_transformed_;
-  }
 
  private:
   friend class FastChunkEngine;
@@ -42,7 +37,6 @@ class SimTransformUnit final : public Module {
   std::vector<Wire> wires_;
   std::uint32_t out_bits_;
   bool identity_;
-  std::uint64_t tuples_transformed_ = 0;
 };
 
 }  // namespace ndpgen::hwsim

@@ -149,10 +149,6 @@ class NKV {
   /// True while recover() runs; NDP offload must refuse the store.
   [[nodiscard]] bool recovering() const noexcept { return recovering_; }
 
-  /// Sequence number covered by the last committed manifest.
-  [[nodiscard]] SequenceNumber durable_sequence() const noexcept {
-    return durable_seq_;
-  }
   [[nodiscard]] const WriteAheadLog* wal() const noexcept {
     return wal_.get();
   }

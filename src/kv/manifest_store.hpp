@@ -59,9 +59,6 @@ class ManifestStore {
   [[nodiscard]] std::uint64_t commit_seq() const noexcept {
     return commit_seq_;
   }
-  [[nodiscard]] std::uint64_t pointer_pages_used() const noexcept {
-    return pointer_cursor_;
-  }
   [[nodiscard]] std::uint64_t pointer_capacity() const noexcept {
     return std::uint64_t{static_cast<std::uint32_t>(pointer_blocks_.size())} *
            flash_.topology().pages_per_block;

@@ -77,9 +77,6 @@ class WriteAheadLog {
     return std::uint64_t{static_cast<std::uint32_t>(blocks_.size())} *
            flash_.topology().pages_per_block;
   }
-  [[nodiscard]] std::uint64_t pages_used() const noexcept {
-    return next_page_;
-  }
   [[nodiscard]] std::uint64_t entries_synced() const noexcept {
     return entries_synced_;
   }

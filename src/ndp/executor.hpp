@@ -129,10 +129,6 @@ struct AggregateStats : ReliabilityStats {
 
   /// Interprets raw_result for an unsigned integer field.
   [[nodiscard]] std::uint64_t as_u64() const noexcept { return raw_result; }
-  /// Interprets raw_result for a signed integer field.
-  [[nodiscard]] std::int64_t as_i64() const noexcept {
-    return static_cast<std::int64_t>(raw_result);
-  }
 };
 
 struct GetStats : ReliabilityStats {

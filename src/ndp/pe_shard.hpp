@@ -3,7 +3,8 @@
 // Every PE cycle of the device model runs here. The platform only records
 // the attached PE designs; each shard owns a self-contained PETestBench
 // built from one of them — its own SimMemory (the PS-DRAM staging area),
-// AxiInterconnect, SimKernel and SimulatedPE — plus a private
+// the PE's AXI read/write channel pair, SimKernel and SimulatedPE, with
+// no other PE or DMA engine on that memory — plus a private
 // Observability context and TraceSink, so shards tick on separate host
 // threads. What shards share on the device is the flash bus, which the
 // executor models on the DES. A shard never touches the DES, the flash
@@ -49,10 +50,11 @@ struct HwBlockResult {
 
 class PeShard {
  public:
-  /// `axi` must be the platform's interconnect config so shard cycle
-  /// counts match the platform kernel exactly. `arm_watchdog` arms the
-  /// bench kernel's ready/valid watchdog with the timing model's horizon
-  /// (mirrors the platform under a fault profile). `enable_trace` attaches
+  /// `axi` is the platform's interconnect config (`CosmosConfig::axi`):
+  /// the beat cap, read latency and response window of the shard's
+  /// channel pair. `arm_watchdog` arms the bench kernel's ready/valid
+  /// watchdog with the timing model's horizon (mirrors the platform
+  /// under a fault profile). `enable_trace` attaches
   /// the shard-local TraceSink so the PE emits per-chunk spans; the
   /// executor later appends them to the platform sink under a "shardN."
   /// lane prefix. `trace_ctx` (trace_id 0 = none) propagates the request

@@ -104,8 +104,7 @@ void FlashModel::write_page_immediate(const FlashAddr& addr,
   std::size_t completed = data.size();
   bool torn = false;
   if (crash_ != nullptr) {
-    switch (crash_->on_write_step(fault::WriteStepKind::kPageProgram,
-                                  linear)) {
+    switch (crash_->on_write_step()) {
       case fault::CrashAction::kProceed:
         break;
       case fault::CrashAction::kDrop:
@@ -153,8 +152,7 @@ void FlashModel::erase_block_immediate(const FlashAddr& addr) {
   const std::uint64_t block = global_block(addr);
   bool interrupted = false;
   if (crash_ != nullptr) {
-    switch (
-        crash_->on_write_step(fault::WriteStepKind::kBlockErase, block)) {
+    switch (crash_->on_write_step()) {
       case fault::CrashAction::kProceed:
         break;
       case fault::CrashAction::kDrop:
@@ -181,7 +179,6 @@ void FlashModel::erase_block_immediate(const FlashAddr& addr) {
     ++interrupted_erases_;
   } else {
     unstable_blocks_.erase(block);
-    ++blocks_erased_;
   }
 }
 

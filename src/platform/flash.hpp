@@ -46,9 +46,6 @@ struct FlashTopology {
     return std::uint64_t{controllers} * channels_per_controller *
            luns_per_channel * blocks_per_lun * pages_per_block;
   }
-  [[nodiscard]] std::uint64_t total_bytes() const noexcept {
-    return total_pages() * page_bytes;
-  }
   [[nodiscard]] std::uint32_t total_luns() const noexcept {
     return controllers * channels_per_controller * luns_per_channel;
   }
@@ -238,9 +235,6 @@ class FlashModel {
   [[nodiscard]] std::uint64_t dropped_writes() const noexcept {
     return dropped_writes_;
   }
-  [[nodiscard]] std::uint64_t blocks_erased() const noexcept {
-    return blocks_erased_;
-  }
 
   [[nodiscard]] std::uint64_t ecc_corrected_reads() const noexcept {
     return ecc_corrected_reads_;
@@ -298,7 +292,6 @@ class FlashModel {
   std::uint64_t torn_programs_ = 0;
   std::uint64_t interrupted_erases_ = 0;
   std::uint64_t dropped_writes_ = 0;
-  std::uint64_t blocks_erased_ = 0;
 
   // --- Reliability state -------------------------------------------------
   fault::FaultInjector* fault_ = nullptr;  ///< Non-owning; null = no faults.

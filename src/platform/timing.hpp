@@ -101,10 +101,6 @@ struct TimingConfig {
   [[nodiscard]] SimTime pe_cycles_to_ns(std::uint64_t cycles) const noexcept {
     return cycles * 1000ull / hwgen::kPeClockMhz;
   }
-  [[nodiscard]] SimTime flash_transfer_time(std::uint64_t bytes) const noexcept {
-    return static_cast<SimTime>(static_cast<double>(bytes) * 1000.0 /
-                                flash_controller_mbps);
-  }
   [[nodiscard]] SimTime arm_parse_time(std::uint64_t bytes) const noexcept {
     return static_cast<SimTime>(static_cast<double>(bytes) * 1000.0 /
                                 arm_parse_mbps);

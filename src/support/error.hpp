@@ -161,13 +161,6 @@ class Result {
     return Result(Status{kind, std::move(message)});
   }
 
-  /// Located failure (1-based line/column) for source-text diagnostics.
-  [[nodiscard]] static Result failure_at(ErrorKind kind, std::string message,
-                                         std::uint32_t line,
-                                         std::uint32_t column) {
-    return Result(Status{kind, std::move(message), line, column});
-  }
-
   [[nodiscard]] bool ok() const noexcept {
     return std::holds_alternative<T>(state_);
   }

@@ -179,6 +179,62 @@ TEST(FastForward, StaticBaselinePaddingMatchesExact) {
   EXPECT_EQ(se.bytes_written, 32768u);
 }
 
+TEST(FastForward, BeatCapArbitrationMatchesExact) {
+  // Read and write beats share one per-cycle cap, so at caps 1 and 3 the
+  // read/write grant order decides every cycle count. Two chunks per bench
+  // carry the round-robin state from one chunk into the next.
+  const auto points = make_points(400);
+  constexpr std::uint64_t kOut = 1 << 20;
+  constexpr std::uint64_t kChunkStride = 64 * 1024;
+  for (const std::uint32_t cap : {1u, 2u, 3u}) {
+    for (const auto flavor : {hw::DesignFlavor::kGenerated,
+                              hw::DesignFlavor::kHandcraftedBaseline}) {
+      const auto design = design_for(kPointSpec, "P", flavor);
+      for (const bool selective : {false, true}) {
+        SCOPED_TRACE("cap " + std::to_string(cap) + ", flavor " +
+                     std::to_string(static_cast<int>(flavor)) +
+                     (selective ? ", selective" : ", all-pass"));
+        auto run = [&](SimMode mode) {
+          PEBenchConfig config = bench_config(mode);
+          config.axi.beats_per_cycle = cap;
+          PETestBench bench(design, config);
+          bench.memory().write_bytes(0, points);
+          bench.set_filter(0, 0, selective ? 3 /* ge */ : 6 /* nop */, 150);
+          for (std::uint32_t s = 1; s < design.filter_stage_count(); ++s) {
+            bench.set_filter(s, 0, 6 /* nop */, 0);
+          }
+          std::vector<ChunkStats> stats;
+          for (std::uint64_t i = 0; i < 2; ++i) {
+            const std::uint64_t dst = kOut + i * kChunkStride;
+            const auto bytes = static_cast<std::uint32_t>(points.size());
+            if (mode == SimMode::kExact) {
+              stats.push_back(bench.run_chunk(0, dst, bytes));
+              continue;
+            }
+            // Fast mode must replay the chunk, not decline it.
+            bench.start_chunk(0, dst, bytes);
+            EXPECT_TRUE(FastChunkEngine::run(bench.pe(), 100'000'000));
+            stats.push_back(bench.pe().last_stats());
+          }
+          return std::tuple{
+              stats, to_vec(bench.memory().read_bytes(kOut, 2 * kChunkStride)),
+              bench.observability().metrics.dump_json(), bench.kernel().now()};
+        };
+        const auto [se, me, je, ne] = run(SimMode::kExact);
+        const auto [sf, mf, jf, nf] = run(SimMode::kFast);
+        ASSERT_EQ(se.size(), sf.size());
+        for (std::size_t i = 0; i < se.size(); ++i) {
+          expect_chunk_eq(se[i], sf[i]);
+        }
+        EXPECT_GT(se.back().tuples_out, 0u);
+        EXPECT_EQ(me, mf);  // Output DRAM image.
+        EXPECT_EQ(je, jf);  // Published metrics.
+        EXPECT_EQ(ne, nf);  // Virtual clock.
+      }
+    }
+  }
+}
+
 TEST(FastForward, WatchdogMidChunkFallsBackToIdenticalRaise) {
   const auto design = design_for(kPointSpec, "P");
   const auto points = make_points(32);
@@ -200,6 +256,24 @@ TEST(FastForward, WatchdogMidChunkFallsBackToIdenticalRaise) {
     return std::pair{bench.kernel().now(), message};
   };
   EXPECT_EQ(raise_cycle(SimMode::kExact), raise_cycle(SimMode::kFast));
+}
+
+TEST(FastForward, WrappingSourceAddressRaisesInBothModes) {
+  // src + length wraps past 2^64: the fused engine declines the chunk and
+  // exact ticking must raise on the first read instead of reading outside
+  // the bench memory.
+  const auto design = design_for(kPointSpec, "P");
+  const std::uint64_t src = ~std::uint64_t{0} - 7;  // 2^64 - 8
+  for (const SimMode mode : {SimMode::kExact, SimMode::kFast}) {
+    PETestBench bench(design, bench_config(mode));
+    bench.set_filter(0, 0, 6 /* nop */, 0);
+    try {
+      (void)bench.run_chunk(src, 8192, 24);
+      ADD_FAILURE() << "chunk at 2^64 - 8 did not raise";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.kind(), ErrorKind::kInvalidArg) << e.what();
+    }
+  }
 }
 
 TEST(FastForward, ForeignModuleForcesExactFallbackWithSameResults) {
@@ -260,7 +334,7 @@ TEST(FastForward, FusedEngineAppliesToEveryStockDesign) {
     }
     bench.start_chunk(0, kv::kDataBlockBytes,
                       static_cast<std::uint32_t>(payload.size()));
-    EXPECT_TRUE(FastChunkEngine::run(bench.kernel(), bench.pe(), 100'000'000));
+    EXPECT_TRUE(FastChunkEngine::run(bench.pe(), 100'000'000));
     EXPECT_EQ(bench.pe().last_stats().tuples_in, records);
   };
   const std::string pubgraph = workload::pubgraph_spec_source();

@@ -29,6 +29,21 @@ TEST(SimMemory, OutOfBoundsThrows) {
   EXPECT_THROW(memory.write_u64(16, 1), ndpgen::Error);
 }
 
+TEST(SimMemory, WrappingAddressThrows) {
+  // addr + length wraps past 2^64 for these addresses; the bounds checks
+  // must not.
+  SimMemory memory(64);
+  const std::uint64_t near_end = ~std::uint64_t{0} - 3;  // 2^64 - 4
+  const std::vector<std::uint8_t> bytes(8, 0xab);
+  EXPECT_THROW((void)memory.read_bytes(near_end, 8), ndpgen::Error);
+  EXPECT_THROW(memory.write_bytes(near_end, bytes), ndpgen::Error);
+  EXPECT_THROW((void)memory.read_u64(near_end), ndpgen::Error);
+  EXPECT_THROW(memory.write_u64(near_end, 1), ndpgen::Error);
+  EXPECT_THROW((void)memory.read_bytes(65, 0), ndpgen::Error);
+  EXPECT_NO_THROW((void)memory.read_bytes(64, 0));
+  EXPECT_NO_THROW((void)memory.read_u64(56));
+}
+
 class InterconnectFixture : public ::testing::Test {
  protected:
   InterconnectFixture()
@@ -41,6 +56,9 @@ class InterconnectFixture : public ::testing::Test {
     for (int i = 0; i < n; ++i) kernel_.tick();
   }
 
+  AxiReadChannel& rd() { return interconnect_.read_channel(); }
+  AxiWriteChannel& wr() { return interconnect_.write_channel(); }
+
   SimMemory memory_;
   AxiInterconnect interconnect_;
   SimKernel kernel_;
@@ -48,88 +66,110 @@ class InterconnectFixture : public ::testing::Test {
 
 TEST_F(InterconnectFixture, ReadReturnsAfterLatency) {
   memory_.write_u64(0x100, 0xabcd);
-  AxiPort* port = interconnect_.create_port("p0");
-  port->request_read(0x100, 1);
+  rd().request(0x100, 1);
   run_cycles(1);  // Grant.
-  EXPECT_FALSE(port->read_data_available(kernel_.now()));
+  EXPECT_FALSE(rd().data_available(kernel_.now()));
   run_cycles(10);  // Latency.
-  ASSERT_TRUE(port->read_data_available(kernel_.now()));
-  EXPECT_EQ(port->pop_read_data(kernel_.now()), 0xabcdu);
-  EXPECT_TRUE(port->idle());
+  ASSERT_TRUE(rd().data_available(kernel_.now()));
+  EXPECT_EQ(rd().pop_data(kernel_.now()), 0xabcdu);
+  EXPECT_TRUE(rd().idle());
+  EXPECT_TRUE(interconnect_.idle());
 }
 
 TEST_F(InterconnectFixture, WritesLandInMemory) {
-  AxiPort* port = interconnect_.create_port("p0");
-  port->request_write(0x200, 42);
+  wr().request(0x200, 42);
+  EXPECT_FALSE(interconnect_.idle());
   run_cycles(1);
   EXPECT_EQ(memory_.read_u64(0x200), 42u);
-  EXPECT_EQ(port->write_beats(), 1u);
+  EXPECT_TRUE(wr().idle());
 }
 
 TEST_F(InterconnectFixture, BandwidthCapSharedAcrossPorts) {
-  AxiPort* a = interconnect_.create_port("a");
-  AxiPort* b = interconnect_.create_port("b");
-  a->request_read(0, 20);
-  b->request_read(0, 20);
-  // 2 beats/cycle total: 40 beats need 20 cycles to grant.
+  // The read and the write channel share the cap.
+  rd().request(0, 20);
+  for (std::uint64_t i = 0; i < 20; ++i) wr().request(0x1000 + i * 8, i);
+  // 2 beats/cycle in total: 40 beats need 20 cycles to grant.
   run_cycles(19);
-  EXPECT_GT(a->pending_requests() + b->pending_requests(), 0u);
-  run_cycles(2);
-  EXPECT_EQ(a->pending_requests() + b->pending_requests(), 0u);
-  EXPECT_EQ(interconnect_.total_beats(), 40u);
-  EXPECT_GT(interconnect_.contended_cycles(), 0u);
+  EXPECT_EQ(rd().pending_requests() + wr().pending_requests(), 2u);
+  run_cycles(1);
+  EXPECT_EQ(rd().pending_requests() + wr().pending_requests(), 0u);
+}
+
+TEST_F(InterconnectFixture, SingleChannelUsesTheWholeCap) {
+  rd().request(0, 20);
+  run_cycles(9);
+  EXPECT_EQ(rd().pending_requests(), 2u);
+  run_cycles(1);
+  EXPECT_EQ(rd().pending_requests(), 0u);
 }
 
 TEST_F(InterconnectFixture, RoundRobinIsFair) {
-  AxiPort* a = interconnect_.create_port("a");
-  AxiPort* b = interconnect_.create_port("b");
-  a->request_read(0, 10);
-  b->request_read(0, 10);
-  run_cycles(5);
-  // Both ports progress at the same rate under contention.
-  EXPECT_EQ(a->read_beats(), b->read_beats());
+  // At one beat per cycle both channels under demand take turns, read
+  // first after construction or reset.
+  AxiInterconnect interconnect(memory_, AxiInterconnect::Config{1, 10, 64});
+  SimKernel kernel;
+  kernel.add_module(&interconnect);
+  AxiReadChannel& reads = interconnect.read_channel();
+  AxiWriteChannel& writes = interconnect.write_channel();
+  const auto contend = [&](std::size_t cycles) {
+    reads.request(0, 10);
+    for (std::uint64_t i = 0; i < 10; ++i) writes.request(0x800 + i * 8, i);
+    for (std::size_t cycle = 1; cycle <= cycles; ++cycle) {
+      kernel.tick();
+      EXPECT_EQ(reads.pending_requests(), 10 - (cycle + 1) / 2);
+      EXPECT_EQ(writes.pending_requests(), 10 - cycle / 2);
+    }
+  };
+  contend(3);  // Stops with the write channel next in turn.
+  interconnect.reset();
+  contend(10);
 }
 
 TEST_F(InterconnectFixture, ResponsesAreOrdered) {
   memory_.write_u64(0, 1);
   memory_.write_u64(8, 2);
   memory_.write_u64(16, 3);
-  AxiPort* port = interconnect_.create_port("p");
-  port->request_read(0, 3);
+  rd().request(0, 3);
   run_cycles(30);
-  EXPECT_EQ(port->pop_read_data(kernel_.now()), 1u);
-  EXPECT_EQ(port->pop_read_data(kernel_.now()), 2u);
-  EXPECT_EQ(port->pop_read_data(kernel_.now()), 3u);
+  EXPECT_EQ(rd().pop_data(kernel_.now()), 1u);
+  EXPECT_EQ(rd().pop_data(kernel_.now()), 2u);
+  EXPECT_EQ(rd().pop_data(kernel_.now()), 3u);
 }
 
 TEST_F(InterconnectFixture, MaxOutstandingThrottles) {
-  AxiPort* port = interconnect_.create_port("p");
-  port->request_read(0, 100);
+  rd().request(0, 100);
+  wr().request(0x2000, 7);
   run_cycles(40);
-  // 64 outstanding responses max; the rest remain queued until consumed.
-  EXPECT_GT(port->pending_requests(), 0u);
-  while (port->read_data_available(kernel_.now())) {
-    (void)port->pop_read_data(kernel_.now());
+  // 64 outstanding responses max; the rest remain queued until consumed,
+  // while the write channel still gets its grant.
+  EXPECT_EQ(rd().pending_requests(), 36u);
+  EXPECT_TRUE(wr().idle());
+  while (rd().data_available(kernel_.now())) {
+    (void)rd().pop_data(kernel_.now());
   }
   run_cycles(60);
-  while (port->read_data_available(kernel_.now())) {
-    (void)port->pop_read_data(kernel_.now());
+  while (rd().data_available(kernel_.now())) {
+    (void)rd().pop_data(kernel_.now());
   }
-  EXPECT_EQ(port->pending_requests(), 0u);
+  EXPECT_EQ(rd().pending_requests(), 0u);
 }
 
 TEST_F(InterconnectFixture, ResetClearsState) {
-  AxiPort* port = interconnect_.create_port("p");
-  port->request_read(0, 5);
-  run_cycles(2);
+  rd().request(0, 5);
+  wr().request(0x200, 1);
+  wr().request(0x208, 2);
+  run_cycles(1);
   interconnect_.reset();
-  EXPECT_TRUE(port->idle());
-  EXPECT_EQ(interconnect_.total_beats(), 0u);
+  EXPECT_TRUE(rd().idle());
+  EXPECT_TRUE(wr().idle());
+  EXPECT_TRUE(interconnect_.idle());
+  // The write granted before the reset landed; the queued one did not.
+  EXPECT_EQ(memory_.read_u64(0x200), 1u);
+  EXPECT_EQ(memory_.read_u64(0x208), 0u);
 }
 
 TEST_F(InterconnectFixture, PopWithoutDataThrows) {
-  AxiPort* port = interconnect_.create_port("p");
-  EXPECT_THROW((void)port->pop_read_data(kernel_.now()), ndpgen::Error);
+  EXPECT_THROW((void)rd().pop_data(kernel_.now()), ndpgen::Error);
 }
 
 }  // namespace

@@ -30,7 +30,7 @@
 #include "hwsim/tuple_buffer.hpp"
 #include "ndp/executor.hpp"
 #include "ndp/predicate.hpp"
-#include "obs/json.hpp"
+#include "obs/bench_json.hpp"
 #include "obs/obs.hpp"
 #include "obs/request_trace.hpp"
 #include "query/compiler.hpp"
@@ -1157,50 +1157,22 @@ int cmd_profile(const std::vector<std::string>& args) {
   // Machine-readable companion rows, same schema as the bench binaries
   // (check_bench_regression.py pairs the *_traced/*_untraced elapsed rows
   // for the observability-overhead guard).
-  if (const char* dir = std::getenv("NDPGEN_BENCH_JSON_DIR");
-      dir != nullptr && *dir != '\0') {
-    const std::string bench_name = "profile_" + workload_name;
-    const std::string path =
-        std::string(dir) + "/BENCH_" + bench_name + ".json";
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "ndpgen: cannot write %s\n", path.c_str());
-    } else {
-      const obs::PhaseBreakdown totals = profiler.totals();
-      std::vector<std::string> rows;
-      for (std::size_t p = 0; p < obs::kRequestPhaseCount; ++p) {
-        rows.push_back(
-            "{\"series\":\"phase_ns\",\"x\":\"" +
-            std::string(obs::phase_name(static_cast<obs::RequestPhase>(p))) +
-            "\",\"value\":" + obs::json_fixed(static_cast<double>(totals.ns[p])) +
-            ",\"unit\":\"ns\"}");
-      }
-      rows.push_back("{\"series\":\"elapsed_ms\",\"x\":\"" + workload_name +
-                     "_traced\",\"value\":" +
-                     obs::json_fixed(static_cast<double>(traced.elapsed) /
-                                     1e6) +
-                     ",\"unit\":\"ms\"}");
-      rows.push_back("{\"series\":\"elapsed_ms\",\"x\":\"" + workload_name +
-                     "_untraced\",\"value\":" +
-                     obs::json_fixed(static_cast<double>(untraced.elapsed) /
-                                     1e6) +
-                     ",\"unit\":\"ms\"}");
-      if (traced.have_idle) {
-        rows.push_back(
-            "{\"series\":\"idle_fraction\",\"x\":\"hwsim\",\"value\":" +
-            obs::json_fixed(static_cast<double>(traced.idle_permille)) +
-            ",\"unit\":\"permille\"}");
-      }
-      out << "{\"bench\":\"" << obs::json_escape(bench_name)
-          << "\",\"rows\":[\n";
-      for (std::size_t i = 0; i < rows.size(); ++i) {
-        out << rows[i] << (i + 1 < rows.size() ? ",\n" : "\n");
-      }
-      out << "]}\n";
-      std::fprintf(stderr, "ndpgen: wrote %s (%zu rows)\n", path.c_str(),
-                   rows.size());
-    }
+  obs::JsonResult json("profile_" + workload_name);
+  const obs::PhaseBreakdown totals = profiler.totals();
+  for (std::size_t p = 0; p < obs::kRequestPhaseCount; ++p) {
+    json.add("phase_ns",
+             std::string(obs::phase_name(static_cast<obs::RequestPhase>(p))),
+             static_cast<double>(totals.ns[p]), "ns");
   }
+  json.add("elapsed_ms", workload_name + "_traced",
+           static_cast<double>(traced.elapsed) / 1e6, "ms");
+  json.add("elapsed_ms", workload_name + "_untraced",
+           static_cast<double>(untraced.elapsed) / 1e6, "ms");
+  if (traced.have_idle) {
+    json.add("idle_fraction", "hwsim",
+             static_cast<double>(traced.idle_permille), "permille");
+  }
+  json.write();
   return 0;
 }
 

@@ -14,6 +14,7 @@
 #include "hwgen/template_builder.hpp"
 #include "hwsim/pe_sim.hpp"
 #include "kv/block_format.hpp"
+#include "ndp/predicate.hpp"
 
 using namespace ndpgen;
 
@@ -192,17 +193,30 @@ int main() {
   }
   // Simulator throughput: wall-clock PE-kernel cycles simulated per second
   // in exact vs fast mode, same generated PaperScan PE, same chunk
-  // sequence. The virtual outcome is mode-independent (checked below);
-  // only the wall clock moves. The rows never enter bench/baseline.json:
-  // the sim-throughput rule of check_bench_regression holds the
-  // fast/exact ratio within one run instead.
+  // sequence: one block of generated papers (the same block at every
+  // NDPGEN_SCALE) under the scan's own predicate, so the chunks mix passing
+  // and dropped tuples. The virtual outcome is mode-independent (checked
+  // below); only the wall clock moves. The rows never enter
+  // bench/baseline.json: the sim-throughput rule of check_bench_regression
+  // holds the fast/exact ratio within one run instead.
   std::printf("\nsim throughput (HW generated, papers chunks, wall clock):\n");
   {
     const auto& artifacts = compiled.get("PaperScan");
     const auto design = hwgen::build_pe_design(artifacts.analyzed, {});
     const std::uint32_t record_bytes =
         static_cast<std::uint32_t>(artifacts.analyzed.input.storage_bytes());
-    const std::uint32_t payload_bytes = (32'000 / record_bytes) * record_bytes;
+    const std::uint32_t records = 32'000 / record_bytes;
+    const workload::PubGraphGenerator full_scale(
+        workload::PubGraphConfig{.scale_divisor = 1});
+    std::vector<std::uint8_t> payload;
+    for (std::uint64_t i = 0; i < records; ++i) {
+      const auto record = full_scale.paper(i).serialize();
+      payload.insert(payload.end(), record.begin(), record.end());
+    }
+    const auto payload_bytes = static_cast<std::uint32_t>(payload.size());
+    const auto filters = ndp::bind_conjunction(
+        artifacts.analyzed.input, artifacts.design.operators,
+        {{"year", "lt", 1990}}, design.filter_stage_count());
     constexpr int kChunks = 64;
     double cycles_per_s[2] = {0, 0};
     std::uint64_t virtual_cycles[2] = {0, 0};
@@ -212,16 +226,10 @@ int main() {
     for (int m = 0; m < 2; ++m) {
       hwsim::PETestBench pe_bench(
           design, hwsim::PEBenchConfig{.sim_mode = modes[m]});
-      std::vector<std::uint8_t> payload(payload_bytes);
-      std::uint64_t lcg = 0x243F6A8885A308D3ull;  // deterministic content
-      for (auto& byte : payload) {
-        lcg = lcg * 6364136223846793005ull + 1442695040888963407ull;
-        byte = static_cast<std::uint8_t>(lcg >> 56);
-      }
       pe_bench.memory().write_bytes(0, payload);
-      const hwgen::CompareOp* lt = artifacts.design.operators.find("lt");
-      for (std::uint32_t s = 0; s < design.filter_stage_count(); ++s) {
-        pe_bench.set_filter(s, 0, lt->encoding, 1u << 30);
+      for (std::uint32_t s = 0; s < filters.size(); ++s) {
+        pe_bench.set_filter(s, filters[s].field_select, filters[s].op_encoding,
+                            filters[s].compare_value);
       }
       // One untimed warm-up chunk per mode (first-touch page faults and
       // lazy allocations would otherwise dominate the fast path, whose

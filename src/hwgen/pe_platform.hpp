@@ -18,5 +18,8 @@ inline constexpr std::uint32_t kDataWidthBits = 64;
 inline constexpr std::uint32_t kFifoDepth = 2;
 /// PE clock (paper: 100 MHz).
 inline constexpr std::uint32_t kPeClockMhz = 100;
+/// Beats the load unit and the store unit each keep in flight on their
+/// AXI channel: a modest burst capability (4 outstanding 8-beat bursts).
+inline constexpr std::uint32_t kIssueWindow = 32;
 
 }  // namespace ndpgen::hwgen

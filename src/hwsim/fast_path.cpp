@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <numeric>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
+#include "hwgen/pe_platform.hpp"
 #include "hwgen/register_map.hpp"
 #include "hwsim/aggregate_unit.hpp"
 #include "hwsim/filter_stage.hpp"
@@ -23,9 +26,6 @@ namespace ndpgen::hwsim {
 namespace hw = ndpgen::hwgen;
 
 namespace {
-
-/// Load/store issue window (must match load_unit.cpp / store_unit.cpp).
-constexpr std::size_t kIssueWindow = 32;
 
 /// Occupancy-only mirror of Stream<T>: reproduces can_push/can_pop
 /// visibility, the two-phase commit, transfer counting and high-water
@@ -61,6 +61,141 @@ struct ModelStream {
                                std::string_view name) noexcept {
   return regs.map().find(name) != nullptr;
 }
+
+/// The timing replay's memo of tuple spans, alive for one run() call.
+///
+/// A node is the replay's non-counter state at the end of a tick in which
+/// the input buffer pushed a tuple; an edge is the span ticked from one
+/// such node to the next. From a node, the ticks that follow depend only
+/// on that state, on the filter decisions the stages consume (the edge's
+/// label) and on counter guards, so a span whose label matches the next
+/// decisions and whose guards hold replays by adding its counter deltas.
+/// Stream high-water marks need no delta: an edge is ticked once before it
+/// is ever replayed, and that tick already raised them. Counters travel as
+/// one flat list. The guards and labels read only the head slots below
+/// (through kPos + stages); the tail follows.
+class SpanAutomaton {
+ public:
+  static constexpr std::size_t kNow = 0;
+  static constexpr std::size_t kRequested = 1;  ///< Words requested.
+  static constexpr std::size_t kPushed = 2;     ///< Words pushed.
+  static constexpr std::size_t kPayloadRem = 3;
+  static constexpr std::size_t kPos = 4;  ///< One decision cursor per stage.
+
+  SpanAutomaton(const std::vector<std::vector<std::uint8_t>>& stage_pass,
+                std::uint64_t words_total)
+      : stage_pass_(stage_pass),
+        head_(kPos + stage_pass.size()),
+        words_total_(words_total) {}
+
+  /// The id of the node with state `key`, added on first sight.
+  std::uint32_t node(const std::vector<std::uint64_t>& key) {
+    const auto [it, added] =
+        ids_.try_emplace(key, static_cast<std::uint32_t>(nodes_.size()));
+    if (added) nodes_.push_back(Node{&it->first, {}});
+    return it->second;
+  }
+  [[nodiscard]] const std::vector<std::uint64_t>& key(std::uint32_t id) const {
+    return *nodes_[id].key;
+  }
+
+  /// Records the span ticked from node `from` (counters `before`) to node
+  /// `to` (counters `after`).
+  void add_edge(std::uint32_t from, std::uint32_t to,
+                const std::vector<std::uint64_t>& before,
+                const std::vector<std::uint64_t>& after) {
+    Edge edge{to, std::vector<std::uint64_t>(after.size()), {}, 0};
+    for (std::size_t i = 0; i < after.size(); ++i) {
+      edge.delta[i] = after[i] - before[i];  // mod 2^64: payload shrinks
+    }
+    for (std::size_t s = 0; s < stage_pass_.size(); ++s) {
+      const auto first = stage_pass_[s].begin();
+      edge.label.insert(edge.label.end(),
+                        first + static_cast<std::ptrdiff_t>(before[kPos + s]),
+                        first + static_cast<std::ptrdiff_t>(after[kPos + s]));
+    }
+    nodes_[from].out.push_back(static_cast<std::uint32_t>(edges_.size()));
+    edges_.push_back(std::move(edge));
+  }
+
+  /// Follows replayable edges from node `id`, adding their deltas to
+  /// `counters`; returns the node reached. Each step advances only the
+  /// head slots; the tail gets each edge's deltas times its uses at the
+  /// end.
+  std::uint32_t walk(std::uint32_t id, std::vector<std::uint64_t>& counters) {
+    std::uint64_t* c = counters.data();
+    while (true) {
+      Edge* next = nullptr;
+      for (const std::uint32_t e : nodes_[id].out) {
+        if (replays(edges_[e], c)) {
+          next = &edges_[e];
+          break;
+        }
+      }
+      if (next == nullptr) break;
+      for (std::size_t i = 0; i < head_; ++i) c[i] += next->delta[i];
+      if (next->uses++ == 0) used_.push_back(next);
+      id = next->to;
+    }
+    for (Edge* edge : used_) {
+      for (std::size_t i = head_; i < counters.size(); ++i) {
+        c[i] += edge->uses * edge->delta[i];
+      }
+      edge->uses = 0;
+    }
+    used_.clear();
+    return id;
+  }
+
+ private:
+  struct Node {
+    const std::vector<std::uint64_t>* key;  ///< Owned by ids_.
+    std::vector<std::uint32_t> out;         ///< Edge ids.
+  };
+  struct Edge {
+    std::uint32_t to;
+    std::vector<std::uint64_t> delta;  ///< Per counter slot.
+    std::vector<std::uint8_t> label;   ///< Decisions consumed, by stage.
+    std::uint64_t uses;                ///< Steps in the current walk.
+  };
+
+  /// True when ticking from the current state would repeat `edge`: no
+  /// counter guard the span's ticks test flips (the load unit keeps words
+  /// to request and push, every payload take stays a full word) and the
+  /// stages' next decisions equal its label. The watchdog needs no guard:
+  /// a tuple push is a transfer, so every node restarts the stall count,
+  /// and the span passed it when ticked. Nor does the deadline: a walk
+  /// that passes it ends at the loop-top check, which declines the chunk.
+  [[nodiscard]] bool replays(const Edge& edge, const std::uint64_t* c) const {
+    const std::uint64_t* d = edge.delta.data();
+    if (c[kRequested] + d[kRequested] >= words_total_ ||
+        c[kPushed] + d[kPushed] >= words_total_ ||
+        c[kPayloadRem] <= 0 - d[kPayloadRem]) {
+      return false;
+    }
+    const std::uint8_t* label = edge.label.data();
+    for (std::size_t s = 0; s < stage_pass_.size(); ++s) {
+      const std::vector<std::uint8_t>& pass = stage_pass_[s];
+      const std::uint64_t at = c[kPos + s];
+      const std::uint64_t n = d[kPos + s];
+      if (n > pass.size() - at) return false;
+      const std::uint8_t* next = pass.data() + at;
+      for (std::uint64_t i = 0; i < n; ++i) {
+        if (label[i] != next[i]) return false;
+      }
+      label += n;
+    }
+    return true;
+  }
+
+  const std::vector<std::vector<std::uint8_t>>& stage_pass_;
+  std::size_t head_;
+  std::uint64_t words_total_;
+  std::map<std::vector<std::uint64_t>, std::uint32_t> ids_;
+  std::vector<Node> nodes_;
+  std::vector<Edge> edges_;
+  std::vector<Edge*> used_;  ///< Edges the current walk has taken.
+};
 
 }  // namespace
 
@@ -306,7 +441,8 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   // commit, classification — on plain counters. Any deadline or watchdog
   // horizon reached mid-replay aborts to the exact path, which re-runs
   // the chunk from the identical pre-run state and raises at the very
-  // same virtual cycle.
+  // same virtual cycle. Tuple spans already ticked once in this call
+  // replay from the span automaton instead of being ticked again.
   const std::uint32_t bpc = axi.config_.beats_per_cycle;
   const std::uint32_t latency = axi.config_.read_latency;
   const std::uint32_t max_out = axi.config_.max_outstanding;
@@ -327,8 +463,8 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   const std::size_t xform_out = xform_in + 1;
 
   // Load + read channel.
-  std::uint32_t words_requested = 0;
-  std::uint32_t words_pushed = 0;
+  std::uint64_t words_requested = 0;
+  std::uint64_t words_pushed = 0;
   std::uint32_t rdq = 0;  // Read channel queue occupancy.
   std::vector<std::uint64_t> resp_ready(max_out);  // ready_at ring
   std::size_t resp_head = 0;
@@ -362,8 +498,71 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   std::uint64_t last_delta = 0;
   std::uint64_t stalled_since = n0;
   std::uint64_t nf = 0;
-
   std::uint64_t now = n0;
+
+  // Every counter a span advances, in SpanAutomaton's slot order.
+  const auto for_each_counter = [&](auto&& f) {
+    f(now);
+    f(words_requested);
+    f(words_pushed);
+    f(payload_rem);
+    for (std::uint64_t& p : pos) f(p);
+    for (std::uint64_t* c :
+         {&useful, &stalled, &transfers_acc, &tuples_produced, &agg_folded,
+          &ob_tuples, &store_payload, &store_bytes, &wi.pushes, &wo.pushes}) {
+      f(*c);
+    }
+    for (ModelStream& t : ts) f(t.pushes);
+    for (std::size_t s = 0; s < num_stages; ++s) {
+      f(pass_cnt[s]);
+      f(drop_cnt[s]);
+      f(stall_in[s]);
+      f(stall_out[s]);
+    }
+  };
+  // A node's key: every other variable the tick loop reads (staged stream
+  // entries are always zero between ticks), then the response ring's ready
+  // times relative to `now`. Arrived responses all read as 0, since ticks
+  // only ever ask whether one has arrived.
+  const auto for_each_state = [&](auto&& f) {
+    f(rdq);
+    f(wrq);
+    f(write_first);
+    f(ib_pending);
+    f(ob_pending);
+    f(ob_upstream_done);
+    f(st_upstream_done);
+    f(wi.vis);
+    f(wo.vis);
+    for (ModelStream& t : ts) f(t.vis);
+    f(resp_cnt);
+  };
+  const auto save_node = [&](std::vector<std::uint64_t>& key) {
+    key.clear();
+    for_each_state([&](const auto& v) {
+      key.push_back(static_cast<std::uint64_t>(v));
+    });
+    for (std::size_t i = 0; i < resp_cnt; ++i) {
+      std::size_t slot = resp_head + i;
+      if (slot >= max_out) slot -= max_out;
+      key.push_back(resp_ready[slot] > now ? resp_ready[slot] - now : 0);
+    }
+  };
+  const auto load_node = [&](const std::vector<std::uint64_t>& key) {
+    std::size_t k = 0;
+    for_each_state([&](auto& v) {
+      v = static_cast<std::remove_reference_t<decltype(v)>>(key[k++]);
+    });
+    resp_head = 0;
+    for (std::size_t i = 0; i < resp_cnt; ++i) resp_ready[i] = now + key[k++];
+  };
+  SpanAutomaton spans(stage_pass, words_total);
+  constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
+  std::uint32_t span_from = kNoNode;  // Node the ticked span started at.
+  std::vector<std::uint64_t> span_start;  // Counters at span_from.
+  std::vector<std::uint64_t> counters;
+  std::vector<std::uint64_t> key;
+
   while (true) {
     // run_until's loop-top checks, mirrored so a fallback replay raises
     // at the identical cycle.
@@ -397,6 +596,7 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     bool ib_pop_t = false;
     std::uint64_t ib_take_t = 0;
     bool tuple_activity_t = false;
+    bool tuple_in_t = false;  // The input buffer pushed: a span node.
     bool ob_emit_t = false;
     bool ob_partial_t = false;
     bool store_pop_t = false;
@@ -424,7 +624,7 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     }
 
     // --- Load unit ---
-    while (words_requested < words_total && rdq < kIssueWindow) {
+    while (words_requested < words_total && rdq < hw::kIssueWindow) {
       ++rdq;
       ++words_requested;
       ++issued_t;
@@ -454,6 +654,7 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       ib_pending -= storage_bits;
       ++tuples_produced;
       tuple_activity_t = true;
+      tuple_in_t = true;
     }
     if (payload_rem == 0 && ib_pending < storage_bits) ib_pending = 0;
 
@@ -521,14 +722,14 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     }
 
     // --- Store unit ---
-    if (wo.vis > 0 && wrq < kIssueWindow) {
+    if (wo.vis > 0 && wrq < hw::kIssueWindow) {
       --wo.vis;
       ++wrq;
       store_payload += 8;
       store_bytes += 8;
       store_pop_t = true;
     } else if (!configurable && st_upstream_done && wo.vis == 0 &&
-               store_bytes < chunk && wrq < kIssueWindow) {
+               store_bytes < chunk && wrq < hw::kIssueWindow) {
       ++wrq;  // Static baseline: zero-pad the block.
       store_bytes += 8;
       store_pad_t = true;
@@ -566,6 +767,30 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       break;
     } else {
       ++stalled;
+    }
+
+    // --- Span automaton ----------------------------------------------
+    //
+    // At a node, record the span just ticked as an edge, then follow
+    // edges for as long as one replays; ticking resumes from the state of
+    // the node the walk reached. A tick that fails the guards is no node,
+    // and since their counters only move one way, neither is any later one.
+    if (tuple_in_t && words_requested < words_total &&
+        words_pushed < words_total && payload_rem > 0) {
+      counters.clear();
+      for_each_counter([&](std::uint64_t c) { counters.push_back(c); });
+      save_node(key);
+      const std::uint32_t id = spans.node(key);
+      if (span_from != kNoNode) {
+        spans.add_edge(span_from, id, span_start, counters);
+      }
+      span_from = spans.walk(id, counters);
+      if (counters[SpanAutomaton::kNow] != now) {
+        std::size_t i = 0;
+        for_each_counter([&](std::uint64_t& c) { c = counters[i++]; });
+        load_node(spans.key(span_from));
+      }
+      span_start.swap(counters);
     }
 
     // --- Steady-state stride -----------------------------------------

@@ -14,6 +14,16 @@
 // tick loop would have produced — byte-identical, at a fraction of the
 // wall-clock cost.
 //
+// The replay ticks each distinct tuple span only once per chunk. At every
+// tick where the input buffer pushes a tuple, the replay's non-counter
+// state (queue and FIFO occupancies, response ready times relative to
+// now, the round-robin bit, the buffers' pending bits, the drain latches)
+// is a node of a per-call span automaton, and the ticks up to the next
+// such tick are an edge labelled with the filter decisions they consume.
+// An edge whose label matches the next decisions replays as its counter
+// deltas, as long as the load unit keeps words to request and push and
+// some payload stays unread; only unseen spans are ticked.
+//
 // Structural-event boundaries drop back to the cycle-exact path: a
 // module added to the bench kernel after the PE, in-flight state at
 // chunk start, a mid-chunk watchdog trip or deadlock horizon, invalid

@@ -1,14 +1,9 @@
 #include "hwsim/load_unit.hpp"
 
+#include "hwgen/pe_platform.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::hwsim {
-
-namespace {
-// Issue window: how many beats the load unit keeps in flight. Matches a
-// modest AXI burst capability (4 outstanding 8-beat bursts).
-constexpr std::size_t kMaxInFlight = 32;
-}  // namespace
 
 SimLoadUnit::SimLoadUnit(std::string name, AxiReadChannel* channel,
                          Stream<std::uint64_t>* out, std::uint32_t chunk_bytes,
@@ -38,7 +33,7 @@ void SimLoadUnit::start(std::uint64_t addr, std::uint32_t bytes) {
 void SimLoadUnit::cycle(std::uint64_t now) {
   // Issue new beats while the window allows.
   while (words_requested_ < words_total_ &&
-         channel_->pending_requests() < kMaxInFlight) {
+         channel_->pending_requests() < hwgen::kIssueWindow) {
     channel_->request(addr_ + std::uint64_t{words_requested_} * 8, 1);
     ++words_requested_;
   }

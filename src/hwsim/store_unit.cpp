@@ -1,12 +1,9 @@
 #include "hwsim/store_unit.hpp"
 
+#include "hwgen/pe_platform.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::hwsim {
-
-namespace {
-constexpr std::size_t kMaxInFlight = 32;
-}
 
 SimStoreUnit::SimStoreUnit(std::string name, AxiWriteChannel* channel,
                            Stream<std::uint64_t>* in, std::uint32_t chunk_bytes,
@@ -32,7 +29,7 @@ void SimStoreUnit::start(std::uint64_t addr) {
 void SimStoreUnit::cycle(std::uint64_t /*now*/) {
   if (!started_) return;
   // Drain payload words (one per cycle).
-  if (in_->can_pop() && channel_->pending_requests() < kMaxInFlight) {
+  if (in_->can_pop() && channel_->pending_requests() < hwgen::kIssueWindow) {
     channel_->request(addr_ + bytes_transferred_, in_->pop());
     payload_bytes_ += 8;
     bytes_transferred_ += 8;
@@ -43,7 +40,7 @@ void SimStoreUnit::cycle(std::uint64_t /*now*/) {
   // complete data blocks").
   if (!configurable_ && upstream_done_ && !in_->can_pop() &&
       bytes_transferred_ < chunk_bytes_ &&
-      channel_->pending_requests() < kMaxInFlight) {
+      channel_->pending_requests() < hwgen::kIssueWindow) {
     channel_->request(addr_ + bytes_transferred_, 0);
     bytes_transferred_ += 8;
   }

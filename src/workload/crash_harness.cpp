@@ -102,10 +102,17 @@ CrashRunResult CrashHarness::run(std::uint64_t crash_at) const {
     kv::NKV db(*result.platform, harness_db_config(config_));
     for (std::uint64_t i = 0; i < config_.ops; ++i) {
       const Op op = make_op(config_, i);
-      if (op.is_delete) {
-        db.del(kv::Key{op.id, 0});
-      } else {
-        db.put(op.record);
+      try {
+        if (op.is_delete) {
+          db.del(kv::Key{op.id, 0});
+        } else {
+          db.put(op.record);
+        }
+      } catch (const Error&) {
+        // Once power has died, the dying store can read back a page whose
+        // program was dropped (a flush feeding a compaction). That ends
+        // the op as the boundary; an error before the crash is real.
+        if (!crash.crashed()) throw;
       }
       if (crash.crashed()) {
         // Power died somewhere inside this op: it is the boundary — its

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -360,6 +361,229 @@ TEST(FastForward, FusedEngineAppliesToEveryStockDesign) {
   ASSERT_EQ(leaf.dataset, workload::Dataset::kPapers);
   ASSERT_TRUE(leaf.offloaded);
   expect_fused(design_for(leaf.spec_source, leaf.parser_name), true);
+}
+
+// ---- Long chunks: the span automaton vs exact ticking -------------------
+
+/// One full data block of generated records whose filter fields are
+/// rewritten so that tuple i passes stage s exactly when pass[s][i]: the
+/// field reads 1 to pass `lt 500` and 1000 to fail it.
+std::vector<std::uint8_t> long_chunk_payload(
+    const hw::PEDesign& design, bool papers,
+    const std::vector<std::string>& fields,
+    const std::vector<std::vector<bool>>& pass) {
+  const workload::PubGraphGenerator generator(
+      workload::PubGraphConfig{.scale_divisor = 4096});
+  const analysis::TupleLayout& layout = design.parser.input;
+  const std::uint32_t bytes = layout.storage_bytes();
+  std::vector<std::uint8_t> payload;
+  for (std::uint64_t i = 0; i < pass[0].size(); ++i) {
+    const auto record =
+        papers ? generator.paper(i).serialize() : generator.ref(i).serialize();
+    payload.insert(payload.end(), record.begin(), record.end());
+  }
+  for (std::size_t s = 0; s < fields.size(); ++s) {
+    const auto& field = layout.fields[layout.find_field(fields[s]).value()];
+    for (std::uint64_t i = 0; i < pass[s].size(); ++i) {
+      std::uint64_t value = pass[s][i] ? 1 : 1000;
+      const std::uint64_t at = i * bytes + field.storage_offset_bits / 8;
+      for (std::uint32_t b = 0; b < field.storage_width_bits / 8; ++b) {
+        payload[at + b] = static_cast<std::uint8_t>(value);
+        value >>= 8;
+      }
+    }
+  }
+  return payload;
+}
+
+/// Everything a chunk run leaves behind that exact and fast must agree on.
+struct LongChunkRun {
+  bool fused = false;
+  std::string error;
+  ChunkStats stats;
+  std::vector<std::uint8_t> image;
+  std::string metrics;
+  std::uint64_t now = 0;
+  CycleStats cycles;
+};
+
+/// Runs one chunk of `payload` with stage s filtering `fields[s] lt 500`
+/// (later stages pass all) under a `max_cycles` deadline and a watchdog.
+LongChunkRun run_long_chunk(const hw::PEDesign& design, SimMode mode,
+                            std::uint32_t cap,
+                            const std::vector<std::string>& fields,
+                            const std::vector<std::uint8_t>& payload,
+                            hw::AggOp agg, std::uint64_t max_cycles,
+                            std::uint64_t watchdog) {
+  constexpr std::uint64_t kOut = 2 * kv::kDataBlockBytes;
+  PEBenchConfig config = bench_config(mode);
+  config.axi.beats_per_cycle = cap;
+  config.memory_bytes = 4 * kv::kDataBlockBytes;
+  PETestBench bench(design, config);
+  bench.memory().write_bytes(0, payload);
+  const analysis::TupleLayout& layout = design.parser.input;
+  const auto relevant = layout.relevant_indices();
+  for (std::uint32_t s = 0; s < design.filter_stage_count(); ++s) {
+    if (s >= fields.size()) {
+      bench.set_filter(s, 0, 6 /* nop */, 0);
+      continue;
+    }
+    const std::size_t index = layout.find_field(fields[s]).value();
+    const auto select = static_cast<std::uint32_t>(
+        std::find(relevant.begin(), relevant.end(), index) - relevant.begin());
+    bench.set_filter(s, select, 4 /* lt */, 500);
+  }
+  if (agg != hw::AggOp::kNone) {
+    const auto& map = bench.pe().regmap();
+    bench.pe().mmio_write(map.offset_of(hw::reg::kAggOp),
+                          static_cast<std::uint32_t>(agg));
+    bench.pe().mmio_write(map.offset_of(hw::reg::kAggField), 1);
+  }
+  bench.kernel().set_watchdog(watchdog);
+  bench.start_chunk(0, kOut, static_cast<std::uint32_t>(payload.size()));
+  LongChunkRun run;
+  try {
+    run.fused = mode == SimMode::kFast &&
+                FastChunkEngine::run(bench.pe(), max_cycles);
+    if (!run.fused) {
+      (void)bench.kernel().run_until([&] { return !bench.pe().busy(); },
+                                     max_cycles);
+    }
+  } catch (const Error& e) {
+    run.error = e.what();
+  }
+  run.stats = bench.pe().last_stats();
+  run.image = to_vec(bench.memory().read_bytes(kOut, kv::kDataBlockBytes));
+  run.metrics = bench.observability().metrics.dump_json();
+  run.now = bench.kernel().now();
+  run.cycles = bench.kernel().cycle_stats();
+  return run;
+}
+
+void expect_long_chunk_eq(const LongChunkRun& exact,
+                          const LongChunkRun& fast) {
+  EXPECT_EQ(exact.error, fast.error);
+  expect_chunk_eq(exact.stats, fast.stats);
+  EXPECT_EQ(exact.image, fast.image);  // Output DRAM image.
+  EXPECT_EQ(exact.metrics, fast.metrics);
+  EXPECT_EQ(exact.now, fast.now);  // Virtual clock.
+  EXPECT_EQ(exact.cycles.useful, fast.cycles.useful);
+  EXPECT_EQ(exact.cycles.stalled, fast.cycles.stalled);
+  EXPECT_EQ(exact.cycles.idle, fast.cycles.idle);
+}
+
+struct LongChunkDesign {
+  std::string name;
+  hw::PEDesign design;
+  bool papers;
+  std::vector<std::string> fields;  ///< Filtered field per stage.
+  hw::AggOp agg = hw::AggOp::kNone;
+};
+
+std::vector<LongChunkDesign> long_chunk_designs() {
+  const std::string pubgraph = workload::pubgraph_spec_source();
+  const auto paper_scan =
+      analysis::analyze_parser(spec::parse_spec(pubgraph), "PaperScan");
+  hw::TemplateOptions baseline;
+  baseline.flavor = hw::DesignFlavor::kHandcraftedBaseline;
+  baseline.static_payload_bytes =
+      kv::records_per_block(paper_scan.input.storage_bytes()) *
+      paper_scan.input.storage_bytes();
+  return {
+      {"PaperScan", design_for(pubgraph, "PaperScan"), true, {"year"}},
+      {"RefScan", design_for(pubgraph, "RefScan"), false, {"src", "dst"}},
+      {"PaperScan aggregate",
+       design_for(pubgraph, "PaperScan", hw::DesignFlavor::kGenerated, true),
+       true,
+       {"year"},
+       hw::AggOp::kSum},
+      {"PaperScan static baseline", hw::build_pe_design(paper_scan, baseline),
+       true,
+       {"year"}},
+  };
+}
+
+/// Decision patterns over a block's tuples, by name.
+std::vector<std::pair<std::string, std::vector<bool>>> long_chunk_patterns(
+    std::uint64_t tuples) {
+  support::Xoshiro256 rng(23);
+  std::vector<std::pair<std::string, std::vector<bool>>> patterns = {
+      {"all-pass", std::vector<bool>(tuples, true)},
+      {"all-drop", std::vector<bool>(tuples, false)},
+      {"alternating", {}},
+      {"random 30%", {}},
+      {"long runs", {}}};
+  for (std::uint64_t i = 0; i < tuples; ++i) {
+    patterns[2].second.push_back(i % 2 == 0);
+    patterns[3].second.push_back(rng() % 10 < 3);
+    patterns[4].second.push_back((i / 37) % 3 != 0);
+  }
+  return patterns;
+}
+
+TEST(FastForward, LongChunkSpanReplayMatchesExact) {
+  // Full 32 KiB blocks repeat a handful of tuple spans hundreds of times,
+  // so nearly every tuple of the fast run replays from the span automaton.
+  for (const LongChunkDesign& d : long_chunk_designs()) {
+    const std::uint64_t tuples =
+        kv::records_per_block(d.design.parser.input.storage_bytes());
+    for (const auto& [pattern, pass] : long_chunk_patterns(tuples)) {
+      // Later stages see the pattern shifted by one tuple.
+      std::vector<std::vector<bool>> stages(d.fields.size(), pass);
+      for (std::size_t s = 1; s < stages.size(); ++s) {
+        std::rotate(stages[s].begin(), stages[s].begin() + 1, stages[s].end());
+      }
+      const auto payload =
+          long_chunk_payload(d.design, d.papers, d.fields, stages);
+      for (const std::uint32_t cap : {1u, 2u, 3u}) {
+        SCOPED_TRACE(d.name + ", " + pattern + ", cap " +
+                     std::to_string(cap));
+        const auto run = [&](SimMode mode) {
+          return run_long_chunk(d.design, mode, cap, d.fields, payload, d.agg,
+                                100'000'000, 0);
+        };
+        const LongChunkRun exact = run(SimMode::kExact);
+        const LongChunkRun fast = run(SimMode::kFast);
+        EXPECT_TRUE(fast.fused);
+        EXPECT_EQ(exact.stats.tuples_in, tuples);
+        expect_long_chunk_eq(exact, fast);
+      }
+    }
+  }
+}
+
+TEST(FastForward, LongChunkHorizonsInsideReplayedSpansMatchExact) {
+  // A deadline or watchdog that falls mid-block must stop the fast run at
+  // the cycle exact ticking raises at, not at the end of a replayed span.
+  const LongChunkDesign d = long_chunk_designs()[1];  // RefScan, 2 stages.
+  const std::uint64_t tuples =
+      kv::records_per_block(d.design.parser.input.storage_bytes());
+  const auto pass = long_chunk_patterns(tuples)[3].second;  // random 30%
+  const auto payload =
+      long_chunk_payload(d.design, d.papers, d.fields, {pass, pass});
+  const auto run = [&](SimMode mode, std::uint64_t max_cycles,
+                       std::uint64_t watchdog) {
+    return run_long_chunk(d.design, mode, 1, d.fields, payload, d.agg,
+                          max_cycles, watchdog);
+  };
+  const std::uint64_t cycles = run(SimMode::kExact, 100'000'000, 0).now;
+  for (const std::uint64_t horizon :
+       {cycles / 3, cycles / 2, cycles - 2, cycles - 1, cycles}) {
+    SCOPED_TRACE("max_cycles " + std::to_string(horizon));
+    const LongChunkRun exact = run(SimMode::kExact, horizon, 0);
+    const LongChunkRun fast = run(SimMode::kFast, horizon, 0);
+    EXPECT_EQ(exact.error.empty(), horizon >= cycles);
+    expect_long_chunk_eq(exact, fast);
+  }
+  // The watchdog trips during the read-latency ramp or never: every span
+  // node is a tuple push, which restarts the stall count.
+  for (const std::uint64_t watchdog : {4u, 20u, 21u, 22u, 23u, 32u}) {
+    SCOPED_TRACE("watchdog " + std::to_string(watchdog));
+    const LongChunkRun exact = run(SimMode::kExact, 100'000'000, watchdog);
+    const LongChunkRun fast = run(SimMode::kFast, 100'000'000, watchdog);
+    EXPECT_EQ(fast.fused, exact.error.empty());
+    expect_long_chunk_eq(exact, fast);
+  }
 }
 
 // ---- Output plane: the per-design copy plan vs the exact datapath -------

@@ -266,7 +266,7 @@ int main() {
     std::printf("%8s %16llu %16.0f\n", "fast",
                 static_cast<unsigned long long>(virtual_cycles[1]),
                 cycles_per_s[1]);
-    std::printf("  fast-forward speedup: %.1fx\n", speedup);
+    std::printf("  fused replay speedup: %.1fx\n", speedup);
     std::printf("  [%c] virtual results identical across modes "
                 "(%llu cycles, %llu matches)\n",
                 (virtual_cycles[0] == virtual_cycles[1] &&

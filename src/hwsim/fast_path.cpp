@@ -362,10 +362,11 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   std::vector<std::uint64_t> out_words;
   const bool agg_consumes =
       pe.aggregate_ != nullptr && agg_op != hw::AggOp::kNone;
+  support::BitVector payload;
+  std::vector<std::size_t> relevant;
   try {
-    const support::BitVector payload =
-        support::BitVector::from_bytes(mem.read_bytes(src, in_size));
-    const std::vector<std::size_t> relevant = lin.relevant_indices();
+    payload = support::BitVector::from_bytes(mem.read_bytes(src, in_size));
+    relevant = lin.relevant_indices();
     std::vector<std::uint32_t> cur(n_tuples);
     for (std::uint64_t t = 0; t < n_tuples; ++t) {
       cur[t] = static_cast<std::uint32_t>(t);
@@ -442,7 +443,9 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   // horizon reached mid-replay aborts to the exact path, which re-runs
   // the chunk from the identical pre-run state and raises at the very
   // same virtual cycle. Tuple spans already ticked once in this call
-  // replay from the span automaton instead of being ticked again.
+  // replay from the span automaton instead of being ticked again; every
+  // other tick (unseen spans, the read ramp, the tail after the last word
+  // request, the static baseline's zero-pad drain) is ticked one by one.
   const std::uint32_t bpc = axi.config_.beats_per_cycle;
   const std::uint32_t latency = axi.config_.read_latency;
   const std::uint32_t max_out = axi.config_.max_outstanding;
@@ -584,23 +587,7 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       continue;
     }
 
-    // Per-tick action record for the steady-state stride below: which
-    // branches fired this tick. A tick whose actions leave every
-    // occupancy unchanged provably repeats until a counter crosses a
-    // guard boundary, and those repeats can be accounted arithmetically.
-    const bool write_first_start = write_first;
-    std::uint32_t grants_r_t = 0;
-    std::uint32_t grants_w_t = 0;
-    std::uint32_t issued_t = 0;
-    bool load_push_t = false;
-    bool ib_pop_t = false;
-    std::uint64_t ib_take_t = 0;
-    bool tuple_activity_t = false;
     bool tuple_in_t = false;  // The input buffer pushed: a span node.
-    bool ob_emit_t = false;
-    bool ob_partial_t = false;
-    bool store_pop_t = false;
-    bool store_pad_t = false;
 
     // --- AXI interconnect (module order position 0) ---
     // AxiInterconnect::cycle on the two queue occupancies.
@@ -611,14 +598,12 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       const bool write = can_write && (write_first || !can_read);
       if (write) {
         --wrq;
-        ++grants_w_t;
       } else {
         --rdq;
         std::size_t slot = resp_head + resp_cnt;
         if (slot >= max_out) slot -= max_out;
         resp_ready[slot] = now + latency;
         ++resp_cnt;
-        ++grants_r_t;
       }
       write_first = !write;
     }
@@ -627,7 +612,6 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     while (words_requested < words_total && rdq < hw::kIssueWindow) {
       ++rdq;
       ++words_requested;
-      ++issued_t;
     }
     if (words_pushed < words_total && resp_cnt > 0 &&
         resp_ready[resp_head] <= now && wi.can_push()) {
@@ -635,25 +619,21 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       --resp_cnt;
       wi.push();
       ++words_pushed;
-      load_push_t = true;
     }
 
     // --- Tuple input buffer ---
     if (wi.vis > 0 && ib_pending < storage_bits + 64) {
       --wi.vis;
-      ib_pop_t = true;
       if (payload_rem > 0) {
         const std::uint64_t take = payload_rem < 64 ? payload_rem : 64;
         ib_pending += take;
         payload_rem -= take;
-        ib_take_t = take;
       }
     }
     if (ib_pending >= storage_bits && ts[0].can_push()) {
       ts[0].push();
       ib_pending -= storage_bits;
       ++tuples_produced;
-      tuple_activity_t = true;
       tuple_in_t = true;
     }
     if (payload_rem == 0 && ib_pending < storage_bits) ib_pending = 0;
@@ -667,7 +647,6 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
         ++stall_out[s];
       } else {
         --sin.vis;
-        tuple_activity_t = true;
         if (stage_pass[s][pos[s]++] != 0) {
           ts[s + 1].push();
           ++pass_cnt[s];
@@ -683,12 +662,10 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
         if (ts[agg_in + 1].can_push()) {
           --ts[agg_in].vis;
           ts[agg_in + 1].push();
-          tuple_activity_t = true;
         }
       } else {
         --ts[agg_in].vis;
         ++agg_folded;
-        tuple_activity_t = true;
       }
     }
 
@@ -696,7 +673,6 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     if (ts[xform_in].vis > 0 && ts[xform_out].can_push()) {
       --ts[xform_in].vis;
       ts[xform_out].push();
-      tuple_activity_t = true;
     }
 
     // --- Tuple output buffer ---
@@ -706,17 +682,14 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
         --oin.vis;
         ob_pending += out_storage_bits;
         ++ob_tuples;
-        tuple_activity_t = true;
       }
       if (wo.can_push()) {
         if (ob_pending >= 64) {
           wo.push();
           ob_pending -= 64;
-          ob_emit_t = true;
         } else if (ob_upstream_done && ob_pending > 0 && oin.vis == 0) {
           wo.push();  // Final partial word, zero-padded.
           ob_pending = 0;
-          ob_partial_t = true;
         }
       }
     }
@@ -727,12 +700,10 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       ++wrq;
       store_payload += 8;
       store_bytes += 8;
-      store_pop_t = true;
     } else if (!configurable && st_upstream_done && wo.vis == 0 &&
                store_bytes < chunk && wrq < hw::kIssueWindow) {
       ++wrq;  // Static baseline: zero-pad the block.
       store_bytes += 8;
-      store_pad_t = true;
     }
 
     // --- Sequencer (the PE module, last in order) ---
@@ -793,119 +764,6 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       span_start.swap(counters);
     }
 
-    // --- Steady-state stride -----------------------------------------
-    //
-    // A tick with no tuple-plane activity whose actions cancel out
-    // (every queue occupancy, the response count and the round-robin
-    // state end where they started) repeats verbatim: every branch it
-    // took depends only on state that just proved itself stationary,
-    // plus monotonic counters whose guard crossings are computable in
-    // closed form. Account the longest provably-identical run of future
-    // ticks in one step instead of replaying them. This is where the
-    // word-serial plateau between tuple emissions and the static-mode
-    // zero-pad drain collapse to O(1) per span.
-    do {
-      const std::uint32_t load_push_u = load_push_t ? 1 : 0;
-      if (tuple_activity_t || ob_partial_t) break;
-      if (issued_t != grants_r_t || grants_r_t != load_push_u) break;
-      if ((ib_pop_t ? 1u : 0u) != load_push_u) break;
-      if (ib_pop_t && ib_take_t != 64) break;
-      if ((ob_emit_t ? 1u : 0u) != (store_pop_t ? 1u : 0u)) break;
-      if (grants_w_t != (store_pop_t ? 1u : 0u) + (store_pad_t ? 1u : 0u)) {
-        break;
-      }
-      if (grants_r_t + grants_w_t > 0 && write_first != write_first_start) {
-        break;
-      }
-      if (ib_pop_t && payload_rem == 0) break;  // last payload word
-      bool ts_empty = true;
-      for (const ModelStream& t : ts) ts_empty = ts_empty && t.vis == 0;
-      if (!ts_empty) break;
-
-      // Upper bound on identical repeats: every loop-top exit and every
-      // guard this tick's branches depended on must stay un-flipped for
-      // all strided ticks (strict bounds keep `drained` and the
-      // upstream-done latches constant too).
-      std::uint64_t g = max_cycles - (now - n0) - 1;
-      if (moved == 0 && wd > 0) {
-        g = std::min(g, stalled_since + wd - 1 - now);
-      }
-      if (issued_t > 0) {
-        g = std::min<std::uint64_t>(g, words_total - words_requested);
-      }
-      if (load_push_t) {
-        g = std::min<std::uint64_t>(
-            g, words_pushed < words_total ? words_total - words_pushed - 1
-                                          : 0);
-        // Every strided pop must find its response arrived: entry j past
-        // the head is popped at tick now+1+j; entries granted during the
-        // stride recycle with `resp_cnt` in flight and need latency to
-        // fit inside that pipeline depth.
-        const std::uint64_t scan =
-            std::min<std::uint64_t>(g, static_cast<std::uint64_t>(resp_cnt));
-        for (std::uint64_t j = 0; j < scan; ++j) {
-          std::size_t slot = resp_head + j;
-          if (slot >= max_out) slot -= max_out;
-          if (resp_ready[slot] > now + 1 + j) {
-            g = j;
-            break;
-          }
-        }
-        if (latency > resp_cnt) {
-          g = std::min<std::uint64_t>(g, resp_cnt);
-        }
-      } else if (words_pushed < words_total && resp_cnt > 0 &&
-                 wi.can_push() && resp_ready[resp_head] > now) {
-        // Blocked purely on read latency: the guard flips at a known
-        // virtual time (this is the analytic fast-forward of memory
-        // stall gaps).
-        g = std::min(g, resp_ready[resp_head] - now - 1);
-      }
-      if (ib_pop_t) {
-        g = std::min(g, (storage_bits - 1 - ib_pending) / 64);
-        g = std::min(g, (payload_rem - 1) / 64);
-      }
-      if (ob_emit_t) {
-        g = std::min(g, ob_pending > 0 ? (ob_pending - 1) / 64 : 0);
-      }
-      if (store_pad_t) {
-        g = std::min<std::uint64_t>(g, (chunk - store_bytes) / 8);
-      }
-      if (g == 0) break;
-
-      // Replay g identical ticks arithmetically.
-      if (load_push_t) {
-        std::size_t slot = resp_head + resp_cnt;
-        if (slot >= max_out) slot -= max_out;
-        for (std::uint64_t i = 0; i < g; ++i) {
-          resp_ready[slot] = now + 1 + i + latency;
-          if (++slot == max_out) slot = 0;
-        }
-        resp_head += g % max_out;
-        if (resp_head >= max_out) resp_head -= max_out;
-        words_pushed += g;
-        words_requested += g;
-        wi.pushes += g;
-      }
-      if (ib_pop_t) {
-        ib_pending += 64 * g;
-        payload_rem -= 64 * g;
-      }
-      for (std::size_t s = 0; s < num_stages; ++s) stall_in[s] += g;
-      if (ob_emit_t) {
-        ob_pending -= 64 * g;
-        wo.pushes += g;
-      }
-      if (store_pop_t) store_payload += 8 * g;
-      if (store_pop_t || store_pad_t) store_bytes += 8 * g;
-      if (moved > 0) {
-        transfers_acc += std::uint64_t{moved} * g;
-        useful += g;
-      } else {
-        stalled += g;
-      }
-      now += g;
-    } while (false);
     ++now;
   }
 
@@ -941,11 +799,9 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     // start_run (via pe.cycle above) configured and reset the
     // accumulator; folding the survivors in arrival order reproduces the
     // identical result bits, including float rounding order.
-    const support::BitVector payload =
-        support::BitVector::from_bytes(mem.read_bytes(src, in_size));
     const auto& finfo = pe.aggregate_->fields_[agg_field];
     const std::uint32_t storage_off =
-        lin.fields[lin.relevant_indices()[agg_field]].storage_offset_bits;
+        lin.fields[relevant[agg_field]].storage_offset_bits;
     const std::uint32_t width = std::min<std::uint32_t>(finfo.true_width, 64);
     for (const std::uint32_t id : survivors) {
       const std::uint64_t raw = payload.extract_u64(

@@ -22,7 +22,9 @@
 // such tick are an edge labelled with the filter decisions they consume.
 // An edge whose label matches the next decisions replays as its counter
 // deltas, as long as the load unit keeps words to request and push and
-// some payload stays unread; only unseen spans are ticked.
+// some payload stays unread. Every other tick is ticked one cycle at a
+// time: unseen spans, the read ramp, the tail after the last word request
+// and the static baseline's zero-pad drain.
 //
 // Structural-event boundaries drop back to the cycle-exact path: a
 // module added to the bench kernel after the PE, in-flight state at

@@ -757,9 +757,7 @@ HybridExecutor::PipelineRun HybridExecutor::run_pipeline(
     for (std::size_t b = 0; b < blocks.size(); ++b) work.push_back(route(b));
     std::vector<Outcome> outcomes(blocks.size());
     support::ThreadPool pool(
-        config_.pe_threads != 0
-            ? config_.pe_threads
-            : support::ThreadPool::default_threads(shard_count));
+        support::ThreadPool::capped_threads(config_.pe_threads, shard_count));
     support::parallel_for(pool, shard_count, [&](std::size_t k) {
       for (const std::size_t b : shard_lists[k]) {
         execute(static_cast<std::uint32_t>(k), b, work[b], outcomes[b]);

@@ -154,9 +154,10 @@ struct ExecutorConfig {
   /// replicate), and so does a software aggregate (its tuple-order fold
   /// runs on one ARM pipeline).
   std::uint32_t num_pes = 1;
-  /// Host worker threads driving the shard benches; 0 = one per shard,
-  /// capped at the hardware concurrency. The thread count NEVER affects
-  /// results, stats, traces or fault outcomes — only wall-clock time.
+  /// Host worker threads driving the shard benches, capped at the shard
+  /// count; 0 = one per shard, capped at the hardware concurrency. The
+  /// thread count NEVER affects results, stats, traces or fault outcomes
+  /// — only wall-clock time.
   std::uint32_t pe_threads = 0;
   /// PE-kernel fidelity for shard benches (exact ticking vs fused chunk
   /// replay). Results are byte-identical either way; see SimMode.

@@ -78,6 +78,15 @@ class ThreadPool {
     return std::max<std::size_t>(1, std::min(jobs, hardware));
   }
 
+  /// Worker count for `jobs` jobs when the caller asked for `requested`
+  /// threads (0: default_threads): a worker beyond the job count would
+  /// only ever wait, so the request is capped at `jobs`, never below one.
+  [[nodiscard]] static std::size_t capped_threads(std::size_t requested,
+                                                  std::size_t jobs) {
+    if (requested == 0) return default_threads(jobs);
+    return std::max<std::size_t>(1, std::min(requested, jobs));
+  }
+
  private:
   void worker_loop() {
     for (;;) {

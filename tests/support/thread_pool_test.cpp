@@ -104,6 +104,16 @@ TEST(ThreadPool, DefaultThreadsNeverZeroNeverMoreThanJobs) {
   EXPECT_GE(ThreadPool::default_threads(1024), 1u);
 }
 
+TEST(ThreadPool, CappedThreadsNeverMoreThanJobs) {
+  EXPECT_EQ(ThreadPool::capped_threads(64, 2), 2u);
+  EXPECT_EQ(ThreadPool::capped_threads(4'294'967'295u, 4), 4u);
+  EXPECT_EQ(ThreadPool::capped_threads(3, 4), 3u);
+  EXPECT_EQ(ThreadPool::capped_threads(1, 4), 1u);
+  EXPECT_EQ(ThreadPool::capped_threads(8, 0), 1u);
+  EXPECT_EQ(ThreadPool::capped_threads(0, 2),
+            ThreadPool::default_threads(2));
+}
+
 TEST(ThreadPool, RejectsZeroThreads) {
   EXPECT_THROW(ThreadPool pool(0), ndpgen::Error);
 }

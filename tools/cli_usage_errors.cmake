@@ -25,7 +25,12 @@ set(cases
   # query --serve drives one HW PE; it cannot honour these.
   "query --plan hot_window --serve --mode sw"
   "query --plan hot_window --serve --pes 4"
-  "query --plan hot_window --serve --threads 2")
+  "query --plan hot_window --serve --threads 2"
+  # Numbers: no sign, no trailing text, in the target type's range.
+  "serve --arrival-rate -5"
+  "scan --scale 12abc"
+  "serve --max-retries -1"
+  "scan --threads -1")
 
 set(failed "")
 foreach(command IN LISTS cases)

@@ -10,12 +10,15 @@
 //   ndpgen compile <spec-file> [-o <outdir>]
 //   ndpgen report  <spec-file>
 //   ndpgen simulate <spec-file> <parser> [--tuples N] [--stage s:field,op,value]...
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -279,12 +282,30 @@ void write_observability(const obs::Observability& obs,
 /// text and exits 2.
 struct UsageError {};
 
+/// Parses a whole flag value as an unsigned T: digits only (base 0 also
+/// takes 0x hex and leading-0 octal), no sign, no trailing text, and in
+/// T's range. Throws UsageError otherwise.
+template <typename T = std::uint64_t>
+T parse_uint(const std::string& text, int base = 10) {
+  if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+    throw UsageError{};
+  }
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text.c_str(), &end, base);
+  if (*end != '\0' || errno == ERANGE ||
+      value > std::numeric_limits<T>::max()) {
+    throw UsageError{};
+  }
+  return static_cast<T>(value);
+}
+
 /// Parses a --predicate value "field,op,value".
 ndp::FilterPredicate parse_predicate(const std::string& text) {
   const auto pieces = support::split(text, ',');
   if (pieces.size() != 3) throw UsageError{};
   return ndp::FilterPredicate{pieces[0], pieces[1],
-                              std::strtoull(pieces[2].c_str(), nullptr, 0)};
+                              parse_uint(pieces[2], 0)};
 }
 
 /// The device flags scan, serve, scrub, profile and query share, parsed
@@ -312,14 +333,12 @@ struct DeviceFlags {
       if (!mode) throw UsageError{};
       executor.mode = *mode;
     } else if (flag == "--scale") {
-      testbed.scale_divisor = std::strtoull(value.c_str(), nullptr, 10);
+      testbed.scale_divisor = parse_uint(value);
     } else if (flag == "--pes") {
-      executor.num_pes = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
+      executor.num_pes = parse_uint<std::uint32_t>(value);
       if (executor.num_pes == 0) throw UsageError{};
     } else if (flag == "--threads") {
-      executor.pe_threads = static_cast<std::uint32_t>(
-          std::strtoul(value.c_str(), nullptr, 10));
+      executor.pe_threads = parse_uint<std::uint32_t>(value);
     } else if (flag == "--sim-mode") {
       set_sim_mode_flag(value);
       executor.sim_mode = hwsim::sim_mode_from_env();
@@ -457,7 +476,7 @@ int cmd_simulate(const std::vector<std::string>& args) {
   std::vector<StageArg> stage_args;
   for (std::size_t i = 2; i < args.size(); ++i) {
     if (args[i] == "--tuples" && i + 1 < args.size()) {
-      tuples = std::strtoull(args[++i].c_str(), nullptr, 10);
+      tuples = parse_uint(args[++i]);
     } else if (args[i] == "--trace" && i + 1 < args.size()) {
       trace_path = args[++i];
     } else if (args[i] == "--metrics" && i + 1 < args.size()) {
@@ -471,10 +490,9 @@ int cmd_simulate(const std::vector<std::string>& args) {
       const auto pieces = support::split(spec.substr(colon + 1), ',');
       if (pieces.size() != 3) return usage();
       stage_args.push_back(StageArg{
-          static_cast<std::uint32_t>(
-              std::strtoul(spec.substr(0, colon).c_str(), nullptr, 10)),
+          parse_uint<std::uint32_t>(spec.substr(0, colon)),
           pieces[0], pieces[1],
-          std::strtoull(pieces[2].c_str(), nullptr, 0)});
+          parse_uint(pieces[2], 0)});
     } else {
       return usage();
     }
@@ -685,57 +703,43 @@ int cmd_serve(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (flags.parse(args, i)) continue;
     if (args[i] == "--tenants" && i + 1 < args.size()) {
-      const auto tenants = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      const auto tenants = parse_uint<std::uint32_t>(args[++i]);
       if (tenants == 0) return usage();
       service_config.tenants = tenants;
       load_config.tenants = tenants;
     } else if (args[i] == "--qd" && i + 1 < args.size()) {
-      service_config.queue_depth = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      service_config.queue_depth = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--arrival-rate" && i + 1 < args.size()) {
-      load_config.arrival_rate =
-          std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.arrival_rate = parse_uint(args[++i]);
     } else if (args[i] == "--requests" && i + 1 < args.size()) {
-      load_config.requests = std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.requests = parse_uint(args[++i]);
     } else if (args[i] == "--batch" && i + 1 < args.size()) {
-      service_config.batch_limit = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      service_config.batch_limit = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--weights" && i + 1 < args.size()) {
       service_config.weights.clear();
       for (const auto& piece : support::split(args[++i], ',')) {
-        service_config.weights.push_back(static_cast<std::uint32_t>(
-            std::strtoul(piece.c_str(), nullptr, 10)));
+        service_config.weights.push_back(parse_uint<std::uint32_t>(piece));
       }
     } else if (args[i] == "--closed-loop" && i + 1 < args.size()) {
-      load_config.closed_loop_clients = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      load_config.closed_loop_clients = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--think-us" && i + 1 < args.size()) {
-      load_config.think_time =
-          std::strtoull(args[++i].c_str(), nullptr, 10) *
-          platform::kNsPerUs;
+      load_config.think_time = parse_uint(args[++i]) * platform::kNsPerUs;
     } else if (args[i] == "--span" && i + 1 < args.size()) {
-      load_config.span_keys = std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.span_keys = parse_uint(args[++i]);
     } else if (args[i] == "--max-retries" && i + 1 < args.size()) {
-      service_config.max_retries = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      service_config.max_retries = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--backoff-us" && i + 1 < args.size()) {
-      service_config.retry_backoff =
-          std::strtoull(args[++i].c_str(), nullptr, 10) *
-          platform::kNsPerUs;
+      service_config.retry_backoff = parse_uint(args[++i]) * platform::kNsPerUs;
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      load_config.seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.seed = parse_uint(args[++i]);
     } else if (args[i] == "--devices" && i + 1 < args.size()) {
-      devices = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      devices = parse_uint<std::uint32_t>(args[++i]);
       if (devices == 0) return usage();
     } else if (args[i] == "--replication" && i + 1 < args.size()) {
-      replication = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      replication = parse_uint<std::uint32_t>(args[++i]);
       if (replication == 0) return usage();
     } else if (args[i] == "--spares" && i + 1 < args.size()) {
-      spares = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      spares = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--scrub-share" && i + 1 < args.size()) {
       scrub_share = std::strtod(args[++i].c_str(), nullptr);
       if (scrub_share < 0.0 || scrub_share >= 1.0) return usage();
@@ -873,20 +877,17 @@ int cmd_scrub(const std::vector<std::string>& args) {
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (flags.parse(args, i)) continue;
     if (args[i] == "--devices" && i + 1 < args.size()) {
-      build.devices = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      build.devices = parse_uint<std::uint32_t>(args[++i]);
       if (build.devices == 0) return usage();
     } else if (args[i] == "--replication" && i + 1 < args.size()) {
-      build.replication = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      build.replication = parse_uint<std::uint32_t>(args[++i]);
       if (build.replication == 0) return usage();
     } else if (args[i] == "--spares" && i + 1 < args.size()) {
-      build.spares = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      build.spares = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--requests" && i + 1 < args.size()) {
-      load_config.requests = std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.requests = parse_uint(args[++i]);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      load_config.seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.seed = parse_uint(args[++i]);
     } else if (args[i] == "--scrub-share" && i + 1 < args.size()) {
       scrub_share = std::strtod(args[++i].c_str(), nullptr);
       if (scrub_share <= 0.0 || scrub_share >= 1.0) return usage();
@@ -989,28 +990,24 @@ int cmd_profile(const std::vector<std::string>& args) {
     if (args[i] == "--workload" && i + 1 < args.size()) {
       workload_name = args[++i];
     } else if (args[i] == "--top" && i + 1 < args.size()) {
-      top_k = std::strtoull(args[++i].c_str(), nullptr, 10);
+      top_k = parse_uint(args[++i]);
     } else if (args[i] == "--tenants" && i + 1 < args.size()) {
-      const auto tenants = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      const auto tenants = parse_uint<std::uint32_t>(args[++i]);
       if (tenants == 0) return usage();
       service_config.tenants = tenants;
       load_config.tenants = tenants;
     } else if (args[i] == "--qd" && i + 1 < args.size()) {
-      service_config.queue_depth = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      service_config.queue_depth = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--requests" && i + 1 < args.size()) {
-      load_config.requests = std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.requests = parse_uint(args[++i]);
     } else if (args[i] == "--arrival-rate" && i + 1 < args.size()) {
-      load_config.arrival_rate =
-          std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.arrival_rate = parse_uint(args[++i]);
     } else if (args[i] == "--batch" && i + 1 < args.size()) {
-      service_config.batch_limit = static_cast<std::uint32_t>(
-          std::strtoul(args[++i].c_str(), nullptr, 10));
+      service_config.batch_limit = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      load_config.seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.seed = parse_uint(args[++i]);
     } else if (args[i] == "--span" && i + 1 < args.size()) {
-      load_config.span_keys = std::strtoull(args[++i].c_str(), nullptr, 10);
+      load_config.span_keys = parse_uint(args[++i]);
     } else if (args[i] == "--attribution" && i + 1 < args.size()) {
       attribution_path = args[++i];
     } else if (args[i] == "--predicate" && i + 1 < args.size()) {
@@ -1183,13 +1180,13 @@ int cmd_recover(const std::vector<std::string>& args) {
   std::string metrics_path;
   for (std::size_t i = 0; i < args.size(); ++i) {
     if (args[i] == "--ops" && i + 1 < args.size()) {
-      config.ops = std::strtoull(args[++i].c_str(), nullptr, 10);
+      config.ops = parse_uint(args[++i]);
     } else if (args[i] == "--crash-at" && i + 1 < args.size()) {
-      crash_at = std::strtoull(args[++i].c_str(), nullptr, 10);
+      crash_at = parse_uint(args[++i]);
     } else if (args[i] == "--torn-fraction" && i + 1 < args.size()) {
       config.torn_fraction = std::strtod(args[++i].c_str(), nullptr);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
-      config.seed = std::strtoull(args[++i].c_str(), nullptr, 10);
+      config.seed = parse_uint(args[++i]);
     } else if (args[i] == "--trace" && i + 1 < args.size()) {
       trace_path = args[++i];
     } else if (args[i] == "--metrics" && i + 1 < args.size()) {
@@ -1262,17 +1259,16 @@ int cmd_testbench(const std::vector<std::string>& args) {
   std::uint64_t value = 0;
   for (std::size_t i = 2; i < args.size(); ++i) {
     if (args[i] == "--tuples" && i + 1 < args.size()) {
-      tuples = std::strtoull(args[++i].c_str(), nullptr, 10);
+      tuples = parse_uint(args[++i]);
     } else if (args[i] == "--stage" && i + 1 < args.size()) {
       const std::string& spec = args[++i];
       const auto colon = spec.find(':');
       const auto pieces = support::split(spec.substr(colon + 1), ',');
       if (colon == std::string::npos || pieces.size() != 3) return usage();
-      stage = static_cast<std::uint32_t>(
-          std::strtoul(spec.substr(0, colon).c_str(), nullptr, 10));
+      stage = parse_uint<std::uint32_t>(spec.substr(0, colon));
       field_sel = 0;  // Resolved below via bind_predicate.
       op = pieces[1];
-      value = std::strtoull(pieces[2].c_str(), nullptr, 0);
+      value = parse_uint(pieces[2], 0);
       field_path = pieces[0];
     } else {
       return usage();
@@ -1349,7 +1345,7 @@ int cmd_query(const std::vector<std::string>& args) {
     if (args[i] == "--plan" && i + 1 < args.size()) {
       plan_arg = args[++i];
     } else if (args[i] == "--rows" && i + 1 < args.size()) {
-      dump_rows = std::strtoull(args[++i].c_str(), nullptr, 10);
+      dump_rows = parse_uint(args[++i]);
     } else if (args[i] == "--explain") {
       explain = true;
     } else if (args[i] == "--no-check") {

@@ -32,6 +32,8 @@ AnalyzedParser analyze_parser(const spec::SpecModule& module,
 
   analyzed.mapping =
       resolve_mapping(analyzed.input, analyzed.output, parser.mapping);
+  analyzed.plan =
+      RecordPlan(analyzed.input, analyzed.output, analyzed.mapping);
   return analyzed;
 }
 

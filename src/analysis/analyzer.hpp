@@ -7,12 +7,14 @@
 
 #include "analysis/layout.hpp"
 #include "analysis/mapping.hpp"
+#include "analysis/record_plan.hpp"
 #include "spec/ast.hpp"
 
 namespace ndpgen::analysis {
 
 /// Everything the generator needs about one `@autogen` parser definition:
-/// fully analyzed input/output layouts and the resolved field mapping.
+/// fully analyzed input/output layouts, the resolved field mapping and the
+/// record plan compiled from them.
 struct AnalyzedParser {
   std::string name;
   std::uint32_t chunk_size_bytes = 32 * 1024;
@@ -23,6 +25,7 @@ struct AnalyzedParser {
   TupleLayout input;
   TupleLayout output;
   ResolvedMapping mapping;
+  RecordPlan plan;  ///< How software reads and projects stored tuples.
 
   /// Tuples per chunk at input granularity (floor). Data blocks only carry
   /// whole tuples, so the remainder of a chunk is slack.

@@ -2,6 +2,7 @@
 
 #include <optional>
 
+#include "analysis/record_plan.hpp"
 #include "support/error.hpp"
 #include "support/strings.hpp"
 
@@ -48,7 +49,8 @@ void check_compatible(const FieldLayout& out_field,
                       std::to_string(out_field.storage_width_bits) + "b)");
   }
   if (out_field.relevant &&
-      spec::is_float(out_field.primitive) != spec::is_float(in_field.primitive)) {
+      (field_interp(out_field.primitive) == FieldInterp::kFloat) !=
+          (field_interp(in_field.primitive) == FieldInterp::kFloat)) {
     ndpgen::raise(ErrorKind::kSemantic,
                   "float/integer mismatch mapping '" + in_field.path +
                       "' to '" + out_field.path + "'");

@@ -15,10 +15,13 @@
 #include <string_view>
 #include <vector>
 
+#include "analysis/record_plan.hpp"
+
 namespace ndpgen::hwgen {
 
-/// How a comparator interprets its operand words.
-enum class FieldInterp : std::uint8_t { kUnsigned, kSigned, kFloat };
+/// How a comparator interprets its operand words (derived per field by
+/// analysis::field_interp).
+using analysis::FieldInterp;
 
 /// Operand view handed to compare functions: the raw word plus its
 /// interpretation and true (unpadded) width in bits.

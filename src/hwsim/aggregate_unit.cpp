@@ -9,18 +9,11 @@
 namespace ndpgen::hwsim {
 
 SimAggregateUnit::SimAggregateUnit(std::string name,
-                                   const analysis::TupleLayout& layout,
+                                   const analysis::RecordPlan& plan,
                                    Stream<Tuple>* in, Stream<Tuple>* out)
-    : Module(std::move(name)), in_(in), out_(out) {
+    : Module(std::move(name)), in_(in), out_(out), fields_(plan.fields()) {
   NDPGEN_CHECK_ARG(in != nullptr && out != nullptr,
                    "aggregate unit needs both streams");
-  for (const std::size_t index : layout.relevant_indices()) {
-    const auto& field = layout.fields[index];
-    fields_.push_back(FieldInfo{field.padded_offset_bits,
-                                field.storage_width_bits,
-                                spec::is_signed(field.primitive),
-                                spec::is_float(field.primitive)});
-  }
 }
 
 void SimAggregateUnit::configure(hwgen::AggOp op, std::uint32_t field_select) {
@@ -32,23 +25,24 @@ void SimAggregateUnit::configure(hwgen::AggOp op, std::uint32_t field_select) {
 
 void SimAggregateUnit::start() {
   folded_ = 0;
+  const analysis::FieldInterp interp = fields_[field_select_].interp;
   switch (op_) {
     case hwgen::AggOp::kMin:
       result_ = ~std::uint64_t{0};
-      if (fields_[field_select_].is_float) {
+      if (interp == analysis::FieldInterp::kFloat) {
         result_ = std::bit_cast<std::uint64_t>(
             std::numeric_limits<double>::infinity());
-      } else if (fields_[field_select_].is_signed) {
+      } else if (interp == analysis::FieldInterp::kSigned) {
         result_ = static_cast<std::uint64_t>(
             std::numeric_limits<std::int64_t>::max());
       }
       break;
     case hwgen::AggOp::kMax:
       result_ = 0;
-      if (fields_[field_select_].is_float) {
+      if (interp == analysis::FieldInterp::kFloat) {
         result_ = std::bit_cast<std::uint64_t>(
             -std::numeric_limits<double>::infinity());
-      } else if (fields_[field_select_].is_signed) {
+      } else if (interp == analysis::FieldInterp::kSigned) {
         result_ = static_cast<std::uint64_t>(
             std::numeric_limits<std::int64_t>::min());
       }
@@ -59,7 +53,8 @@ void SimAggregateUnit::start() {
   }
 }
 
-void SimAggregateUnit::fold(std::uint64_t raw, const FieldInfo& field) {
+void SimAggregateUnit::fold(std::uint64_t raw,
+                            const analysis::PlanField& field) {
   switch (op_) {
     case hwgen::AggOp::kNone:
       return;
@@ -67,18 +62,18 @@ void SimAggregateUnit::fold(std::uint64_t raw, const FieldInfo& field) {
       ++result_;
       return;
     case hwgen::AggOp::kSum:
-      if (field.is_float) {
+      if (field.interp == analysis::FieldInterp::kFloat) {
         const double value =
-            field.true_width == 32
+            field.width_bits == 32
                 ? static_cast<double>(std::bit_cast<float>(
                       static_cast<std::uint32_t>(raw)))
                 : std::bit_cast<double>(raw);
         result_ = std::bit_cast<std::uint64_t>(
             std::bit_cast<double>(result_) + value);
-      } else if (field.is_signed) {
+      } else if (field.interp == analysis::FieldInterp::kSigned) {
         result_ = static_cast<std::uint64_t>(
             static_cast<std::int64_t>(result_) +
-            hwgen::sign_extend(raw, field.true_width));
+            hwgen::sign_extend(raw, field.width_bits));
       } else {
         result_ += raw;
       }
@@ -86,10 +81,10 @@ void SimAggregateUnit::fold(std::uint64_t raw, const FieldInfo& field) {
     case hwgen::AggOp::kMin:
     case hwgen::AggOp::kMax: {
       bool take;
-      if (field.is_float) {
+      if (field.interp == analysis::FieldInterp::kFloat) {
         const double current = std::bit_cast<double>(result_);
         const double value =
-            field.true_width == 32
+            field.width_bits == 32
                 ? static_cast<double>(std::bit_cast<float>(
                       static_cast<std::uint32_t>(raw)))
                 : std::bit_cast<double>(raw);
@@ -97,9 +92,9 @@ void SimAggregateUnit::fold(std::uint64_t raw, const FieldInfo& field) {
         if (take) result_ = std::bit_cast<std::uint64_t>(value);
         return;
       }
-      if (field.is_signed) {
+      if (field.interp == analysis::FieldInterp::kSigned) {
         const std::int64_t current = static_cast<std::int64_t>(result_);
-        const std::int64_t value = hwgen::sign_extend(raw, field.true_width);
+        const std::int64_t value = hwgen::sign_extend(raw, field.width_bits);
         take = op_ == hwgen::AggOp::kMin ? value < current : value > current;
         if (take) result_ = static_cast<std::uint64_t>(value);
         return;
@@ -121,9 +116,9 @@ void SimAggregateUnit::cycle(std::uint64_t /*now*/) {
   }
   // Aggregating: consume one tuple per cycle; nothing flows downstream.
   const Tuple tuple = in_->pop();
-  const FieldInfo& field = fields_[field_select_];
-  const std::uint64_t raw = tuple.extract_u64(
-      field.padded_offset, std::min<std::uint32_t>(field.true_width, 64));
+  const analysis::PlanField& field = fields_[field_select_];
+  const std::uint64_t raw =
+      tuple.extract_u64(field.padded_offset_bits, field.width_bits);
   fold(raw, field);
   ++folded_;
 }

@@ -13,7 +13,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "analysis/layout.hpp"
+#include "analysis/record_plan.hpp"
 #include "hwgen/pe_design.hpp"
 #include "hwsim/kernel.hpp"
 #include "hwsim/stream.hpp"
@@ -23,7 +23,7 @@ namespace ndpgen::hwsim {
 
 class SimAggregateUnit final : public Module {
  public:
-  SimAggregateUnit(std::string name, const analysis::TupleLayout& layout,
+  SimAggregateUnit(std::string name, const analysis::RecordPlan& plan,
                    Stream<Tuple>* in, Stream<Tuple>* out);
 
   /// Runtime configuration from the control registers.
@@ -43,18 +43,11 @@ class SimAggregateUnit final : public Module {
  private:
   friend class FastChunkEngine;
 
-  struct FieldInfo {
-    std::uint32_t padded_offset;
-    std::uint32_t true_width;
-    bool is_signed;
-    bool is_float;
-  };
-
-  void fold(std::uint64_t raw, const FieldInfo& field);
+  void fold(std::uint64_t raw, const analysis::PlanField& field);
 
   Stream<Tuple>* in_;
   Stream<Tuple>* out_;
-  std::vector<FieldInfo> fields_;
+  const std::vector<analysis::PlanField>& fields_;  ///< Mux order.
 
   hwgen::AggOp op_ = hwgen::AggOp::kNone;
   std::uint32_t field_select_ = 0;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <numeric>
+#include <span>
 #include <string_view>
 #include <type_traits>
 #include <vector>
@@ -16,7 +16,6 @@
 #include "hwsim/memport.hpp"
 #include "hwsim/pe_sim.hpp"
 #include "hwsim/store_unit.hpp"
-#include "hwsim/transform_unit.hpp"
 #include "hwsim/tuple_buffer.hpp"
 #include "support/bitvec.hpp"
 #include "support/error.hpp"
@@ -199,65 +198,6 @@ class SpanAutomaton {
 
 }  // namespace
 
-OutputCopyPlan FastChunkEngine::plan_output(const SimulatedPE& pe) {
-  const analysis::TupleLayout& lin = pe.design_.parser.input;
-  const analysis::TupleLayout& lout = pe.design_.parser.output;
-  const SimTransformUnit& xform = *pe.transform_;
-  // Follows every bit through the three steps: the input storage bit it
-  // came from, or kZero when nothing wrote it.
-  constexpr std::int32_t kZero = -1;
-  using Bits = std::vector<std::int32_t>;
-  const auto copy = [](const Bits& from, std::uint64_t src, Bits& to,
-                       std::uint64_t dst, std::uint64_t width) {
-    if (src + width > from.size() || dst + width > to.size()) return false;
-    std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(src), width,
-                to.begin() + static_cast<std::ptrdiff_t>(dst));
-    return true;
-  };
-  OutputCopyPlan plan;
-  Bits storage(lin.storage_bits);
-  std::iota(storage.begin(), storage.end(), 0);
-  Bits padded(lin.padded_bits, kZero);
-  for (const auto& field : lin.fields) {
-    if (!copy(storage, field.storage_offset_bits, padded,
-              field.padded_offset_bits, field.storage_width_bits)) {
-      return plan;
-    }
-  }
-  if (!xform.identity_) {
-    Bits mapped(xform.out_bits_, kZero);
-    for (const auto& wire : xform.wires_) {
-      if (!copy(padded, wire.src_offset, mapped, wire.dst_offset,
-                wire.width)) {
-        return plan;
-      }
-    }
-    padded = std::move(mapped);
-  }
-  Bits out(lout.storage_bits, kZero);
-  for (const auto& field : lout.fields) {
-    if (!copy(padded, field.padded_offset_bits, out,
-              field.storage_offset_bits, field.storage_width_bits)) {
-      return plan;
-    }
-  }
-  for (std::uint32_t bit = 0; bit < out.size(); ++bit) {
-    if (out[bit] == kZero) continue;
-    const auto src = static_cast<std::uint32_t>(out[bit]);
-    CopySegment* last =
-        plan.segments.empty() ? nullptr : &plan.segments.back();
-    if (last != nullptr && last->width < 64 &&
-        last->dst_bit + last->width == bit &&
-        last->src_bit + last->width == src) {
-      ++last->width;
-    } else {
-      plan.segments.push_back(CopySegment{src, bit, 1});
-    }
-  }
-  plan.valid = true;
-  return plan;
-}
-
 bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   // ============ Phase 1: structural eligibility (no mutation) ==========
   //
@@ -339,11 +279,12 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     if (agg_field >= pe.aggregate_->fields_.size()) return false;
   }
 
-  const analysis::TupleLayout& lin = pe.design_.parser.input;
-  const analysis::TupleLayout& lout = pe.design_.parser.output;
-  const std::uint32_t storage_bits = lin.storage_bits;
-  const std::uint32_t out_storage_bits = lout.storage_bits;
-  if (storage_bits == 0) return false;
+  const analysis::RecordPlan& plan = pe.design_.parser.plan;
+  const std::uint32_t tuple_bytes = plan.input_bytes();
+  const std::uint32_t out_tuple_bytes = plan.output_bytes();
+  const std::uint32_t storage_bits = pe.design_.parser.input.storage_bits;
+  const std::uint32_t out_storage_bits = pe.design_.parser.output.storage_bits;
+  if (tuple_bytes == 0) return false;
 
   SimMemory& mem = axi.memory_;
   const std::uint64_t read_bytes = std::uint64_t{words_total} * 8;
@@ -354,33 +295,27 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   // ======== Phase 2: data-plane precompute (still no mutation) =========
   //
   // Filter decisions and the output byte stream depend only on the
-  // payload, never on timing, so they are evaluated in one pass.
+  // payload, never on timing, so they are evaluated in one pass, reading
+  // and projecting the payload bytes through the parser's record plan.
   const std::uint64_t payload_bits = std::uint64_t{in_size} * 8;
-  const std::uint64_t n_tuples = payload_bits / storage_bits;
+  const std::span<const std::uint8_t> payload = mem.read_bytes(src, in_size);
+  const auto record = [&](std::uint32_t id) {
+    return payload.subspan(std::uint64_t{id} * tuple_bytes, tuple_bytes);
+  };
+  const std::uint64_t n_tuples = in_size / tuple_bytes;
   std::vector<std::vector<std::uint8_t>> stage_pass(num_stages);
   std::vector<std::uint32_t> survivors;
-  std::vector<std::uint64_t> out_words;
+  std::vector<std::uint8_t> out_bytes;
   const bool agg_consumes =
       pe.aggregate_ != nullptr && agg_op != hw::AggOp::kNone;
-  support::BitVector payload;
-  std::vector<std::size_t> relevant;
   try {
-    payload = support::BitVector::from_bytes(mem.read_bytes(src, in_size));
-    relevant = lin.relevant_indices();
     std::vector<std::uint32_t> cur(n_tuples);
     for (std::uint64_t t = 0; t < n_tuples; ++t) {
       cur[t] = static_cast<std::uint32_t>(t);
     }
     for (std::size_t s = 0; s < num_stages; ++s) {
-      // The padded tuple carries exactly the storage slice of each field
-      // at its padded offset, so extracting min(true_width, 64) bits from
-      // the packed payload at the storage offset yields the identical
-      // mux element the filter stage sees.
-      const auto& finfo = pe.stages_[s]->fields_[cfg[s].field];
-      const std::uint32_t storage_off =
-          lin.fields[relevant[cfg[s].field]].storage_offset_bits;
-      const std::uint32_t width = std::min<std::uint32_t>(finfo.true_width, 64);
-      const hw::CompareOperand rhs{cfg[s].cmp, finfo.interp, finfo.true_width};
+      const analysis::PlanField& field = plan.fields()[cfg[s].field];
+      const hw::CompareOperand rhs{cfg[s].cmp, field.interp, field.width_bits};
       // Resolved non-null by the Phase-1 precheck; binding it here keeps
       // the encoding lookup out of the per-tuple loop.
       const hw::CompareOp& op = *pe.design_.operators.find_encoding(cfg[s].op);
@@ -389,9 +324,8 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       std::vector<std::uint32_t> next;
       next.reserve(cur.size());
       for (const std::uint32_t id : cur) {
-        const std::uint64_t raw = payload.extract_u64(
-            std::uint64_t{id} * storage_bits + storage_off, width);
-        const hw::CompareOperand lhs{raw, finfo.interp, finfo.true_width};
+        const hw::CompareOperand lhs{plan.extract(record(id), cfg[s].field),
+                                     field.interp, field.width_bits};
         const bool ok = op.eval(lhs, rhs);
         pass.push_back(ok ? 1 : 0);
         if (ok) next.push_back(id);
@@ -401,26 +335,21 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     survivors = std::move(cur);
 
     if (!agg_consumes) {
-      const OutputCopyPlan& plan = pe.output_plan_;
-      if (!plan.valid && !survivors.empty()) return false;
-      support::BitVector out_bits(survivors.size() * out_storage_bits);
+      // The output buffer packs survivors back to back into whole words.
+      out_bytes.assign(
+          (std::uint64_t{out_tuple_bytes} * survivors.size() + 7) / 8 * 8, 0);
       std::uint64_t out_at = 0;
       for (const std::uint32_t id : survivors) {
-        const std::uint64_t in_at = std::uint64_t{id} * storage_bits;
-        for (const CopySegment& seg : plan.segments) {
-          out_bits.deposit_u64(out_at + seg.dst_bit, seg.width,
-                               payload.extract_u64(in_at + seg.src_bit,
-                                                   seg.width));
-        }
-        out_at += out_storage_bits;
+        plan.project(record(id), std::span<std::uint8_t>(out_bytes).subspan(
+                                     out_at, out_tuple_bytes));
+        out_at += out_tuple_bytes;
       }
-      out_words.assign(out_bits.words().begin(), out_bits.words().end());
     }
   } catch (...) {
     return false;  // Anything start_run/the datapath would raise: exact.
   }
 
-  const std::uint64_t n_payload_words = out_words.size();
+  const std::uint64_t n_payload_words = out_bytes.size() / 8;
   const std::uint64_t total_write_words =
       configurable ? n_payload_words
                    : std::max<std::uint64_t>(n_payload_words, chunk / 8);
@@ -799,14 +728,9 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     // start_run (via pe.cycle above) configured and reset the
     // accumulator; folding the survivors in arrival order reproduces the
     // identical result bits, including float rounding order.
-    const auto& finfo = pe.aggregate_->fields_[agg_field];
-    const std::uint32_t storage_off =
-        lin.fields[relevant[agg_field]].storage_offset_bits;
-    const std::uint32_t width = std::min<std::uint32_t>(finfo.true_width, 64);
     for (const std::uint32_t id : survivors) {
-      const std::uint64_t raw = payload.extract_u64(
-          std::uint64_t{id} * storage_bits + storage_off, width);
-      pe.aggregate_->fold(raw, finfo);
+      pe.aggregate_->fold(plan.extract(record(id), agg_field),
+                          plan.fields()[agg_field]);
     }
     pe.aggregate_->folded_ = agg_folded;
   }
@@ -846,9 +770,8 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
 
   // DRAM effects: the write queue drained in request order, so the final
   // memory image is the payload words followed by static-mode padding.
-  for (std::uint64_t k = 0; k < total_write_words; ++k) {
-    mem.write_u64(dst + k * 8, k < n_payload_words ? out_words[k] : 0);
-  }
+  out_bytes.resize(write_bytes, 0);
+  mem.write_bytes(dst, out_bytes);
 
   // The sequencer's finish step: reads the counters written above,
   // publishes registers, metrics and the trace event — identical to the

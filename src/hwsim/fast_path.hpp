@@ -5,14 +5,14 @@
 // only on the payload bytes, and *when* each module moves depends only
 // on FIFO occupancies, the AXI round-robin state and the read latency.
 // FastChunkEngine exploits this: it precomputes every data decision
-// (filter pass/drop, aggregate folds, transformed output bits) directly
-// from DRAM, then replays the cycle-by-cycle timing with plain integer
-// counters instead of ticking module objects and moving BitVectors
-// through deques. The replay is cycle-exact by construction, so the
-// write-back phase can synthesize the very same stats, counters, stream
-// transfer/high-water marks, registers, metrics and trace events the
-// tick loop would have produced — byte-identical, at a fraction of the
-// wall-clock cost.
+// (filter pass/drop, aggregate folds, transformed output bytes) from the
+// payload bytes in DRAM through the parser's record plan, then replays
+// the cycle-by-cycle timing with plain integer counters instead of
+// ticking module objects and moving BitVectors through deques. The replay
+// is cycle-exact by construction, so the write-back phase can synthesize
+// the very same stats, counters, stream transfer/high-water marks,
+// registers, metrics and trace events the tick loop would have produced —
+// byte-identical, at a fraction of the wall-clock cost.
 //
 // The replay ticks each distinct tuple span only once per chunk. At every
 // tick where the input buffer pushes a tuple, the replay's non-counter
@@ -36,36 +36,13 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 namespace ndpgen::hwsim {
 
 class SimulatedPE;
 
-/// One run of output-tuple bits copied from consecutive input-tuple bits.
-struct CopySegment {
-  std::uint32_t src_bit;  ///< Offset in the input storage tuple.
-  std::uint32_t dst_bit;  ///< Offset in the output storage tuple.
-  std::uint32_t width;    ///< 1..64 bits.
-};
-
-/// A design's whole output plane — storage->padded (input layout), the
-/// transform wires or identity, padded->storage (output layout) — composed
-/// into copy segments, so a survivor's output bytes cost a few word
-/// extracts and deposits. Later fields and wires overwrite earlier ones;
-/// bits no segment covers are zero.
-struct OutputCopyPlan {
-  std::vector<CopySegment> segments;
-  /// False when a step's range leaves its tuple (the exact datapath would
-  /// raise): the fast path then leaves any chunk with survivors to it.
-  bool valid = false;
-};
-
 class FastChunkEngine {
  public:
-  /// Composes `pe`'s output plane; SimulatedPE builds it once.
-  static OutputCopyPlan plan_output(const SimulatedPE& pe);
-
   /// Attempts to run the chunk started on `pe` (START written, run not
   /// yet begun) to completion analytically on its bench's kernel. Returns
   /// true when the fast path applied; false means nothing was touched and

@@ -5,23 +5,16 @@
 namespace ndpgen::hwsim {
 
 SimFilterStage::SimFilterStage(std::string name,
-                               const analysis::TupleLayout& layout,
+                               const analysis::RecordPlan& plan,
                                const hwgen::OperatorSet& operators,
                                Stream<Tuple>* in, Stream<Tuple>* out)
-    : Module(std::move(name)), operators_(operators), in_(in), out_(out) {
+    : Module(std::move(name)),
+      operators_(operators),
+      in_(in),
+      out_(out),
+      fields_(plan.fields()) {
   NDPGEN_CHECK_ARG(in != nullptr && out != nullptr,
                    "filter stage needs both streams");
-  for (const std::size_t index : layout.relevant_indices()) {
-    const auto& field = layout.fields[index];
-    hwgen::FieldInterp interp = hwgen::FieldInterp::kUnsigned;
-    if (spec::is_float(field.primitive)) {
-      interp = hwgen::FieldInterp::kFloat;
-    } else if (spec::is_signed(field.primitive)) {
-      interp = hwgen::FieldInterp::kSigned;
-    }
-    fields_.push_back(FieldInfo{field.padded_offset_bits,
-                                field.storage_width_bits, interp});
-  }
   NDPGEN_CHECK_ARG(!fields_.empty(), "tuple has no filterable fields");
 }
 
@@ -58,13 +51,12 @@ void SimFilterStage::cycle(std::uint64_t /*now*/) {
     return;
   }
   Tuple tuple = in_->pop();
-  const FieldInfo& field = fields_[field_select_];
+  const analysis::PlanField& field = fields_[field_select_];
   const std::uint64_t element =
-      tuple.extract_u64(field.padded_offset, std::min<std::uint32_t>(
-                                                 field.true_width, 64));
-  const hwgen::CompareOperand lhs{element, field.interp, field.true_width};
+      tuple.extract_u64(field.padded_offset_bits, field.width_bits);
+  const hwgen::CompareOperand lhs{element, field.interp, field.width_bits};
   const hwgen::CompareOperand rhs{compare_value_, field.interp,
-                                  field.true_width};
+                                  field.width_bits};
   if (operators_.evaluate(operator_select_, lhs, rhs)) {
     out_->push(std::move(tuple));
     ++pass_count_;

@@ -2,13 +2,15 @@
 //
 // Dequeues one tuple per cycle, selects a field via the multiplexer,
 // evaluates the configured compare operation against the compare value and
-// enqueues the tuple into the output FIFO iff the predicate holds.
+// enqueues the tuple into the output FIFO iff the predicate holds. The mux
+// table is the parser's record plan; the field is read from the padded
+// tuple, as the hardware does.
 #pragma once
 
 #include <cstdint>
 #include <vector>
 
-#include "analysis/layout.hpp"
+#include "analysis/record_plan.hpp"
 #include "hwgen/operators.hpp"
 #include "hwsim/kernel.hpp"
 #include "hwsim/stream.hpp"
@@ -18,7 +20,7 @@ namespace ndpgen::hwsim {
 
 class SimFilterStage final : public Module {
  public:
-  SimFilterStage(std::string name, const analysis::TupleLayout& layout,
+  SimFilterStage(std::string name, const analysis::RecordPlan& plan,
                  const hwgen::OperatorSet& operators, Stream<Tuple>* in,
                  Stream<Tuple>* out);
 
@@ -50,16 +52,10 @@ class SimFilterStage final : public Module {
  private:
   friend class FastChunkEngine;
 
-  struct FieldInfo {
-    std::uint32_t padded_offset;
-    std::uint32_t true_width;
-    hwgen::FieldInterp interp;
-  };
-
   const hwgen::OperatorSet& operators_;
   Stream<Tuple>* in_;
   Stream<Tuple>* out_;
-  std::vector<FieldInfo> fields_;  ///< Relevant fields, mux order.
+  const std::vector<analysis::PlanField>& fields_;  ///< Mux order.
 
   std::uint32_t field_select_ = 0;
   std::uint32_t operator_select_ = 0;

@@ -1,6 +1,5 @@
 #include "hwsim/pe_sim.hpp"
 
-#include "hwsim/fast_path.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::hwsim {
@@ -44,13 +43,13 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
       tuple_streams_.front());
   for (std::uint32_t i = 0; i < stages; ++i) {
     stages_.push_back(std::make_unique<SimFilterStage>(
-        design.name + ".filter_" + std::to_string(i), design_.parser.input,
+        design.name + ".filter_" + std::to_string(i), design_.parser.plan,
         design_.operators, tuple_streams_[i], tuple_streams_[i + 1]));
   }
   std::uint32_t cursor = stages;
   if (aggregation) {
     aggregate_ = std::make_unique<SimAggregateUnit>(
-        design.name + ".aggregate", design_.parser.input,
+        design.name + ".aggregate", design_.parser.plan,
         tuple_streams_[cursor], tuple_streams_[cursor + 1]);
     ++cursor;
   }
@@ -72,7 +71,6 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
   kernel.add_module(out_buffer_.get());
   kernel.add_module(store_.get());
   kernel.add_module(this);  // Sequencer runs after the datapath.
-  output_plan_ = FastChunkEngine::plan_output(*this);
 }
 
 void SimulatedPE::mmio_write(std::uint32_t offset, std::uint32_t value) {

@@ -111,7 +111,6 @@ class SimulatedPE final : public Module {
   std::unique_ptr<SimTransformUnit> transform_;
   std::unique_ptr<SimTupleOutputBuffer> out_buffer_;
   std::unique_ptr<SimStoreUnit> store_;
-  OutputCopyPlan output_plan_;  ///< The fast path's survivor -> output copy.
 
   bool running_ = false;
   bool start_pending_ = false;

@@ -8,7 +8,6 @@
 #include "kv/placement.hpp"
 #include "kv/sst_reader.hpp"
 #include "obs/obs.hpp"
-#include "support/bitvec.hpp"
 #include "support/crc32c.hpp"
 #include "support/error.hpp"
 #include "support/thread_pool.hpp"
@@ -178,19 +177,19 @@ enum class Route : std::uint8_t {
 /// with floats widened to f64 and signed integers sign-extended. Folding
 /// these with fold() reproduces the tuple-by-tuple software fold exactly.
 std::uint64_t accumulator_value(hwgen::AggOp op,
-                                const analysis::FieldLayout& field,
+                                const analysis::PlanField& field,
                                 std::uint64_t raw) {
   if (op == hwgen::AggOp::kCount) return 1;
-  if (spec::is_float(field.primitive)) {
+  if (field.interp == analysis::FieldInterp::kFloat) {
     return std::bit_cast<std::uint64_t>(
-        field.storage_width_bits == 32
+        field.width_bits == 32
             ? static_cast<double>(
                   std::bit_cast<float>(static_cast<std::uint32_t>(raw)))
             : std::bit_cast<double>(raw));
   }
-  if (spec::is_signed(field.primitive)) {
+  if (field.interp == analysis::FieldInterp::kSigned) {
     return static_cast<std::uint64_t>(
-        hwgen::sign_extend(raw, field.storage_width_bits));
+        hwgen::sign_extend(raw, field.width_bits));
   }
   return raw;
 }
@@ -201,10 +200,10 @@ std::uint64_t accumulator_value(hwgen::AggOp op,
 /// block- and shard-level folds match the tuple-by-tuple fold exactly;
 /// float sums combine in fold order (see DESIGN.md for the ordering
 /// caveat).
-void fold(hwgen::AggOp op, const analysis::FieldLayout& field,
+void fold(hwgen::AggOp op, const analysis::PlanField& field,
           std::uint64_t value, std::uint64_t& acc, bool first) {
   using hwgen::AggOp;
-  const bool is_float = spec::is_float(field.primitive);
+  const bool is_float = field.interp == analysis::FieldInterp::kFloat;
   if (op == AggOp::kMin || op == AggOp::kMax) {
     const auto better = [op](auto v, auto current) {
       return op == AggOp::kMin ? v < current : v > current;
@@ -214,7 +213,7 @@ void fold(hwgen::AggOp op, const analysis::FieldLayout& field,
       take = true;
     } else if (is_float) {
       take = better(std::bit_cast<double>(value), std::bit_cast<double>(acc));
-    } else if (spec::is_signed(field.primitive)) {
+    } else if (field.interp == analysis::FieldInterp::kSigned) {
       take = better(static_cast<std::int64_t>(value),
                     static_cast<std::int64_t>(acc));
     } else {
@@ -230,18 +229,6 @@ void fold(hwgen::AggOp op, const analysis::FieldLayout& field,
   } else {
     acc += value;  // Counts, and integer sums in two's complement.
   }
-}
-
-/// True when `record` passes every predicate of the conjunction.
-bool passes(const analysis::AnalyzedParser& parser,
-            const hwgen::OperatorSet& operators,
-            std::span<const std::uint8_t> record,
-            const std::vector<BoundPredicate>& predicates) {
-  return std::all_of(predicates.begin(), predicates.end(),
-                     [&](const BoundPredicate& predicate) {
-                       return eval_predicate_sw(parser.input, operators,
-                                                record, predicate);
-                     });
 }
 
 }  // namespace
@@ -269,8 +256,7 @@ struct HybridExecutor::Plan {
   std::vector<BoundPredicate> bound;        ///< The PE/ARM conjunction.
   std::vector<BoundPredicate> post_filter;  ///< Beyond the PE's stages.
   hwgen::AggOp op = hwgen::AggOp::kNone;
-  const analysis::FieldLayout* field = nullptr;
-  std::uint32_t field_select = 0;
+  std::uint32_t field_select = 0;  ///< Aggregated field, mux order.
 };
 
 /// What running one block produced.
@@ -579,12 +565,10 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
     const kv::BlockTrailer trailer = kv::read_trailer(item.block);
     for (std::uint32_t i = 0; i < trailer.record_count; ++i) {
       const auto record = kv::block_record(item.block, trailer, i);
-      if (!passes(parser_, operators_, record, plan.bound)) continue;
+      if (!matches(parser_.plan, operators_, record, plan.bound)) continue;
       out.values.push_back(accumulator_value(
-          plan.op, *plan.field,
-          support::BitVector::from_bytes(record).extract_u64(
-              plan.field->storage_offset_bits,
-              std::min<std::uint32_t>(plan.field->storage_width_bits, 64))));
+          plan.op, parser_.plan.fields()[plan.field_select],
+          parser_.plan.extract(record, plan.field_select)));
     }
     out.tuples_in = trailer.record_count;
     out.matched = out.values.size();
@@ -620,7 +604,7 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
     out.cost += out.survivors.size() * plan.post_filter.size() *
                 timing.arm_predicate_per_tuple;
     std::erase_if(out.survivors, [&](const std::vector<std::uint8_t>& r) {
-      return !passes(parser_, operators_, r, plan.post_filter);
+      return !matches(parser_.plan, operators_, r, plan.post_filter);
     });
     out.matched = out.survivors.size();
   }
@@ -942,7 +926,6 @@ AggregateStats HybridExecutor::aggregate(
   Plan plan;
   plan.aggregate = true;
   plan.op = op;
-  plan.field = &parser_.input.fields[*field_index];
   // Field selector = position among the relevant fields.
   for (const std::size_t index : parser_.input.relevant_indices()) {
     if (index == *field_index) break;
@@ -960,7 +943,7 @@ AggregateStats HybridExecutor::aggregate(
   const std::uint32_t shard_count = hw_mode ? effective_shards() : 1;
   const std::vector<BlockRef> blocks = collect_blocks();
   AggregateStats stats;
-  const analysis::FieldLayout& field = *plan.field;
+  const analysis::PlanField& field = parser_.plan.fields()[plan.field_select];
   std::uint64_t acc = 0;
   bool first = true;
   std::vector<std::uint64_t> shard_acc(shard_count, 0);
@@ -1076,7 +1059,7 @@ GetStats HybridExecutor::get(const kv::Key& key) {
     stats.elapsed = queue.now() - t0;
     if (entry->type == kv::EntryType::kValue) {
       stats.found = true;
-      stats.record = transform_sw(parser_, entry->record);
+      stats.record = parser_.plan.project(entry->record);
     }
     return stats;
   }
@@ -1150,7 +1133,7 @@ GetStats HybridExecutor::get(const kv::Key& key) {
       }
       if (const auto record = kv::SSTReader::find_in_block(
               item.block, key, db_.config().extractor)) {
-        survivors.push_back(transform_sw(parser_, *record));
+        survivors.push_back(parser_.plan.project(*record));
       }
     }
 

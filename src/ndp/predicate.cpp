@@ -2,7 +2,6 @@
 
 #include <bit>
 
-#include "support/bitvec.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::ndp {
@@ -68,47 +67,19 @@ std::vector<BoundPredicate> bind_conjunction(
   return bound;
 }
 
-bool eval_predicate_sw(const analysis::TupleLayout& layout,
-                       const hwgen::OperatorSet& operators,
-                       std::span<const std::uint8_t> record,
-                       const BoundPredicate& predicate) {
-  NDPGEN_CHECK_ARG(record.size() == layout.storage_bytes(),
-                   "record size does not match the layout");
-  const auto relevant = layout.relevant_indices();
-  NDPGEN_CHECK_ARG(predicate.field_select < relevant.size(),
-                   "field selector out of range");
-  const auto& field = layout.fields[relevant[predicate.field_select]];
-  const auto bits = support::BitVector::from_bytes(record);
-  const std::uint64_t element = bits.extract_u64(
-      field.storage_offset_bits,
-      std::min<std::uint32_t>(field.storage_width_bits, 64));
-
-  hwgen::FieldInterp interp = hwgen::FieldInterp::kUnsigned;
-  if (spec::is_float(field.primitive)) {
-    interp = hwgen::FieldInterp::kFloat;
-  } else if (spec::is_signed(field.primitive)) {
-    interp = hwgen::FieldInterp::kSigned;
+bool matches(const analysis::RecordPlan& plan,
+             const hwgen::OperatorSet& operators,
+             std::span<const std::uint8_t> record,
+             std::span<const BoundPredicate> predicates) {
+  for (const BoundPredicate& predicate : predicates) {
+    const std::uint64_t raw = plan.extract(record, predicate.field_select);
+    const analysis::PlanField& field = plan.fields()[predicate.field_select];
+    const hwgen::CompareOperand lhs{raw, field.interp, field.width_bits};
+    const hwgen::CompareOperand rhs{predicate.compare_value, field.interp,
+                                    field.width_bits};
+    if (!operators.evaluate(predicate.op_encoding, lhs, rhs)) return false;
   }
-  const hwgen::CompareOperand lhs{element, interp, field.storage_width_bits};
-  const hwgen::CompareOperand rhs{predicate.compare_value, interp,
-                                  field.storage_width_bits};
-  return operators.evaluate(predicate.op_encoding, lhs, rhs);
-}
-
-std::vector<std::uint8_t> transform_sw(const analysis::AnalyzedParser& parser,
-                                       std::span<const std::uint8_t> record) {
-  NDPGEN_CHECK_ARG(record.size() == parser.input.storage_bytes(),
-                   "record size does not match the input layout");
-  const auto in_bits = support::BitVector::from_bytes(record);
-  support::BitVector out_bits(parser.output.storage_bits);
-  for (const auto& wire : parser.mapping.wires) {
-    const auto& src = parser.input.fields[wire.input_field];
-    const auto& dst = parser.output.fields[wire.output_field];
-    out_bits.deposit(dst.storage_offset_bits,
-                     in_bits.slice(src.storage_offset_bits,
-                                   dst.storage_width_bits));
-  }
-  return out_bits.to_bytes();
+  return true;
 }
 
 }  // namespace ndpgen::ndp

@@ -4,8 +4,8 @@
 // by name; binding resolves these against the analyzed tuple layout and
 // the PE's generated operator set into the raw register values
 // (field selector, operator encoding, compare word). The same bound form
-// drives both the hardware registers and the software evaluation, so the
-// two paths are semantically identical by construction.
+// drives both the hardware registers and the software evaluation, which
+// reads the selected field through the parser's record plan.
 #pragma once
 
 #include <cstdint>
@@ -49,17 +49,12 @@ struct BoundPredicate {
     const analysis::TupleLayout& layout, const hwgen::OperatorSet& operators,
     const std::vector<FilterPredicate>& predicates, std::uint32_t stages);
 
-/// Software reference evaluation of one bound predicate on a packed
-/// storage-layout record (used by the software NDP path and tests).
-[[nodiscard]] bool eval_predicate_sw(const analysis::TupleLayout& layout,
-                                     const hwgen::OperatorSet& operators,
-                                     std::span<const std::uint8_t> record,
-                                     const BoundPredicate& predicate);
-
-/// Software transform: input storage record -> output storage record per
-/// the resolved mapping (the Data Transformation Unit's semantics).
-[[nodiscard]] std::vector<std::uint8_t> transform_sw(
-    const analysis::AnalyzedParser& parser,
-    std::span<const std::uint8_t> record);
+/// Software filter chain: true when the packed input-layout `record`
+/// passes every predicate of the conjunction. Throws Error{kInvalidArg}
+/// when `record` is not an input-layout record.
+[[nodiscard]] bool matches(const analysis::RecordPlan& plan,
+                           const hwgen::OperatorSet& operators,
+                           std::span<const std::uint8_t> record,
+                           std::span<const BoundPredicate> predicates);
 
 }  // namespace ndpgen::ndp

@@ -10,18 +10,9 @@ SwBlockResult SoftwareNdp::filter_block(
   result.tuples_in = trailer.record_count;
   for (std::uint32_t i = 0; i < trailer.record_count; ++i) {
     const auto record = kv::block_record(block, trailer, i);
-    bool pass = true;
-    for (const auto& predicate : predicates) {
-      if (!eval_predicate_sw(parser_.input, operators_, record, predicate)) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
+    if (!matches(parser_.plan, operators_, record, predicates)) continue;
     ++result.tuples_out;
-    if (collect) {
-      result.records.push_back(transform_sw(parser_, record));
-    }
+    if (collect) result.records.push_back(parser_.plan.project(record));
   }
   result.arm_cost =
       block_cost(kv::block_payload_bytes(trailer), result.tuples_in,

@@ -1,7 +1,8 @@
 // Software NDP: the on-device ARM implementation of filter + transform.
 //
-// Runs the exact same semantics as the generated PE (shared predicate and
-// transform code) over assembled data blocks, and exposes the ARM time a
+// Runs the exact same semantics as the generated PE (reading and
+// projecting tuples through the parser's record plan, like the fused PE
+// replay) over assembled data blocks, and exposes the ARM time a
 // block costs under the platform's cost model. The hybrid executors charge
 // this cost on the DES clock.
 #pragma once

@@ -14,11 +14,6 @@ bool contains(const std::vector<std::string>& names,
   return std::find(names.begin(), names.end(), name) != names.end();
 }
 
-std::string column_c_type(Dataset dataset, const std::string& column) {
-  if (dataset == Dataset::kRefs) return "uint64_t";  // src, dst
-  return column == "id" ? "uint64_t" : "uint32_t";
-}
-
 /// Synthesizes the format-specification source for one leaf: the fixed
 /// input schema of the dataset, an output struct holding exactly
 /// `columns` (auto-mapped by field name), and the @autogen definition
@@ -27,24 +22,10 @@ std::string column_c_type(Dataset dataset, const std::string& column) {
 std::string synthesize_spec(Dataset dataset,
                             const std::vector<std::string>& columns,
                             std::uint32_t stages, bool aggregate) {
+  const workload::DatasetInfo& info = workload::describe(dataset);
   std::ostringstream out;
-  if (dataset == Dataset::kPapers) {
-    out << "typedef struct {\n"
-           "  uint64_t id;\n"
-           "  uint32_t year;\n"
-           "  uint32_t venue_id;\n"
-           "  uint32_t n_refs;\n"
-           "  uint32_t n_cited;\n"
-           "  /* @string prefix = 8 */\n"
-           "  char title[104];\n"
-           "} Paper;\n\n";
-  } else {
-    out << "typedef struct {\n"
-           "  uint64_t src;\n"
-           "  uint64_t dst;\n"
-           "} Ref;\n\n";
-  }
-  const std::string input(workload::describe(dataset).input_type);
+  out << info.record_struct << "\n";
+  const std::string input(info.input_type);
 
   // Identity projection reuses the input type (identity transform unit);
   // anything narrower gets its own output struct, auto-mapped by name.
@@ -55,7 +36,12 @@ std::string synthesize_spec(Dataset dataset,
     output = "QueryLeafOut";
     out << "typedef struct {\n";
     for (const auto& column : columns) {
-      out << "  " << column_c_type(dataset, column) << " " << column << ";\n";
+      const auto at =
+          std::find(info.columns.begin(), info.columns.end(), column);
+      NDPGEN_CHECK(at != info.columns.end(),
+                   "leaf column '" + column + "' is not a dataset column");
+      out << "  " << info.column_types[at - info.columns.begin()] << " "
+          << column << ";\n";
     }
     out << "} QueryLeafOut;\n\n";
   }

@@ -109,27 +109,15 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
   out.stats.blocks_degraded_to_software = stats.blocks_degraded_to_software;
   out.stats.uncorrectable_blocks = stats.uncorrectable_blocks;
 
-  // Decode device records into rows via the generated output layout.
-  const analysis::TupleLayout& layout = artifacts.analyzed.output;
-  struct FieldRef {
-    std::uint32_t offset_bits;
-    std::uint32_t width_bits;
-  };
-  std::vector<FieldRef> fields;
-  for (const auto& column : leaf.columns) {
-    const auto index = layout.find_field(column);
-    NDPGEN_CHECK(index.has_value(),
-                 "leaf output layout is missing column '" + column + "'");
-    const auto& field = layout.fields[*index];
-    fields.push_back(FieldRef{field.storage_offset_bits,
-                              field.storage_width_bits});
-  }
+  // Decode device records into rows through a plan over the generated
+  // output layout's columns.
+  const auto decode = analysis::RecordPlan::select(artifacts.analyzed.output,
+                                                   leaf.columns);
   out.rows.reserve(records.size());
   for (const auto& record : records) {
-    Row row;
-    row.reserve(fields.size());
-    for (const auto& field : fields) {
-      row.push_back(read_column(record, field.offset_bits, field.width_bits));
+    Row row(leaf.columns.size());
+    for (std::uint32_t i = 0; i < row.size(); ++i) {
+      row[i] = decode.extract(record, i);
     }
     out.rows.push_back(std::move(row));
   }
@@ -189,23 +177,6 @@ bool compare_op(std::uint64_t lhs, const std::string& op, std::uint64_t rhs) {
   if (op == "lt") return lhs < rhs;
   if (op == "le") return lhs <= rhs;
   raise(ErrorKind::kInternal, "unknown comparison operator '" + op + "'");
-}
-
-std::uint64_t read_column(const std::vector<std::uint8_t>& record,
-                          std::uint32_t offset_bits,
-                          std::uint32_t width_bits) {
-  NDPGEN_CHECK(offset_bits % 8 == 0 && width_bits % 8 == 0 &&
-                   width_bits <= 64,
-               "query columns must be byte-aligned integer fields");
-  const std::size_t offset = offset_bits / 8;
-  const std::size_t width = width_bits / 8;
-  NDPGEN_CHECK(offset + width <= record.size(),
-               "record too short for column read");
-  std::uint64_t value = 0;
-  for (std::size_t i = 0; i < width; ++i) {
-    value |= static_cast<std::uint64_t>(record[offset + i]) << (8 * i);
-  }
-  return value;
 }
 
 ResultTable execute_plan(const CompiledPlan& plan,

@@ -72,11 +72,6 @@ struct QueryStats {
 [[nodiscard]] bool compare_op(std::uint64_t lhs, const std::string& op,
                               std::uint64_t rhs);
 
-/// Byte-aligned LE field read; every pubgraph column is u32/u64 packed.
-[[nodiscard]] std::uint64_t read_column(
-    const std::vector<std::uint8_t>& record, std::uint32_t offset_bits,
-    std::uint32_t width_bits);
-
 // --- Host cost model (ns; see DESIGN.md §14) ---------------------------
 inline constexpr std::uint64_t kHostOpDispatchNs = 2'000;
 inline constexpr std::uint64_t kHostDecodeNsPerRow = 6;

@@ -12,23 +12,12 @@ PlanTarget::PlanTarget(host::OffloadTarget& inner,
                        const analysis::TupleLayout& layout,
                        std::vector<PlanPredicate> row_filters,
                        std::vector<std::string> project_columns)
-    : inner_(inner) {
-  auto bind = [&](const std::string& column) {
-    const auto index = layout.find_field(column);
-    NDPGEN_CHECK_ARG(index.has_value(),
-                     "plan tail references column '" + column +
-                         "' absent from the device output layout");
-    const auto& field = layout.fields[*index];
-    return BoundField{field.storage_offset_bits, field.storage_width_bits};
-  };
-  filters_.reserve(row_filters.size());
-  for (auto& pred : row_filters) {
-    filters_.emplace_back(bind(pred.column), std::move(pred));
-  }
-  projection_.reserve(project_columns.size());
-  for (const auto& column : project_columns) {
-    projection_.push_back(bind(column));
-  }
+    : inner_(inner),
+      filters_(std::move(row_filters)),
+      projection_(analysis::RecordPlan::select(layout, project_columns)) {
+  std::vector<std::string> filter_columns;
+  for (const auto& pred : filters_) filter_columns.push_back(pred.column);
+  filter_plan_ = analysis::RecordPlan::select(layout, filter_columns);
 }
 
 ndp::ScanStats PlanTarget::multi_range_scan(
@@ -36,7 +25,8 @@ ndp::ScanStats PlanTarget::multi_range_scan(
     const std::vector<ndp::FilterPredicate>& predicates,
     std::vector<std::vector<std::uint8_t>>* records) {
   ndp::ScanStats stats = inner_.multi_range_scan(ranges, predicates, records);
-  if (records == nullptr || (filters_.empty() && projection_.empty())) {
+  const bool project = !projection_.fields().empty();
+  if (records == nullptr || (filters_.empty() && !project)) {
     return stats;
   }
 
@@ -45,10 +35,9 @@ ndp::ScanStats PlanTarget::multi_range_scan(
   if (!filters_.empty()) {
     tail_ns += kHostFilterNsPerRowPred * rows_in * filters_.size();
     std::erase_if(*records, [&](const std::vector<std::uint8_t>& record) {
-      for (const auto& [field, pred] : filters_) {
-        if (!compare_op(
-                read_column(record, field.offset_bits, field.width_bits),
-                pred.op, pred.value)) {
+      for (std::uint32_t i = 0; i < filters_.size(); ++i) {
+        if (!compare_op(filter_plan_.extract(record, i), filters_[i].op,
+                        filters_[i].value)) {
           return true;
         }
       }
@@ -57,18 +46,9 @@ ndp::ScanStats PlanTarget::multi_range_scan(
   }
   rows_filtered_ += rows_in - records->size();
 
-  if (!projection_.empty()) {
+  if (project) {
     tail_ns += kHostProjectNsPerRow * records->size();
-    for (auto& record : *records) {
-      std::vector<std::uint8_t> packed;
-      for (const auto& field : projection_) {
-        const std::size_t offset = field.offset_bits / 8;
-        const std::size_t width = field.width_bits / 8;
-        packed.insert(packed.end(), record.begin() + offset,
-                      record.begin() + offset + width);
-      }
-      record = std::move(packed);
-    }
+    for (auto& record : *records) record = projection_.project(record);
   }
 
   // The tail's modeled host time lands in `merge` (per-result host-side

@@ -21,7 +21,7 @@
 
 #include <optional>
 
-#include "analysis/layout.hpp"
+#include "analysis/record_plan.hpp"
 #include "host/service.hpp"
 #include "query/executor.hpp"
 #include "query/plan.hpp"
@@ -64,15 +64,11 @@ class PlanTarget final : public host::OffloadTarget {
   }
 
  private:
-  struct BoundField {
-    std::uint32_t offset_bits = 0;
-    std::uint32_t width_bits = 0;
-  };
-
   host::OffloadTarget& inner_;
-  std::vector<std::pair<BoundField, PlanPredicate>> filters_;
-  std::vector<BoundField> projection_;  ///< Empty = keep device layout.
-  std::uint64_t rows_filtered_ = 0;     ///< Rows dropped by the tail.
+  std::vector<PlanPredicate> filters_;
+  analysis::RecordPlan filter_plan_;  ///< Field i feeds filters_[i].
+  analysis::RecordPlan projection_;   ///< No fields = keep device layout.
+  std::uint64_t rows_filtered_ = 0;   ///< Rows dropped by the tail.
 };
 
 struct ServePlanConfig {

@@ -18,6 +18,23 @@ std::uint64_t mix(std::uint64_t seed, std::uint64_t stream,
   return mixer.next();
 }
 
+constexpr std::string_view kPaperStruct = R"spec(typedef struct {
+  uint64_t id;
+  uint32_t year;
+  uint32_t venue_id;
+  uint32_t n_refs;
+  uint32_t n_cited;
+  /* @string prefix = 8 */
+  char title[104];
+} Paper;
+)spec";
+
+constexpr std::string_view kRefStruct = R"spec(typedef struct {
+  uint64_t src;
+  uint64_t dst;
+} Ref;
+)spec";
+
 }  // namespace
 
 std::vector<std::uint8_t> PaperRecord::serialize() const {
@@ -75,19 +92,10 @@ kv::Key paper_result_key(std::span<const std::uint8_t> record) {
 }
 
 const std::string& pubgraph_spec_source() {
-  static const std::string source = R"spec(
-/* @autogen define parser PaperScan with
-   chunksize = 32, input = Paper, output = PaperResult */
-typedef struct {
-  uint64_t id;
-  uint32_t year;
-  uint32_t venue_id;
-  uint32_t n_refs;
-  uint32_t n_cited;
-  /* @string prefix = 8 */
-  char title[104];
-} Paper;
-
+  static const std::string source =
+      "\n/* @autogen define parser PaperScan with\n"
+      "   chunksize = 32, input = Paper, output = PaperResult */\n" +
+      std::string(kPaperStruct) + R"spec(
 typedef struct {
   uint64_t id;
   uint32_t year;
@@ -98,11 +106,7 @@ typedef struct {
 
 /* @autogen define parser RefScan with
    chunksize = 32, input = Ref, output = Ref, filters = 2 */
-typedef struct {
-  uint64_t src;
-  uint64_t dst;
-} Ref;
-)spec";
+)spec" + std::string(kRefStruct);
   return source;
 }
 
@@ -210,16 +214,17 @@ std::uint64_t load_refs(kv::NKV& db, const PubGraphGenerator& generator,
 
 const DatasetInfo& describe(Dataset dataset) {
   static const DatasetInfo kPapers{
-      "papers", "PaperScan", "Paper", PaperRecord::kBytes,
-      {"id", "year", "venue_id", "n_refs", "n_cited"}, 1, paper_key,
-      paper_result_key,
+      "papers", "PaperScan", "Paper", kPaperStruct, PaperRecord::kBytes,
+      {"id", "year", "venue_id", "n_refs", "n_cited"},
+      {"uint64_t", "uint32_t", "uint32_t", "uint32_t", "uint32_t"}, 1,
+      paper_key, paper_result_key,
       [](kv::NKV& db, const PubGraphGenerator& generator) {
         return load_papers(db, generator);
       }};
   // RefScan is an identity parser: output records keep the stored key.
   static const DatasetInfo kRefs{
-      "refs", "RefScan", "Ref", RefRecord::kBytes, {"src", "dst"}, 2,
-      ref_key, ref_key,
+      "refs", "RefScan", "Ref", kRefStruct, RefRecord::kBytes,
+      {"src", "dst"}, {"uint64_t", "uint64_t"}, 2, ref_key, ref_key,
       [](kv::NKV& db, const PubGraphGenerator& generator) {
         return load_refs(db, generator);
       }};

@@ -122,9 +122,14 @@ struct DatasetInfo {
   std::string_view name;        ///< "papers" / "refs" (CLI and plan text).
   std::string_view parser;      ///< Stock parser in pubgraph_spec_source().
   std::string_view input_type;  ///< Record struct in the spec source.
+  /// That struct's typedef, the one text pubgraph_spec_source() and the
+  /// query compiler's leaf specs both state.
+  std::string_view record_struct;
   std::uint32_t record_bytes;
   /// Integer fields, in record order; the title payload is not a column.
   std::vector<std::string> columns;
+  /// C type of each column in `record_struct`, parallel to `columns`.
+  std::vector<std::string_view> column_types;
   std::size_t key_columns;  ///< The first `key_columns` columns form the key.
   kv::Key (*key)(std::span<const std::uint8_t>);  ///< Stored record.
   /// Key of the stock parser's OUTPUT record (the executor's recency

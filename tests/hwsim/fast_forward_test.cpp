@@ -596,26 +596,33 @@ TEST(FastForward, LongChunkHorizonsInsideReplayedSpansMatchExact) {
   }
 }
 
-// ---- Output plane: the per-design copy plan vs the exact datapath -------
+// ---- Output plane: the record plan's projection vs the exact datapath -
 
 /// Runs `payload` through `design` in both modes — stage 0 applies
 /// (field 0, `op`, `value`), every later stage passes all — and expects
 /// the same output DRAM image (well past the written bytes), ChunkStats
-/// and metrics. The fast run must apply its copy plan.
+/// and metrics. The fast run must be the fused replay, which projects
+/// survivors through the parser's record plan.
 void expect_output_plane_matches_exact(const hw::PEDesign& design,
                                        const std::vector<std::uint8_t>& payload,
                                        std::uint32_t op, std::uint64_t value) {
   constexpr std::uint64_t kOut = 1 << 20;
   auto run = [&](SimMode mode) {
     PETestBench bench(design, bench_config(mode));
-    EXPECT_TRUE(FastChunkEngine::plan_output(bench.pe()).valid);
     bench.memory().write_bytes(0, payload);
     bench.set_filter(0, 0, op, value);
     for (std::uint32_t s = 1; s < design.filter_stage_count(); ++s) {
       bench.set_filter(s, 0, 6 /* nop */, 0);
     }
-    const ChunkStats stats = bench.run_chunk(
-        0, kOut, static_cast<std::uint32_t>(payload.size()));
+    const auto size = static_cast<std::uint32_t>(payload.size());
+    ChunkStats stats;
+    if (mode == SimMode::kFast) {
+      bench.start_chunk(0, kOut, size);
+      EXPECT_TRUE(FastChunkEngine::run(bench.pe(), 100'000'000));
+      stats = bench.pe().last_stats();
+    } else {
+      stats = bench.run_chunk(0, kOut, size);
+    }
     return std::tuple{stats,
                       to_vec(bench.memory().read_bytes(kOut, 64 * 1024)),
                       bench.observability().metrics.dump_json()};
@@ -649,8 +656,8 @@ TEST(FastForward, RefsIdentityOutputPlaneMatchesExact) {
 }
 
 TEST(FastForward, PaperProjectionOutputPlaneMatchesExact) {
-  // Paper carries a 104-byte title wider than any copy segment; the
-  // projection to PaperResult drops it.
+  // Paper carries a 104-byte title; the projection to PaperResult drops
+  // it.
   const auto design =
       design_for(workload::pubgraph_spec_source(), "PaperScan");
   const workload::PubGraphGenerator generator(

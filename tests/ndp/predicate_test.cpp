@@ -70,10 +70,10 @@ TEST_F(PredicateFixture, SwEvalUnsigned) {
   const auto record = make_rec(100, 5, 1.0f, "abcdefg");
   const auto bound = bind_predicate(parser_.input, operators_,
                                     {"id", "ge", 100});
-  EXPECT_TRUE(eval_predicate_sw(parser_.input, operators_, record, bound));
+  EXPECT_TRUE(matches(parser_.plan, operators_, record, {&bound, 1}));
   const auto bound2 =
       bind_predicate(parser_.input, operators_, {"id", "gt", 100});
-  EXPECT_FALSE(eval_predicate_sw(parser_.input, operators_, record, bound2));
+  EXPECT_FALSE(matches(parser_.plan, operators_, record, {&bound2, 1}));
 }
 
 TEST_F(PredicateFixture, SwEvalSigned) {
@@ -81,17 +81,17 @@ TEST_F(PredicateFixture, SwEvalSigned) {
   const auto bound = bind_predicate(
       parser_.input, operators_,
       {"delta", "lt", 0});  // -5 < 0 only under signed interpretation.
-  EXPECT_TRUE(eval_predicate_sw(parser_.input, operators_, record, bound));
+  EXPECT_TRUE(matches(parser_.plan, operators_, record, {&bound, 1}));
 }
 
 TEST_F(PredicateFixture, SwEvalFloat) {
   const auto record = make_rec(1, 0, 2.5f, "abcdefg");
   const auto bound = bind_predicate(
       parser_.input, operators_, {"score", "gt", encode_f32(2.0f)});
-  EXPECT_TRUE(eval_predicate_sw(parser_.input, operators_, record, bound));
+  EXPECT_TRUE(matches(parser_.plan, operators_, record, {&bound, 1}));
   const auto bound2 = bind_predicate(
       parser_.input, operators_, {"score", "gt", encode_f32(3.0f)});
-  EXPECT_FALSE(eval_predicate_sw(parser_.input, operators_, record, bound2));
+  EXPECT_FALSE(matches(parser_.plan, operators_, record, {&bound2, 1}));
 }
 
 TEST_F(PredicateFixture, ConjunctionPadsWithNop) {
@@ -121,7 +121,7 @@ TEST_F(PredicateFixture, ConjunctionWithoutNopFails) {
 
 TEST_F(PredicateFixture, TransformIdentityPreservesBytes) {
   const auto record = make_rec(7, -1, 4.5f, "abcdefg");
-  const auto out = transform_sw(parser_, record);
+  const auto out = parser_.plan.project(record);
   EXPECT_EQ(out, record);
 }
 
@@ -135,7 +135,7 @@ TEST(TransformSw, ProjectionDropsAndReorders) {
   support::put_u32(record, 1);
   support::put_u32(record, 2);
   support::put_u32(record, 3);
-  const auto out = transform_sw(parser, record);
+  const auto out = parser.plan.project(record);
   ASSERT_EQ(out.size(), 8u);
   EXPECT_EQ(support::get_u32(out, 0), 2u);
   EXPECT_EQ(support::get_u32(out, 4), 3u);
@@ -148,8 +148,8 @@ TEST(EncodeHelpers, FloatBitPatterns) {
 
 TEST_F(PredicateFixture, SwEvalWrongRecordSizeFails) {
   const auto bound = bind_predicate(parser_.input, operators_, {"id", "eq", 1});
-  EXPECT_THROW(eval_predicate_sw(parser_.input, operators_,
-                                 std::vector<std::uint8_t>(3, 0), bound),
+  EXPECT_THROW((void)matches(parser_.plan, operators_,
+                             std::vector<std::uint8_t>(3, 0), {&bound, 1}),
                ndpgen::Error);
 }
 

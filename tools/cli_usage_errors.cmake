@@ -30,7 +30,12 @@ set(cases
   "serve --arrival-rate -5"
   "scan --scale 12abc"
   "serve --max-retries -1"
-  "scan --threads -1")
+  "scan --threads -1"
+  # Fractions and rates: finite, no trailing text, in the flag's range.
+  "recover --torn-fraction 0.5abc"
+  "recover --torn-fraction -3"
+  "serve --scrub-share nan"
+  "scrub --bandwidth-mbps 10x")
 
 set(failed "")
 foreach(command IN LISTS cases)

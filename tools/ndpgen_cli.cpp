@@ -12,6 +12,7 @@
 //   ndpgen simulate <spec-file> <parser> [--tuples N] [--stage s:field,op,value]...
 #include <cctype>
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -298,6 +299,23 @@ T parse_uint(const std::string& text, int base = 10) {
     throw UsageError{};
   }
   return static_cast<T>(value);
+}
+
+/// Parses a whole flag value as a finite double in [lo, hi]: a digit,
+/// point or sign first, no trailing text, no nan or inf. Throws
+/// UsageError otherwise.
+double parse_double(const std::string& text, double lo, double hi) {
+  if (text.empty() || std::strchr("0123456789.+-", text[0]) == nullptr) {
+    throw UsageError{};
+  }
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (*end != '\0' || errno == ERANGE || !std::isfinite(value) ||
+      value < lo || value > hi) {
+    throw UsageError{};
+  }
+  return value;
 }
 
 /// Parses a --predicate value "field,op,value".
@@ -741,8 +759,8 @@ int cmd_serve(const std::vector<std::string>& args) {
     } else if (args[i] == "--spares" && i + 1 < args.size()) {
       spares = parse_uint<std::uint32_t>(args[++i]);
     } else if (args[i] == "--scrub-share" && i + 1 < args.size()) {
-      scrub_share = std::strtod(args[++i].c_str(), nullptr);
-      if (scrub_share < 0.0 || scrub_share >= 1.0) return usage();
+      scrub_share = parse_double(args[++i], 0.0, 1.0);
+      if (scrub_share >= 1.0) return usage();
     } else if (args[i] == "--predicate" && i + 1 < args.size()) {
       service_config.predicates.push_back(parse_predicate(args[++i]));
     } else {
@@ -889,10 +907,11 @@ int cmd_scrub(const std::vector<std::string>& args) {
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
       load_config.seed = parse_uint(args[++i]);
     } else if (args[i] == "--scrub-share" && i + 1 < args.size()) {
-      scrub_share = std::strtod(args[++i].c_str(), nullptr);
+      scrub_share = parse_double(args[++i], 0.0, 1.0);
       if (scrub_share <= 0.0 || scrub_share >= 1.0) return usage();
     } else if (args[i] == "--bandwidth-mbps" && i + 1 < args.size()) {
-      bandwidth_mbps = std::strtod(args[++i].c_str(), nullptr);
+      bandwidth_mbps = parse_double(args[++i], 0.0,
+                                    std::numeric_limits<double>::max());
       if (bandwidth_mbps <= 0.0) return usage();
     } else {
       return usage();
@@ -1184,7 +1203,7 @@ int cmd_recover(const std::vector<std::string>& args) {
     } else if (args[i] == "--crash-at" && i + 1 < args.size()) {
       crash_at = parse_uint(args[++i]);
     } else if (args[i] == "--torn-fraction" && i + 1 < args.size()) {
-      config.torn_fraction = std::strtod(args[++i].c_str(), nullptr);
+      config.torn_fraction = parse_double(args[++i], 0.0, 1.0);
     } else if (args[i] == "--seed" && i + 1 < args.size()) {
       config.seed = parse_uint(args[++i]);
     } else if (args[i] == "--trace" && i + 1 < args.size()) {
@@ -1303,8 +1322,8 @@ int cmd_testbench(const std::vector<std::string>& args) {
   for (std::uint64_t t = 0; t < tuples; ++t) {
     std::vector<std::uint8_t> storage(layout.storage_bytes());
     for (auto& byte : storage) byte = static_cast<std::uint8_t>(rng());
-    if (ndp::eval_predicate_sw(layout, artifacts.design.operators, storage,
-                               predicate)) {
+    if (ndp::matches(artifacts.analyzed.plan, artifacts.design.operators,
+                     storage, {&predicate, 1})) {
       ++spec.expected_pass_count;
     }
     spec.tuples.push_back(hwsim::pad_tuple(

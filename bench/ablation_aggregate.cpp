@@ -6,10 +6,11 @@
 //   * hardware NDP with the aggregate unit (result = 2 registers),
 //   * hardware NDP filter + host-side aggregation of the result set,
 //   * software NDP aggregation on the device ARM.
+// The host fold reads n_cited through a record plan over the PE's output
+// layout and folds it with the same hwgen::AggregateFold as the device.
 #include "bench_common.hpp"
 
 #include "core/testbed.hpp"
-#include "support/bytes.hpp"
 
 using namespace ndpgen;
 
@@ -19,7 +20,7 @@ int main() {
       "Ablation — on-device aggregation (framework extension)",
       "Weber et al., IPPS'21, SVII outlook");
   std::printf("dataset: papers at 1/%llu scale; "
-              "query: SUM(n_cited) WHERE year < 1990\n\n",
+              "query: AGG(n_cited) WHERE year < 1990\n\n",
               static_cast<unsigned long long>(scale));
 
   core::TestbedConfig config;
@@ -29,49 +30,68 @@ int main() {
   core::Testbed testbed(std::move(config));
 
   const std::vector<ndp::FilterPredicate> predicate = {{"year", "lt", 1990}};
-
-  // 1. Hardware NDP with the aggregate unit.
   ndp::HybridExecutor& hw = testbed.executor();
-  const auto hw_agg = hw.aggregate(predicate, hwgen::AggOp::kSum, "n_cited");
+  const auto sw = testbed.make_executor(ndp::ExecMode::kSoftware);
+  const auto n_cited = analysis::RecordPlan::select(
+      testbed.artifacts().analyzed.output, {"n_cited"});
 
-  // 2. Hardware NDP filter, aggregation at the host (result set crosses
-  //    the NVMe link first).
+  // The filtered result set for the host strategy crosses the NVMe link
+  // once; every op folds it.
   std::vector<std::vector<std::uint8_t>> results;
   const auto hw_scan = hw.scan(predicate, &results);
-  std::uint64_t host_sum = 0;
-  for (const auto& record : results) {
-    host_sum += support::get_u32(record, 20);  // n_cited in PaperResult.
+
+  struct Strategy {
+    const char* name;
+    platform::SimTime elapsed;
+    std::uint64_t nvme_bytes;
+    std::uint64_t result;
+  };
+  bench::JsonResult json("ablation_aggregate");
+  bool agree = true;
+  bool fewer_bytes = true;
+  bool not_slower = true;
+  std::printf("%-6s %-28s %12s %14s %22s\n", "op", "strategy", "time [ms]",
+              "NVMe bytes", "AGG(n_cited)");
+  for (const hwgen::AggOp op : {hwgen::AggOp::kCount, hwgen::AggOp::kSum,
+                                hwgen::AggOp::kMin, hwgen::AggOp::kMax}) {
+    const auto hw_agg = hw.aggregate(predicate, op, "n_cited");
+    const auto sw_agg = sw->aggregate(predicate, op, "n_cited");
+    const hwgen::AggregateFold fold(op, n_cited.fields().front());
+    std::uint64_t host = fold.seed();
+    for (const auto& record : results) {
+      host = fold.combine(host, fold.widen(n_cited.extract(record, 0)));
+    }
+    const Strategy strategies[] = {
+        {"HW filter + HW aggregate", hw_agg.elapsed, hw_agg.result_bytes,
+         hw_agg.raw_result},
+        {"HW filter + host aggregate", hw_scan.elapsed, hw_scan.result_bytes,
+         host},
+        {"SW filter + SW aggregate", sw_agg.elapsed, sw_agg.result_bytes,
+         sw_agg.raw_result},
+    };
+    const std::string name(hwgen::to_string(op));
+    for (const Strategy& s : strategies) {
+      std::printf("%-6s %-28s %12.3f %14llu %22llu\n", name.c_str(), s.name,
+                  bench::to_millis(s.elapsed),
+                  static_cast<unsigned long long>(s.nvme_bytes),
+                  static_cast<unsigned long long>(s.result));
+      json.add(s.name, name + "_ms", bench::to_millis(s.elapsed), "ms");
+      json.add(s.name, name + "_nvme_bytes",
+               static_cast<double>(s.nvme_bytes));
+      json.add(s.name, name + "_result", static_cast<double>(s.result));
+      agree = agree && s.result == strategies[0].result;
+    }
+    fewer_bytes = fewer_bytes && hw_agg.result_bytes < hw_scan.result_bytes;
+    not_slower = not_slower && hw_agg.elapsed <= hw_scan.elapsed;
   }
+  json.write();
 
-  // 3. Software NDP aggregation on the ARM core.
-  const auto sw = testbed.make_executor(ndp::ExecMode::kSoftware);
-  const auto sw_agg = sw->aggregate(predicate, hwgen::AggOp::kSum, "n_cited");
-
-  std::printf("%-36s %12s %14s %14s\n", "strategy", "time [ms]",
-              "NVMe bytes", "SUM(n_cited)");
-  std::printf("%-36s %12.3f %14llu %14llu\n", "HW filter + HW aggregate",
-              bench::to_millis(hw_agg.elapsed),
-              static_cast<unsigned long long>(hw_agg.result_bytes),
-              static_cast<unsigned long long>(hw_agg.raw_result));
-  std::printf("%-36s %12.3f %14llu %14llu\n", "HW filter + host aggregate",
-              bench::to_millis(hw_scan.elapsed),
-              static_cast<unsigned long long>(hw_scan.result_bytes),
-              static_cast<unsigned long long>(host_sum));
-  std::printf("%-36s %12.3f %14llu %14llu\n", "SW filter + SW aggregate",
-              bench::to_millis(sw_agg.elapsed),
-              static_cast<unsigned long long>(sw_agg.result_bytes),
-              static_cast<unsigned long long>(sw_agg.raw_result));
-
-  const bool agree =
-      hw_agg.raw_result == host_sum && hw_agg.raw_result == sw_agg.raw_result;
-  std::printf("\n  [%c] all three strategies agree on the result\n",
+  std::printf("\n  [%c] all three strategies agree on every result\n",
               agree ? 'x' : ' ');
   std::printf("  [%c] on-device aggregation moves only the result "
-              "registers across NVMe (%llu vs %llu bytes)\n",
-              hw_agg.result_bytes < hw_scan.result_bytes ? 'x' : ' ',
-              static_cast<unsigned long long>(hw_agg.result_bytes),
-              static_cast<unsigned long long>(hw_scan.result_bytes));
+              "registers across NVMe\n",
+              fewer_bytes ? 'x' : ' ');
   std::printf("  [%c] and is not slower than collecting the result set\n",
-              hw_agg.elapsed <= hw_scan.elapsed ? 'x' : ' ');
+              not_slower ? 'x' : ' ');
   return agree ? 0 : 1;
 }

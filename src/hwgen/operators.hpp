@@ -5,7 +5,9 @@
 // or the pre-defined standard set (!=, ==, >, >=, <, <=, nop), the Compare
 // Unit is generated." The set is extensible: custom operators carry their
 // own evaluation function (standing in for the user-supplied
-// Verilog/VHDL the Chisel flow would interface with).
+// Verilog/VHDL the Chisel flow would interface with). The aggregate
+// fold of the Aggregation Unit (extension) lives here too, so every
+// software path compares and folds exactly as the PE does.
 #pragma once
 
 #include <cstdint>
@@ -77,13 +79,58 @@ class OperatorSet {
   std::vector<CompareOp> ops_;
 };
 
+/// Aggregation operations of the optional aggregate unit. kNone makes the
+/// unit a pass-through wire (tuples continue to transform/store).
+enum class AggOp : std::uint8_t {
+  kNone = 0,
+  kCount = 1,
+  kSum = 2,
+  kMin = 3,
+  kMax = 4,
+};
+
+[[nodiscard]] std::string_view to_string(AggOp op) noexcept;
+
+/// The one COUNT/SUM/MIN/MAX semantics of one (op, field interpretation,
+/// width), shared by the simulated aggregate unit, the executor's block,
+/// shard and software folds and the query tail. Every value it takes or
+/// returns is in the 64-bit ACCUMULATOR encoding: unsigned words for
+/// counts and unsigned fields, int64 for signed fields, f64 bits for
+/// float fields.
+///  * seed() is combine's identity and the result of an empty fold: 0 for
+///    COUNT and SUM; for MIN/MAX ~0/0 (unsigned), INT64_MAX/INT64_MIN
+///    (signed), +inf/-inf (float).
+///  * MIN/MAX skip NaN (it never orders better) and order -0 below +0.
+/// So every fold but a float SUM is associative and commutative: tuple by
+/// tuple, per block, per shard, in any order, the result bits agree.
+class AggregateFold {
+ public:
+  AggregateFold() = default;  ///< kNone: combine keeps the accumulator.
+  AggregateFold(AggOp op, const analysis::PlanField& field) noexcept;
+
+  [[nodiscard]] AggOp op() const noexcept { return op_; }
+  [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
+  /// A tuple's raw field word (zero-extended, `field.width_bits` wide) in
+  /// the accumulator encoding; 1 for COUNT.
+  [[nodiscard]] std::uint64_t widen(std::uint64_t raw) const noexcept;
+  /// One fold step: `value` is a widened tuple, a block result or another
+  /// accumulator.
+  [[nodiscard]] std::uint64_t combine(std::uint64_t acc,
+                                      std::uint64_t value) const noexcept;
+  /// The result's interpretation: unsigned for COUNT, else the field's.
+  [[nodiscard]] FieldInterp result_interp() const noexcept {
+    return op_ == AggOp::kCount ? FieldInterp::kUnsigned : interp_;
+  }
+
+ private:
+  AggOp op_ = AggOp::kNone;
+  FieldInterp interp_ = FieldInterp::kUnsigned;
+  std::uint32_t width_bits_ = 64;
+  std::uint64_t seed_ = 0;
+};
+
 /// Sign-extends `raw` from `width_bits` to 64 bits.
 [[nodiscard]] std::int64_t sign_extend(std::uint64_t raw,
                                        std::uint32_t width_bits) noexcept;
-
-/// Three-way comparison of operands under the *lhs* interpretation
-/// (-1, 0, +1). Widths are taken from the operands.
-[[nodiscard]] int compare_operands(CompareOperand lhs,
-                                   CompareOperand rhs) noexcept;
 
 }  // namespace ndpgen::hwgen

@@ -20,17 +20,6 @@ std::string_view to_string(ModuleKind kind) noexcept {
   return "?";
 }
 
-std::string_view to_string(AggOp op) noexcept {
-  switch (op) {
-    case AggOp::kNone: return "none";
-    case AggOp::kCount: return "count";
-    case AggOp::kSum: return "sum";
-    case AggOp::kMin: return "min";
-    case AggOp::kMax: return "max";
-  }
-  return "?";
-}
-
 std::string_view to_string(DesignFlavor flavor) noexcept {
   return flavor == DesignFlavor::kGenerated ? "generated"
                                             : "handcrafted-baseline";

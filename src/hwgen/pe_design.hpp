@@ -36,18 +36,6 @@ enum class ModuleKind : std::uint8_t {
   kAggregateUnit,      // (d) computation: optional aggregation (extension)
 };
 
-/// Aggregation operations of the optional aggregate unit. kNone makes the
-/// unit a pass-through wire (tuples continue to transform/store).
-enum class AggOp : std::uint8_t {
-  kNone = 0,
-  kCount = 1,
-  kSum = 2,
-  kMin = 3,
-  kMax = 4,
-};
-
-[[nodiscard]] std::string_view to_string(AggOp op) noexcept;
-
 [[nodiscard]] std::string_view to_string(ModuleKind kind) noexcept;
 
 /// One instantiated module with its elaboration-time parameters.

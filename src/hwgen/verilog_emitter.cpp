@@ -421,7 +421,7 @@ void emit_aggregate_unit(std::ostringstream& out, const PEDesign& design,
       << "  assign out_tuple = in_tuple;\n"
       << "  always @(posedge clk or negedge rst_n) begin\n"
       << "    if (!rst_n || start) begin\n"
-      << "      agg_result <= 64'd0;\n"
+      << "      agg_result <= (agg_op == 32'd3) ? ~64'd0 : 64'd0;  // seed\n"
       << "      agg_count <= 32'd0;\n"
       << "    end else if (fold) begin\n"
       << "      agg_count <= agg_count + 1'b1;\n"
@@ -429,8 +429,7 @@ void emit_aggregate_unit(std::ostringstream& out, const PEDesign& design,
       << "        32'd1: agg_result <= agg_result + 64'd1;  // count\n"
       << "        32'd2: agg_result <= agg_result + " << extended
       << ";  // sum\n"
-      << "        32'd3: if (" << extended
-      << " < agg_result || agg_count == 0)\n"
+      << "        32'd3: if (" << extended << " < agg_result)\n"
       << "                 agg_result <= " << extended << ";  // min\n"
       << "        32'd4: if (" << extended << " > agg_result)\n"
       << "                 agg_result <= " << extended << ";  // max\n"

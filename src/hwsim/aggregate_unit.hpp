@@ -26,30 +26,34 @@ class SimAggregateUnit final : public Module {
   SimAggregateUnit(std::string name, const analysis::RecordPlan& plan,
                    Stream<Tuple>* in, Stream<Tuple>* out);
 
-  /// Runtime configuration from the control registers.
+  /// Runtime configuration from the control registers: resolves the
+  /// field's hwgen::AggregateFold once per run.
   void configure(hwgen::AggOp op, std::uint32_t field_select);
 
-  /// Resets the accumulator for a new run.
+  /// Seeds the accumulator for a new run.
   void start();
 
   void cycle(std::uint64_t now) override;
   void reset() override;
 
-  [[nodiscard]] hwgen::AggOp op() const noexcept { return op_; }
-  /// Raw 64-bit result (sum/min/max bits, or the count for kCount).
+  [[nodiscard]] hwgen::AggOp op() const noexcept { return fold_.op(); }
+  /// Raw 64-bit result in the accumulator encoding (the count for kCount).
   [[nodiscard]] std::uint64_t result() const noexcept { return result_; }
   [[nodiscard]] std::uint64_t folded() const noexcept { return folded_; }
 
  private:
   friend class FastChunkEngine;
 
-  void fold(std::uint64_t raw, const analysis::PlanField& field);
+  /// Folds one passing tuple's raw field word.
+  void fold(std::uint64_t raw) noexcept {
+    result_ = fold_.combine(result_, fold_.widen(raw));
+  }
 
   Stream<Tuple>* in_;
   Stream<Tuple>* out_;
   const std::vector<analysis::PlanField>& fields_;  ///< Mux order.
 
-  hwgen::AggOp op_ = hwgen::AggOp::kNone;
+  hwgen::AggregateFold fold_;
   std::uint32_t field_select_ = 0;
   std::uint64_t result_ = 0;
   std::uint64_t folded_ = 0;

@@ -729,8 +729,7 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     // accumulator; folding the survivors in arrival order reproduces the
     // identical result bits, including float rounding order.
     for (const std::uint32_t id : survivors) {
-      pe.aggregate_->fold(plan.extract(record(id), agg_field),
-                          plan.fields()[agg_field]);
+      pe.aggregate_->fold(plan.extract(record(id), agg_field));
     }
     pe.aggregate_->folded_ = agg_folded;
   }

@@ -1,7 +1,6 @@
 #include "ndp/executor.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <unordered_set>
 
 #include "fault/fault_injector.hpp"
@@ -172,65 +171,6 @@ enum class Route : std::uint8_t {
   kHost,  ///< The classical host path: the block crosses NVMe first.
 };
 
-/// One matching tuple's contribution in the ACCUMULATOR encoding the PE's
-/// aggregation unit produces: 1 for a count, otherwise the raw field value
-/// with floats widened to f64 and signed integers sign-extended. Folding
-/// these with fold() reproduces the tuple-by-tuple software fold exactly.
-std::uint64_t accumulator_value(hwgen::AggOp op,
-                                const analysis::PlanField& field,
-                                std::uint64_t raw) {
-  if (op == hwgen::AggOp::kCount) return 1;
-  if (field.interp == analysis::FieldInterp::kFloat) {
-    return std::bit_cast<std::uint64_t>(
-        field.width_bits == 32
-            ? static_cast<double>(
-                  std::bit_cast<float>(static_cast<std::uint32_t>(raw)))
-            : std::bit_cast<double>(raw));
-  }
-  if (field.interp == analysis::FieldInterp::kSigned) {
-    return static_cast<std::uint64_t>(
-        hwgen::sign_extend(raw, field.width_bits));
-  }
-  return raw;
-}
-
-/// Folds one accumulator-encoded value — a tuple's accumulator_value(), a
-/// PE block result, or a shard's accumulator — into the running
-/// accumulator. Counts and integer min/max/sum combine associatively, so
-/// block- and shard-level folds match the tuple-by-tuple fold exactly;
-/// float sums combine in fold order (see DESIGN.md for the ordering
-/// caveat).
-void fold(hwgen::AggOp op, const analysis::PlanField& field,
-          std::uint64_t value, std::uint64_t& acc, bool first) {
-  using hwgen::AggOp;
-  const bool is_float = field.interp == analysis::FieldInterp::kFloat;
-  if (op == AggOp::kMin || op == AggOp::kMax) {
-    const auto better = [op](auto v, auto current) {
-      return op == AggOp::kMin ? v < current : v > current;
-    };
-    bool take;
-    if (first) {
-      take = true;
-    } else if (is_float) {
-      take = better(std::bit_cast<double>(value), std::bit_cast<double>(acc));
-    } else if (field.interp == analysis::FieldInterp::kSigned) {
-      take = better(static_cast<std::int64_t>(value),
-                    static_cast<std::int64_t>(acc));
-    } else {
-      take = better(value, acc);
-    }
-    if (take) acc = value;
-    return;
-  }
-  if (first) acc = 0;
-  if (op == AggOp::kSum && is_float) {
-    acc = std::bit_cast<std::uint64_t>(std::bit_cast<double>(acc) +
-                                       std::bit_cast<double>(value));
-  } else {
-    acc += value;  // Counts, and integer sums in two's complement.
-  }
-}
-
 }  // namespace
 
 /// Per-block flash completion times and media flags of one read batch.
@@ -255,7 +195,7 @@ struct HybridExecutor::Plan {
   bool aggregate = false;  ///< Accumulate instead of collecting records.
   std::vector<BoundPredicate> bound;        ///< The PE/ARM conjunction.
   std::vector<BoundPredicate> post_filter;  ///< Beyond the PE's stages.
-  hwgen::AggOp op = hwgen::AggOp::kNone;
+  hwgen::AggregateFold fold;       ///< The aggregate's op on its field.
   std::uint32_t field_select = 0;  ///< Aggregated field, mux order.
 };
 
@@ -267,9 +207,10 @@ struct HybridExecutor::Outcome {
   std::uint64_t matched = 0;  ///< Survivors, or tuples folded (aggregate).
   std::uint64_t pe_cycles = 0;
   std::vector<std::vector<std::uint8_t>> survivors;
-  std::uint64_t pe_result = 0;  ///< PE block accumulator (aggregate).
-  /// Aggregate off the PE: the matching tuples' accumulator values, in
-  /// tuple order.
+  /// Aggregate: the PE's block accumulator, or the seed off the PE.
+  std::uint64_t block_result = 0;
+  /// Aggregate off the PE: the matching tuples' widened values, in tuple
+  /// order.
   std::vector<std::uint64_t> values;
 };
 
@@ -555,7 +496,7 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
     out.tuples_in = result.stats.tuples_in;
     if (plan.aggregate) {
       out.matched = result.stats.agg_folded;
-      out.pe_result = result.stats.agg_result;
+      out.block_result = result.stats.agg_result;
       return out;
     }
     out.matched = result.stats.tuples_out;
@@ -563,12 +504,12 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
   } else if (plan.aggregate) {
     // Filter + fold input on the ARM core (or the host CPU).
     const kv::BlockTrailer trailer = kv::read_trailer(item.block);
+    out.block_result = plan.fold.seed();
     for (std::uint32_t i = 0; i < trailer.record_count; ++i) {
       const auto record = kv::block_record(item.block, trailer, i);
       if (!matches(parser_.plan, operators_, record, plan.bound)) continue;
-      out.values.push_back(accumulator_value(
-          plan.op, parser_.plan.fields()[plan.field_select],
-          parser_.plan.extract(record, plan.field_select)));
+      out.values.push_back(
+          plan.fold.widen(parser_.plan.extract(record, plan.field_select)));
     }
     out.tuples_in = trailer.record_count;
     out.matched = out.values.size();
@@ -696,8 +637,7 @@ HybridExecutor::PipelineRun HybridExecutor::run_pipeline(
   //    completion times, touching only its own slots.
   const bool on_pe = config_.mode == ExecMode::kHardware;
   if (on_pe) {
-    begin_shards(shard_count, plan.aggregate ? plan.op : hwgen::AggOp::kNone,
-                 plan.field_select);
+    begin_shards(shard_count, plan.fold.op(), plan.field_select);
   }
   std::vector<platform::SimTime> shard_free(shard_count, run.t0);
   std::vector<std::uint64_t> shard_cycles(shard_count, 0);
@@ -925,12 +865,13 @@ AggregateStats HybridExecutor::aggregate(
   }
   Plan plan;
   plan.aggregate = true;
-  plan.op = op;
   // Field selector = position among the relevant fields.
   for (const std::size_t index : parser_.input.relevant_indices()) {
     if (index == *field_index) break;
     ++plan.field_select;
   }
+  plan.fold =
+      hwgen::AggregateFold(op, parser_.plan.fields()[plan.field_select]);
   const std::uint32_t stages =
       hw_mode ? shards_.front()->design().filter_stage_count()
               : std::max<std::uint32_t>(
@@ -943,38 +884,29 @@ AggregateStats HybridExecutor::aggregate(
   const std::uint32_t shard_count = hw_mode ? effective_shards() : 1;
   const std::vector<BlockRef> blocks = collect_blocks();
   AggregateStats stats;
-  const analysis::PlanField& field = parser_.plan.fields()[plan.field_select];
-  std::uint64_t acc = 0;
-  bool first = true;
-  std::vector<std::uint64_t> shard_acc(shard_count, 0);
-  std::vector<std::uint64_t> shard_folded(shard_count, 0);
+  const hwgen::AggregateFold& fold = plan.fold;
+  std::uint64_t acc = fold.seed();
+  std::vector<std::uint64_t> shard_acc(shard_count, fold.seed());
   const auto accumulate = [&](std::size_t, std::uint32_t k, Outcome& out) {
     stats.tuples_scanned += out.tuples_in;
     stats.folded += out.matched;
     if (!hw_mode) {
       for (const std::uint64_t value : out.values) {
-        fold(op, field, value, acc, first);
-        first = false;
+        acc = fold.combine(acc, value);
       }
       return;
     }
-    if (out.matched == 0) return;
     // A degraded block folds in software into a block result like the
     // PE's before joining its shard.
-    std::uint64_t block_acc = out.pe_result;
-    for (std::size_t i = 0; i < out.values.size(); ++i) {
-      fold(op, field, out.values[i], block_acc, i == 0);
+    std::uint64_t block_acc = out.block_result;
+    for (const std::uint64_t value : out.values) {
+      block_acc = fold.combine(block_acc, value);
     }
-    fold(op, field, block_acc, shard_acc[k], shard_folded[k] == 0);
-    shard_folded[k] += out.matched;
+    shard_acc[k] = fold.combine(shard_acc[k], block_acc);
   };
   const PipelineRun run =
       run_pipeline(blocks, plan, shard_count, accumulate);
-  for (std::uint32_t k = 0; k < shard_count; ++k) {
-    if (shard_folded[k] == 0) continue;
-    fold(op, field, shard_acc[k], acc, first);
-    first = false;
-  }
+  for (const std::uint64_t shard : shard_acc) acc = fold.combine(acc, shard);
   static_cast<ReliabilityStats&>(stats) = run.reliability;
   stats.op = op;
   stats.shards = shard_count;

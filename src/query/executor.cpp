@@ -50,8 +50,30 @@ std::vector<ndp::FilterPredicate> to_filter_predicates(
   return out;
 }
 
+/// Drops the rows failing any of `predicates` (a conjunction over the
+/// named columns), charging the host filter cost.
+void filter_rows(std::vector<Row>& rows,
+                 const std::vector<std::string>& columns,
+                 const std::vector<analysis::PlanField>& fields,
+                 const std::vector<PlanPredicate>& predicates,
+                 std::uint64_t* host_ns) {
+  std::vector<std::pair<std::size_t, RowPredicate>> bound;
+  for (const auto& pred : predicates) {
+    const std::size_t index = column_index(columns, pred.column);
+    bound.emplace_back(index, RowPredicate(pred, fields[index]));
+  }
+  *host_ns += kHostFilterNsPerRowPred * rows.size() * bound.size();
+  std::erase_if(rows, [&](const Row& row) {
+    for (const auto& [index, pred] : bound) {
+      if (!pred.passes(row[index])) return true;
+    }
+    return false;
+  });
+}
+
 struct LeafOutput {
   std::vector<std::string> columns;
+  std::vector<analysis::PlanField> fields;  ///< One per column.
   std::vector<Row> rows;
   LeafRunStats stats;
   /// Set for the on-device aggregate fold: the leaf IS the whole plan.
@@ -113,6 +135,7 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
   // output layout's columns.
   const auto decode = analysis::RecordPlan::select(artifacts.analyzed.output,
                                                    leaf.columns);
+  out.fields = decode.fields();
   out.rows.reserve(records.size());
   for (const auto& record : records) {
     Row row(leaf.columns.size());
@@ -125,58 +148,23 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
 
   // Residual predicates past the HW cut run here, on the output rows.
   if (!leaf.residual.empty()) {
-    std::vector<std::pair<std::size_t, const PlanPredicate*>> bound;
-    for (const auto& pred : leaf.residual) {
-      bound.emplace_back(column_index(out.columns, pred.column), &pred);
-    }
-    *host_ns += kHostFilterNsPerRowPred * out.rows.size() * bound.size();
-    std::erase_if(out.rows, [&](const Row& row) {
-      for (const auto& [index, pred] : bound) {
-        if (!compare_op(row[index], pred->op, pred->value)) return true;
-      }
-      return false;
-    });
+    filter_rows(out.rows, out.columns, out.fields, leaf.residual, host_ns);
   }
   out.stats.rows_out = out.rows.size();
   return out;
 }
 
-/// SW aggregate accumulator matching the aggregate unit's fold semantics
-/// for unsigned fields (count/sum start at 0, min at ~0, max at 0).
-struct Accumulator {
-  std::uint64_t count = 0;
-  std::uint64_t sum = 0;
-  std::uint64_t min = ~std::uint64_t{0};
-  std::uint64_t max = 0;
-
-  void fold(std::uint64_t value) {
-    ++count;
-    sum += value;
-    min = std::min(min, value);
-    max = std::max(max, value);
-  }
-  [[nodiscard]] std::uint64_t get(hwgen::AggOp op) const {
-    switch (op) {
-      case hwgen::AggOp::kCount: return count;
-      case hwgen::AggOp::kSum: return sum;
-      case hwgen::AggOp::kMin: return min;
-      case hwgen::AggOp::kMax: return max;
-      case hwgen::AggOp::kNone: break;
-    }
-    return 0;
-  }
-};
-
 }  // namespace
 
-bool compare_op(std::uint64_t lhs, const std::string& op, std::uint64_t rhs) {
-  if (op == "ne") return lhs != rhs;
-  if (op == "eq") return lhs == rhs;
-  if (op == "gt") return lhs > rhs;
-  if (op == "ge") return lhs >= rhs;
-  if (op == "lt") return lhs < rhs;
-  if (op == "le") return lhs <= rhs;
-  raise(ErrorKind::kInternal, "unknown comparison operator '" + op + "'");
+RowPredicate::RowPredicate(const PlanPredicate& predicate,
+                           const analysis::PlanField& column)
+    : rhs_{predicate.value, column.interp, column.width_bits} {
+  static const hwgen::OperatorSet kStandard = hwgen::OperatorSet::standard();
+  op_ = kStandard.find(predicate.op);
+  if (op_ == nullptr) {
+    raise(ErrorKind::kInternal,
+          "unknown comparison operator '" + predicate.op + "'");
+  }
 }
 
 ResultTable execute_plan(const CompiledPlan& plan,
@@ -207,6 +195,7 @@ ResultTable execute_plan(const CompiledPlan& plan,
   }
 
   std::vector<std::string> columns = std::move(probe.columns);
+  std::vector<analysis::PlanField> fields = std::move(probe.fields);
   std::vector<Row> rows = std::move(probe.rows);
 
   for (const PlanOp& op : plan.optimized.tail) {
@@ -214,24 +203,15 @@ ResultTable execute_plan(const CompiledPlan& plan,
     switch (op.kind) {
       case OpKind::kScan:
         raise(ErrorKind::kInternal, "scan cannot appear in the SW tail");
-      case OpKind::kFilter: {
-        std::vector<std::pair<std::size_t, const PlanPredicate*>> bound;
-        for (const auto& pred : op.predicates) {
-          bound.emplace_back(column_index(columns, pred.column), &pred);
-        }
-        host_ns += kHostFilterNsPerRowPred * rows.size() * bound.size();
-        std::erase_if(rows, [&](const Row& row) {
-          for (const auto& [index, pred] : bound) {
-            if (!compare_op(row[index], pred->op, pred->value)) return true;
-          }
-          return false;
-        });
+      case OpKind::kFilter:
+        filter_rows(rows, columns, fields, op.predicates, &host_ns);
         break;
-      }
       case OpKind::kProject: {
         std::vector<std::size_t> indices;
+        std::vector<analysis::PlanField> projected_fields;
         for (const auto& name : op.columns) {
           indices.push_back(column_index(columns, name));
+          projected_fields.push_back(fields[indices.back()]);
         }
         host_ns += kHostProjectNsPerRow * rows.size();
         for (auto& row : rows) {
@@ -243,6 +223,7 @@ ResultTable execute_plan(const CompiledPlan& plan,
           row = std::move(projected);
         }
         columns = op.columns;
+        fields = std::move(projected_fields);
         break;
       }
       case OpKind::kHashJoin: {
@@ -281,6 +262,8 @@ ResultTable execute_plan(const CompiledPlan& plan,
         for (const auto& name : build->columns) {
           columns.push_back(prefix + "." + name);
         }
+        fields.insert(fields.end(), build->fields.begin(),
+                      build->fields.end());
         break;
       }
       case OpKind::kAggregate: {
@@ -289,26 +272,33 @@ ResultTable execute_plan(const CompiledPlan& plan,
         std::string out_name(hwgen::to_string(op.agg_op));
         if (!op.agg_column.empty()) out_name += "_" + op.agg_column;
         host_ns += kHostGroupNsPerRow * rows.size();
+        const hwgen::AggregateFold fold(op.agg_op, fields[value_index]);
+        const analysis::PlanField result{.width_bits = 64,
+                                         .interp = fold.result_interp()};
         if (op.group_column.empty()) {
-          Accumulator acc;
-          for (const Row& row : rows) acc.fold(row[value_index]);
-          rows = {Row{acc.get(op.agg_op)}};
-          // Empty input keeps the fold's init value, like the HW unit.
+          // Empty input keeps the fold's seed, like the HW unit.
+          std::uint64_t acc = fold.seed();
+          for (const Row& row : rows) {
+            acc = fold.combine(acc, fold.widen(row[value_index]));
+          }
+          rows = {Row{acc}};
           columns = {out_name};
+          fields = {result};
         } else {
           const std::size_t group_index =
               column_index(columns, op.group_column);
-          std::map<std::uint64_t, Accumulator> groups;  // Key-sorted out.
+          std::map<std::uint64_t, std::uint64_t> groups;  // Key-sorted out.
           for (const Row& row : rows) {
-            groups[row[group_index]].fold(row[value_index]);
+            std::uint64_t& acc =
+                groups.try_emplace(row[group_index], fold.seed()).first->second;
+            acc = fold.combine(acc, fold.widen(row[value_index]));
           }
           std::vector<Row> folded;
           folded.reserve(groups.size());
-          for (const auto& [key, acc] : groups) {
-            folded.push_back(Row{key, acc.get(op.agg_op)});
-          }
+          for (const auto& [key, acc] : groups) folded.push_back(Row{key, acc});
           rows = std::move(folded);
           columns = {op.group_column, out_name};
+          fields = {fields[group_index], result};
         }
         break;
       }

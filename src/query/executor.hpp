@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "fault/fault_profile.hpp"
+#include "hwgen/operators.hpp"
 #include "hwsim/kernel.hpp"
 #include "platform/event_queue.hpp"
 #include "query/compiler.hpp"
@@ -67,10 +68,27 @@ struct QueryStats {
                                        const QueryExecOptions& options,
                                        QueryStats* stats = nullptr);
 
-/// Unsigned comparison by operator name (the validated plan vocabulary).
-/// Shared by the executor's tail and the serving path's row filter.
-[[nodiscard]] bool compare_op(std::uint64_t lhs, const std::string& op,
-                              std::uint64_t rhs);
+/// A plan predicate bound once to its standard compare operator (the
+/// hwgen::OperatorSet entry the PE and SoftwareNdp evaluate) and to its
+/// column's interpretation and width. Shared by the executor's tail and
+/// the serving path's row filter.
+class RowPredicate {
+ public:
+  /// Throws Error{kInternal} for an operator outside the validated plan
+  /// vocabulary.
+  RowPredicate(const PlanPredicate& predicate,
+               const analysis::PlanField& column);
+
+  /// True when the column's raw (zero-extended) word passes.
+  [[nodiscard]] bool passes(std::uint64_t raw) const {
+    return op_->eval(hwgen::CompareOperand{raw, rhs_.interp, rhs_.width_bits},
+                     rhs_);
+  }
+
+ private:
+  const hwgen::CompareOp* op_;
+  hwgen::CompareOperand rhs_;
+};
 
 // --- Host cost model (ns; see DESIGN.md §14) ---------------------------
 inline constexpr std::uint64_t kHostOpDispatchNs = 2'000;

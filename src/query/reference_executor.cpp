@@ -86,8 +86,10 @@ std::uint64_t ref_ceil_log2(std::uint64_t n) {
   return bits;
 }
 
-/// HW aggregate-unit fold semantics (see hwsim/aggregate_unit.cpp):
-/// count/sum start at 0, min at ~0, max at 0; empty sets keep the init.
+/// The aggregate fold over unsigned columns (every pub-graph column),
+/// written out apart from hwgen::AggregateFold, which the device and the
+/// compiled tail share: count/sum start at 0, min at ~0, max at 0; empty
+/// sets keep the seed.
 struct Fold {
   std::uint64_t count = 0;
   std::uint64_t sum = 0;

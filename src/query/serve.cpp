@@ -13,11 +13,13 @@ PlanTarget::PlanTarget(host::OffloadTarget& inner,
                        std::vector<PlanPredicate> row_filters,
                        std::vector<std::string> project_columns)
     : inner_(inner),
-      filters_(std::move(row_filters)),
       projection_(analysis::RecordPlan::select(layout, project_columns)) {
   std::vector<std::string> filter_columns;
-  for (const auto& pred : filters_) filter_columns.push_back(pred.column);
+  for (const auto& pred : row_filters) filter_columns.push_back(pred.column);
   filter_plan_ = analysis::RecordPlan::select(layout, filter_columns);
+  for (std::uint32_t i = 0; i < row_filters.size(); ++i) {
+    filters_.emplace_back(row_filters[i], filter_plan_.fields()[i]);
+  }
 }
 
 ndp::ScanStats PlanTarget::multi_range_scan(
@@ -36,10 +38,7 @@ ndp::ScanStats PlanTarget::multi_range_scan(
     tail_ns += kHostFilterNsPerRowPred * rows_in * filters_.size();
     std::erase_if(*records, [&](const std::vector<std::uint8_t>& record) {
       for (std::uint32_t i = 0; i < filters_.size(); ++i) {
-        if (!compare_op(filter_plan_.extract(record, i), filters_[i].op,
-                        filters_[i].value)) {
-          return true;
-        }
+        if (!filters_[i].passes(filter_plan_.extract(record, i))) return true;
       }
       return false;
     });

@@ -65,7 +65,7 @@ class PlanTarget final : public host::OffloadTarget {
 
  private:
   host::OffloadTarget& inner_;
-  std::vector<PlanPredicate> filters_;
+  std::vector<RowPredicate> filters_;
   analysis::RecordPlan filter_plan_;  ///< Field i feeds filters_[i].
   analysis::RecordPlan projection_;   ///< No fields = keep device layout.
   std::uint64_t rows_filtered_ = 0;   ///< Rows dropped by the tail.

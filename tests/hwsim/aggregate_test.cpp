@@ -170,6 +170,10 @@ TEST(Aggregate, ArtifactsIncludeAggregateUnit) {
   const std::string verilog = hw::emit_verilog(design);
   EXPECT_NE(verilog.find("module S_aggregate_unit"), std::string::npos);
   EXPECT_NE(verilog.find("agg_result"), std::string::npos);
+  // MIN starts from the all-ones seed, so an empty MIN is ~0 as in hwsim.
+  EXPECT_NE(verilog.find("agg_result <= (agg_op == 32'd3) ? ~64'd0 : 64'd0"),
+            std::string::npos);
+  EXPECT_EQ(verilog.find("agg_count == 0"), std::string::npos);
   const std::string header = hw::generate_software_interface(design);
   EXPECT_NE(header.find("s_aggregate_sync"), std::string::npos);
   EXPECT_NE(header.find("S_AGGOP_SUM 2"), std::string::npos);

@@ -4,6 +4,9 @@
 // (pes x threads x sim-mode), under fault profiles, and on reruns.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+
 #include "fault/fault_profile.hpp"
 #include "query/compiler.hpp"
 #include "query/executor.hpp"
@@ -53,6 +56,56 @@ TEST(QueryEquivalence, AllSuitePlansMatchReferenceInBothModes) {
     EXPECT_EQ(run_compiled(sw.value(), options), reference)
         << named.name << " (sw fallback)";
   }
+}
+
+TEST(QueryEquivalence, EmptyOnDeviceFoldKeepsTheSeed) {
+  // No paper predates 1000: the on-device MIN/MAX fold sees no tuple and
+  // must return the seed the reference keeps (~0 for MIN, 0 for MAX), as
+  // the forced host fallback's tail fold does.
+  for (const std::string op : {"min", "max"}) {
+    auto parsed = parse_plan("plan E { scan papers; filter year lt 1000; "
+                             "aggregate " + op + " n_cited; }");
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    const Plan plan = std::move(parsed).value();
+    const ResultTable reference = reference_execute(plan, 4096);
+    ASSERT_EQ(reference.rows.size(), 1u);
+    EXPECT_EQ(reference.rows[0][0], op == "min" ? ~std::uint64_t{0} : 0u);
+
+    QueryExecOptions options;
+    options.scale_divisor = 4096;
+    auto hw = compile_plan(plan);
+    ASSERT_TRUE(hw.ok());
+    EXPECT_TRUE(hw.value().probe.hw_aggregate) << op;
+    EXPECT_EQ(run_compiled(hw.value(), options), reference.to_bytes()) << op;
+
+    CompileOptions force_sw;
+    force_sw.force_software = true;
+    auto sw = compile_plan(plan, force_sw);
+    ASSERT_TRUE(sw.ok());
+    EXPECT_FALSE(sw.value().any_offloaded()) << op;
+    EXPECT_EQ(run_compiled(sw.value(), options), reference.to_bytes()) << op;
+  }
+}
+
+TEST(QueryEquivalence, RowPredicatesCompareAsThePeDoes) {
+  // The tail binds each predicate to the PE's standard operator under the
+  // column's interpretation: a signed column orders -1 below 0, a float
+  // column never passes NaN.
+  const auto pred = [](const char* op, std::uint64_t value) {
+    return PlanPredicate{"c", op, value, {}};
+  };
+  const analysis::PlanField s32{.width_bits = 32,
+                                .interp = analysis::FieldInterp::kSigned};
+  const analysis::PlanField u32{.width_bits = 32};
+  const analysis::PlanField f64{.width_bits = 64,
+                                .interp = analysis::FieldInterp::kFloat};
+  EXPECT_TRUE(RowPredicate(pred("lt", 0), s32).passes(0xFFFFFFFFu));
+  EXPECT_FALSE(RowPredicate(pred("lt", 0), u32).passes(0xFFFFFFFFu));
+  const std::uint64_t nan =
+      std::bit_cast<std::uint64_t>(std::numeric_limits<double>::quiet_NaN());
+  EXPECT_FALSE(RowPredicate(pred("eq", nan), f64).passes(nan));
+  EXPECT_TRUE(RowPredicate(pred("ne", nan), f64).passes(nan));
+  EXPECT_THROW(RowPredicate(pred("nop?", 0), u32), Error);
 }
 
 TEST(QueryEquivalence, JoinTopKInvariantAcrossMatrix) {

@@ -7,7 +7,8 @@
 //   * hardware NDP filter + host-side aggregation of the result set,
 //   * software NDP aggregation on the device ARM.
 // The host fold reads n_cited through a record plan over the PE's output
-// layout and folds it with the same hwgen::AggregateFold as the device.
+// layout and folds it with the same hwgen::AggregateFold as the device;
+// its time is the filtered scan plus the host parse of the result set.
 #include "bench_common.hpp"
 
 #include "core/testbed.hpp"
@@ -39,6 +40,11 @@ int main() {
   // once; every op folds it.
   std::vector<std::vector<std::uint8_t>> results;
   const auto hw_scan = hw.scan(predicate, &results);
+  // The host then parses the result set, at the rate the executor charges
+  // host-side parsing.
+  const platform::SimTime host_elapsed =
+      hw_scan.elapsed +
+      testbed.platform().timing().host_parse_time(hw_scan.result_bytes);
 
   struct Strategy {
     const char* name;
@@ -64,7 +70,7 @@ int main() {
     const Strategy strategies[] = {
         {"HW filter + HW aggregate", hw_agg.elapsed, hw_agg.result_bytes,
          hw_agg.raw_result},
-        {"HW filter + host aggregate", hw_scan.elapsed, hw_scan.result_bytes,
+        {"HW filter + host aggregate", host_elapsed, hw_scan.result_bytes,
          host},
         {"SW filter + SW aggregate", sw_agg.elapsed, sw_agg.result_bytes,
          sw_agg.raw_result},
@@ -82,7 +88,7 @@ int main() {
       agree = agree && s.result == strategies[0].result;
     }
     fewer_bytes = fewer_bytes && hw_agg.result_bytes < hw_scan.result_bytes;
-    not_slower = not_slower && hw_agg.elapsed <= hw_scan.elapsed;
+    not_slower = not_slower && hw_agg.elapsed <= host_elapsed;
   }
   json.write();
 

@@ -28,6 +28,16 @@ inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+/// Writes `v` little-endian into out[0..3].
+inline void store_u32(std::uint8_t* out, std::uint32_t v) noexcept {
+  for (int i = 0; i < 4; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+/// Writes `v` little-endian into out[0..7].
+inline void store_u64(std::uint8_t* out, std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) out[i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
 [[nodiscard]] inline std::uint16_t get_u16(std::span<const std::uint8_t> in,
                                            std::size_t offset) {
   NDPGEN_CHECK_ARG(offset + 2 <= in.size(), "get_u16 out of bounds");

@@ -6,17 +6,23 @@
 // clean-looking page with wrong bytes. The block-level CRC32C catches
 // exactly that class, the same layering real storage engines use.
 //
-// Table-driven slicing-by-8: eight 256-entry tables, computed at compile
-// time so the header stays dependency-free, fold eight input bytes per
-// step; the tail (< 8 bytes) goes byte-at-a-time through table 0. Bytes
-// are composed explicitly (no unaligned loads), so the code is constexpr
-// and independent of host endianness.
+// Two implementations compute the same values:
+//   * the table path: slicing-by-8 over eight 256-entry tables computed at
+//     compile time, folding eight input bytes per step; the tail (< 8
+//     bytes) goes byte-at-a-time through table 0. Bytes are composed
+//     explicitly (no unaligned loads), so it is constexpr and independent
+//     of host endianness. It serves constant evaluation, every host
+//     without a CRC32C instruction, and the tests as the reference;
+//   * the hardware path (crc32c.cpp): on x86-64 hosts with SSE4.2 the
+//     CRC32 instruction folds eight bytes per step. It is selected once
+//     at run time.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 namespace ndpgen::support {
 
@@ -46,12 +52,10 @@ constexpr Crc32cTables make_crc32c_tables() {
 
 inline constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
 
-}  // namespace detail
-
-/// Incremental update: feeds `data` into a running CRC (start from 0).
-[[nodiscard]] constexpr std::uint32_t crc32c_update(
+/// The table path of crc32c_update.
+[[nodiscard]] constexpr std::uint32_t crc32c_update_table(
     std::uint32_t crc, std::span<const std::uint8_t> data) noexcept {
-  const auto& t = detail::kCrc32cTables;
+  const auto& t = kCrc32cTables;
   crc = ~crc;
   const std::uint8_t* p = data.data();
   std::size_t n = data.size();
@@ -67,6 +71,22 @@ inline constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
     crc = (crc >> 8) ^ t[0][(crc ^ *p) & 0xFFu];
   }
   return ~crc;
+}
+
+/// The run-time path: the hardware CRC32 instruction where the host has
+/// it, else the table path.
+[[nodiscard]] std::uint32_t crc32c_update_runtime(
+    std::uint32_t crc, std::span<const std::uint8_t> data) noexcept;
+
+}  // namespace detail
+
+/// Incremental update: feeds `data` into a running CRC (start from 0).
+[[nodiscard]] constexpr std::uint32_t crc32c_update(
+    std::uint32_t crc, std::span<const std::uint8_t> data) noexcept {
+  if (std::is_constant_evaluated()) {
+    return detail::crc32c_update_table(crc, data);
+  }
+  return detail::crc32c_update_runtime(crc, data);
 }
 
 /// One-shot CRC32C of a byte span.

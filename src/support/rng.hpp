@@ -11,12 +11,18 @@ namespace ndpgen::support {
 /// SplitMix64 — used to expand a single seed into xoshiro state.
 class SplitMix64 {
  public:
+  /// State increment and the two finalizer multipliers (for code that
+  /// computes many SplitMix64 outputs lane-wise).
+  static constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  static constexpr std::uint64_t kMul1 = 0xbf58476d1ce4e5b9ULL;
+  static constexpr std::uint64_t kMul2 = 0x94d049bb133111ebULL;
+
   explicit constexpr SplitMix64(std::uint64_t seed) noexcept : state_(seed) {}
 
   constexpr std::uint64_t next() noexcept {
-    std::uint64_t z = (state_ += 0x9e3779b97f4a7c15ULL);
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+    std::uint64_t z = (state_ += kGamma);
+    z = (z ^ (z >> 30)) * kMul1;
+    z = (z ^ (z >> 27)) * kMul2;
     return z ^ (z >> 31);
   }
 

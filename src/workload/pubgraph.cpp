@@ -6,15 +6,97 @@
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define NDPGEN_TITLE_AVX512 1
+#endif
+
 namespace ndpgen::workload {
 
 namespace {
 
+constexpr std::uint64_t kStreamMul = 0xa076'1d64'78bd'642fULL;
+constexpr std::uint64_t kIndexMul = 0xe703'7ed1'a0b4'28dbULL;
+
+/// mix(seed, 4, index * 131 + 8 + i) for title byte 8 + i is one
+/// SplitMix64 seeded with stream ^ term, term stepping by kIndexMul.
+std::uint64_t title_stream(std::uint64_t seed) {
+  return seed ^ (4 * kStreamMul);
+}
+std::uint64_t title_term(std::uint64_t index) {
+  return (index * 131 + 8) * kIndexMul;
+}
+
+#ifdef NDPGEN_TITLE_AVX512
+// The zero-masking forms over all eight lanes compile to the plain
+// instructions; the unmasked intrinsics trip a -Wuninitialized false
+// positive inside GCC 12's own headers.
+constexpr __mmask8 kAllLanes = 0xFF;
+
+__attribute__((target("avx512f"))) inline __m512i lanes(std::uint64_t v) {
+  return _mm512_set1_epi64(static_cast<long long>(v));
+}
+
+/// x % 26 per 64-bit lane for lanes below 2^32: x / 26 is exactly
+/// (x * 0x4EC4EC4F) >> 35 for every 32-bit x.
+__attribute__((target("avx512f"))) inline __m512i mod26_u32_lanes(__m512i x) {
+  const __m512i q = _mm512_maskz_srli_epi64(
+      kAllLanes, _mm512_maskz_mul_epu32(kAllLanes, x, lanes(0x4EC4EC4F)), 35);
+  return _mm512_sub_epi64(x, _mm512_maskz_mul_epu32(kAllLanes, q, lanes(26)));
+}
+
+/// Eight title bytes per step, one SplitMix64 per lane. AVX-512 has no
+/// 64-bit high multiply, so z % 26 folds z = hi * 2^32 + lo as
+/// ((hi % 26) * (2^32 % 26) + lo % 26) % 26, with 2^32 % 26 = 22.
+__attribute__((target("avx512f,avx512dq"))) void title_postfix_avx512(
+    std::uint64_t seed, std::uint64_t index,
+    std::span<char, detail::kTitlePostfixBytes> out) noexcept {
+  using support::SplitMix64;
+  const __m512i stream = lanes(title_stream(seed));
+  const __m512i step = lanes(8 * kIndexMul);
+  __m512i term = _mm512_add_epi64(
+      lanes(title_term(index)),
+      _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
+                         lanes(kIndexMul)));
+  for (std::size_t i = 0; i < out.size(); i += 8) {
+    __m512i z = _mm512_add_epi64(_mm512_xor_si512(stream, term),
+                                 lanes(SplitMix64::kGamma));
+    z = _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAllLanes, z, 30));
+    z = _mm512_mullo_epi64(z, lanes(SplitMix64::kMul1));
+    z = _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAllLanes, z, 27));
+    z = _mm512_mullo_epi64(z, lanes(SplitMix64::kMul2));
+    z = _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAllLanes, z, 31));
+    const __m512i hi =
+        mod26_u32_lanes(_mm512_maskz_srli_epi64(kAllLanes, z, 32));
+    const __m512i lo = mod26_u32_lanes(_mm512_and_si512(z, lanes(0xFFFFFFFF)));
+    const __m512i rem = mod26_u32_lanes(_mm512_add_epi64(
+        _mm512_maskz_mul_epu32(kAllLanes, hi, lanes(22)), lo));
+    _mm512_mask_cvtepi64_storeu_epi8(out.data() + i, kAllLanes,
+                                     _mm512_add_epi64(rem, lanes('a')));
+    term = _mm512_add_epi64(term, step);
+  }
+}
+#endif
+
+using TitlePostfixFn = void (*)(std::uint64_t, std::uint64_t,
+                                std::span<char, detail::kTitlePostfixBytes>)
+    noexcept;
+
+TitlePostfixFn select_title_postfix() noexcept {
+#ifdef NDPGEN_TITLE_AVX512
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512dq")) {
+    return title_postfix_avx512;
+  }
+#endif
+  return detail::title_postfix_portable;
+}
+
 /// Stateless mix: deterministic field values from (seed, stream, index).
 std::uint64_t mix(std::uint64_t seed, std::uint64_t stream,
                   std::uint64_t index) {
-  support::SplitMix64 mixer(seed ^ (stream * 0xa076'1d64'78bd'642fULL) ^
-                            (index * 0xe703'7ed1'a0b4'28dbULL));
+  support::SplitMix64 mixer(seed ^ (stream * kStreamMul) ^
+                            (index * kIndexMul));
   return mixer.next();
 }
 
@@ -37,17 +119,18 @@ constexpr std::string_view kRefStruct = R"spec(typedef struct {
 
 }  // namespace
 
+void PaperRecord::write(std::span<std::uint8_t, kBytes> out) const noexcept {
+  support::store_u64(out.data(), id);
+  support::store_u32(out.data() + 8, year);
+  support::store_u32(out.data() + 12, venue_id);
+  support::store_u32(out.data() + 16, n_refs);
+  support::store_u32(out.data() + 20, n_cited);
+  std::memcpy(out.data() + 24, title, sizeof(title));
+}
+
 std::vector<std::uint8_t> PaperRecord::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kBytes);
-  support::put_u64(out, id);
-  support::put_u32(out, year);
-  support::put_u32(out, venue_id);
-  support::put_u32(out, n_refs);
-  support::put_u32(out, n_cited);
-  out.insert(out.end(), reinterpret_cast<const std::uint8_t*>(title),
-             reinterpret_cast<const std::uint8_t*>(title) + sizeof(title));
-  NDPGEN_CHECK(out.size() == kBytes, "PaperRecord serialization size");
+  std::vector<std::uint8_t> out(kBytes);
+  write(std::span<std::uint8_t, kBytes>(out));
   return out;
 }
 
@@ -63,11 +146,14 @@ PaperRecord PaperRecord::deserialize(std::span<const std::uint8_t> bytes) {
   return record;
 }
 
+void RefRecord::write(std::span<std::uint8_t, kBytes> out) const noexcept {
+  support::store_u64(out.data(), src);
+  support::store_u64(out.data() + 8, dst);
+}
+
 std::vector<std::uint8_t> RefRecord::serialize() const {
-  std::vector<std::uint8_t> out;
-  out.reserve(kBytes);
-  support::put_u64(out, src);
-  support::put_u64(out, dst);
+  std::vector<std::uint8_t> out(kBytes);
+  write(std::span<std::uint8_t, kBytes>(out));
   return out;
 }
 
@@ -115,6 +201,7 @@ PubGraphGenerator::PubGraphGenerator(PubGraphConfig config)
   NDPGEN_CHECK_ARG(config.scale_divisor >= 1, "scale divisor must be >= 1");
   papers_ = std::max<std::uint64_t>(1, kFullScalePapers / config.scale_divisor);
   refs_ = std::max<std::uint64_t>(1, kFullScaleRefs / config.scale_divisor);
+  degree_ = std::max<std::uint64_t>(1, refs_ / papers_);
 }
 
 PaperRecord PubGraphGenerator::paper(std::uint64_t index) const {
@@ -129,31 +216,55 @@ PaperRecord PubGraphGenerator::paper(std::uint64_t index) const {
   record.year = kMinYear + static_cast<std::uint32_t>(std::sqrt(u) * range);
   record.venue_id =
       static_cast<std::uint32_t>(mix(config_.seed, 2, index) % kVenues);
-  const std::uint64_t degree =
-      std::max<std::uint64_t>(1, refs_ / papers_);
-  record.n_refs = static_cast<std::uint32_t>(degree);
+  record.n_refs = static_cast<std::uint32_t>(degree_);
   record.n_cited = static_cast<std::uint32_t>(
-      mix(config_.seed, 3, index) % (2 * degree + 1));
-  // Title: readable prefix + pseudo-random postfix.
-  std::snprintf(record.title, sizeof(record.title), "P%07llu",
-                static_cast<unsigned long long>(record.id));
-  for (std::size_t i = 8; i < sizeof(record.title); ++i) {
-    record.title[i] =
-        static_cast<char>('a' + (mix(config_.seed, 4, index * 131 + i) % 26));
+      mix(config_.seed, 3, index) % (2 * degree_ + 1));
+  // Title: readable prefix "P" + the id in seven zero-padded digits, then
+  // the pseudo-random postfix.
+  static_assert(kFullScalePapers < 10'000'000, "ids fit seven digits");
+  static_assert(sizeof(record.title) == 8 + detail::kTitlePostfixBytes);
+  record.title[0] = 'P';
+  std::uint64_t digits = record.id;
+  for (std::size_t i = 7; i >= 1; --i, digits /= 10) {
+    record.title[i] = static_cast<char>('0' + digits % 10);
   }
+  detail::title_postfix(
+      config_.seed, index,
+      std::span<char, detail::kTitlePostfixBytes>(record.title + 8,
+                                                  detail::kTitlePostfixBytes));
   return record;
 }
 
+namespace detail {
+
+void title_postfix_portable(std::uint64_t seed, std::uint64_t index,
+                            std::span<char, kTitlePostfixBytes> out) noexcept {
+  const std::uint64_t stream = title_stream(seed);
+  std::uint64_t term = title_term(index);
+  for (char& byte : out) {
+    support::SplitMix64 mixer(stream ^ term);
+    byte = static_cast<char>('a' + mixer.next() % 26);
+    term += kIndexMul;
+  }
+}
+
+void title_postfix(std::uint64_t seed, std::uint64_t index,
+                   std::span<char, kTitlePostfixBytes> out) noexcept {
+  static const TitlePostfixFn selected = select_title_postfix();
+  selected(seed, index, out);
+}
+
+}  // namespace detail
+
 RefRecord PubGraphGenerator::ref(std::uint64_t index) const {
   NDPGEN_CHECK_ARG(index < refs_, "ref index out of range");
-  const std::uint64_t degree = std::max<std::uint64_t>(1, refs_ / papers_);
   RefRecord record;
-  const std::uint64_t src_index = std::min(index / degree, papers_ - 1);
-  const std::uint64_t j = index - src_index * degree;
+  const std::uint64_t src_index = std::min(index / degree_, papers_ - 1);
+  const std::uint64_t j = index - src_index * degree_;
   record.src = src_index + 1;
   // Destination: j-th segment of the id space with deterministic jitter,
   // strictly ascending within a source (bulk-load ordering).
-  const std::uint64_t width = std::max<std::uint64_t>(1, papers_ / degree);
+  const std::uint64_t width = std::max<std::uint64_t>(1, papers_ / degree_);
   const std::uint64_t base = std::min(j * width, papers_ - 1);
   const std::uint64_t jitter =
       mix(config_.seed, 5, index) % std::max<std::uint64_t>(1, width);
@@ -178,7 +289,9 @@ std::uint64_t load_papers(kv::NKV& db, const PubGraphGenerator& generator,
       level,
       [&](std::vector<std::uint8_t>& record) {
         if (index >= generator.paper_count()) return false;
-        record = generator.paper(index++).serialize();
+        record.resize(PaperRecord::kBytes);
+        generator.paper(index++).write(
+            std::span<std::uint8_t, PaperRecord::kBytes>(record));
         return true;
       },
       records_per_sst);
@@ -201,7 +314,8 @@ std::uint64_t load_refs(kv::NKV& db, const PubGraphGenerator& generator,
           const kv::Key key{candidate.src, candidate.dst};
           if (previous < key) {
             previous = key;
-            record = candidate.serialize();
+            record.resize(RefRecord::kBytes);
+            candidate.write(std::span<std::uint8_t, RefRecord::kBytes>(record));
             ++loaded;
             return true;
           }

@@ -10,6 +10,7 @@
 // simulation (virtual time scales linearly in the flash-bound regime).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -35,6 +36,8 @@ struct PaperRecord {
   char title[104] = {};
 
   static constexpr std::uint32_t kBytes = 128;
+  /// Writes the packed little-endian record into `out`.
+  void write(std::span<std::uint8_t, kBytes> out) const noexcept;
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   [[nodiscard]] static PaperRecord deserialize(
       std::span<const std::uint8_t> bytes);
@@ -46,6 +49,8 @@ struct RefRecord {
   std::uint64_t dst = 0;
 
   static constexpr std::uint32_t kBytes = 16;
+  /// Writes the packed little-endian record into `out`.
+  void write(std::span<std::uint8_t, kBytes> out) const noexcept;
   [[nodiscard]] std::vector<std::uint8_t> serialize() const;
   [[nodiscard]] static RefRecord deserialize(
       std::span<const std::uint8_t> bytes);
@@ -100,7 +105,24 @@ class PubGraphGenerator {
   PubGraphConfig config_;
   std::uint64_t papers_;
   std::uint64_t refs_;
+  std::uint64_t degree_;  ///< Refs per paper, >= 1.
 };
+
+namespace detail {
+
+/// Bytes of PaperRecord::title after its 8-byte "P<id>" prefix.
+inline constexpr std::size_t kTitlePostfixBytes = 96;
+
+/// Writes paper `index`'s title postfix: byte i is
+/// 'a' + mix(seed, 4, index * 131 + 8 + i) % 26, one SplitMix64 each.
+/// The portable loop is the reference; title_postfix runs the widest path
+/// the host supports (eight AVX-512 lanes on x86-64) with the same bytes.
+void title_postfix_portable(std::uint64_t seed, std::uint64_t index,
+                            std::span<char, kTitlePostfixBytes> out) noexcept;
+void title_postfix(std::uint64_t seed, std::uint64_t index,
+                   std::span<char, kTitlePostfixBytes> out) noexcept;
+
+}  // namespace detail
 
 /// Populates `db` with all scaled Paper records via bulk load into the
 /// given level. Returns records loaded.

@@ -7,6 +7,8 @@
 // filter stages read the padded BitVector tuple instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
 #include <tuple>
 
 #include "core/framework.hpp"
@@ -25,25 +27,28 @@ namespace {
 
 using FormatParam = std::tuple<std::uint32_t /*bits*/, bool /*half*/>;
 
-class FormatEquivalence : public ::testing::TestWithParam<FormatParam> {};
-
-TEST_P(FormatEquivalence, HardwareMatchesSoftwareOnRandomData) {
-  const auto [bits, half] = GetParam();
+/// Runs eight random single-predicate filters over random tuples of the
+/// "Synth" parser in `spec`, in both sim modes, and checks the PE's match
+/// count against the software reader's.
+void expect_hardware_matches_software(const std::string& spec,
+                                      std::uint64_t data_seed,
+                                      std::uint64_t predicate_seed) {
   core::Framework framework;
-  const auto compiled = framework.compile(workload::synth_spec(bits, half));
+  const auto compiled = framework.compile(spec);
   const auto& artifacts = compiled.get("Synth");
   const auto& layout = artifacts.analyzed.input;
 
   const std::uint64_t tuples = std::min<std::uint64_t>(
       256, 30'000 / layout.storage_bytes());
-  const auto data =
-      workload::synth_tuples(bits, tuples, 0xfeed + bits + (half ? 1 : 0));
+  const auto data = workload::synth_tuples(
+      static_cast<std::uint32_t>(layout.storage_bytes() * 8), tuples,
+      data_seed);
 
   const auto relevant = layout.relevant_indices();
   for (const hwsim::SimMode mode :
        {hwsim::SimMode::kExact, hwsim::SimMode::kFast}) {
     SCOPED_TRACE(mode == hwsim::SimMode::kExact ? "exact" : "fast");
-    support::Xoshiro256 rng(bits * 31 + (half ? 7 : 0));
+    support::Xoshiro256 rng(predicate_seed);
     hwsim::PEBenchConfig config;
     config.sim_mode = mode;
     hwsim::PETestBench bench(artifacts.design, config);
@@ -83,11 +88,48 @@ TEST_P(FormatEquivalence, HardwareMatchesSoftwareOnRandomData) {
         }
       }
       EXPECT_EQ(stats.tuples_out, expected)
-          << "bits=" << bits << " half=" << half << " op=" << op.name
-          << " field=" << field.path;
+          << "op=" << op.name << " field=" << field.path;
       EXPECT_EQ(stats.tuples_in, tuples);
     }
   }
+}
+
+class FormatEquivalence : public ::testing::TestWithParam<FormatParam> {};
+
+TEST_P(FormatEquivalence, HardwareMatchesSoftwareOnRandomData) {
+  const auto [bits, half] = GetParam();
+  SCOPED_TRACE("bits=" + std::to_string(bits) + " half=" +
+               std::to_string(half));
+  expect_hardware_matches_software(workload::synth_spec(bits, half),
+                                   0xfeed + bits + (half ? 1 : 0),
+                                   bits * 31 + (half ? 7 : 0));
+}
+
+// Every synth_spec layout keeps each filterable field's padded offset
+// equal to its storage offset, so a reader that extracts at padded
+// offsets passes the sweep above. Here a string field's dropped postfix
+// sits ahead of the filterable fields and moves them apart.
+TEST(FormatEquivalence, StringPrefixAheadOfFilterableFields) {
+  const std::string spec =
+      "/* @autogen define parser Synth with chunksize = 32, input = T, "
+      "output = T */\n"
+      "typedef struct {\n"
+      "  uint32_t f0;\n"
+      "  /* @string prefix = 4 */\n"
+      "  char s[20];\n"
+      "  uint32_t f1;\n"
+      "  uint32_t f2;\n"
+      "  uint32_t f3;\n"
+      "} T;\n";
+  core::Framework framework;
+  const auto compiled = framework.compile(spec);
+  const auto& layout = compiled.get("Synth").analyzed.input;
+  const auto relevant = layout.relevant_indices();
+  ASSERT_TRUE(std::any_of(relevant.begin(), relevant.end(), [&](auto index) {
+    return layout.fields[index].padded_offset_bits !=
+           layout.fields[index].storage_offset_bits;
+  })) << "the layout no longer separates the offsets";
+  expect_hardware_matches_software(spec, 0x5eed, 0x0ff5e7);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,27 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string_view>
 #include <vector>
 
+#include "support/crc32c_reference.hpp"
 #include "support/rng.hpp"
 
 namespace ndpgen::support {
 namespace {
 
-/// Bit-at-a-time reference straight from the polynomial definition.
-std::uint32_t crc32c_bitwise(std::span<const std::uint8_t> data) {
-  std::uint32_t crc = ~0u;
-  for (const std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1u) ? 0x82F63B78u : 0u);
-    }
-  }
-  return ~crc;
-}
+using reference::crc32c_bitwise;
 
 std::span<const std::uint8_t> bytes_of(std::string_view text) {
   return {reinterpret_cast<const std::uint8_t*>(text.data()), text.size()};
@@ -49,7 +41,7 @@ TEST(Crc32c, MatchesBitwiseReferenceOverLengthsAndOffsets) {
     for (std::size_t length = 0; offset + length <= 264; ++length) {
       const auto slice = std::span<const std::uint8_t>(buffer).subspan(
           offset, length);
-      ASSERT_EQ(crc32c(slice), crc32c_bitwise(slice))
+      ASSERT_EQ(crc32c(slice), crc32c_bitwise(0, slice))
           << "offset " << offset << " length " << length;
     }
   }
@@ -65,6 +57,55 @@ TEST(Crc32c, IncrementalUpdateEqualsOneShot) {
     EXPECT_EQ(crc32c_update(head, all.subspan(split)), crc32c(all))
         << "split " << split;
   }
+}
+
+TEST(Crc32c, DispatchedEqualsTable) {
+  // crc32c/crc32c_update take the hardware path where the host has one;
+  // both must equal the table path and the bitwise reference everywhere.
+  SplitMix64 rng(2021);
+  std::vector<std::uint8_t> buffer(32 * 1024 + 8);
+  for (auto& byte : buffer) byte = static_cast<std::uint8_t>(rng.next());
+  const std::span<const std::uint8_t> all(buffer);
+  for (const std::size_t offset : {0, 1, 3, 5, 7}) {
+    for (std::size_t length = 0; length <= 264; ++length) {
+      const auto slice = all.subspan(offset, length);
+      const std::uint32_t table = detail::crc32c_update_table(0, slice);
+      ASSERT_EQ(crc32c(slice), table)
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(table, crc32c_bitwise(0, slice))
+          << "offset " << offset << " length " << length;
+      ASSERT_EQ(crc32c_update(0xDEADBEEFu, slice),
+                detail::crc32c_update_table(0xDEADBEEFu, slice))
+          << "offset " << offset << " length " << length;
+    }
+  }
+
+  // Whole 32 KiB data blocks: random, all-zero and all-ones bytes.
+  const std::vector<std::uint8_t> zeros(32 * 1024, 0x00);
+  const std::vector<std::uint8_t> ones(32 * 1024, 0xFF);
+  for (const std::span<const std::uint8_t> block :
+       {all.first(32 * 1024), all.subspan(3, 32 * 1024),
+        std::span<const std::uint8_t>(zeros),
+        std::span<const std::uint8_t>(ones)}) {
+    const std::uint32_t expected = crc32c_bitwise(0, block);
+    EXPECT_EQ(detail::crc32c_update_table(0, block), expected);
+    EXPECT_EQ(crc32c(block), expected);
+  }
+
+  // Chained updates over uneven pieces, as the WAL chains its entries.
+  std::uint32_t chained = 0;
+  std::uint32_t table = 0;
+  std::size_t at = 0;
+  while (at < buffer.size()) {
+    const std::size_t piece =
+        std::min<std::size_t>(rng.next() % 300, buffer.size() - at);
+    const auto slice = all.subspan(at, piece);
+    chained = crc32c_update(chained, slice);
+    table = detail::crc32c_update_table(table, slice);
+    ASSERT_EQ(chained, table) << "after byte " << at + piece;
+    at += piece;
+  }
+  EXPECT_EQ(chained, crc32c_bitwise(0, all));
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include "platform/cosmos.hpp"
 #include "spec/parser.hpp"
 #include "support/bytes.hpp"
+#include "support/crc32c_reference.hpp"
 
 namespace ndpgen::workload {
 namespace {
@@ -187,6 +188,62 @@ TEST(PubGraph, DatasetDescriptorsMatchTheSpecSource) {
     }
   }
   EXPECT_FALSE(parse_dataset("edges").has_value());
+}
+
+// A CRC32C over every generated record's bytes at scale 4096, and over the
+// first and last 1,000 records at full scale, recorded from the printf
+// title writer. The bitwise reference computes it, so a checksum bug
+// cannot hide a generator change.
+TEST(PubGraph, GeneratedBytesArePinned) {
+  const auto papers = [](const PubGraphGenerator& generator,
+                         std::uint64_t begin, std::uint64_t end) {
+    std::uint32_t crc = 0;
+    for (std::uint64_t i = begin; i < end; ++i) {
+      crc = support::reference::crc32c_bitwise(
+          crc, generator.paper(i).serialize());
+    }
+    return crc;
+  };
+  const auto refs = [](const PubGraphGenerator& generator,
+                       std::uint64_t begin, std::uint64_t end) {
+    std::uint32_t crc = 0;
+    for (std::uint64_t i = begin; i < end; ++i) {
+      crc = support::reference::crc32c_bitwise(
+          crc, generator.ref(i).serialize());
+    }
+    return crc;
+  };
+
+  const PubGraphGenerator scaled(PubGraphConfig{.scale_divisor = 4096});
+  EXPECT_EQ(papers(scaled, 0, scaled.paper_count()), 0x3DA95E07u);
+  EXPECT_EQ(refs(scaled, 0, scaled.ref_count()), 0xF563ABA7u);
+
+  const PubGraphGenerator full(PubGraphConfig{.scale_divisor = 1});
+  ASSERT_EQ(full.paper_count(), kFullScalePapers);
+  ASSERT_EQ(full.ref_count(), kFullScaleRefs);
+  EXPECT_EQ(papers(full, 0, 1000), 0x5D032A3Bu);
+  EXPECT_EQ(papers(full, kFullScalePapers - 1000, kFullScalePapers),
+            0xCF3A2815u);
+  EXPECT_EQ(refs(full, 0, 1000), 0x1515A1DBu);
+  EXPECT_EQ(refs(full, kFullScaleRefs - 1000, kFullScaleRefs), 0x54ED72FDu);
+}
+
+// The host's title path (AVX-512 lanes where available) writes the same
+// bytes as the portable loop, for every seed and index tried.
+TEST(PubGraph, TitlePostfixPathsAgree) {
+  support::SplitMix64 rng(131);
+  for (const std::uint64_t seed : {std::uint64_t{20210521}, std::uint64_t{0},
+                                   ~std::uint64_t{0}, rng.next()}) {
+    for (std::uint64_t n = 0; n < 4096; ++n) {
+      const std::uint64_t index = n < 2048 ? n : rng.next();
+      char fast[detail::kTitlePostfixBytes];
+      char portable[detail::kTitlePostfixBytes];
+      detail::title_postfix(seed, index, fast);
+      detail::title_postfix_portable(seed, index, portable);
+      ASSERT_EQ(std::memcmp(fast, portable, sizeof(fast)), 0)
+          << "seed " << seed << " index " << index;
+    }
+  }
 }
 
 }  // namespace

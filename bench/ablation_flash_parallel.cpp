@@ -57,7 +57,7 @@ int main() {
   double previous = 0;
   bool monotone = true;
   double two_ctrl_four_luns = 0;
-  for (const auto [controllers, luns] :
+  for (const auto& [controllers, luns] :
        {std::pair{1u, 1u}, {1u, 2u}, {1u, 4u}, {2u, 1u}, {2u, 4u}}) {
     const double mbps = streaming_mbps(controllers, luns);
     std::printf("%12u %10u %14.1f\n", controllers, luns, mbps);

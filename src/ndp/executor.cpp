@@ -1,6 +1,7 @@
 #include "ndp/executor.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <unordered_set>
 
 #include "fault/fault_injector.hpp"
@@ -164,6 +165,16 @@ std::unordered_set<const kv::SSTable*> overlapping_tables(
   return overlapping;
 }
 
+/// Appends each sink record to `results` as its own vector (none for
+/// nullptr): the adapter behind the vector-collecting scan overloads.
+HybridExecutor::RecordSink append_to(
+    std::vector<std::vector<std::uint8_t>>* results) {
+  if (results == nullptr) return {};
+  return [results](std::span<const std::uint8_t> record) {
+    results->emplace_back(record.begin(), record.end());
+  };
+}
+
 /// Where a block runs.
 enum class Route : std::uint8_t {
   kPe,    ///< A PE shard.
@@ -206,7 +217,10 @@ struct HybridExecutor::Outcome {
   std::uint64_t tuples_in = 0;
   std::uint64_t matched = 0;  ///< Survivors, or tuples folded (aggregate).
   std::uint64_t pe_cycles = 0;
-  std::vector<std::vector<std::uint8_t>> survivors;
+  /// The surviving output-layout records back to back, `stride` bytes
+  /// each.
+  std::vector<std::uint8_t> survivors;
+  std::uint32_t stride = 0;
   /// Aggregate: the PE's block accumulator, or the seed off the PE.
   std::uint64_t block_result = 0;
   /// Aggregate off the PE: the matching tuples' widened values, in tuple
@@ -278,14 +292,32 @@ void HybridExecutor::check_store_ready() const {
 ScanStats HybridExecutor::scan(
     const std::vector<FilterPredicate>& predicates,
     std::vector<std::vector<std::uint8_t>>* results) {
-  check_store_ready();
-  return scan_blocks(collect_blocks(), predicates, results, {});
+  return scan(predicates, append_to(results));
 }
 
 ScanStats HybridExecutor::range_scan(
     const kv::Key& lo, const kv::Key& hi,
     const std::vector<FilterPredicate>& predicates,
     std::vector<std::vector<std::uint8_t>>* results) {
+  return range_scan(lo, hi, predicates, append_to(results));
+}
+
+ScanStats HybridExecutor::multi_range_scan(
+    const std::vector<KeyRange>& ranges,
+    const std::vector<FilterPredicate>& predicates,
+    std::vector<std::vector<std::uint8_t>>* results) {
+  return multi_range_scan(ranges, predicates, append_to(results));
+}
+
+ScanStats HybridExecutor::scan(const std::vector<FilterPredicate>& predicates,
+                               const RecordSink& sink) {
+  check_store_ready();
+  return scan_blocks(collect_blocks(), predicates, sink, {});
+}
+
+ScanStats HybridExecutor::range_scan(
+    const kv::Key& lo, const kv::Key& hi,
+    const std::vector<FilterPredicate>& predicates, const RecordSink& sink) {
   check_store_ready();
   NDPGEN_CHECK_ARG(!(hi < lo), "range_scan needs lo <= hi");
   NDPGEN_CHECK_ARG(static_cast<bool>(config_.result_key_extractor),
@@ -306,13 +338,12 @@ ScanStats HybridExecutor::range_scan(
       blocks.push_back(BlockRef{table.get(), i});
     }
   }
-  return scan_blocks(blocks, predicates, results, {KeyRange{lo, hi}});
+  return scan_blocks(blocks, predicates, sink, {KeyRange{lo, hi}});
 }
 
 ScanStats HybridExecutor::multi_range_scan(
     const std::vector<KeyRange>& ranges,
-    const std::vector<FilterPredicate>& predicates,
-    std::vector<std::vector<std::uint8_t>>* results) {
+    const std::vector<FilterPredicate>& predicates, const RecordSink& sink) {
   check_store_ready();
   NDPGEN_CHECK_ARG(!ranges.empty(),
                    "multi_range_scan needs at least one key range");
@@ -363,7 +394,7 @@ ScanStats HybridExecutor::multi_range_scan(
   m.add(m.counter("ndp.scan.range_batches"), 1);
   m.add(m.counter("ndp.scan.ranges"), ranges.size());
   m.add(m.counter("ndp.scan.merged_spans"), merged.size());
-  return scan_blocks(blocks, predicates, results, merged);
+  return scan_blocks(blocks, predicates, sink, merged);
 }
 
 std::uint32_t HybridExecutor::effective_shards() const noexcept {
@@ -501,6 +532,7 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
     }
     out.matched = result.stats.tuples_out;
     out.survivors = std::move(result.records);
+    out.stride = shard->design().parser.output.storage_bytes();
   } else if (plan.aggregate) {
     // Filter + fold input on the ARM core (or the host CPU).
     const kv::BlockTrailer trailer = kv::read_trailer(item.block);
@@ -529,6 +561,7 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
     out.tuples_in = result.tuples_in;
     out.matched = result.tuples_out;
     out.survivors = std::move(result.records);
+    out.stride = parser_.plan.output_bytes();
     // Classical path (Fig. 1, left): the whole block crosses the
     // intermediate layers and the NVMe link; the host CPU filters.
     out.cost = item.route == Route::kHost
@@ -541,13 +574,24 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
   }
   if (!plan.post_filter.empty()) {
     // Software post-filter for predicates beyond the PE's chain length
-    // ([1]-style single-stage PEs cannot chain predicates).
-    out.cost += out.survivors.size() * plan.post_filter.size() *
+    // ([1]-style single-stage PEs cannot chain predicates). Compacts the
+    // survivors in place.
+    out.cost += out.matched * plan.post_filter.size() *
                 timing.arm_predicate_per_tuple;
-    std::erase_if(out.survivors, [&](const std::vector<std::uint8_t>& r) {
-      return !matches(parser_.plan, operators_, r, plan.post_filter);
-    });
-    out.matched = out.survivors.size();
+    std::size_t kept = 0;
+    for (std::size_t at = 0; at < out.survivors.size(); at += out.stride) {
+      const auto record =
+          std::span<const std::uint8_t>(out.survivors).subspan(at, out.stride);
+      if (!matches(parser_.plan, operators_, record, plan.post_filter)) {
+        continue;
+      }
+      if (kept != at) {
+        std::memcpy(out.survivors.data() + kept, record.data(), out.stride);
+      }
+      kept += out.stride;
+    }
+    out.survivors.resize(kept);
+    out.matched = kept / out.stride;
   }
   return out;
 }
@@ -731,8 +775,7 @@ platform::SimTime HybridExecutor::finish(const PipelineRun& run,
 
 ScanStats HybridExecutor::scan_blocks(
     const std::vector<BlockRef>& blocks,
-    const std::vector<FilterPredicate>& predicates,
-    std::vector<std::vector<std::uint8_t>>* results,
+    const std::vector<FilterPredicate>& predicates, const RecordSink& sink,
     const std::vector<KeyRange>& key_ranges) {
   const bool hw_mode = config_.mode == ExecMode::kHardware;
   const std::uint32_t sw_stages =
@@ -775,7 +818,9 @@ ScanStats HybridExecutor::scan_blocks(
     stats.tuples_matched += out.matched;
     tombstones.enter(blocks[b].table);
     const bool dedup = overlapping.contains(blocks[b].table);
-    for (auto& record : out.survivors) {
+    for (std::size_t at = 0; at < out.survivors.size(); at += out.stride) {
+      const auto record =
+          std::span<const std::uint8_t>(out.survivors).subspan(at, out.stride);
       if (config_.result_key_extractor) {
         const kv::Key key = config_.result_key_extractor(record);
         if (!key_ranges.empty() && !key_in_ranges(key, key_ranges)) {
@@ -786,7 +831,7 @@ ScanStats HybridExecutor::scan_blocks(
       }
       ++stats.results;
       stats.result_bytes += record.size();
-      if (results != nullptr) results->push_back(std::move(record));
+      if (sink) sink(record);
     }
     out.survivors = {};
   };
@@ -1039,7 +1084,9 @@ GetStats HybridExecutor::get(const kv::Key& key) {
         assemble_and_route(ref, reads.media.front(), /*shard=*/0, stats);
     if (item.penalty > 0) queue.run_until(queue.now() + item.penalty);
 
-    std::vector<std::vector<std::uint8_t>> survivors;
+    // The block's survivors back to back, `stride` bytes each.
+    std::vector<std::uint8_t> survivors;
+    std::uint32_t stride = parser_.plan.output_bytes();
     if (item.route == Route::kPe) {
       if (!pe_used) {
         begin_shards(1, hwgen::AggOp::kNone, 0);
@@ -1050,6 +1097,7 @@ GetStats HybridExecutor::get(const kv::Key& key) {
           bound, /*collect=*/true, /*reconfigure=*/true);
       queue.run_until(queue.now() + result.overhead + result.pe_time);
       survivors = std::move(result.records);
+      stride = shards_.front()->design().parser.output.storage_bytes();
     } else {
       if (item.route == Route::kHost) {
         // Classical path: the block crosses the I/O stack and NVMe before
@@ -1065,18 +1113,21 @@ GetStats HybridExecutor::get(const kv::Key& key) {
       }
       if (const auto record = kv::SSTReader::find_in_block(
               item.block, key, db_.config().extractor)) {
-        survivors.push_back(parser_.plan.project(*record));
+        survivors = parser_.plan.project(*record);
       }
     }
 
-    // Software verification of the full 128-bit key on the survivors.
-    for (auto& record : survivors) {
+    // Software verification of the full 128-bit key on the survivors; only
+    // the record found is copied out.
+    for (std::size_t at = 0; at < survivors.size(); at += stride) {
+      const auto record =
+          std::span<const std::uint8_t>(survivors).subspan(at, stride);
       // Verify against the ORIGINAL input record when the transform keeps
       // the key; otherwise trust the filter.
       if (record.size() != db_.config().record_bytes ||
           db_.config().extractor(record) == key) {
         stats.found = true;
-        stats.record = std::move(record);
+        stats.record.assign(record.begin(), record.end());
         break;
       }
     }

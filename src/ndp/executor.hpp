@@ -14,7 +14,11 @@
 // pass on failure, routing to PE / ARM / host (or degraded to the ARM on
 // recovery or a hung PE), execution on N >= 1 shards, and a per-operation
 // fold — collect for scans, accumulate for aggregate, PE filter or binary
-// search for GET. So every offload shares one fault contract.
+// search for GET. So every offload shares one fault contract. A block's
+// survivors stay one flat buffer (records back to back, as the PE's store
+// unit writes them) from the PE or ARM to the scan merge, which hands each
+// result record to one RecordSink; no result record is a heap object of
+// its own.
 //
 // Timing composition for SCAN/AGGREGATE: all data-block flash reads are
 // scheduled on the DES (which models LUN parallelism and controller-bus
@@ -29,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -174,10 +179,14 @@ class HybridExecutor {
   HybridExecutor(kv::NKV& db, const analysis::AnalyzedParser& parser,
                  const hwgen::OperatorSet& operators, ExecutorConfig config);
 
-  /// Full-dataset SCAN with a predicate conjunction.
-  /// Results (if collected) land in `results` as output-layout records.
+  /// Receives each surviving output-layout record of a scan, in result
+  /// order. The span is valid only during the call.
+  using RecordSink = std::function<void(std::span<const std::uint8_t>)>;
+
+  /// Full-dataset SCAN with a predicate conjunction. Every result record
+  /// goes to `sink` (empty = count only).
   ScanStats scan(const std::vector<FilterPredicate>& predicates,
-                 std::vector<std::vector<std::uint8_t>>* results = nullptr);
+                 const RecordSink& sink);
 
   /// Key-range SCAN over [lo, hi]: prunes SSTs and data blocks whose key
   /// range cannot intersect using the index metadata (this is what makes
@@ -187,8 +196,7 @@ class HybridExecutor {
   /// result_key_extractor is required.
   ScanStats range_scan(const kv::Key& lo, const kv::Key& hi,
                        const std::vector<FilterPredicate>& predicates,
-                       std::vector<std::vector<std::uint8_t>>* results =
-                           nullptr);
+                       const RecordSink& sink);
 
   /// Batched offload entry point (host-service coalescing): scans several
   /// key ranges under ONE NDP command. Ranges are normalized (sorted,
@@ -198,6 +206,21 @@ class HybridExecutor {
   /// equals the union of the per-range range_scan results, at the cost of
   /// a single command/flash/PE/NVMe round-trip. Requires
   /// result_key_extractor, like range_scan.
+  ScanStats multi_range_scan(const std::vector<KeyRange>& ranges,
+                             const std::vector<FilterPredicate>& predicates,
+                             const RecordSink& sink);
+
+  // One heap vector per result record: these adapters append each sink
+  // record to `results` (nullptr = count only). They remain only because
+  // ndpbench, host::OffloadTarget, the cluster and the examples name this
+  // type; the benchmark change that moves ndpbench onto the sink deletes
+  // them.
+  ScanStats scan(const std::vector<FilterPredicate>& predicates,
+                 std::vector<std::vector<std::uint8_t>>* results = nullptr);
+  ScanStats range_scan(const kv::Key& lo, const kv::Key& hi,
+                       const std::vector<FilterPredicate>& predicates,
+                       std::vector<std::vector<std::uint8_t>>* results =
+                           nullptr);
   ScanStats multi_range_scan(const std::vector<KeyRange>& ranges,
                              const std::vector<FilterPredicate>& predicates,
                              std::vector<std::vector<std::uint8_t>>* results =
@@ -269,12 +292,11 @@ class HybridExecutor {
 
   /// SCAN/RANGE/MULTI-RANGE on the pipeline, folding survivors through
   /// recency dedup, tombstone suppression and `key_ranges` bounds (sorted,
-  /// disjoint; empty = unfiltered).
-  ScanStats scan_blocks(
-      const std::vector<BlockRef>& blocks,
-      const std::vector<FilterPredicate>& predicates,
-      std::vector<std::vector<std::uint8_t>>* results,
-      const std::vector<KeyRange>& key_ranges);
+  /// disjoint; empty = unfiltered), then handing each result to `sink`.
+  ScanStats scan_blocks(const std::vector<BlockRef>& blocks,
+                        const std::vector<FilterPredicate>& predicates,
+                        const RecordSink& sink,
+                        const std::vector<KeyRange>& key_ranges);
 
   /// Starts a call on the first `count` PE shards and arms their
   /// aggregation units with `op` (kNone = pass-through).

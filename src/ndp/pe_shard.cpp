@@ -96,11 +96,7 @@ HwBlockResult PeShard::process_block(
     const std::uint32_t out_bytes = pe_design.parser.output.storage_bytes();
     const auto out = bench_.memory().read_bytes(
         dst_staging_, result.stats.tuples_out * std::uint64_t{out_bytes});
-    result.records.reserve(result.stats.tuples_out);
-    for (std::uint64_t i = 0; i < result.stats.tuples_out; ++i) {
-      const auto* begin = out.data() + i * out_bytes;
-      result.records.emplace_back(begin, begin + out_bytes);
-    }
+    result.records.assign(out.begin(), out.end());
   }
   return result;
 }

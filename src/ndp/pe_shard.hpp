@@ -45,7 +45,9 @@ struct HwBlockResult {
   hwsim::ChunkStats stats;
   platform::SimTime pe_time = 0;      ///< Pure PE execution (cycles @ clk).
   platform::SimTime overhead = 0;     ///< Dispatch + registers + polling.
-  std::vector<std::vector<std::uint8_t>> records;  ///< If collected.
+  /// If collected: the `stats.tuples_out` output-layout survivors back to
+  /// back, as the store unit wrote them to the result staging area.
+  std::vector<std::uint8_t> records;
 };
 
 class PeShard {

@@ -8,11 +8,16 @@ SwBlockResult SoftwareNdp::filter_block(
   SwBlockResult result;
   const kv::BlockTrailer trailer = kv::read_trailer(block);
   result.tuples_in = trailer.record_count;
+  const std::uint32_t out_bytes = parser_.plan.output_bytes();
   for (std::uint32_t i = 0; i < trailer.record_count; ++i) {
     const auto record = kv::block_record(block, trailer, i);
     if (!matches(parser_.plan, operators_, record, predicates)) continue;
     ++result.tuples_out;
-    if (collect) result.records.push_back(parser_.plan.project(record));
+    if (collect) {
+      result.records.resize(result.records.size() + out_bytes);
+      parser_.plan.project(
+          record, std::span<std::uint8_t>(result.records).last(out_bytes));
+    }
   }
   result.arm_cost =
       block_cost(kv::block_payload_bytes(trailer), result.tuples_in,

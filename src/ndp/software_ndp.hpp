@@ -22,7 +22,8 @@ namespace ndpgen::ndp {
 struct SwBlockResult {
   std::uint64_t tuples_in = 0;
   std::uint64_t tuples_out = 0;
-  std::vector<std::vector<std::uint8_t>> records;  ///< If collected.
+  /// If collected: the `tuples_out` output-layout survivors back to back.
+  std::vector<std::uint8_t> records;
   platform::SimTime arm_cost = 0;  ///< Un-charged ARM time for this block.
 };
 

@@ -1,7 +1,7 @@
 #include "query/executor.hpp"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <unordered_map>
 
 #include "core/testbed.hpp"
@@ -25,18 +25,35 @@ std::size_t column_index(const std::vector<std::string>& columns,
   return static_cast<std::size_t>(it - columns.begin());
 }
 
-/// Total-order row comparator for top-k: primary on `order` (descending
-/// or ascending), full-row lexicographic ascending tiebreak — no two
-/// distinct rows ever compare equal, so the sort is deterministic.
+/// A row-major table: `width` cells per row, rows back to back. The tail
+/// works on these and builds ResultTable::rows only at the end.
+struct FlatRows {
+  std::size_t width = 0;
+  std::vector<std::uint64_t> cells;
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return width == 0 ? 0 : cells.size() / width;
+  }
+  [[nodiscard]] const std::uint64_t* row(std::size_t index) const noexcept {
+    return cells.data() + index * width;
+  }
+};
+
+/// Total-order comparator of row indices for top-k: primary on `order`
+/// (descending or ascending), full-row lexicographic ascending tiebreak —
+/// no two distinct rows ever compare equal, so the sort is deterministic.
 struct TopKLess {
+  const FlatRows& rows;
   std::size_t order;
   bool descending;
 
-  bool operator()(const Row& a, const Row& b) const {
+  bool operator()(std::size_t a_index, std::size_t b_index) const {
+    const std::uint64_t* a = rows.row(a_index);
+    const std::uint64_t* b = rows.row(b_index);
     if (a[order] != b[order]) {
       return descending ? a[order] > b[order] : a[order] < b[order];
     }
-    return a < b;
+    return std::lexicographical_compare(a, a + rows.width, b, b + rows.width);
   }
 };
 
@@ -51,9 +68,9 @@ std::vector<ndp::FilterPredicate> to_filter_predicates(
 }
 
 /// Drops the rows failing any of `predicates` (a conjunction over the
-/// named columns), charging the host filter cost.
-void filter_rows(std::vector<Row>& rows,
-                 const std::vector<std::string>& columns,
+/// named columns) by compacting the table in place, charging the host
+/// filter cost.
+void filter_rows(FlatRows& rows, const std::vector<std::string>& columns,
                  const std::vector<analysis::PlanField>& fields,
                  const std::vector<PlanPredicate>& predicates,
                  std::uint64_t* host_ns) {
@@ -62,19 +79,137 @@ void filter_rows(std::vector<Row>& rows,
     const std::size_t index = column_index(columns, pred.column);
     bound.emplace_back(index, RowPredicate(pred, fields[index]));
   }
-  *host_ns += kHostFilterNsPerRowPred * rows.size() * bound.size();
-  std::erase_if(rows, [&](const Row& row) {
-    for (const auto& [index, pred] : bound) {
-      if (!pred.passes(row[index])) return true;
+  const std::size_t count = rows.size();
+  *host_ns += kHostFilterNsPerRowPred * count * bound.size();
+  std::size_t kept = 0;
+  for (std::size_t r = 0; r < count; ++r) {
+    const std::uint64_t* row = rows.row(r);
+    const bool pass =
+        std::all_of(bound.begin(), bound.end(), [row](const auto& entry) {
+          return entry.second.passes(row[entry.first]);
+        });
+    if (!pass) continue;
+    if (kept != r) {
+      std::copy_n(row, rows.width, rows.cells.data() + kept * rows.width);
     }
-    return false;
-  });
+    ++kept;
+  }
+  rows.cells.resize(kept * rows.width);
+}
+
+/// Joins `probe` with `build` on probe column `probe_index` = build column
+/// `build_index`. Each distinct probe key gets a dense slot; the build
+/// rows of each slot are counted, laid out by a prefix sum and filled in
+/// build order, and the output walks the probe rows in order — so it
+/// emits probe order, then build order within a key.
+FlatRows join_rows(const FlatRows& probe, std::size_t probe_index,
+                   const FlatRows& build, std::size_t build_index) {
+  constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  const std::size_t probe_count = probe.size();
+  const std::size_t build_count = build.size();
+  std::unordered_map<std::uint64_t, std::uint32_t> slot_of;
+  slot_of.reserve(probe_count);
+  std::vector<std::uint32_t> probe_slot(probe_count);
+  for (std::size_t r = 0; r < probe_count; ++r) {
+    const auto next = static_cast<std::uint32_t>(slot_of.size());
+    probe_slot[r] =
+        slot_of.try_emplace(probe.row(r)[probe_index], next).first->second;
+  }
+  // After the prefix sum, slot s's matches are first[s] .. first[s + 1].
+  std::vector<std::size_t> first(slot_of.size() + 1, 0);
+  std::vector<std::uint32_t> build_slot(build_count, kNoSlot);
+  for (std::size_t i = 0; i < build_count; ++i) {
+    const auto it = slot_of.find(build.row(i)[build_index]);
+    if (it == slot_of.end()) continue;
+    build_slot[i] = it->second;
+    ++first[it->second + 1];
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::uint32_t> matches(first.back());
+  std::vector<std::size_t> fill(first.begin(), first.end() - 1);
+  for (std::size_t i = 0; i < build_count; ++i) {
+    if (build_slot[i] != kNoSlot) {
+      matches[fill[build_slot[i]]++] = static_cast<std::uint32_t>(i);
+    }
+  }
+
+  FlatRows joined;
+  joined.width = probe.width + build.width;
+  std::size_t joined_count = 0;
+  for (const std::uint32_t slot : probe_slot) {
+    joined_count += first[slot + 1] - first[slot];
+  }
+  joined.cells.reserve(joined_count * joined.width);
+  for (std::size_t r = 0; r < probe_count; ++r) {
+    const std::uint32_t slot = probe_slot[r];
+    for (std::size_t m = first[slot]; m < first[slot + 1]; ++m) {
+      const std::uint64_t* left = probe.row(r);
+      const std::uint64_t* right = build.row(matches[m]);
+      joined.cells.insert(joined.cells.end(), left, left + probe.width);
+      joined.cells.insert(joined.cells.end(), right, right + build.width);
+    }
+  }
+  return joined;
+}
+
+/// Folds column `value_index` per distinct `group_index` key, each group
+/// in row order, then orders the groups by key: one (key, accumulator) row
+/// per group.
+FlatRows group_rows(const FlatRows& rows, std::size_t group_index,
+                    std::size_t value_index,
+                    const hwgen::AggregateFold& fold) {
+  std::unordered_map<std::uint64_t, std::uint32_t> group_of;
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint64_t> accs;
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    const std::uint64_t* row = rows.row(r);
+    const auto [it, inserted] = group_of.try_emplace(
+        row[group_index], static_cast<std::uint32_t>(keys.size()));
+    if (inserted) {
+      keys.push_back(row[group_index]);
+      accs.push_back(fold.seed());
+    }
+    std::uint64_t& acc = accs[it->second];
+    acc = fold.combine(acc, fold.widen(row[value_index]));
+  }
+  std::vector<std::uint32_t> order(keys.size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(),
+            [&keys](std::uint32_t a, std::uint32_t b) {
+              return keys[a] < keys[b];
+            });
+  FlatRows folded;
+  folded.width = 2;
+  folded.cells.reserve(2 * order.size());
+  for (const std::uint32_t group : order) {
+    folded.cells.push_back(keys[group]);
+    folded.cells.push_back(accs[group]);
+  }
+  return folded;
+}
+
+/// The `min(k, size)` first rows under TopKLess, in that order.
+FlatRows top_rows(const FlatRows& rows, std::size_t order_index,
+                  bool descending, std::size_t k) {
+  std::vector<std::size_t> order(rows.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const std::size_t keep = std::min(order.size(), k);
+  std::partial_sort(order.begin(), order.begin() + keep, order.end(),
+                    TopKLess{rows, order_index, descending});
+  FlatRows top;
+  top.width = rows.width;
+  top.cells.reserve(keep * top.width);
+  for (std::size_t r = 0; r < keep; ++r) {
+    top.cells.insert(top.cells.end(), rows.row(order[r]),
+                     rows.row(order[r]) + rows.width);
+  }
+  return top;
 }
 
 struct LeafOutput {
   std::vector<std::string> columns;
   std::vector<analysis::PlanField> fields;  ///< One per column.
-  std::vector<Row> rows;
+  FlatRows rows;
   LeafRunStats stats;
   /// Set for the on-device aggregate fold: the leaf IS the whole plan.
   std::optional<ResultTable> direct;
@@ -123,27 +258,27 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
     return out;
   }
 
-  std::vector<std::vector<std::uint8_t>> records;
-  const auto stats = executor.scan(predicates, &records);
+  // Decode each device record straight into the leaf's rows through a
+  // plan over the generated output layout's columns.
+  const auto decode = analysis::RecordPlan::select(artifacts.analyzed.output,
+                                                   leaf.columns);
+  out.fields = decode.fields();
+  const auto width = static_cast<std::uint32_t>(leaf.columns.size());
+  out.rows.width = width;
+  // Every result is a stored record, so this bounds the table; the pages
+  // the rows never reach stay untouched.
+  out.rows.cells.reserve(out.stats.records_loaded * width);
+  const auto stats = executor.scan(
+      predicates, [&out, &decode, width](std::span<const std::uint8_t> record) {
+        for (std::uint32_t i = 0; i < width; ++i) {
+          out.rows.cells.push_back(decode.extract(record, i));
+        }
+      });
   out.stats.blocks = stats.blocks;
   out.stats.tuples_scanned = stats.tuples_scanned;
   out.stats.elapsed = stats.elapsed;
   out.stats.blocks_degraded_to_software = stats.blocks_degraded_to_software;
   out.stats.uncorrectable_blocks = stats.uncorrectable_blocks;
-
-  // Decode device records into rows through a plan over the generated
-  // output layout's columns.
-  const auto decode = analysis::RecordPlan::select(artifacts.analyzed.output,
-                                                   leaf.columns);
-  out.fields = decode.fields();
-  out.rows.reserve(records.size());
-  for (const auto& record : records) {
-    Row row(leaf.columns.size());
-    for (std::uint32_t i = 0; i < row.size(); ++i) {
-      row[i] = decode.extract(record, i);
-    }
-    out.rows.push_back(std::move(row));
-  }
   *host_ns += kHostDecodeNsPerRow * out.rows.size();
 
   // Residual predicates past the HW cut run here, on the output rows.
@@ -196,7 +331,7 @@ ResultTable execute_plan(const CompiledPlan& plan,
 
   std::vector<std::string> columns = std::move(probe.columns);
   std::vector<analysis::PlanField> fields = std::move(probe.fields);
-  std::vector<Row> rows = std::move(probe.rows);
+  FlatRows rows = std::move(probe.rows);
 
   for (const PlanOp& op : plan.optimized.tail) {
     host_ns += kHostOpDispatchNs;
@@ -213,51 +348,30 @@ ResultTable execute_plan(const CompiledPlan& plan,
           indices.push_back(column_index(columns, name));
           projected_fields.push_back(fields[indices.back()]);
         }
-        host_ns += kHostProjectNsPerRow * rows.size();
-        for (auto& row : rows) {
-          Row projected;
-          projected.reserve(indices.size());
+        const std::size_t count = rows.size();
+        host_ns += kHostProjectNsPerRow * count;
+        FlatRows projected;
+        projected.width = indices.size();
+        projected.cells.reserve(count * projected.width);
+        for (std::size_t r = 0; r < count; ++r) {
           for (const std::size_t index : indices) {
-            projected.push_back(row[index]);
+            projected.cells.push_back(rows.row(r)[index]);
           }
-          row = std::move(projected);
         }
+        rows = std::move(projected);
         columns = op.columns;
         fields = std::move(projected_fields);
         break;
       }
       case OpKind::kHashJoin: {
         NDPGEN_CHECK(build.has_value(), "join tail without a build leaf");
-        const std::size_t probe_index =
-            column_index(columns, op.probe_column);
-        const std::size_t build_index =
-            column_index(build->columns, op.build_column);
-        // Buckets keyed on the probe side (usually the far smaller one),
-        // filled by walking the build rows in order: probe order x build
-        // order makes the multi-match emission order deterministic. The
-        // cost model still charges a classic build + probe.
-        std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> table;
-        table.reserve(rows.size());
-        for (const Row& row : rows) table.try_emplace(row[probe_index]);
-        const auto build_count =
-            static_cast<std::uint32_t>(build->rows.size());
-        for (std::uint32_t i = 0; i < build_count; ++i) {
-          const auto it = table.find(build->rows[i][build_index]);
-          if (it != table.end()) it->second.push_back(i);
-        }
+        // The cost model charges a classic build + probe.
         host_ns += kHostJoinBuildNsPerRow * build->rows.size() +
                    kHostJoinProbeNsPerRow * rows.size();
-        std::vector<Row> joined;
-        for (const Row& row : rows) {
-          for (const std::uint32_t i : table.find(row[probe_index])->second) {
-            Row out = row;
-            out.insert(out.end(), build->rows[i].begin(),
-                       build->rows[i].end());
-            joined.push_back(std::move(out));
-          }
-        }
-        host_ns += kHostJoinEmitNsPerRow * joined.size();
-        rows = std::move(joined);
+        rows = join_rows(rows, column_index(columns, op.probe_column),
+                         build->rows,
+                         column_index(build->columns, op.build_column));
+        host_ns += kHostJoinEmitNsPerRow * rows.size();
         const std::string prefix(to_string(op.build_dataset));
         for (const auto& name : build->columns) {
           columns.push_back(prefix + "." + name);
@@ -278,38 +392,26 @@ ResultTable execute_plan(const CompiledPlan& plan,
         if (op.group_column.empty()) {
           // Empty input keeps the fold's seed, like the HW unit.
           std::uint64_t acc = fold.seed();
-          for (const Row& row : rows) {
-            acc = fold.combine(acc, fold.widen(row[value_index]));
+          for (std::size_t r = 0; r < rows.size(); ++r) {
+            acc = fold.combine(acc, fold.widen(rows.row(r)[value_index]));
           }
-          rows = {Row{acc}};
+          rows = FlatRows{.width = 1, .cells = {acc}};
           columns = {out_name};
           fields = {result};
         } else {
           const std::size_t group_index =
               column_index(columns, op.group_column);
-          std::map<std::uint64_t, std::uint64_t> groups;  // Key-sorted out.
-          for (const Row& row : rows) {
-            std::uint64_t& acc =
-                groups.try_emplace(row[group_index], fold.seed()).first->second;
-            acc = fold.combine(acc, fold.widen(row[value_index]));
-          }
-          std::vector<Row> folded;
-          folded.reserve(groups.size());
-          for (const auto& [key, acc] : groups) folded.push_back(Row{key, acc});
-          rows = std::move(folded);
+          rows = group_rows(rows, group_index, value_index, fold);
           columns = {op.group_column, out_name};
           fields = {fields[group_index], result};
         }
         break;
       }
       case OpKind::kTopK: {
-        const std::size_t order_index =
-            column_index(columns, op.order_column);
         host_ns += kHostSortNsPerRowLog * rows.size() *
                    ceil_log2(std::max<std::uint64_t>(rows.size(), 2));
-        std::sort(rows.begin(), rows.end(),
-                  TopKLess{order_index, op.descending});
-        if (rows.size() > op.k) rows.resize(op.k);
+        rows = top_rows(rows, column_index(columns, op.order_column),
+                        op.descending, op.k);
         break;
       }
     }
@@ -317,7 +419,10 @@ ResultTable execute_plan(const CompiledPlan& plan,
 
   ResultTable table;
   table.columns = std::move(columns);
-  table.rows = std::move(rows);
+  table.rows.reserve(rows.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    table.rows.emplace_back(rows.row(r), rows.row(r) + rows.width);
+  }
   local.host_ns = host_ns;
   local.rows_out = table.rows.size();
   if (stats != nullptr) *stats = std::move(local);

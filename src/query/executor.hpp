@@ -4,11 +4,17 @@
 // leaf — the probe and build sides of a join live in separate
 // namespaces, served serially by the device, so the virtual elapsed time
 // is the sum of the leaf offloads plus the modeled host time of the SW
-// tail. All tail operators are implemented with deterministic data
-// structures (insertion-ordered hash buckets, ordered maps, total-order
-// sorts), so results are byte-stable across --pes/--threads/--sim-mode
-// and fault profiles — the repo's determinism matrix extended to whole
-// plans.
+// tail. No result row is a heap object of its own before the final
+// ResultTable: each leaf decodes the scan's record sink straight into a
+// row-major table (one u64 vector plus a width); filter compacts it in
+// place, project rebuilds it; the join gives each distinct probe key a
+// dense slot and lays the build matches out by a counted prefix sum, so it
+// emits probe order, then build order within a key; the grouped aggregate
+// folds each group in row order and then orders the groups by key; top-k
+// sorts row indices under a total order. Every order is a function of
+// the rows alone, so results are byte-stable across
+// --pes/--threads/--sim-mode and fault profiles — the repo's determinism
+// matrix extended to whole plans.
 //
 // The host-side cost model is intentionally simple and fully integer-
 // deterministic: per-operator dispatch plus per-row work (constants

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 
 #include "platform/timing.hpp"
 #include "workload/pubgraph.hpp"
@@ -78,6 +77,18 @@ Table scan_dataset(Dataset dataset, std::uint64_t scale_divisor,
     stats->host_ns += kHostDecodeNsPerRow * table.rows.size();
   }
   return table;
+}
+
+/// Row indices of `rows` stably sorted by column `column`.
+std::vector<std::size_t> stable_key_order(const std::vector<Row>& rows,
+                                          std::size_t column) {
+  std::vector<std::size_t> order(rows.size());
+  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return rows[a][column] < rows[b][column];
+                   });
+  return order;
 }
 
 std::uint64_t ref_ceil_log2(std::uint64_t n) {
@@ -174,13 +185,33 @@ ResultTable reference_execute(const Plan& plan, std::uint64_t scale_divisor,
             index_of(build.columns, op.build_column);
         local.host_ns += kHostJoinBuildNsPerRow * build.rows.size() +
                          kHostJoinProbeNsPerRow * table.rows.size();
-        // Naive nested loop: probe order outer, build order inner —
-        // exactly the emission order the compiled hash join preserves.
+        // Sort-merge: both sides stably ordered by key (ties keep row
+        // order), merged into each probe row's run of build rows, then
+        // emitted in probe order — probe order, then build order within a
+        // key, the order the compiled join keeps.
+        const std::vector<std::size_t> build_order =
+            stable_key_order(build.rows, build_index);
+        const std::vector<std::size_t> probe_order =
+            stable_key_order(table.rows, probe_index);
+        const auto build_key = [&](std::size_t at) {
+          return build.rows[build_order[at]][build_index];
+        };
+        std::vector<std::pair<std::size_t, std::size_t>> runs(
+            table.rows.size());
+        std::size_t lo = 0;
+        std::size_t hi = 0;
+        for (const std::size_t p : probe_order) {
+          const std::uint64_t key = table.rows[p][probe_index];
+          while (lo < build_order.size() && build_key(lo) < key) ++lo;
+          hi = std::max(hi, lo);
+          while (hi < build_order.size() && build_key(hi) == key) ++hi;
+          runs[p] = {lo, hi};
+        }
         std::vector<Row> joined;
-        for (const Row& row : table.rows) {
-          for (const Row& other : build.rows) {
-            if (row[probe_index] != other[build_index]) continue;
-            Row out = row;
+        for (std::size_t p = 0; p < table.rows.size(); ++p) {
+          for (std::size_t at = runs[p].first; at < runs[p].second; ++at) {
+            Row out = table.rows[p];
+            const Row& other = build.rows[build_order[at]];
             out.insert(out.end(), other.begin(), other.end());
             joined.push_back(std::move(out));
           }

@@ -3,7 +3,10 @@
 // operator, with no device model, no pushdown and no pruning. Its only
 // job is to define the correct answer: every compiled execution (HW
 // chain, residual cut, SW fallback) must produce a byte-identical
-// ResultTable. The modeled cost mirrors the classical host path
+// ResultTable. Its join is a sort-merge (both sides stably ordered by
+// key, each probe row's run of build rows emitted in probe order), which
+// shares no code with the compiled slot join and grows as n log n, so
+// plans can be checked at the benchmark's scale. The modeled cost mirrors the classical host path
 // analytically (all records cross NVMe at payload rate, per-row host
 // work) so benches can plot it as the no-NDP baseline without building a
 // device stack.

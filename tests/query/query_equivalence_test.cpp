@@ -4,6 +4,7 @@
 // (pes x threads x sim-mode), under fault profiles, and on reruns.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <limits>
 
@@ -20,6 +21,16 @@ namespace {
 // Small enough to keep the matrix fast, big enough for non-trivial rows
 // (papers: ~460 records / 2 blocks, refs: ~4601 records / 3 blocks).
 constexpr std::uint64_t kScale = 8192;
+
+// refs -> papers repeats probe keys; the recent_top join without its
+// top-k (and without any tail) has many build matches per probe key.
+constexpr const char* kJoinOrderPlans[] = {
+    "plan RefsToPapers {\n  scan refs;\n  join papers on dst eq id;\n}\n",
+    "plan RecentGroups {\n  scan papers;\n  filter year ge 2015;\n"
+    "  join refs on id eq dst;\n  aggregate count group id;\n}\n",
+    "plan RecentJoin {\n  scan papers;\n  filter year ge 2015;\n"
+    "  join refs on id eq dst;\n}\n",
+};
 
 Plan suite_plan(const std::string& name) {
   const NamedPlan* named = find_plan(name);
@@ -136,16 +147,7 @@ TEST(QueryEquivalence, JoinTopKInvariantAcrossMatrix) {
 TEST(QueryEquivalence, JoinEmitsProbeThenBuildOrder) {
   // No sorting before the comparison: the compiled join must emit probe
   // order, then build order within a key, exactly like the reference.
-  // refs -> papers repeats probe keys; the recent_top join without its
-  // top-k (and without any tail) has many build matches per probe key.
-  const char* kPlans[] = {
-      "plan RefsToPapers {\n  scan refs;\n  join papers on dst eq id;\n}\n",
-      "plan RecentGroups {\n  scan papers;\n  filter year ge 2015;\n"
-      "  join refs on id eq dst;\n  aggregate count group id;\n}\n",
-      "plan RecentJoin {\n  scan papers;\n  filter year ge 2015;\n"
-      "  join refs on id eq dst;\n}\n",
-  };
-  for (const char* source : kPlans) {
+  for (const char* source : kJoinOrderPlans) {
     auto parsed = parse_plan(source);
     ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
     const Plan plan = std::move(parsed).value();
@@ -166,6 +168,135 @@ TEST(QueryEquivalence, JoinEmitsProbeThenBuildOrder) {
       }
     }
   }
+}
+
+/// The plan's first `count` operators as a plan of their own.
+Plan prefix_plan(const Plan& plan, std::size_t count) {
+  Plan prefix = plan;
+  prefix.ops.resize(count);
+  return prefix;
+}
+
+TEST(QueryEquivalence, SortMergeOracleMatchesNestedLoop) {
+  // The oracle's sort-merge join against the textbook nested loop (probe
+  // order outer, build order inner), on every suite plan and on the
+  // JoinEmitsProbeThenBuildOrder plans. Everything after the join is the
+  // oracle's own code on the joined table, so equal joined tables make
+  // equal plan results.
+  std::vector<Plan> plans;
+  for (const auto& named : plan_suite()) plans.push_back(suite_plan(named.name));
+  for (const char* source : kJoinOrderPlans) {
+    auto parsed = parse_plan(source);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    plans.push_back(std::move(parsed).value());
+  }
+  std::size_t joins = 0;
+  for (const Plan& plan : plans) {
+    const auto join = std::find_if(
+        plan.ops.begin(), plan.ops.end(),
+        [](const PlanOp& op) { return op.kind == OpKind::kHashJoin; });
+    if (join == plan.ops.end()) continue;
+    SCOPED_TRACE(plan.name);
+    ++joins;
+    const auto at = static_cast<std::size_t>(join - plan.ops.begin());
+    const ResultTable probe = reference_execute(prefix_plan(plan, at), kScale);
+    PlanOp build_scan;
+    build_scan.dataset = join->build_dataset;
+    Plan build_plan;
+    build_plan.name = "Build";
+    build_plan.ops = {build_scan};
+    const ResultTable build = reference_execute(build_plan, kScale);
+    const auto column = [](const ResultTable& table, const std::string& name) {
+      return static_cast<std::size_t>(
+          std::find(table.columns.begin(), table.columns.end(), name) -
+          table.columns.begin());
+    };
+    const std::size_t probe_index = column(probe, join->probe_column);
+    const std::size_t build_index = column(build, join->build_column);
+    std::vector<Row> nested;
+    for (const Row& row : probe.rows) {
+      for (const Row& other : build.rows) {
+        if (row[probe_index] != other[build_index]) continue;
+        Row out = row;
+        out.insert(out.end(), other.begin(), other.end());
+        nested.push_back(std::move(out));
+      }
+    }
+    const ResultTable joined =
+        reference_execute(prefix_plan(plan, at + 1), kScale);
+    EXPECT_GT(nested.size(), 1u);
+    ASSERT_EQ(joined.rows.size(), nested.size());
+    for (std::size_t i = 0; i < nested.size(); ++i) {
+      ASSERT_EQ(joined.rows[i], nested[i]) << "row " << i;
+    }
+  }
+  EXPECT_EQ(joins, 4u);  // recent_top and the three join-order plans.
+}
+
+TEST(QueryEquivalence, TailEdgeCasesMatchReference) {
+  const char* kPlans[] = {
+      // Join whose build side reaches no slot: no paper's year is a ref
+      // src. (Build leaves carry no filter, so this is as empty as a
+      // build side gets.)
+      "plan NoBuildMatch {\n  scan papers;\n  join refs on year eq src;\n}\n",
+      // Join whose probe side is empty: no paper predates 1000.
+      "plan NoProbe {\n  scan papers;\n  filter year lt 1000;\n"
+      "  join refs on id eq dst;\n}\n",
+      // Top-k with k above the row count and tied order values; after the
+      // project, the full-row tiebreak (n_cited first) is not row order.
+      "plan WideTopDesc {\n  scan papers;\n  filter year lt 1960;\n"
+      "  topk 1000 by year desc;\n}\n",
+      "plan WideTopAsc {\n  scan papers;\n  filter year lt 1960;\n"
+      "  project n_cited, year, id;\n  topk 1000 by year asc;\n}\n",
+      // Grouped folds over a joined table.
+      "plan JoinCount {\n  scan papers;\n  filter year ge 2015;\n"
+      "  join refs on id eq dst;\n  aggregate count group id;\n}\n",
+      "plan JoinSum {\n  scan papers;\n  filter year ge 2015;\n"
+      "  join refs on id eq dst;\n  aggregate sum refs.src group id;\n}\n",
+      "plan JoinMin {\n  scan papers;\n  join refs on id eq dst;\n"
+      "  aggregate min year group refs.src;\n}\n",
+      "plan JoinMax {\n  scan papers;\n  join refs on id eq dst;\n"
+      "  aggregate max refs.src group venue_id;\n}\n",
+  };
+  for (const char* source : kPlans) {
+    SCOPED_TRACE(source);
+    auto parsed = parse_plan(source);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().to_string();
+    const Plan plan = std::move(parsed).value();
+    const ResultTable reference = reference_execute(plan, kScale);
+    QueryExecOptions options;
+    options.scale_divisor = kScale;
+    for (const bool force_software : {false, true}) {
+      CompileOptions compile;
+      compile.force_software = force_software;
+      auto compiled = compile_plan(plan, compile);
+      ASSERT_TRUE(compiled.ok());
+      EXPECT_EQ(run_compiled(compiled.value(), options), reference.to_bytes())
+          << (force_software ? "sw fallback" : "hw");
+    }
+  }
+}
+
+TEST(QueryEquivalence, TailEdgeCasesAreNotVacuous) {
+  // The edge cases above hold what they claim at this scale.
+  const auto rows = [](const char* source) {
+    auto parsed = parse_plan(source);
+    EXPECT_TRUE(parsed.ok()) << parsed.status().to_string();
+    return reference_execute(std::move(parsed).value(), kScale).rows;
+  };
+  EXPECT_TRUE(rows("plan A { scan papers; join refs on year eq src; }")
+                  .empty());
+  EXPECT_TRUE(rows("plan B { scan papers; filter year lt 1000; }").empty());
+  const auto top = rows(
+      "plan C { scan papers; filter year lt 1960; topk 1000 by year desc; }");
+  ASSERT_GT(top.size(), 1u);
+  EXPECT_LT(top.size(), 1000u);
+  const std::size_t year = 1;  // id, year, venue_id, n_refs, n_cited.
+  bool tied = false;
+  for (std::size_t i = 1; i < top.size(); ++i) {
+    tied |= top[i][year] == top[i - 1][year];
+  }
+  EXPECT_TRUE(tied);
 }
 
 TEST(QueryEquivalence, FaultProfilesPreserveResults) {

@@ -279,6 +279,53 @@ int main() {
     json.add("sim_throughput", "fast", cycles_per_s[1], "cyc/s");
     json.add("sim_throughput", "speedup", speedup, "ratio");
   }
+  // Load throughput: wall-clock records/s of workload::load_refs (the
+  // generator, its dedup, the SST build, flash page content and Bloom
+  // filters) against the generator alone over the same 1/64-scale refs
+  // (the same population at every NDPGEN_SCALE). Best of three each. Like
+  // sim_throughput, the rows never enter bench/baseline.json: its
+  // load-throughput rule holds the load/generator ratio within one run.
+  std::printf("\nload throughput (refs at 1/64, wall clock):\n");
+  {
+    const workload::PubGraphGenerator generator(
+        workload::PubGraphConfig{.scale_divisor = 64});
+    constexpr int kReps = 3;
+    double best[2] = {0, 0};  // generator, load_refs
+    std::uint64_t records[2] = {0, 0};
+    std::uint64_t checksum = 0;
+    for (int rep = 0; rep < kReps; ++rep) {
+      auto start = std::chrono::steady_clock::now();
+      for (std::uint64_t i = 0; i < generator.ref_count(); ++i) {
+        const workload::RefRecord ref = generator.ref(i);
+        checksum += ref.src ^ ref.dst;
+      }
+      const std::chrono::duration<double> gen_wall =
+          std::chrono::steady_clock::now() - start;
+      records[0] = generator.ref_count();
+
+      platform::CosmosPlatform cosmos;
+      kv::NKV db(cosmos, workload::db_config(workload::Dataset::kRefs));
+      start = std::chrono::steady_clock::now();
+      records[1] = workload::load_refs(db, generator);
+      const std::chrono::duration<double> load_wall =
+          std::chrono::steady_clock::now() - start;
+      if (rep == 0 || gen_wall.count() < best[0]) best[0] = gen_wall.count();
+      if (rep == 0 || load_wall.count() < best[1]) best[1] = load_wall.count();
+    }
+    const double gen_rate = static_cast<double>(records[0]) / best[0];
+    const double load_rate = static_cast<double>(records[1]) / best[1];
+    std::printf("%10s %12s %14s\n", "layer", "records", "records/s");
+    std::printf("%10s %12llu %14.0f\n", "generator",
+                static_cast<unsigned long long>(records[0]), gen_rate);
+    std::printf("%10s %12llu %14.0f\n", "load_refs",
+                static_cast<unsigned long long>(records[1]), load_rate);
+    std::printf("  load / generator: %.3f (checksum %llu)\n",
+                load_rate / gen_rate,
+                static_cast<unsigned long long>(checksum % 1000));
+    json.add("load_throughput", "generator", gen_rate, "rec/s");
+    json.add("load_throughput", "refs", load_rate, "rec/s");
+    json.add("load_throughput", "ratio", load_rate / gen_rate, "ratio");
+  }
   json.write();
 
   std::printf("\npaper-reported anchors (their testbed, absolute):\n");

@@ -60,7 +60,7 @@ PartitionDigestSet compute_observed_digests(kv::NKV& db,
   NDPGEN_CHECK_ARG(static_cast<bool>(partition_of),
                    "observed digests need a partition function");
   PartitionDigestSet observed(partitions);
-  const kv::KeyExtractor& extractor = db.config().extractor;
+  const kv::KeyExtractor extractor = db.config().extractor;
   for (const auto& table : db.version().recency_ordered()) {
     kv::SSTReader reader(*table, db.platform().flash(), extractor);
     reader.for_each_record([&](std::span<const std::uint8_t> record) {

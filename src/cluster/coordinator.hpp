@@ -56,7 +56,7 @@ struct CoordinatorConfig {
   fault::FaultProfile device_fault;
   /// Extracts the key from an output-layout record: partitions device
   /// results and orders the global merge. Required.
-  kv::KeyExtractor result_key;
+  kv::KeyExtractor result_key = nullptr;
   /// Background CRC scrubbing (off by default; see cluster/scrub.hpp).
   ScrubConfig scrub;
 };

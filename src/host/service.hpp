@@ -60,7 +60,7 @@ struct ServiceConfig {
   std::vector<ndp::FilterPredicate> predicates;
   /// Maps output-layout records to keys for per-request result
   /// accounting. Required.
-  kv::KeyExtractor result_key;
+  kv::KeyExtractor result_key = nullptr;
 };
 
 struct TenantReport {

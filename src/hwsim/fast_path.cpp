@@ -120,7 +120,8 @@ class SpanAutomaton {
   /// Follows replayable edges from node `id`, adding their deltas to
   /// `counters`; returns the node reached. Each step advances only the
   /// head slots; the tail gets each edge's deltas times its uses at the
-  /// end.
+  /// end. A self-loop replays as a run: one step takes it as many times in
+  /// a row as its guards and the next decisions allow.
   std::uint32_t walk(std::uint32_t id, std::vector<std::uint64_t>& counters) {
     std::uint64_t* c = counters.data();
     while (true) {
@@ -132,8 +133,10 @@ class SpanAutomaton {
         }
       }
       if (next == nullptr) break;
-      for (std::size_t i = 0; i < head_; ++i) c[i] += next->delta[i];
-      if (next->uses++ == 0) used_.push_back(next);
+      const std::uint64_t k = next->to == id ? run_length(*next, c) : 1;
+      for (std::size_t i = 0; i < head_; ++i) c[i] += k * next->delta[i];
+      if (next->uses == 0) used_.push_back(next);
+      next->uses += k;
       id = next->to;
     }
     for (Edge* edge : used_) {
@@ -185,6 +188,42 @@ class SpanAutomaton {
       label += n;
     }
     return true;
+  }
+
+  /// How many times in a row the self-loop `edge`, which replays from
+  /// `c`, replays: the largest k for which all k steps pass replays().
+  /// Step j (from 1) sees the head counters plus (j - 1) deltas, so the
+  /// word guards hold through step k when c + k * d < words_total, the
+  /// payload guard when c[kPayloadRem] > k * taken, and the labels when
+  /// each stage's next k * n decisions repeat the edge's n. The labels out
+  /// of one node are prefix-free, so no other edge could have replayed at
+  /// any of these steps: the run is exactly the steps walk() would take.
+  [[nodiscard]] std::uint64_t run_length(const Edge& edge,
+                                         const std::uint64_t* c) const {
+    const std::uint64_t* d = edge.delta.data();
+    std::uint64_t k = ~std::uint64_t{0};
+    for (const std::size_t slot : {kRequested, kPushed}) {
+      if (d[slot] > 0) k = std::min(k, (words_total_ - 1 - c[slot]) / d[slot]);
+    }
+    if (const std::uint64_t taken = 0 - d[kPayloadRem]; taken > 0) {
+      k = std::min(k, (c[kPayloadRem] - 1) / taken);
+    }
+    for (std::size_t s = 0; s < stage_pass_.size(); ++s) {
+      const std::uint64_t n = d[kPos + s];
+      if (n == 0) continue;
+      const std::vector<std::uint8_t>& pass = stage_pass_[s];
+      const std::uint8_t* next = pass.data() + c[kPos + s];
+      const std::uint64_t limit =
+          std::min(k, (pass.size() - c[kPos + s]) / n) * n;
+      // replays() matched the first n; each later decision must equal the
+      // one a period before it.
+      std::uint64_t i = n;
+      while (i < limit && next[i] == next[i - n]) ++i;
+      k = i / n;
+    }
+    // A loop that moves no guard at all would replay forever; walk() steps
+    // it one at a time, as before.
+    return k == ~std::uint64_t{0} ? 1 : k;
   }
 
   const std::vector<std::vector<std::uint8_t>>& stage_pass_;

@@ -1,36 +1,42 @@
 #include "kv/block_format.hpp"
 
+#include <cstring>
+
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::kv {
 
 DataBlockBuilder::DataBlockBuilder(std::uint32_t record_bytes)
-    : record_bytes_(record_bytes) {
+    : record_bytes_(record_bytes), capacity_(records_per_block(record_bytes)) {
   NDPGEN_CHECK_ARG(record_bytes > 0 &&
                        record_bytes <= kDataBlockBytes - kBlockTrailerBytes,
                    "record size must fit a data block");
-  buffer_.reserve(kDataBlockBytes);
+  image_.resize(kDataBlockBytes);
 }
 
 void DataBlockBuilder::add(std::span<const std::uint8_t> record) {
   NDPGEN_CHECK_ARG(record.size() == record_bytes_,
                    "record size does not match the block geometry");
   NDPGEN_CHECK_ARG(has_space(), "data block is full");
-  buffer_.insert(buffer_.end(), record.begin(), record.end());
-  ++count_;
+  std::memcpy(slot().data(), record.data(), record_bytes_);
+  commit();
+}
+
+std::span<const std::uint8_t> DataBlockBuilder::seal() {
+  const std::size_t base = kDataBlockBytes - kBlockTrailerBytes;
+  const std::size_t payload = std::size_t{count_} * record_bytes_;
+  std::memset(image_.data() + payload, 0, base - payload);
+  // Trailer: count u16, record size u16, magic u32.
+  support::store_u32(image_.data() + base, count_ | record_bytes_ << 16);
+  support::store_u32(image_.data() + base + 4, kBlockMagic);
+  count_ = 0;
+  return image_;
 }
 
 std::vector<std::uint8_t> DataBlockBuilder::finish() {
-  std::vector<std::uint8_t> block(std::move(buffer_));
-  block.resize(kDataBlockBytes - kBlockTrailerBytes, 0);
-  support::put_u16(block, static_cast<std::uint16_t>(count_));
-  support::put_u16(block, static_cast<std::uint16_t>(record_bytes_));
-  support::put_u32(block, kBlockMagic);
-  buffer_.clear();
-  buffer_.reserve(kDataBlockBytes);
-  count_ = 0;
-  return block;
+  const std::span<const std::uint8_t> image = seal();
+  return {image.begin(), image.end()};
 }
 
 BlockTrailer read_trailer(std::span<const std::uint8_t> block) {

@@ -39,28 +39,40 @@ struct BlockTrailer {
   std::uint16_t record_bytes = 0;
 };
 
-/// Builds one data block in memory.
+/// Builds one data block in place, in one reused kDataBlockBytes image.
 class DataBlockBuilder {
  public:
   explicit DataBlockBuilder(std::uint32_t record_bytes);
 
   /// True if another record still fits.
-  [[nodiscard]] bool has_space() const noexcept {
-    return count_ < records_per_block(record_bytes_);
-  }
+  [[nodiscard]] bool has_space() const noexcept { return count_ < capacity_; }
   [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
   [[nodiscard]] std::uint32_t record_count() const noexcept { return count_; }
+
+  /// The next record's slot in the image (record_bytes long; requires
+  /// has_space()). Write the record there, then commit() it; a slot left
+  /// uncommitted is handed out again.
+  [[nodiscard]] std::span<std::uint8_t> slot() noexcept {
+    return {image_.data() + std::size_t{count_} * record_bytes_,
+            record_bytes_};
+  }
+  void commit() noexcept { ++count_; }
 
   /// Appends one record (must be exactly record_bytes long).
   void add(std::span<const std::uint8_t> record);
 
-  /// Finalizes into a kDataBlockBytes buffer (trailer written) and resets.
+  /// Zeroes the slack, writes the trailer and returns the finished image,
+  /// valid until the next slot() or add(); the builder is empty again.
+  [[nodiscard]] std::span<const std::uint8_t> seal();
+
+  /// seal(), copied out.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
  private:
   std::uint32_t record_bytes_;
+  std::uint32_t capacity_;  ///< records_per_block(record_bytes_).
   std::uint32_t count_ = 0;
-  std::vector<std::uint8_t> buffer_;
+  std::vector<std::uint8_t> image_;
 };
 
 /// Parses and validates a block trailer. Throws Error{kStorage} if the

@@ -27,6 +27,7 @@ class BloomFilter {
     const std::uint64_t bits =
         std::max<std::uint64_t>(64, expected_keys * bits_per_key);
     words_.assign((bits + 63) / 64, 0);
+    reciprocal_ = reciprocal(bit_count());
   }
 
   [[nodiscard]] bool empty() const noexcept { return words_.empty(); }
@@ -39,7 +40,7 @@ class BloomFilter {
     std::uint64_t h1 = 0, h2 = 0;
     hashes(key, h1, h2);
     for (std::uint32_t probe = 0; probe < kProbes; ++probe) {
-      set_bit((h1 + probe * h2) % bit_count());
+      set_bit(position(h1 + probe * h2));
     }
   }
 
@@ -50,7 +51,7 @@ class BloomFilter {
     std::uint64_t h1 = 0, h2 = 0;
     hashes(key, h1, h2);
     for (std::uint32_t probe = 0; probe < kProbes; ++probe) {
-      if (!bit((h1 + probe * h2) % bit_count())) return false;
+      if (!bit(position(h1 + probe * h2))) return false;
     }
     return true;
   }
@@ -62,6 +63,9 @@ class BloomFilter {
   static BloomFilter from_words(std::vector<std::uint64_t> words) {
     BloomFilter filter;
     filter.words_ = std::move(words);
+    if (!filter.words_.empty()) {
+      filter.reciprocal_ = reciprocal(filter.bit_count());
+    }
     return filter;
   }
 
@@ -80,6 +84,26 @@ class BloomFilter {
     h2 = mix(key.lo * 0xc2b2ae3d27d4eb4fULL ^ key.hi) | 1;  // Odd stride.
   }
 
+  /// ceil(2^128 / bits) for bits >= 2: the reciprocal of Lemire, Kaser
+  /// and Kurz's direct remainder ("Faster Remainder by Direct
+  /// Computation", 2019).
+  static unsigned __int128 reciprocal(std::uint64_t bits) noexcept {
+    return ~static_cast<unsigned __int128>(0) / bits + 1;
+  }
+
+  /// `hash % bit_count()` without a division: with 128 fraction bits the
+  /// scaled remainder's top word is exact for every 64-bit hash and
+  /// divisor, so the filter's bits do not depend on the arithmetic.
+  [[nodiscard]] std::uint64_t position(std::uint64_t hash) const noexcept {
+    const unsigned __int128 fraction = reciprocal_ * hash;  // mod 2^128
+    const std::uint64_t bits = bit_count();
+    const unsigned __int128 low =
+        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(fraction)) *
+         bits) >> 64;
+    const unsigned __int128 high = (fraction >> 64) * bits;
+    return static_cast<std::uint64_t>((low + high) >> 64);
+  }
+
   void set_bit(std::uint64_t index) noexcept {
     words_[index / 64] |= std::uint64_t{1} << (index % 64);
   }
@@ -88,6 +112,7 @@ class BloomFilter {
   }
 
   std::vector<std::uint64_t> words_;
+  unsigned __int128 reciprocal_ = 0;  ///< reciprocal(bit_count()).
 };
 
 }  // namespace ndpgen::kv

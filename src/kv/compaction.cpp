@@ -27,7 +27,7 @@ Compactor::Compactor(Version& version, PlacementPolicy& placement,
     : version_(version),
       placement_(placement),
       flash_(flash),
-      extractor_(std::move(extractor)),
+      extractor_(extractor),
       record_bytes_(record_bytes),
       config_(config),
       timed_(timed) {

@@ -1,5 +1,6 @@
 #include "kv/db.hpp"
 
+#include <cstring>
 #include <unordered_set>
 
 #include "kv/manifest.hpp"
@@ -23,7 +24,7 @@ NKV::NKV(platform::CosmosPlatform& platform, DBConfig config)
                  config_.record_bytes, config_.compaction,
                  config_.timed_writes) {
   NDPGEN_CHECK_ARG(config_.record_bytes > 0, "DBConfig.record_bytes required");
-  NDPGEN_CHECK_ARG(static_cast<bool>(config_.extractor),
+  NDPGEN_CHECK_ARG(config_.extractor != nullptr,
                    "DBConfig.extractor required");
   if (platform.fault_injector().enabled()) {
     placement_->set_fault_injector(&platform.fault_injector());
@@ -172,40 +173,66 @@ std::uint64_t NKV::compact() {
   return ran;
 }
 
+BulkLoad::BulkLoad(NKV& db, std::uint32_t level,
+                   std::uint64_t records_per_sst)
+    : db_(db), level_(level), records_per_sst_(records_per_sst) {
+  NDPGEN_CHECK_ARG(records_per_sst > 0, "records_per_sst must be > 0");
+}
+
+std::span<std::uint8_t> BulkLoad::slot() {
+  if (builder_ == nullptr) {
+    builder_ = std::make_unique<SSTBuilder>(
+        db_.next_sst_id_++, level_, db_.config_.record_bytes,
+        db_.config_.extractor, *db_.placement_, db_.platform_.flash(),
+        records_per_sst_);
+    in_current_ = 0;
+  }
+  slot_ = builder_->slot();
+  return slot_;
+}
+
+void BulkLoad::commit() {
+  builder_->commit(++db_.seq_);
+  if (db_.record_hook_) db_.record_hook_(slot_, /*added=*/true);
+  if (++in_current_ >= records_per_sst_) {
+    db_.version_.add(level_, builder_->finish());
+    builder_.reset();
+  }
+}
+
+void BulkLoad::finish() {
+  if (builder_ != nullptr && builder_->records_added() > 0) {
+    db_.version_.add(level_, builder_->finish());
+  }
+  builder_.reset();
+  if (db_.manifest_store_ != nullptr && db_.memtable_->empty()) {
+    db_.durable_seq_ = db_.seq_;
+    db_.commit_manifest();
+    db_.wal_->reset();
+  } else if (db_.manifest_store_ != nullptr) {
+    // Un-flushed MemTable entries are only covered by the WAL: commit the
+    // bulk-loaded tables without advancing the durable bound or truncating.
+    db_.commit_manifest();
+  }
+}
+
+BulkLoad NKV::bulk_load(std::uint32_t level, std::uint64_t records_per_sst) {
+  return BulkLoad(*this, level, records_per_sst);
+}
+
 void NKV::bulk_load_sorted(
     std::uint32_t level,
     const std::function<bool(std::vector<std::uint8_t>&)>& next_record,
     std::uint64_t records_per_sst) {
-  NDPGEN_CHECK_ARG(records_per_sst > 0, "records_per_sst must be > 0");
+  BulkLoad load = bulk_load(level, records_per_sst);
   std::vector<std::uint8_t> record;
-  std::unique_ptr<SSTBuilder> builder;
-  std::uint64_t in_current = 0;
   while (next_record(record)) {
-    if (builder == nullptr) {
-      builder = std::make_unique<SSTBuilder>(
-          next_sst_id_++, level, config_.record_bytes, config_.extractor,
-          *placement_, platform_.flash());
-      in_current = 0;
-    }
-    builder->add(record, ++seq_);
-    if (record_hook_) record_hook_(record, /*added=*/true);
-    if (++in_current >= records_per_sst) {
-      version_.add(level, builder->finish());
-      builder.reset();
-    }
+    NDPGEN_CHECK_ARG(record.size() == config_.record_bytes,
+                     "record size does not match the block geometry");
+    std::memcpy(load.slot().data(), record.data(), record.size());
+    load.commit();
   }
-  if (builder != nullptr && builder->records_added() > 0) {
-    version_.add(level, builder->finish());
-  }
-  if (manifest_store_ != nullptr && memtable_->empty()) {
-    durable_seq_ = seq_;
-    commit_manifest();
-    wal_->reset();
-  } else if (manifest_store_ != nullptr) {
-    // Un-flushed MemTable entries are only covered by the WAL: commit the
-    // bulk-loaded tables without advancing the durable bound or truncating.
-    commit_manifest();
-  }
+  load.finish();
 }
 
 RecoveryReport NKV::recover(const RecoveryOptions& options) {

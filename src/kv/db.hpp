@@ -49,7 +49,7 @@ inline constexpr std::uint32_t kManifestPointerBlocks = 2;
 
 struct DBConfig {
   std::uint32_t record_bytes = 0;  ///< Fixed tuple size (required).
-  KeyExtractor extractor;          ///< Required.
+  KeyExtractor extractor = nullptr;  ///< Required.
   std::size_t memtable_bytes = 2 * 1024 * 1024;
   /// Flash placement groups (§III-B). 1 = stripe every level over all
   /// channels (maximum scan parallelism, the evaluation setting);
@@ -110,6 +110,35 @@ struct RecoveryOptions {
   std::function<void()> mid_recovery_probe;
 };
 
+class NKV;
+
+/// One bulk load of key-sorted records into one level as full SSTs
+/// (dataset setup; equivalent to an ingestion path). The loader writes
+/// each record straight into slot(), the next record of the open data
+/// block, and commit()s it; finish() seals the last table. Nothing else
+/// may write to the store while a load is open.
+class BulkLoad {
+ public:
+  /// The next record's slot, record_bytes long. Ask for it only when a
+  /// record will be committed: the first slot of a table opens the table.
+  [[nodiscard]] std::span<std::uint8_t> slot();
+  /// Adds the record written into slot(); keys must strictly ascend.
+  void commit();
+  /// Seals the last table and commits the manifest of a durable store.
+  void finish();
+
+ private:
+  friend class NKV;
+  BulkLoad(NKV& db, std::uint32_t level, std::uint64_t records_per_sst);
+
+  NKV& db_;
+  std::uint32_t level_;
+  std::uint64_t records_per_sst_;
+  std::unique_ptr<SSTBuilder> builder_;
+  std::uint64_t in_current_ = 0;  ///< Records in builder_'s table.
+  std::span<std::uint8_t> slot_;  ///< The last slot() handed out.
+};
+
 class NKV {
  public:
   NKV(platform::CosmosPlatform& platform, DBConfig config);
@@ -129,8 +158,12 @@ class NKV {
   /// Runs pending compactions; returns how many ran.
   std::uint64_t compact();
 
-  /// Bulk-loads key-sorted records directly into `level` as full SSTs
-  /// (dataset setup for experiments; equivalent to an ingestion path).
+  /// Opens a bulk load into `level` (see BulkLoad).
+  [[nodiscard]] BulkLoad bulk_load(std::uint32_t level,
+                                   std::uint64_t records_per_sst);
+
+  /// Bulk-loads the records `next_record` produces, one copy each, through
+  /// bulk_load().
   void bulk_load_sorted(
       std::uint32_t level,
       const std::function<bool(std::vector<std::uint8_t>&)>& next_record,
@@ -179,6 +212,8 @@ class NKV {
   void set_record_hook(RecordHook hook);
 
  private:
+  friend class BulkLoad;
+
   void charge_programs(const SSTable& table);
   void journal_put(SequenceNumber seq, std::span<const std::uint8_t> record);
   void journal_del(SequenceNumber seq, const Key& key);

@@ -1,6 +1,7 @@
 #include "kv/sst_builder.hpp"
 
 #include <algorithm>
+#include <cstring>
 
 #include "support/crc32c.hpp"
 #include "support/error.hpp"
@@ -41,14 +42,14 @@ const Tombstone* SSTable::find_tombstone(const Key& key) const noexcept {
 SSTBuilder::SSTBuilder(std::uint64_t id, std::uint32_t level,
                        std::uint32_t record_bytes, KeyExtractor extractor,
                        PlacementPolicy& placement,
-                       platform::FlashModel& flash)
+                       platform::FlashModel& flash,
+                       std::uint64_t expected_records)
     : table_(std::make_shared<SSTable>()),
-      extractor_(std::move(extractor)),
+      extractor_(extractor),
       placement_(placement),
       flash_(flash),
       block_builder_(record_bytes) {
-  NDPGEN_CHECK_ARG(static_cast<bool>(extractor_),
-                   "SST builder needs a key extractor");
+  NDPGEN_CHECK_ARG(extractor_ != nullptr, "SST builder needs a key extractor");
   NDPGEN_CHECK_ARG(kDataBlockBytes % flash.topology().page_bytes == 0,
                    "data block must be a whole number of flash pages");
   table_->id = id;
@@ -58,29 +59,22 @@ SSTBuilder::SSTBuilder(std::uint64_t id, std::uint32_t level,
   table_->max_key = Key::min();
   table_->min_seq = ~SequenceNumber{0};
   table_->max_seq = 0;
+  bloom_keys_.reserve(expected_records);
+}
+
+void SSTBuilder::raise_unordered(const Key& key) const {
+  ndpgen::raise(ErrorKind::kStorage,
+                "SST records must be added in strictly ascending key "
+                "order (got " + key.to_string() + " after " +
+                    last_key_.to_string() + ")");
 }
 
 void SSTBuilder::add(std::span<const std::uint8_t> record,
                      SequenceNumber seq) {
-  const Key key = extractor_(record);
-  if (any_key_ && !(last_added_ < key)) {
-    ndpgen::raise(ErrorKind::kStorage,
-                  "SST records must be added in strictly ascending key "
-                  "order (got " + key.to_string() + " after " +
-                      last_added_.to_string() + ")");
-  }
-  if (!block_builder_.has_space()) flush_block();
-  if (block_builder_.empty()) block_first_key_ = key;
-  block_builder_.add(record);
-  block_last_key_ = key;
-  last_added_ = key;
-  any_key_ = true;
-  ++records_added_;
-  bloom_keys_.push_back(key);
-  table_->min_key = std::min(table_->min_key, key);
-  table_->max_key = std::max(table_->max_key, key);
-  table_->min_seq = std::min(table_->min_seq, seq);
-  table_->max_seq = std::max(table_->max_seq, seq);
+  NDPGEN_CHECK_ARG(record.size() == table_->record_bytes,
+                   "record size does not match the block geometry");
+  std::memcpy(slot().data(), record.data(), record.size());
+  commit(seq);
 }
 
 void SSTBuilder::add_tombstone(const Key& key, SequenceNumber seq) {
@@ -96,10 +90,10 @@ void SSTBuilder::flush_block() {
   if (block_builder_.empty()) return;
   BlockHandle handle;
   handle.first_key = block_first_key_;
-  handle.last_key = block_last_key_;
+  handle.last_key = last_key_;
   handle.record_count = static_cast<std::uint16_t>(
       block_builder_.record_count());
-  const std::vector<std::uint8_t> block = block_builder_.finish();
+  const std::span<const std::uint8_t> block = block_builder_.seal();
   handle.crc32c = support::crc32c(block);
 
   const std::uint32_t page_bytes = flash_.topology().page_bytes;
@@ -109,14 +103,18 @@ void SSTBuilder::flush_block() {
   for (std::uint32_t i = 0; i < pages; ++i) {
     const auto addr = flash_.delinearize(handle.flash_pages[i]);
     flash_.write_page_immediate(
-        addr, std::span<const std::uint8_t>(block).subspan(
-                  std::size_t{i} * page_bytes, page_bytes));
+        addr, block.subspan(std::size_t{i} * page_bytes, page_bytes));
   }
   table_->blocks.push_back(std::move(handle));
 }
 
 std::shared_ptr<SSTable> SSTBuilder::finish() {
   flush_block();
+  if (records_added_ > 0) {
+    // Records arrive ascending: the first and last bound their keys.
+    table_->min_key = std::min(table_->min_key, first_key_);
+    table_->max_key = std::max(table_->max_key, last_key_);
+  }
   std::sort(table_->tombstones.begin(), table_->tombstones.end(),
             [](const Tombstone& a, const Tombstone& b) {
               return a.key != b.key ? a.key < b.key : a.seq > b.seq;

@@ -8,8 +8,8 @@
 // format/layout layer.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -22,8 +22,9 @@
 
 namespace ndpgen::kv {
 
-/// Extracts the ordering key from a packed record.
-using KeyExtractor = std::function<Key(std::span<const std::uint8_t>)>;
+/// Extracts the ordering key from a packed record. A plain function: the
+/// store calls it once per record on every load, scan and dedup.
+using KeyExtractor = Key (*)(std::span<const std::uint8_t>);
 
 /// Index entry for one data block.
 struct BlockHandle {
@@ -70,11 +71,38 @@ struct SSTable {
 
 class SSTBuilder {
  public:
+  /// `expected_records` only sizes the Bloom key buffer up front.
   SSTBuilder(std::uint64_t id, std::uint32_t level, std::uint32_t record_bytes,
              KeyExtractor extractor, PlacementPolicy& placement,
-             platform::FlashModel& flash);
+             platform::FlashModel& flash, std::uint64_t expected_records = 0);
 
-  /// Adds one record; keys must arrive in strictly ascending order.
+  /// The next record's slot (record_bytes long) in the open data block,
+  /// flushing a full block first. Write the record there and commit() it;
+  /// a slot left uncommitted is handed out again.
+  [[nodiscard]] std::span<std::uint8_t> slot() {
+    if (!block_builder_.has_space()) flush_block();
+    return block_builder_.slot();
+  }
+
+  /// Adds the record written into slot(); keys must arrive in strictly
+  /// ascending order.
+  void commit(SequenceNumber seq) {
+    const Key key = extractor_(block_builder_.slot());
+    if (records_added_ == 0) {
+      first_key_ = key;
+    } else if (!(last_key_ < key)) {
+      raise_unordered(key);
+    }
+    if (block_builder_.empty()) block_first_key_ = key;
+    block_builder_.commit();
+    last_key_ = key;
+    ++records_added_;
+    bloom_keys_.push_back(key);
+    table_->min_seq = std::min(table_->min_seq, seq);
+    table_->max_seq = std::max(table_->max_seq, seq);
+  }
+
+  /// Copies `record` into slot() and commits it.
   void add(std::span<const std::uint8_t> record, SequenceNumber seq);
 
   /// Records a tombstone (also ascending relative to other adds).
@@ -91,6 +119,7 @@ class SSTBuilder {
 
  private:
   void flush_block();
+  [[noreturn]] void raise_unordered(const Key& key) const;
 
   std::shared_ptr<SSTable> table_;
   KeyExtractor extractor_;
@@ -98,10 +127,9 @@ class SSTBuilder {
   platform::FlashModel& flash_;
   DataBlockBuilder block_builder_;
 
-  bool any_key_ = false;
-  Key last_added_;
-  Key block_first_key_;
-  Key block_last_key_;
+  Key first_key_;        ///< Of the first record; valid once one is added.
+  Key last_key_;         ///< Of the last record added.
+  Key block_first_key_;  ///< Of the open block's first record.
   std::uint64_t records_added_ = 0;
   std::vector<Key> bloom_keys_;  ///< Filter built at finish().
 };

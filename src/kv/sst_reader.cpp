@@ -9,7 +9,7 @@ namespace ndpgen::kv {
 
 SSTReader::SSTReader(const SSTable& table, platform::FlashModel& flash,
                      KeyExtractor extractor)
-    : table_(table), flash_(flash), extractor_(std::move(extractor)) {
+    : table_(table), flash_(flash), extractor_(extractor) {
   NDPGEN_CHECK_ARG(static_cast<bool>(extractor_),
                    "SST reader needs a key extractor");
 }
@@ -90,7 +90,7 @@ std::optional<std::vector<std::uint8_t>> SSTReader::get(const Key& key) const {
 
 std::optional<std::span<const std::uint8_t>> SSTReader::find_in_block(
     std::span<const std::uint8_t> block, const Key& key,
-    const KeyExtractor& extractor) {
+    KeyExtractor extractor) {
   const BlockTrailer trailer = read_trailer(block);
   // Binary search over the fixed-size records.
   std::uint32_t lo = 0;

@@ -49,7 +49,7 @@ class SSTReader {
   /// block: the record whose key equals `key`, or nullopt.
   [[nodiscard]] static std::optional<std::span<const std::uint8_t>>
   find_in_block(std::span<const std::uint8_t> block, const Key& key,
-                const KeyExtractor& extractor);
+                KeyExtractor extractor);
 
   /// Iterates all records of the table in key order.
   void for_each_record(

@@ -22,6 +22,12 @@ namespace {
 /// because the result's table overlaps no other.
 constexpr platform::SimTime kFinalizePerResult = 35;  // ns
 
+/// Blocks a multi-shard pipeline run routes, executes and folds at once.
+/// It bounds the routed block copies (32 KiB each) held at a time; it is a
+/// wall-clock knob only, since the order of every observable step stays
+/// global block order.
+constexpr std::size_t kWindowBlocks = 256;
+
 /// Per-block media flags accumulated from the timed page reads.
 constexpr std::uint8_t kMediaRetried = 1;
 constexpr std::uint8_t kMediaUncorrectable = 2;
@@ -699,16 +705,13 @@ HybridExecutor::PipelineRun HybridExecutor::run_pipeline(
   //    span: it starts when both its flash pages and its shard are
   //    available; the width is its processing time.
   obs::Observability& obs = platform.observability();
-  const auto complete = [&](std::size_t b, Outcome& out) {
-    if (obs.tracing()) {
-      obs.trace->complete(
-          obs.trace->track("ndp.shard" + std::to_string(shard_of[b])),
-          "block", "ndp", out.start, out.cost,
-          "{\"block\":" + std::to_string(b) +
-              ",\"matched\":" + std::to_string(out.matched) + ctx_arg(obs) +
-              "}");
-    }
-    fold(b, shard_of[b], out);
+  const auto trace_block = [&](std::size_t b, platform::SimTime start,
+                               platform::SimTime cost, std::uint64_t matched) {
+    obs.trace->complete(
+        obs.trace->track("ndp.shard" + std::to_string(shard_of[b])), "block",
+        "ndp", start, cost,
+        "{\"block\":" + std::to_string(b) +
+            ",\"matched\":" + std::to_string(matched) + ctx_arg(obs) + "}");
   };
   if (shard_count == 1) {
     // One shard streams on the calling thread: only one block buffer and
@@ -717,21 +720,47 @@ HybridExecutor::PipelineRun HybridExecutor::run_pipeline(
       Routed item = route(b);
       Outcome out;
       execute(0, b, item, out);
-      complete(b, out);
+      if (obs.tracing()) trace_block(b, out.start, out.cost, out.matched);
+      fold(b, 0, out);
     }
   } else {
+    // Several shards run in windows of global block order: route a window
+    // serially, execute it on the pool (each shard its own blocks, in
+    // ascending order as before), then fold it in order.
+    // Only one window's block copies and survivors are live at a time. The
+    // block spans are traced after the last window, so every read_block
+    // instant of the routing still precedes them.
+    struct Span {
+      platform::SimTime start = 0;
+      platform::SimTime cost = 0;
+      std::uint64_t matched = 0;
+    };
+    std::vector<Span> spans;
     std::vector<Routed> work;
-    work.reserve(blocks.size());
-    for (std::size_t b = 0; b < blocks.size(); ++b) work.push_back(route(b));
-    std::vector<Outcome> outcomes(blocks.size());
+    std::vector<Outcome> outcomes;
     support::ThreadPool pool(
         support::ThreadPool::capped_threads(config_.pe_threads, shard_count));
-    support::parallel_for(pool, shard_count, [&](std::size_t k) {
-      for (const std::size_t b : shard_lists[k]) {
-        execute(static_cast<std::uint32_t>(k), b, work[b], outcomes[b]);
+    for (std::size_t w0 = 0; w0 < blocks.size(); w0 += kWindowBlocks) {
+      const std::size_t w1 = std::min(blocks.size(), w0 + kWindowBlocks);
+      work.clear();
+      for (std::size_t b = w0; b < w1; ++b) work.push_back(route(b));
+      outcomes.assign(w1 - w0, Outcome{});
+      support::parallel_for(pool, shard_count, [&](std::size_t k) {
+        for (std::size_t b = w0; b < w1; ++b) {
+          if (shard_of[b] != k) continue;
+          execute(static_cast<std::uint32_t>(k), b, work[b - w0],
+                  outcomes[b - w0]);
+        }
+      });
+      for (std::size_t b = w0; b < w1; ++b) {
+        Outcome& out = outcomes[b - w0];
+        if (obs.tracing()) spans.push_back({out.start, out.cost, out.matched});
+        fold(b, shard_of[b], out);
       }
-    });
-    for (std::size_t b = 0; b < blocks.size(); ++b) complete(b, outcomes[b]);
+    }
+    for (std::size_t b = 0; b < spans.size(); ++b) {
+      trace_block(b, spans[b].start, spans[b].cost, spans[b].matched);
+    }
   }
   // The PE phase ends when the SLOWEST shard drains: replicated PEs divide
   // the cycle work, but the critical path is the worst shard.

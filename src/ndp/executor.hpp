@@ -171,7 +171,7 @@ struct ExecutorConfig {
   /// dedup and tombstone suppression on scan results. When the transform
   /// drops the key fields, leave unset: the scan then reports raw
   /// survivors (valid for single-version datasets such as bulk loads).
-  kv::KeyExtractor result_key_extractor;
+  kv::KeyExtractor result_key_extractor = nullptr;
 };
 
 class HybridExecutor {

@@ -202,6 +202,7 @@ PubGraphGenerator::PubGraphGenerator(PubGraphConfig config)
   papers_ = std::max<std::uint64_t>(1, kFullScalePapers / config.scale_divisor);
   refs_ = std::max<std::uint64_t>(1, kFullScaleRefs / config.scale_divisor);
   degree_ = std::max<std::uint64_t>(1, refs_ / papers_);
+  width_ = std::max<std::uint64_t>(1, papers_ / degree_);
 }
 
 PaperRecord PubGraphGenerator::paper(std::uint64_t index) const {
@@ -264,10 +265,8 @@ RefRecord PubGraphGenerator::ref(std::uint64_t index) const {
   record.src = src_index + 1;
   // Destination: j-th segment of the id space with deterministic jitter,
   // strictly ascending within a source (bulk-load ordering).
-  const std::uint64_t width = std::max<std::uint64_t>(1, papers_ / degree_);
-  const std::uint64_t base = std::min(j * width, papers_ - 1);
-  const std::uint64_t jitter =
-      mix(config_.seed, 5, index) % std::max<std::uint64_t>(1, width);
+  const std::uint64_t base = std::min(j * width_, papers_ - 1);
+  const std::uint64_t jitter = mix(config_.seed, 5, index) % width_;
   record.dst = std::min(base + jitter, papers_ - 1) + 1;
   return record;
 }
@@ -284,45 +283,33 @@ double PubGraphGenerator::year_selectivity(std::uint32_t year) const {
 std::uint64_t load_papers(kv::NKV& db, const PubGraphGenerator& generator,
                           std::uint32_t level,
                           std::uint64_t records_per_sst) {
-  std::uint64_t index = 0;
-  db.bulk_load_sorted(
-      level,
-      [&](std::vector<std::uint8_t>& record) {
-        if (index >= generator.paper_count()) return false;
-        record.resize(PaperRecord::kBytes);
-        generator.paper(index++).write(
-            std::span<std::uint8_t, PaperRecord::kBytes>(record));
-        return true;
-      },
-      records_per_sst);
-  return index;
+  kv::BulkLoad load = db.bulk_load(level, records_per_sst);
+  for (std::uint64_t index = 0; index < generator.paper_count(); ++index) {
+    generator.paper(index).write(load.slot().first<PaperRecord::kBytes>());
+    load.commit();
+  }
+  load.finish();
+  return generator.paper_count();
 }
 
 std::uint64_t load_refs(kv::NKV& db, const PubGraphGenerator& generator,
                         std::uint32_t level,
                         std::uint64_t records_per_sst) {
-  std::uint64_t index = 0;
+  kv::BulkLoad load = db.bulk_load(level, records_per_sst);
   std::uint64_t loaded = 0;
   kv::Key previous = kv::Key::min();
-  db.bulk_load_sorted(
-      level,
-      [&](std::vector<std::uint8_t>& record) {
-        // Skip duplicate (src, dst) pairs produced by the jittered
-        // generator: bulk load requires strictly ascending keys.
-        while (index < generator.ref_count()) {
-          const RefRecord candidate = generator.ref(index++);
-          const kv::Key key{candidate.src, candidate.dst};
-          if (previous < key) {
-            previous = key;
-            record.resize(RefRecord::kBytes);
-            candidate.write(std::span<std::uint8_t, RefRecord::kBytes>(record));
-            ++loaded;
-            return true;
-          }
-        }
-        return false;
-      },
-      records_per_sst);
+  for (std::uint64_t index = 0; index < generator.ref_count(); ++index) {
+    // Skip duplicate (src, dst) pairs produced by the jittered generator:
+    // bulk load requires strictly ascending keys.
+    const RefRecord ref = generator.ref(index);
+    const kv::Key key{ref.src, ref.dst};
+    if (!(previous < key)) continue;
+    previous = key;
+    ref.write(load.slot().first<RefRecord::kBytes>());
+    load.commit();
+    ++loaded;
+  }
+  load.finish();
   return loaded;
 }
 

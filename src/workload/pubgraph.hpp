@@ -106,6 +106,7 @@ class PubGraphGenerator {
   std::uint64_t papers_;
   std::uint64_t refs_;
   std::uint64_t degree_;  ///< Refs per paper, >= 1.
+  std::uint64_t width_;   ///< Destination id segment per ref slot, >= 1.
 };
 
 namespace detail {
@@ -153,10 +154,10 @@ struct DatasetInfo {
   /// C type of each column in `record_struct`, parallel to `columns`.
   std::vector<std::string_view> column_types;
   std::size_t key_columns;  ///< The first `key_columns` columns form the key.
-  kv::Key (*key)(std::span<const std::uint8_t>);  ///< Stored record.
+  kv::KeyExtractor key;  ///< Stored record.
   /// Key of the stock parser's OUTPUT record (the executor's recency
   /// dedup and the host service's per-request result accounting).
-  kv::Key (*result_key)(std::span<const std::uint8_t>);
+  kv::KeyExtractor result_key;
   /// Bulk loader with its default level and SST size.
   std::uint64_t (*load)(kv::NKV&, const PubGraphGenerator&);
 };

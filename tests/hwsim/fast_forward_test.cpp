@@ -596,6 +596,60 @@ TEST(FastForward, LongChunkHorizonsInsideReplayedSpansMatchExact) {
   }
 }
 
+TEST(FastForward, SelfLoopRunsEndWhereExactTickingDoes) {
+  // 16-byte edges settle into one span per tuple, so a run of equal
+  // decisions replays as a single self-loop run. The sweep over tuple
+  // counts, beat caps and stage counts ends runs at the last word request
+  // and at a decision that flips, in the middle or on the last tuple. The
+  // word-push and payload guards are checked on every run too; in a
+  // self-loop they advance by the same delta as the request guard, which
+  // the words in flight keep ahead, so a run never stops at them first.
+  const std::string edge_struct =
+      "typedef struct { uint64_t src; uint64_t dst; } Edge;";
+  const std::vector<std::string> fields = {"src", "dst", "src"};
+  for (std::uint32_t stages = 1; stages <= 3; ++stages) {
+    const hw::PEDesign design = design_for(
+        "/* @autogen define parser E with chunksize = 32, input = Edge, "
+        "output = Edge, filters = " + std::to_string(stages) + " */" +
+            edge_struct,
+        "E");
+    ASSERT_EQ(design.parser.input.storage_bytes(), 16u);
+    const std::vector<std::string> staged(fields.begin(),
+                                          fields.begin() + stages);
+    for (const std::uint64_t tuples : {1u, 2u, 3u, 5u, 64u, 301u, 2047u}) {
+      for (const auto& [pattern, first, flip] :
+           {std::tuple{"all-pass", true, tuples},
+            std::tuple{"all-drop", false, tuples},
+            std::tuple{"pass, last drops", true, tuples - 1},
+            std::tuple{"drop, last passes", false, tuples - 1},
+            std::tuple{"pass, middle drops", true, tuples / 2},
+            std::tuple{"drop, middle passes", false, tuples / 2}}) {
+        // The last stage sees the flipped decision (none at `tuples`);
+        // earlier ones see the run only.
+        std::vector<std::vector<bool>> per_stage(
+            stages, std::vector<bool>(tuples, first));
+        if (flip < tuples) per_stage.back()[flip] = !first;
+        const auto payload =
+            long_chunk_payload(design, false, staged, per_stage);
+        for (const std::uint32_t cap : {1u, 2u, 3u}) {
+          SCOPED_TRACE(std::to_string(stages) + " stages, " +
+                       std::to_string(tuples) + " tuples, " + pattern +
+                       ", cap " + std::to_string(cap));
+          const auto run = [&](SimMode mode) {
+            return run_long_chunk(design, mode, cap, staged, payload,
+                                  hw::AggOp::kNone, 100'000'000, 0);
+          };
+          const LongChunkRun exact = run(SimMode::kExact);
+          const LongChunkRun fast = run(SimMode::kFast);
+          EXPECT_TRUE(fast.fused);
+          EXPECT_EQ(exact.stats.tuples_in, tuples);
+          expect_long_chunk_eq(exact, fast);
+        }
+      }
+    }
+  }
+}
+
 // ---- Output plane: the record plan's projection vs the exact datapath -
 
 /// Runs `payload` through `design` in both modes — stage 0 applies

@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "kv/db.hpp"
 #include "platform/cosmos.hpp"
 #include "support/bytes.hpp"
+#include "support/crc32c.hpp"
 #include "support/rng.hpp"
 
 namespace ndpgen::kv {
@@ -72,6 +76,50 @@ TEST(Bloom, WordsRoundTrip) {
   const BloomFilter copy = BloomFilter::from_words(filter.words());
   EXPECT_TRUE(copy.may_contain(Key{1, 2}));
   EXPECT_TRUE(copy.may_contain(Key{3, 4}));
+}
+
+/// CRC32C of a filter's raw words, little-endian.
+std::uint32_t words_crc(const BloomFilter& filter) {
+  std::vector<std::uint8_t> bytes;
+  for (const std::uint64_t word : filter.words()) {
+    support::put_u64(bytes, word);
+  }
+  return support::crc32c(bytes);
+}
+
+// The probe positions are part of the on-device format: manifests persist
+// the words, and a recovered store probes them with the same arithmetic.
+// Random 64-bit keys hash to random h1/h2, so h1 + p * h2 wraps 2^64 for
+// most keys and probes; the dense keys are the bulk-loaded stores' shape.
+TEST(Bloom, WordsArePinned) {
+  struct Case {
+    std::uint64_t keys;
+    std::uint32_t random_crc;
+    std::uint32_t dense_crc;
+  };
+  const Case cases[] = {{1, 1905181678u, 2036107812u},
+                        {7, 1223367266u, 3501908405u},
+                        {100, 3393524124u, 2981598736u},
+                        {16'320, 3966062479u, 3777172682u},
+                        {131'008, 591886316u, 2946865440u}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.keys);
+    support::Xoshiro256 rng(c.keys);
+    std::vector<Key> random;
+    std::vector<Key> dense;
+    for (std::uint64_t i = 0; i < c.keys; ++i) {
+      random.push_back(Key{rng(), rng()});
+      dense.push_back(Key{1 + i / 10, 1 + i * 37 % 4099});
+    }
+    for (const auto& [keys, crc] :
+         {std::pair{&random, c.random_crc}, std::pair{&dense, c.dense_crc}}) {
+      BloomFilter filter(keys->size());
+      for (const Key& key : *keys) filter.insert(key);
+      EXPECT_EQ(words_crc(filter), crc);
+      const BloomFilter copy = BloomFilter::from_words(filter.words());
+      for (const Key& key : *keys) ASSERT_TRUE(copy.may_contain(key));
+    }
+  }
 }
 
 // --- Integration with the store -------------------------------------

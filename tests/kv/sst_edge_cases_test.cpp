@@ -22,6 +22,10 @@ Key extract(std::span<const std::uint8_t> record) {
   return Key{support::get_u64(record, 0), 0};
 }
 
+Key wide_extract(std::span<const std::uint8_t> record) {
+  return Key{support::get_u64(record, 0), support::get_u64(record, 8)};
+}
+
 class SstEdgeFixture : public ::testing::Test {
  protected:
   SstEdgeFixture() : placement_(cosmos_.flash().topology()) {}
@@ -114,9 +118,6 @@ TEST_F(SstEdgeFixture, RecencyOrderedPutsNewestC1First) {
 }
 
 TEST_F(SstEdgeFixture, WideKeysUseBothHalves) {
-  auto wide_extract = [](std::span<const std::uint8_t> record) {
-    return Key{support::get_u64(record, 0), support::get_u64(record, 8)};
-  };
   SSTBuilder builder(1, 1, 16, wide_extract, placement_, cosmos_.flash());
   std::vector<std::uint8_t> a, b;
   support::put_u64(a, 1);

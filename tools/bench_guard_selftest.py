@@ -28,6 +28,9 @@ WALL_CLOCK = {"fig7_scan": {
     "sim_throughput|exact": {"value": 1.0e6, "unit": "cyc/s"},
     "sim_throughput|fast": {"value": 1.0e7, "unit": "cyc/s"},
     "sim_throughput|speedup": {"value": 10.0, "unit": "ratio"},
+    "load_throughput|generator": {"value": 1.0e8, "unit": "rec/s"},
+    "load_throughput|refs": {"value": 1.5e7, "unit": "rec/s"},
+    "load_throughput|ratio": {"value": 0.15, "unit": "ratio"},
 }}
 
 

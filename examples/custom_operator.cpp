@@ -51,7 +51,7 @@ int main() {
   std::printf("operator set:");
   for (const auto& op : artifacts.design.operators.ops()) {
     std::printf(" %s(%u)%s", op.name.c_str(), op.encoding,
-                op.custom ? "*" : "");
+                op.kind == hwgen::CompareKind::kCustom ? "*" : "");
   }
   std::printf("   (* = custom)\n");
 

@@ -2,7 +2,10 @@
 
 #include <bit>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "support/error.hpp"
 
@@ -29,36 +32,95 @@ double as_float(std::uint64_t raw, std::uint32_t width_bits) noexcept {
   return std::bit_cast<double>(raw);
 }
 
-/// Three-way comparison of operands under the *lhs* interpretation
-/// (-1, 0, +1). Widths are taken from the operands.
-int compare_words(CompareOperand lhs, CompareOperand rhs) noexcept {
-  switch (lhs.interp) {
-    case FieldInterp::kUnsigned: {
-      if (lhs.raw < rhs.raw) return -1;
-      if (lhs.raw > rhs.raw) return 1;
-      return 0;
-    }
-    case FieldInterp::kSigned: {
-      const std::int64_t a = sign_extend(lhs.raw, lhs.width_bits);
-      const std::int64_t b = sign_extend(rhs.raw, rhs.width_bits);
-      if (a < b) return -1;
-      if (a > b) return 1;
-      return 0;
-    }
-    case FieldInterp::kFloat: {
-      const double a = as_float(lhs.raw, lhs.width_bits);
-      const double b = as_float(rhs.raw, rhs.width_bits);
-      // Hardware comparators treat NaN as incomparable: all magnitude
-      // predicates are false, eq is false, ne is true. compare_words
-      // encodes that as +2 (NaN marker handled by callers via eq/ne only).
-      if (std::isnan(a) || std::isnan(b)) return 2;
-      if (a < b) return -1;
-      if (a > b) return 1;
-      return 0;
+template <CompareKind K, class Value>
+bool holds(Value a, Value b) noexcept {
+  if constexpr (K == CompareKind::kNe) return a != b;
+  if constexpr (K == CompareKind::kEq) return a == b;
+  if constexpr (K == CompareKind::kGt) return a > b;
+  if constexpr (K == CompareKind::kGe) return a >= b;
+  if constexpr (K == CompareKind::kLt) return a < b;
+  if constexpr (K == CompareKind::kLe) return a <= b;
+  return true;  // nop
+}
+
+template <class Value>
+bool holds(CompareKind kind, Value a, Value b) noexcept {
+  switch (kind) {
+    case CompareKind::kNe: return holds<CompareKind::kNe>(a, b);
+    case CompareKind::kEq: return holds<CompareKind::kEq>(a, b);
+    case CompareKind::kGt: return holds<CompareKind::kGt>(a, b);
+    case CompareKind::kGe: return holds<CompareKind::kGe>(a, b);
+    case CompareKind::kLt: return holds<CompareKind::kLt>(a, b);
+    case CompareKind::kLe: return holds<CompareKind::kLe>(a, b);
+    case CompareKind::kNop:
+    case CompareKind::kCustom: break;
+  }
+  return true;
+}
+
+/// How a kernel reads a field of one (interpretation, width): the stored
+/// word, and the value compare() compares, from a stored word or from a
+/// raw (zero-extended) one.
+template <class Word>
+struct UnsignedLane {
+  using Stored = Word;
+  static std::uint64_t from_stored(Word word) noexcept { return word; }
+  static std::uint64_t from_raw(std::uint64_t raw) noexcept { return raw; }
+};
+
+template <class Word>
+struct SignedLane {
+  using Stored = Word;
+  static std::int64_t from_stored(Word word) noexcept {
+    return static_cast<std::make_signed_t<Word>>(word);
+  }
+  static std::int64_t from_raw(std::uint64_t raw) noexcept {
+    return sign_extend(raw, 8 * sizeof(Word));
+  }
+};
+
+template <class Float, class Word>
+struct FloatLane {
+  using Stored = Word;
+  static Float from_stored(Word word) noexcept {
+    return std::bit_cast<Float>(word);
+  }
+  static Float from_raw(std::uint64_t raw) noexcept {
+    return std::bit_cast<Float>(static_cast<Word>(raw));
+  }
+};
+
+/// The little-endian word at `at`.
+template <class Word>
+Word load_le(const std::uint8_t* at) noexcept {
+  Word word = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&word, at, sizeof(Word));
+  } else {
+    for (std::size_t i = 0; i < sizeof(Word); ++i) {
+      word = static_cast<Word>(word | Word{at[i]} << (8 * i));
     }
   }
-  return 0;
+  return word;
 }
+
+/// A raw field word `width_bits` wide at `at`, zero-extended.
+std::uint64_t load_raw(const std::uint8_t* at,
+                       std::uint32_t width_bits) noexcept {
+  std::uint64_t raw = 0;
+  for (std::uint32_t i = 0; i < width_bits / 8; ++i) {
+    raw |= std::uint64_t{at[i]} << (8 * i);
+  }
+  return raw;
+}
+
+/// The standard operators by name, in encoding order.
+constexpr std::pair<std::string_view, CompareKind> kStandardOps[] = {
+    {"ne", CompareKind::kNe}, {"eq", CompareKind::kEq},
+    {"gt", CompareKind::kGt}, {"ge", CompareKind::kGe},
+    {"lt", CompareKind::kLt}, {"le", CompareKind::kLe},
+    {"nop", CompareKind::kNop},
+};
 
 /// MIN/MAX order as an unsigned key: signed words flip the sign bit,
 /// floats map onto the IEEE total order (-inf < ... < -0 < +0 < ... <
@@ -144,33 +206,174 @@ std::uint64_t AggregateFold::combine(std::uint64_t acc,
   return acc;
 }
 
+bool compare(CompareKind kind, FieldInterp interp, std::uint32_t width_bits,
+             std::uint64_t lhs, std::uint64_t rhs) {
+  NDPGEN_CHECK(kind != CompareKind::kCustom,
+               "a custom operator has no standard semantics");
+  switch (interp) {
+    case FieldInterp::kUnsigned: return holds(kind, lhs, rhs);
+    case FieldInterp::kSigned:
+      return holds(kind, sign_extend(lhs, width_bits),
+                   sign_extend(rhs, width_bits));
+    case FieldInterp::kFloat:
+      // C++'s IEEE compares are the hardware's: every ordered predicate
+      // and eq are false on NaN, ne is true.
+      return holds(kind, as_float(lhs, width_bits), as_float(rhs, width_bits));
+  }
+  return false;
+}
+
+struct CompareKernel::Kernels {
+  template <CompareKind K, class Lane>
+  static bool test(const CompareKernel& k, std::uint64_t raw) {
+    return holds<K>(Lane::from_raw(raw), Lane::from_raw(k.rhs_));
+  }
+
+  /// One pass over the ids: `verdict` gets each id's field and nothing
+  /// branches on its answer.
+  template <bool kPass, class Verdict>
+  static std::size_t walk(const std::uint8_t* fields, std::size_t stride,
+                          const std::uint32_t* ids, std::size_t count,
+                          std::uint8_t* pass, std::uint32_t* survivors,
+                          Verdict verdict) {
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t id = ids[i];
+      const bool ok = verdict(fields + std::size_t{id} * stride);
+      if constexpr (kPass) pass[i] = ok ? 1 : 0;
+      survivors[kept] = id;
+      kept += ok ? 1 : 0;
+    }
+    return kept;
+  }
+
+  /// A fixed-width load and a compare against the compare word, converted
+  /// once per block.
+  template <CompareKind K, class Lane, bool kPass>
+  static std::size_t filter(const CompareKernel& k,
+                            const std::uint8_t* records, std::size_t stride,
+                            const std::uint32_t* ids, std::size_t count,
+                            std::uint8_t* pass, std::uint32_t* survivors) {
+    const auto rhs = Lane::from_raw(k.rhs_);
+    return walk<kPass>(records + k.offset_, stride, ids, count, pass,
+                       survivors, [rhs](const std::uint8_t* field) {
+                         return holds<K>(
+                             Lane::from_stored(
+                                 load_le<typename Lane::Stored>(field)),
+                             rhs);
+                       });
+  }
+
+  static bool test_nop(const CompareKernel&, std::uint64_t) { return true; }
+
+  template <bool kPass>
+  static std::size_t filter_nop(const CompareKernel&, const std::uint8_t*,
+                                std::size_t, const std::uint32_t* ids,
+                                std::size_t count, std::uint8_t* pass,
+                                std::uint32_t* survivors) {
+    if constexpr (kPass) std::memset(pass, 1, count);
+    if (survivors != ids) std::memmove(survivors, ids, count * sizeof(*ids));
+    return count;
+  }
+
+  /// Custom operators, and standard kinds on a width no lane covers: one
+  /// scalar evaluation per tuple.
+  static bool test_scalar(const CompareKernel& k, std::uint64_t raw) {
+    if (k.op_->kind != CompareKind::kCustom) {
+      return compare(k.op_->kind, k.interp_, k.width_bits_, raw, k.rhs_);
+    }
+    return k.op_->eval(CompareOperand{raw, k.interp_, k.width_bits_},
+                       CompareOperand{k.rhs_, k.interp_, k.width_bits_});
+  }
+
+  template <bool kPass>
+  static std::size_t filter_scalar(const CompareKernel& k,
+                                   const std::uint8_t* records,
+                                   std::size_t stride,
+                                   const std::uint32_t* ids,
+                                   std::size_t count, std::uint8_t* pass,
+                                   std::uint32_t* survivors) {
+    return walk<kPass>(records + k.offset_, stride, ids, count, pass,
+                       survivors, [&k](const std::uint8_t* field) {
+                         return test_scalar(k, load_raw(field, k.width_bits_));
+                       });
+  }
+
+  template <CompareKind K, class Lane>
+  static void bind_lane(CompareKernel& k) {
+    k.test_ = &test<K, Lane>;
+    k.filter_ = &filter<K, Lane, true>;
+    k.select_ = &filter<K, Lane, false>;
+  }
+
+  // A width no lane covers keeps the constructor's scalar kernel.
+  template <CompareKind K>
+  static void bind_kind(CompareKernel& k) {
+    switch (k.interp_) {
+      case FieldInterp::kUnsigned:
+        switch (k.width_bits_) {
+          case 8: return bind_lane<K, UnsignedLane<std::uint8_t>>(k);
+          case 16: return bind_lane<K, UnsignedLane<std::uint16_t>>(k);
+          case 32: return bind_lane<K, UnsignedLane<std::uint32_t>>(k);
+          case 64: return bind_lane<K, UnsignedLane<std::uint64_t>>(k);
+        }
+        break;
+      case FieldInterp::kSigned:
+        switch (k.width_bits_) {
+          case 8: return bind_lane<K, SignedLane<std::uint8_t>>(k);
+          case 16: return bind_lane<K, SignedLane<std::uint16_t>>(k);
+          case 32: return bind_lane<K, SignedLane<std::uint32_t>>(k);
+          case 64: return bind_lane<K, SignedLane<std::uint64_t>>(k);
+        }
+        break;
+      case FieldInterp::kFloat:
+        switch (k.width_bits_) {
+          case 32: return bind_lane<K, FloatLane<float, std::uint32_t>>(k);
+          case 64: return bind_lane<K, FloatLane<double, std::uint64_t>>(k);
+        }
+        break;
+    }
+  }
+
+  static void bind(CompareKernel& k) {
+    switch (k.op_->kind) {
+      case CompareKind::kNe: return bind_kind<CompareKind::kNe>(k);
+      case CompareKind::kEq: return bind_kind<CompareKind::kEq>(k);
+      case CompareKind::kGt: return bind_kind<CompareKind::kGt>(k);
+      case CompareKind::kGe: return bind_kind<CompareKind::kGe>(k);
+      case CompareKind::kLt: return bind_kind<CompareKind::kLt>(k);
+      case CompareKind::kLe: return bind_kind<CompareKind::kLe>(k);
+      case CompareKind::kNop:
+        k.test_ = &test_nop;
+        k.filter_ = &filter_nop<true>;
+        k.select_ = &filter_nop<false>;
+        return;
+      case CompareKind::kCustom: return;  // The scalar kernel.
+    }
+  }
+};
+
+CompareKernel::CompareKernel(const CompareOp& op,
+                             const analysis::PlanField& field,
+                             std::uint64_t rhs)
+    : op_(&op),
+      interp_(field.interp),
+      width_bits_(field.width_bits),
+      offset_(field.storage_offset_bits / 8),
+      rhs_(rhs),
+      test_(&Kernels::test_scalar),
+      filter_(&Kernels::filter_scalar<true>),
+      select_(&Kernels::filter_scalar<false>) {
+  Kernels::bind(*this);
+}
+
 OperatorSet OperatorSet::standard() {
   OperatorSet set;
-  auto add = [&set](std::string name, std::uint32_t encoding, auto predicate) {
-    set.ops_.push_back(CompareOp{std::move(name), encoding, predicate, false});
-  };
-  add("ne", 0, [](CompareOperand a, CompareOperand b) {
-    return compare_words(a, b) != 0;
-  });
-  add("eq", 1, [](CompareOperand a, CompareOperand b) {
-    return compare_words(a, b) == 0;
-  });
-  add("gt", 2, [](CompareOperand a, CompareOperand b) {
-    return compare_words(a, b) == 1;
-  });
-  add("ge", 3, [](CompareOperand a, CompareOperand b) {
-    const int c = compare_words(a, b);
-    return c == 0 || c == 1;
-  });
-  add("lt", 4, [](CompareOperand a, CompareOperand b) {
-    return compare_words(a, b) == -1;
-  });
-  add("le", 5, [](CompareOperand a, CompareOperand b) {
-    const int c = compare_words(a, b);
-    return c == 0 || c == -1;
-  });
-  add("nop", 6,
-      [](CompareOperand, CompareOperand) { return true; });
+  for (const auto& [name, kind] : kStandardOps) {
+    set.ops_.push_back(CompareOp{std::string(name),
+                                 static_cast<std::uint32_t>(set.ops_.size()),
+                                 kind, {}});
+  }
   return set;
 }
 
@@ -210,7 +413,6 @@ OperatorSet OperatorSet::with_custom(
   op.name = std::move(name);
   op.encoding = static_cast<std::uint32_t>(set.ops_.size());
   op.eval = std::move(eval);
-  op.custom = true;
   set.ops_.push_back(std::move(op));
   return set;
 }
@@ -243,7 +445,8 @@ bool OperatorSet::evaluate(std::uint32_t encoding, CompareOperand lhs,
     ndpgen::raise(ErrorKind::kSimulation,
                   "invalid operator encoding " + std::to_string(encoding));
   }
-  return op->eval(lhs, rhs);
+  if (op->kind == CompareKind::kCustom) return op->eval(lhs, rhs);
+  return compare(op->kind, lhs.interp, lhs.width_bits, lhs.raw, rhs.raw);
 }
 
 }  // namespace ndpgen::hwgen

@@ -33,13 +33,35 @@ struct CompareOperand {
   std::uint32_t width_bits = 32;
 };
 
-/// A compare operation: name + hardware encoding + evaluation semantics.
+/// What a compare operation computes: one of the standard set's six
+/// compares or nop (always true), whose one semantics is compare(), or a
+/// user-registered operator that carries its own function.
+enum class CompareKind : std::uint8_t {
+  kNe, kEq, kGt, kGe, kLt, kLe, kNop, kCustom,
+};
+
+/// A compare operation: name + hardware encoding + kind. The kind lives on
+/// the op because OperatorSet::from_names renumbers the encodings.
 struct CompareOp {
   std::string name;        ///< e.g. "eq", "lt", "nop".
   std::uint32_t encoding;  ///< Value written to the FILTER_OP register.
+  CompareKind kind = CompareKind::kCustom;
+  /// A custom operator's semantics; empty for the standard kinds.
   std::function<bool(CompareOperand lhs, CompareOperand rhs)> eval;
-  bool custom = false;     ///< True for user-registered operators.
 };
+
+/// The standard semantics of `kind` (not kCustom) on two raw words of a
+/// `width_bits`-wide field read as `interp`:
+///  * unsigned: the 64-bit words compare as they are (rhs bits above the
+///    width count);
+///  * signed: both sign-extend from the width (bits above it are ignored);
+///  * float: IEEE singles at width 32 (bits above it are ignored), IEEE
+///    doubles of the whole word at any other width; NaN is unordered, so
+///    only ne holds, and -0 equals +0.
+/// nop is always true. Throws Error{kInternal} for kCustom.
+[[nodiscard]] bool compare(CompareKind kind, FieldInterp interp,
+                           std::uint32_t width_bits, std::uint64_t lhs,
+                           std::uint64_t rhs);
 
 /// Ordered, immutable set of compare operations for one PE.
 class OperatorSet {
@@ -71,12 +93,59 @@ class OperatorSet {
   /// Encoding of "nop" if present (stages are disabled by selecting it).
   [[nodiscard]] std::optional<std::uint32_t> nop_encoding() const noexcept;
 
-  /// Evaluates encoding `encoding` on (lhs, rhs); throws on bad encoding.
+  /// Evaluates encoding `encoding` on (lhs, rhs) under lhs's
+  /// interpretation and width; throws Error{kSimulation} on a bad
+  /// encoding. Loops bind a CompareKernel once instead.
   [[nodiscard]] bool evaluate(std::uint32_t encoding, CompareOperand lhs,
                               CompareOperand rhs) const;
 
  private:
   std::vector<CompareOp> ops_;
+};
+
+/// One compare stage bound once: its operator, its field's
+/// interpretation, width and storage byte offset, and its compare word.
+/// Binding picks a kernel specialised per kind x interpretation x width,
+/// so a standard compare costs no std::function call and no switch on the
+/// interpretation per tuple; a custom operator still calls its function.
+/// Every kernel answers as compare() does. The op must outlive the kernel.
+class CompareKernel {
+ public:
+  CompareKernel(const CompareOp& op, const analysis::PlanField& field,
+                std::uint64_t rhs);
+
+  /// The verdict on one raw (zero-extended) field word.
+  [[nodiscard]] bool test(std::uint64_t raw) const {
+    return test_(*this, raw);
+  }
+
+  /// Block form over records `stride` bytes apart from `records`: tests
+  /// the field of records ids[0..count), writes the i-th verdict to
+  /// pass[i] unless `pass` is null, and the passing ids, in order, to
+  /// `survivors` (which may be `ids`). Returns the number of survivors.
+  std::size_t filter(const std::uint8_t* records, std::size_t stride,
+                     const std::uint32_t* ids, std::size_t count,
+                     std::uint8_t* pass, std::uint32_t* survivors) const {
+    return (pass != nullptr ? filter_ : select_)(*this, records, stride, ids,
+                                                 count, pass, survivors);
+  }
+
+ private:
+  struct Kernels;  ///< The specialisations (operators.cpp).
+  using TestFn = bool (*)(const CompareKernel&, std::uint64_t);
+  using BlockFn = std::size_t (*)(const CompareKernel&, const std::uint8_t*,
+                                  std::size_t, const std::uint32_t*,
+                                  std::size_t, std::uint8_t*,
+                                  std::uint32_t*);
+
+  const CompareOp* op_;
+  FieldInterp interp_;
+  std::uint32_t width_bits_;
+  std::uint32_t offset_;  ///< Field's storage offset in bytes.
+  std::uint64_t rhs_;
+  TestFn test_;
+  BlockFn filter_;  ///< Writes the pass vector.
+  BlockFn select_;  ///< Survivors only.
 };
 
 /// Aggregation operations of the optional aggregate unit. kNone makes the

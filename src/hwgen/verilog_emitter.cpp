@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <string_view>
 #include <vector>
 
 #include "support/error.hpp"
@@ -9,6 +10,22 @@
 namespace ndpgen::hwgen {
 
 namespace {
+
+/// The Verilog operator of a standard compare kind, two columns wide.
+std::string_view verilog_compare(CompareKind kind) {
+  switch (kind) {
+    case CompareKind::kNe: return "!=";
+    case CompareKind::kEq: return "==";
+    case CompareKind::kGt: return "> ";
+    case CompareKind::kGe: return ">=";
+    case CompareKind::kLt: return "< ";
+    case CompareKind::kLe: return "<=";
+    case CompareKind::kNop:
+    case CompareKind::kCustom: break;
+  }
+  ndpgen::raise(ErrorKind::kInternal,
+                "no Verilog operator for nop or a custom kind");
+}
 
 std::string width_decl(std::uint64_t bits) {
   if (bits <= 1) return "";
@@ -341,15 +358,15 @@ void emit_filter_stage(std::ostringstream& out, const PEDesign& design,
       << "    case (operator_select)\n";
   for (const auto& op : design.operators.ops()) {
     out << "      32'd" << op.encoding << ": predicate = ";
-    if (op.name == "ne") out << "(element != compare_value[" << cmp - 1 << ":0]);";
-    else if (op.name == "eq") out << "(element == compare_value[" << cmp - 1 << ":0]);";
-    else if (op.name == "gt") out << "(element >  compare_value[" << cmp - 1 << ":0]);";
-    else if (op.name == "ge") out << "(element >= compare_value[" << cmp - 1 << ":0]);";
-    else if (op.name == "lt") out << "(element <  compare_value[" << cmp - 1 << ":0]);";
-    else if (op.name == "le") out << "(element <= compare_value[" << cmp - 1 << ":0]);";
-    else if (op.name == "nop") out << "1'b1;";
-    else out << design.name << "_op_" << op.name << "(element, compare_value["
-             << cmp - 1 << ":0]);  // custom operator (external function)";
+    const std::string rhs = "compare_value[" + std::to_string(cmp - 1) + ":0]";
+    if (op.kind == CompareKind::kNop) {
+      out << "1'b1;";
+    } else if (op.kind == CompareKind::kCustom) {
+      out << design.name << "_op_" << op.name << "(element, " << rhs
+          << ");  // custom operator (external function)";
+    } else {
+      out << "(element " << verilog_compare(op.kind) << " " << rhs << ");";
+    }
     out << "\n";
   }
   out << "      default: predicate = 1'b0;\n"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <numeric>
 #include <span>
 #include <string_view>
 #include <type_traits>
@@ -334,8 +335,10 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   // ======== Phase 2: data-plane precompute (still no mutation) =========
   //
   // Filter decisions and the output byte stream depend only on the
-  // payload, never on timing, so they are evaluated in one pass, reading
-  // and projecting the payload bytes through the parser's record plan.
+  // payload, never on timing, so they are evaluated in one pass per
+  // stage: each stage's compare kernel, bound here once, reads its field
+  // of the previous stage's survivors straight from the payload bytes;
+  // survivors are projected through the parser's record plan.
   const std::uint64_t payload_bits = std::uint64_t{in_size} * 8;
   const std::span<const std::uint8_t> payload = mem.read_bytes(src, in_size);
   const auto record = [&](std::uint32_t id) {
@@ -343,35 +346,22 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   };
   const std::uint64_t n_tuples = in_size / tuple_bytes;
   std::vector<std::vector<std::uint8_t>> stage_pass(num_stages);
-  std::vector<std::uint32_t> survivors;
+  std::vector<std::uint32_t> survivors(n_tuples);
   std::vector<std::uint8_t> out_bytes;
   const bool agg_consumes =
       pe.aggregate_ != nullptr && agg_op != hw::AggOp::kNone;
   try {
-    std::vector<std::uint32_t> cur(n_tuples);
-    for (std::uint64_t t = 0; t < n_tuples; ++t) {
-      cur[t] = static_cast<std::uint32_t>(t);
-    }
+    std::iota(survivors.begin(), survivors.end(), 0u);
     for (std::size_t s = 0; s < num_stages; ++s) {
-      const analysis::PlanField& field = plan.fields()[cfg[s].field];
-      const hw::CompareOperand rhs{cfg[s].cmp, field.interp, field.width_bits};
-      // Resolved non-null by the Phase-1 precheck; binding it here keeps
-      // the encoding lookup out of the per-tuple loop.
-      const hw::CompareOp& op = *pe.design_.operators.find_encoding(cfg[s].op);
-      std::vector<std::uint8_t>& pass = stage_pass[s];
-      pass.reserve(cur.size());
-      std::vector<std::uint32_t> next;
-      next.reserve(cur.size());
-      for (const std::uint32_t id : cur) {
-        const hw::CompareOperand lhs{plan.extract(record(id), cfg[s].field),
-                                     field.interp, field.width_bits};
-        const bool ok = op.eval(lhs, rhs);
-        pass.push_back(ok ? 1 : 0);
-        if (ok) next.push_back(id);
-      }
-      cur = std::move(next);
+      // The encoding resolved in the Phase-1 precheck.
+      const hw::CompareKernel kernel(
+          *pe.design_.operators.find_encoding(cfg[s].op),
+          plan.fields()[cfg[s].field], cfg[s].cmp);
+      stage_pass[s].resize(survivors.size());
+      survivors.resize(kernel.filter(payload.data(), tuple_bytes,
+                                     survivors.data(), survivors.size(),
+                                     stage_pass[s].data(), survivors.data()));
     }
-    survivors = std::move(cur);
 
     if (!agg_consumes) {
       // The output buffer packs survivors back to back into whole words.

@@ -16,6 +16,7 @@ SimFilterStage::SimFilterStage(std::string name,
   NDPGEN_CHECK_ARG(in != nullptr && out != nullptr,
                    "filter stage needs both streams");
   NDPGEN_CHECK_ARG(!fields_.empty(), "tuple has no filterable fields");
+  bind(0, 0, 0);
 }
 
 void SimFilterStage::configure(std::uint32_t field_select,
@@ -25,9 +26,20 @@ void SimFilterStage::configure(std::uint32_t field_select,
                    "field selector out of range");
   NDPGEN_CHECK_ARG(operators_.find_encoding(operator_select) != nullptr,
                    "operator selector out of range");
+  bind(field_select, operator_select, compare_value);
+}
+
+void SimFilterStage::bind(std::uint32_t field_select,
+                          std::uint32_t operator_select,
+                          std::uint64_t compare_value) {
   field_select_ = field_select;
   operator_select_ = operator_select;
-  compare_value_ = compare_value;
+  const hwgen::CompareOp* op = operators_.find_encoding(operator_select);
+  if (op == nullptr) {
+    kernel_.reset();
+  } else {
+    kernel_.emplace(*op, fields_[field_select], compare_value);
+  }
 }
 
 void SimFilterStage::start() {
@@ -54,10 +66,12 @@ void SimFilterStage::cycle(std::uint64_t /*now*/) {
   const analysis::PlanField& field = fields_[field_select_];
   const std::uint64_t element =
       tuple.extract_u64(field.padded_offset_bits, field.width_bits);
-  const hwgen::CompareOperand lhs{element, field.interp, field.width_bits};
-  const hwgen::CompareOperand rhs{compare_value_, field.interp,
-                                  field.width_bits};
-  if (operators_.evaluate(operator_select_, lhs, rhs)) {
+  if (!kernel_) {
+    ndpgen::raise(ErrorKind::kSimulation,
+                  "invalid operator encoding " +
+                      std::to_string(operator_select_));
+  }
+  if (kernel_->test(element)) {
     out_->push(std::move(tuple));
     ++pass_count_;
   } else {
@@ -70,9 +84,7 @@ void SimFilterStage::reset() {
   drop_count_ = 0;
   stall_in_count_ = 0;
   stall_out_count_ = 0;
-  field_select_ = 0;
-  operator_select_ = 0;
-  compare_value_ = 0;
+  bind(0, 0, 0);
 }
 
 }  // namespace ndpgen::hwsim

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "analysis/record_plan.hpp"
@@ -24,7 +25,8 @@ class SimFilterStage final : public Module {
                  const hwgen::OperatorSet& operators, Stream<Tuple>* in,
                  Stream<Tuple>* out);
 
-  /// Runtime configuration (driven by the control registers).
+  /// Runtime configuration (driven by the control registers); binds the
+  /// stage's compare kernel.
   void configure(std::uint32_t field_select, std::uint32_t operator_select,
                  std::uint64_t compare_value);
 
@@ -52,6 +54,11 @@ class SimFilterStage final : public Module {
  private:
   friend class FastChunkEngine;
 
+  /// Selects and binds the kernel (empty for an unknown encoding, which
+  /// cycle() raises on, as ticking a tuple through it would).
+  void bind(std::uint32_t field_select, std::uint32_t operator_select,
+            std::uint64_t compare_value);
+
   const hwgen::OperatorSet& operators_;
   Stream<Tuple>* in_;
   Stream<Tuple>* out_;
@@ -59,7 +66,7 @@ class SimFilterStage final : public Module {
 
   std::uint32_t field_select_ = 0;
   std::uint32_t operator_select_ = 0;
-  std::uint64_t compare_value_ = 0;
+  std::optional<hwgen::CompareKernel> kernel_;
   std::uint64_t pass_count_ = 0;
   std::uint64_t drop_count_ = 0;
   std::uint64_t stall_in_count_ = 0;

@@ -210,8 +210,9 @@ struct HybridExecutor::Routed {
 /// What one operation does with each block.
 struct HybridExecutor::Plan {
   bool aggregate = false;  ///< Accumulate instead of collecting records.
-  std::vector<BoundPredicate> bound;        ///< The PE/ARM conjunction.
-  std::vector<BoundPredicate> post_filter;  ///< Beyond the PE's stages.
+  std::vector<BoundPredicate> bound;  ///< The PE/ARM conjunction.
+  RecordFilter filter;                ///< `bound`, off the PE.
+  RecordFilter post_filter;           ///< Beyond the PE's stages.
   hwgen::AggregateFold fold;       ///< The aggregate's op on its field.
   std::uint32_t field_select = 0;  ///< Aggregated field, mux order.
 };
@@ -543,11 +544,13 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
     // Filter + fold input on the ARM core (or the host CPU).
     const kv::BlockTrailer trailer = kv::read_trailer(item.block);
     out.block_result = plan.fold.seed();
-    for (std::uint32_t i = 0; i < trailer.record_count; ++i) {
-      const auto record = kv::block_record(item.block, trailer, i);
-      if (!matches(parser_.plan, operators_, record, plan.bound)) continue;
-      out.values.push_back(
-          plan.fold.widen(parser_.plan.extract(record, plan.field_select)));
+    std::vector<std::uint32_t> survivors;
+    plan.filter.select(item.block.data(), trailer.record_count,
+                       trailer.record_bytes, survivors);
+    out.values.reserve(survivors.size());
+    for (const std::uint32_t id : survivors) {
+      out.values.push_back(plan.fold.widen(parser_.plan.extract(
+          kv::block_record(item.block, trailer, id), plan.field_select)));
     }
     out.tuples_in = trailer.record_count;
     out.matched = out.values.size();
@@ -563,7 +566,7 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
                   out.matched * timing.arm_predicate_per_tuple;
     return out;
   } else {
-    auto result = software_.filter_block(item.block, plan.bound, true);
+    auto result = software_.filter_block(item.block, plan.filter, true);
     out.tuples_in = result.tuples_in;
     out.matched = result.tuples_out;
     out.survivors = std::move(result.records);
@@ -578,26 +581,25 @@ HybridExecutor::Outcome HybridExecutor::run_block(const Routed& item,
                              (timing.arm_predicate_per_tuple / 3)
                    : result.arm_cost;
   }
-  if (!plan.post_filter.empty()) {
+  if (plan.post_filter.size() > 0) {
     // Software post-filter for predicates beyond the PE's chain length
     // ([1]-style single-stage PEs cannot chain predicates). Compacts the
     // survivors in place.
     out.cost += out.matched * plan.post_filter.size() *
                 timing.arm_predicate_per_tuple;
-    std::size_t kept = 0;
-    for (std::size_t at = 0; at < out.survivors.size(); at += out.stride) {
-      const auto record =
-          std::span<const std::uint8_t>(out.survivors).subspan(at, out.stride);
-      if (!matches(parser_.plan, operators_, record, plan.post_filter)) {
-        continue;
+    std::vector<std::uint32_t> kept;
+    plan.post_filter.select(out.survivors.data(),
+                            out.survivors.size() / out.stride, out.stride,
+                            kept);
+    for (std::size_t k = 0; k < kept.size(); ++k) {
+      if (kept[k] != k) {
+        std::memcpy(out.survivors.data() + k * out.stride,
+                    out.survivors.data() + std::size_t{kept[k]} * out.stride,
+                    out.stride);
       }
-      if (kept != at) {
-        std::memcpy(out.survivors.data() + kept, record.data(), out.stride);
-      }
-      kept += out.stride;
     }
-    out.survivors.resize(kept);
-    out.matched = kept / out.stride;
+    out.survivors.resize(kept.size() * out.stride);
+    out.matched = kept.size();
   }
   return out;
 }
@@ -822,13 +824,15 @@ ScanStats HybridExecutor::scan_blocks(
         parser_.mapping.identity,
         "conjunction exceeds the PE's filter stages and the transform is "
         "not identity: software post-filtering is impossible");
+    std::vector<BoundPredicate> post;
     for (std::size_t i = stages; i < predicates.size(); ++i) {
-      plan.post_filter.push_back(
-          bind_predicate(parser_.input, operators_, predicates[i]));
+      post.push_back(bind_predicate(parser_.input, operators_, predicates[i]));
     }
+    plan.post_filter = RecordFilter(parser_.plan, operators_, post);
     chained.resize(stages);
   }
   plan.bound = bind_conjunction(parser_.input, operators_, chained, stages);
+  plan.filter = RecordFilter(parser_.plan, operators_, plan.bound);
 
   // Software finalization in GLOBAL block order, so the result set is
   // byte-identical for every shard count: recency dedup + tombstone
@@ -951,6 +955,7 @@ AggregateStats HybridExecutor::aggregate(
               : std::max<std::uint32_t>(
                     1, static_cast<std::uint32_t>(predicates.size()));
   plan.bound = bind_conjunction(parser_.input, operators_, predicates, stages);
+  plan.filter = RecordFilter(parser_.plan, operators_, plan.bound);
 
   // Software folds tuple by tuple in global block order on one
   // pipeline (float sums are order-sensitive); PE blocks fold per block,

@@ -1,6 +1,7 @@
 #include "ndp/predicate.hpp"
 
 #include <bit>
+#include <numeric>
 
 #include "support/error.hpp"
 
@@ -67,19 +68,52 @@ std::vector<BoundPredicate> bind_conjunction(
   return bound;
 }
 
-bool matches(const analysis::RecordPlan& plan,
-             const hwgen::OperatorSet& operators,
-             std::span<const std::uint8_t> record,
-             std::span<const BoundPredicate> predicates) {
+RecordFilter::RecordFilter(const analysis::RecordPlan& plan,
+                           const hwgen::OperatorSet& operators,
+                           std::span<const BoundPredicate> predicates)
+    : record_bytes_(plan.input_bytes()) {
+  stages_.reserve(predicates.size());
   for (const BoundPredicate& predicate : predicates) {
-    const std::uint64_t raw = plan.extract(record, predicate.field_select);
-    const analysis::PlanField& field = plan.fields()[predicate.field_select];
-    const hwgen::CompareOperand lhs{raw, field.interp, field.width_bits};
-    const hwgen::CompareOperand rhs{predicate.compare_value, field.interp,
-                                    field.width_bits};
-    if (!operators.evaluate(predicate.op_encoding, lhs, rhs)) return false;
+    NDPGEN_CHECK_ARG(predicate.field_select < plan.fields().size(),
+                     "field selector out of range");
+    const hwgen::CompareOp* op = operators.find_encoding(predicate.op_encoding);
+    if (op == nullptr) {
+      ndpgen::raise(ErrorKind::kSimulation,
+                    "invalid operator encoding " +
+                        std::to_string(predicate.op_encoding));
+    }
+    stages_.emplace_back(*op, plan.fields()[predicate.field_select],
+                         predicate.compare_value);
+  }
+}
+
+bool RecordFilter::matches(std::span<const std::uint8_t> record) const {
+  if (stages_.empty()) return true;
+  NDPGEN_CHECK_ARG(record.size() == record_bytes_,
+                   "record size does not match the layout");
+  // A block of one record.
+  std::uint32_t id = 0;
+  for (const hwgen::CompareKernel& stage : stages_) {
+    if (stage.filter(record.data(), 0, &id, 1, nullptr, &id) == 0) {
+      return false;
+    }
   }
   return true;
+}
+
+void RecordFilter::select(const std::uint8_t* records, std::size_t count,
+                          std::size_t stride,
+                          std::vector<std::uint32_t>& survivors) const {
+  survivors.resize(count);
+  std::iota(survivors.begin(), survivors.end(), 0u);
+  if (count == 0 || stages_.empty()) return;
+  NDPGEN_CHECK_ARG(stride == record_bytes_,
+                   "record size does not match the layout");
+  for (const hwgen::CompareKernel& stage : stages_) {
+    survivors.resize(stage.filter(records, stride, survivors.data(),
+                                  survivors.size(), nullptr,
+                                  survivors.data()));
+  }
 }
 
 }  // namespace ndpgen::ndp

@@ -49,12 +49,35 @@ struct BoundPredicate {
     const analysis::TupleLayout& layout, const hwgen::OperatorSet& operators,
     const std::vector<FilterPredicate>& predicates, std::uint32_t stages);
 
-/// Software filter chain: true when the packed input-layout `record`
-/// passes every predicate of the conjunction. Throws Error{kInvalidArg}
-/// when `record` is not an input-layout record.
-[[nodiscard]] bool matches(const analysis::RecordPlan& plan,
-                           const hwgen::OperatorSet& operators,
-                           std::span<const std::uint8_t> record,
-                           std::span<const BoundPredicate> predicates);
+/// Software filter chain: a conjunction bound once, each predicate to its
+/// hwgen::CompareKernel over the parser's record plan, like the PE's
+/// chained stages. Throws Error{kInvalidArg} for a field selector the plan
+/// lacks and Error{kSimulation} for an encoding the set lacks. The plan and
+/// the operator set must outlive the filter.
+class RecordFilter {
+ public:
+  RecordFilter() = default;  ///< No predicates: every record passes.
+  RecordFilter(const analysis::RecordPlan& plan,
+               const hwgen::OperatorSet& operators,
+               std::span<const BoundPredicate> predicates);
+
+  [[nodiscard]] std::size_t size() const noexcept { return stages_.size(); }
+
+  /// True when the packed input-layout `record` passes every predicate.
+  /// Throws Error{kInvalidArg} when `record` is not an input-layout
+  /// record.
+  [[nodiscard]] bool matches(std::span<const std::uint8_t> record) const;
+
+  /// The indices, in order, of the passing records among the `count`
+  /// input-layout records `stride` bytes apart from `records`; each stage
+  /// walks the previous one's survivors. Throws Error{kInvalidArg} when
+  /// `stride` is not the input record size.
+  void select(const std::uint8_t* records, std::size_t count,
+              std::size_t stride, std::vector<std::uint32_t>& survivors) const;
+
+ private:
+  std::uint32_t record_bytes_ = 0;
+  std::vector<hwgen::CompareKernel> stages_;
+};
 
 }  // namespace ndpgen::ndp

@@ -2,26 +2,30 @@
 
 namespace ndpgen::ndp {
 
-SwBlockResult SoftwareNdp::filter_block(
-    std::span<const std::uint8_t> block,
-    const std::vector<BoundPredicate>& predicates, bool collect) const {
+SwBlockResult SoftwareNdp::filter_block(std::span<const std::uint8_t> block,
+                                        const RecordFilter& filter,
+                                        bool collect) const {
   SwBlockResult result;
   const kv::BlockTrailer trailer = kv::read_trailer(block);
   result.tuples_in = trailer.record_count;
-  const std::uint32_t out_bytes = parser_.plan.output_bytes();
-  for (std::uint32_t i = 0; i < trailer.record_count; ++i) {
-    const auto record = kv::block_record(block, trailer, i);
-    if (!matches(parser_.plan, operators_, record, predicates)) continue;
-    ++result.tuples_out;
-    if (collect) {
-      result.records.resize(result.records.size() + out_bytes);
+  std::vector<std::uint32_t> survivors;
+  filter.select(block.data(), trailer.record_count, trailer.record_bytes,
+                survivors);
+  result.tuples_out = survivors.size();
+  if (collect) {
+    const std::uint32_t out_bytes = parser_.plan.output_bytes();
+    result.records.resize(survivors.size() * out_bytes);
+    std::size_t at = 0;
+    for (const std::uint32_t id : survivors) {
       parser_.plan.project(
-          record, std::span<std::uint8_t>(result.records).last(out_bytes));
+          kv::block_record(block, trailer, id),
+          std::span<std::uint8_t>(result.records).subspan(at, out_bytes));
+      at += out_bytes;
     }
   }
   result.arm_cost =
       block_cost(kv::block_payload_bytes(trailer), result.tuples_in,
-                 static_cast<std::uint32_t>(predicates.size()),
+                 static_cast<std::uint32_t>(filter.size()),
                  result.tuples_out);
   return result;
 }

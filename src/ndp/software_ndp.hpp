@@ -34,12 +34,20 @@ class SoftwareNdp {
               const platform::TimingConfig& timing)
       : parser_(parser), operators_(operators), timing_(timing) {}
 
-  /// Filters + transforms one 32 KiB data block.
-  /// `predicates` is a conjunction (all must pass). When `collect` is
-  /// false only counts are produced (the common SCAN-aggregate case).
+  /// Filters + transforms one 32 KiB data block: `filter` (a conjunction
+  /// over the parser's record plan) walks the whole block. When `collect`
+  /// is false only counts are produced (the common SCAN-aggregate case).
+  [[nodiscard]] SwBlockResult filter_block(std::span<const std::uint8_t> block,
+                                           const RecordFilter& filter,
+                                           bool collect) const;
+  /// The same with `predicates` bound for this one block; callers that
+  /// filter many blocks bind a RecordFilter once.
   [[nodiscard]] SwBlockResult filter_block(
       std::span<const std::uint8_t> block,
-      const std::vector<BoundPredicate>& predicates, bool collect) const;
+      const std::vector<BoundPredicate>& predicates, bool collect) const {
+    return filter_block(
+        block, RecordFilter(parser_.plan, operators_, predicates), collect);
+  }
 
   /// ARM cost of software-filtering a block of `payload_bytes` payload
   /// with `tuples` tuples and `stages` predicates, of which `tuples_out`

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <unordered_map>
 
 #include "core/testbed.hpp"
 
@@ -37,6 +36,71 @@ struct FlatRows {
   [[nodiscard]] const std::uint64_t* row(std::size_t index) const noexcept {
     return cells.data() + index * width;
   }
+};
+
+/// An open-addressing index from 64-bit keys to dense slots numbered in
+/// first-appearance order: linear probing over a power-of-two table kept
+/// at most a quarter full, so most lookups, hits or misses, end at their
+/// first entry. Keys are placed by Fibonacci hashing (the top bits of
+/// key x 2^64/phi), which spreads runs of ids evenly.
+class KeySlots {
+ public:
+  static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+  /// Sized for `expected` keys without a rehash.
+  explicit KeySlots(std::size_t expected) { rehash(4 * expected); }
+
+  /// The slot of `key`, numbered size() when it is new.
+  std::uint32_t insert(std::uint64_t key) {
+    if (4 * (keys_.size() + 1) > table_.size()) rehash(2 * table_.size());
+    Entry& entry = table_[index_of(key)];
+    if (entry.slot == kNoSlot) {
+      entry = Entry{key, static_cast<std::uint32_t>(keys_.size())};
+      keys_.push_back(key);
+    }
+    return entry.slot;
+  }
+
+  /// The slot of `key`, or kNoSlot.
+  [[nodiscard]] std::uint32_t find(std::uint64_t key) const {
+    return table_[index_of(key)].slot;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return keys_.size(); }
+  /// The keys in slot order.
+  [[nodiscard]] const std::vector<std::uint64_t>& keys() const noexcept {
+    return keys_;
+  }
+
+ private:
+  struct Entry {
+    std::uint64_t key = 0;
+    std::uint32_t slot = kNoSlot;
+  };
+
+  /// The index of the entry holding `key`, or of the empty one where it
+  /// would go.
+  [[nodiscard]] std::size_t index_of(std::uint64_t key) const {
+    std::size_t i = (key * 0x9e3779b97f4a7c15ULL) >> shift_;
+    while (table_[i].slot != kNoSlot && table_[i].key != key) {
+      i = (i + 1) & (table_.size() - 1);
+    }
+    return i;
+  }
+
+  void rehash(std::size_t capacity) {
+    unsigned bits = 4;
+    while ((std::size_t{1} << bits) < capacity) ++bits;
+    table_.assign(std::size_t{1} << bits, Entry{});
+    shift_ = 64 - bits;
+    for (std::uint32_t slot = 0; slot < keys_.size(); ++slot) {
+      table_[index_of(keys_[slot])] = Entry{keys_[slot], slot};
+    }
+  }
+
+  std::vector<Entry> table_;
+  unsigned shift_ = 0;  ///< 64 - log2(table_.size()).
+  std::vector<std::uint64_t> keys_;
 };
 
 /// Total-order comparator of row indices for top-k: primary on `order`
@@ -104,25 +168,22 @@ void filter_rows(FlatRows& rows, const std::vector<std::string>& columns,
 /// emits probe order, then build order within a key.
 FlatRows join_rows(const FlatRows& probe, std::size_t probe_index,
                    const FlatRows& build, std::size_t build_index) {
-  constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+  constexpr std::uint32_t kNoSlot = KeySlots::kNoSlot;
   const std::size_t probe_count = probe.size();
   const std::size_t build_count = build.size();
-  std::unordered_map<std::uint64_t, std::uint32_t> slot_of;
-  slot_of.reserve(probe_count);
+  KeySlots slot_of(probe_count);
   std::vector<std::uint32_t> probe_slot(probe_count);
   for (std::size_t r = 0; r < probe_count; ++r) {
-    const auto next = static_cast<std::uint32_t>(slot_of.size());
-    probe_slot[r] =
-        slot_of.try_emplace(probe.row(r)[probe_index], next).first->second;
+    probe_slot[r] = slot_of.insert(probe.row(r)[probe_index]);
   }
   // After the prefix sum, slot s's matches are first[s] .. first[s + 1].
   std::vector<std::size_t> first(slot_of.size() + 1, 0);
   std::vector<std::uint32_t> build_slot(build_count, kNoSlot);
   for (std::size_t i = 0; i < build_count; ++i) {
-    const auto it = slot_of.find(build.row(i)[build_index]);
-    if (it == slot_of.end()) continue;
-    build_slot[i] = it->second;
-    ++first[it->second + 1];
+    const std::uint32_t slot = slot_of.find(build.row(i)[build_index]);
+    if (slot == kNoSlot) continue;
+    build_slot[i] = slot;
+    ++first[slot + 1];
   }
   std::partial_sum(first.begin(), first.end(), first.begin());
   std::vector<std::uint32_t> matches(first.back());
@@ -158,20 +219,15 @@ FlatRows join_rows(const FlatRows& probe, std::size_t probe_index,
 FlatRows group_rows(const FlatRows& rows, std::size_t group_index,
                     std::size_t value_index,
                     const hwgen::AggregateFold& fold) {
-  std::unordered_map<std::uint64_t, std::uint32_t> group_of;
-  std::vector<std::uint64_t> keys;
+  KeySlots group_of(0);
   std::vector<std::uint64_t> accs;
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const std::uint64_t* row = rows.row(r);
-    const auto [it, inserted] = group_of.try_emplace(
-        row[group_index], static_cast<std::uint32_t>(keys.size()));
-    if (inserted) {
-      keys.push_back(row[group_index]);
-      accs.push_back(fold.seed());
-    }
-    std::uint64_t& acc = accs[it->second];
-    acc = fold.combine(acc, fold.widen(row[value_index]));
+    const std::uint32_t group = group_of.insert(row[group_index]);
+    if (group == accs.size()) accs.push_back(fold.seed());
+    accs[group] = fold.combine(accs[group], fold.widen(row[value_index]));
   }
+  const std::vector<std::uint64_t>& keys = group_of.keys();
   std::vector<std::uint32_t> order(keys.size());
   std::iota(order.begin(), order.end(), 0u);
   std::sort(order.begin(), order.end(),
@@ -289,18 +345,21 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
   return out;
 }
 
+/// The standard set's entry `name` (the set lives as long as the program).
+const hwgen::CompareOp& standard_op(const std::string& name) {
+  static const hwgen::OperatorSet kStandard = hwgen::OperatorSet::standard();
+  const hwgen::CompareOp* op = kStandard.find(name);
+  if (op == nullptr) {
+    raise(ErrorKind::kInternal, "unknown comparison operator '" + name + "'");
+  }
+  return *op;
+}
+
 }  // namespace
 
 RowPredicate::RowPredicate(const PlanPredicate& predicate,
                            const analysis::PlanField& column)
-    : rhs_{predicate.value, column.interp, column.width_bits} {
-  static const hwgen::OperatorSet kStandard = hwgen::OperatorSet::standard();
-  op_ = kStandard.find(predicate.op);
-  if (op_ == nullptr) {
-    raise(ErrorKind::kInternal,
-          "unknown comparison operator '" + predicate.op + "'");
-  }
-}
+    : kernel_(standard_op(predicate.op), column, predicate.value) {}
 
 ResultTable execute_plan(const CompiledPlan& plan,
                          const QueryExecOptions& options, QueryStats* stats) {

@@ -74,10 +74,10 @@ struct QueryStats {
                                        const QueryExecOptions& options,
                                        QueryStats* stats = nullptr);
 
-/// A plan predicate bound once to its standard compare operator (the
-/// hwgen::OperatorSet entry the PE and SoftwareNdp evaluate) and to its
-/// column's interpretation and width. Shared by the executor's tail and
-/// the serving path's row filter.
+/// A plan predicate bound once to the compare kernel of its standard
+/// operator (the hwgen::OperatorSet entry the PE and SoftwareNdp
+/// evaluate) on its column's interpretation and width. Shared by the
+/// executor's tail and the serving path's row filter.
 class RowPredicate {
  public:
   /// Throws Error{kInternal} for an operator outside the validated plan
@@ -87,13 +87,11 @@ class RowPredicate {
 
   /// True when the column's raw (zero-extended) word passes.
   [[nodiscard]] bool passes(std::uint64_t raw) const {
-    return op_->eval(hwgen::CompareOperand{raw, rhs_.interp, rhs_.width_bits},
-                     rhs_);
+    return kernel_.test(raw);
   }
 
  private:
-  const hwgen::CompareOp* op_;
-  hwgen::CompareOperand rhs_;
+  hwgen::CompareKernel kernel_;
 };
 
 // --- Host cost model (ns; see DESIGN.md §14) ---------------------------

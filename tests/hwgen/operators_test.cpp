@@ -116,7 +116,7 @@ TEST(CustomOperators, ExtendTheSet) {
   ASSERT_EQ(set.size(), 8u);
   const CompareOp* op = set.find("divisible_by");
   ASSERT_NE(op, nullptr);
-  EXPECT_TRUE(op->custom);
+  EXPECT_EQ(op->kind, CompareKind::kCustom);
   EXPECT_EQ(op->encoding, 7u);
   EXPECT_TRUE(set.evaluate(7, unsigned_op(12), unsigned_op(4)));
   EXPECT_FALSE(set.evaluate(7, unsigned_op(13), unsigned_op(4)));

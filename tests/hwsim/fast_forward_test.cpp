@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -157,6 +159,80 @@ TEST(FastForward, AggregateChunkMatchesExact) {
   const ChunkStats fast = run(SimMode::kFast);
   expect_chunk_eq(exact, fast);
   EXPECT_EQ(exact.agg_folded, 24u);
+}
+
+TEST(FastForward, SignedAndFloatStagesMatchExact) {
+  // No pubgraph workload filters a signed or float field, so this is the
+  // check of those compare kernels against exact ticking: every standard
+  // kind on an int32_t field, chained with every kind on a double field.
+  const std::string spec =
+      "typedef struct { uint32_t id; int32_t temp; double level; } Probe;"
+      "/* @autogen define parser S with filters = 2, input = Probe, "
+      "output = Probe */";
+  const auto design = design_for(spec, "S");
+  ASSERT_EQ(design.filter_stage_count(), 2u);
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double levels[] = {std::numeric_limits<double>::quiet_NaN(),
+                           -0.0,
+                           0.0,
+                           kInf,
+                           -kInf,
+                           std::numeric_limits<double>::denorm_min(),
+                           -2.5,
+                           1.25,
+                           7.0,
+                           -1e300};
+  std::vector<std::uint8_t> data;
+  for (std::uint32_t i = 0; i < 120; ++i) {
+    const std::int32_t temp =
+        i % 17 == 0   ? std::numeric_limits<std::int32_t>::min()
+        : i % 19 == 0 ? std::numeric_limits<std::int32_t>::max()
+                      : -60 + 3 * static_cast<std::int32_t>(i % 41);
+    support::put_u32(data, i);
+    support::put_u32(data, static_cast<std::uint32_t>(temp));
+    support::put_u64(data, std::bit_cast<std::uint64_t>(levels[i % 10]));
+  }
+  // -9 as a sign-extended 64-bit word (bits above the field set), and a
+  // level some tuples hold.
+  const auto temp_rhs = static_cast<std::uint64_t>(std::int64_t{-9});
+  const auto level_rhs = std::bit_cast<std::uint64_t>(1.25);
+  constexpr std::uint64_t kOut = 8192;
+  std::uint64_t passed = 0;
+  for (const hw::CompareOp& temp_op : design.operators.ops()) {
+    for (const hw::CompareOp& level_op : design.operators.ops()) {
+      SCOPED_TRACE("temp " + temp_op.name + ", level " + level_op.name);
+      auto run = [&](SimMode mode) {
+        PETestBench bench(design, bench_config(mode));
+        bench.memory().write_bytes(0, data);
+        bench.set_filter(0, 1, temp_op.encoding, temp_rhs);
+        bench.set_filter(1, 2, level_op.encoding, level_rhs);
+        const auto bytes = static_cast<std::uint32_t>(data.size());
+        ChunkStats stats;
+        if (mode == SimMode::kExact) {
+          stats = bench.run_chunk(0, kOut, bytes);
+        } else {
+          // Fast mode must replay the chunk, not decline it.
+          bench.start_chunk(0, kOut, bytes);
+          EXPECT_TRUE(FastChunkEngine::run(bench.pe(), 100'000'000));
+          stats = bench.pe().last_stats();
+        }
+        return std::tuple{stats, to_vec(bench.memory().read_bytes(kOut, bytes)),
+                          bench.observability().metrics.dump_json(),
+                          bench.kernel().now(), bench.kernel().cycle_stats()};
+      };
+      const auto [se, me, je, ne, ce] = run(SimMode::kExact);
+      const auto [sf, mf, jf, nf, cf] = run(SimMode::kFast);
+      expect_chunk_eq(se, sf);
+      EXPECT_EQ(me, mf);  // Output DRAM image.
+      EXPECT_EQ(je, jf);  // Published metrics.
+      EXPECT_EQ(ne, nf);  // Virtual clock.
+      EXPECT_EQ(ce.useful, cf.useful);
+      EXPECT_EQ(ce.stalled, cf.stalled);
+      EXPECT_EQ(ce.idle, cf.idle);
+      passed += se.tuples_out;
+    }
+  }
+  EXPECT_GT(passed, 0u);
 }
 
 TEST(FastForward, StaticBaselinePaddingMatchesExact) {

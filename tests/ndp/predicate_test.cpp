@@ -70,10 +70,10 @@ TEST_F(PredicateFixture, SwEvalUnsigned) {
   const auto record = make_rec(100, 5, 1.0f, "abcdefg");
   const auto bound = bind_predicate(parser_.input, operators_,
                                     {"id", "ge", 100});
-  EXPECT_TRUE(matches(parser_.plan, operators_, record, {&bound, 1}));
+  EXPECT_TRUE(RecordFilter(parser_.plan, operators_, {&bound, 1}).matches(record));
   const auto bound2 =
       bind_predicate(parser_.input, operators_, {"id", "gt", 100});
-  EXPECT_FALSE(matches(parser_.plan, operators_, record, {&bound2, 1}));
+  EXPECT_FALSE(RecordFilter(parser_.plan, operators_, {&bound2, 1}).matches(record));
 }
 
 TEST_F(PredicateFixture, SwEvalSigned) {
@@ -81,17 +81,17 @@ TEST_F(PredicateFixture, SwEvalSigned) {
   const auto bound = bind_predicate(
       parser_.input, operators_,
       {"delta", "lt", 0});  // -5 < 0 only under signed interpretation.
-  EXPECT_TRUE(matches(parser_.plan, operators_, record, {&bound, 1}));
+  EXPECT_TRUE(RecordFilter(parser_.plan, operators_, {&bound, 1}).matches(record));
 }
 
 TEST_F(PredicateFixture, SwEvalFloat) {
   const auto record = make_rec(1, 0, 2.5f, "abcdefg");
   const auto bound = bind_predicate(
       parser_.input, operators_, {"score", "gt", encode_f32(2.0f)});
-  EXPECT_TRUE(matches(parser_.plan, operators_, record, {&bound, 1}));
+  EXPECT_TRUE(RecordFilter(parser_.plan, operators_, {&bound, 1}).matches(record));
   const auto bound2 = bind_predicate(
       parser_.input, operators_, {"score", "gt", encode_f32(3.0f)});
-  EXPECT_FALSE(matches(parser_.plan, operators_, record, {&bound2, 1}));
+  EXPECT_FALSE(RecordFilter(parser_.plan, operators_, {&bound2, 1}).matches(record));
 }
 
 TEST_F(PredicateFixture, ConjunctionPadsWithNop) {
@@ -148,8 +148,8 @@ TEST(EncodeHelpers, FloatBitPatterns) {
 
 TEST_F(PredicateFixture, SwEvalWrongRecordSizeFails) {
   const auto bound = bind_predicate(parser_.input, operators_, {"id", "eq", 1});
-  EXPECT_THROW((void)matches(parser_.plan, operators_,
-                             std::vector<std::uint8_t>(3, 0), {&bound, 1}),
+  EXPECT_THROW((void)RecordFilter(parser_.plan, operators_, {&bound, 1})
+                   .matches(std::vector<std::uint8_t>(3, 0)),
                ndpgen::Error);
 }
 

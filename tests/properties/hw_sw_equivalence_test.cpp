@@ -78,12 +78,14 @@ void expect_hardware_matches_software(const std::string& spec,
 
       // Software reference over the same bytes.
       const ndp::BoundPredicate predicate{field_sel, op.encoding, value};
+      const ndp::RecordFilter filter(artifacts.analyzed.plan,
+                                     artifacts.design.operators,
+                                     {&predicate, 1});
       std::uint64_t expected = 0;
       for (std::uint64_t t = 0; t < tuples; ++t) {
         const auto record = std::span<const std::uint8_t>(data).subspan(
             t * layout.storage_bytes(), layout.storage_bytes());
-        if (ndp::matches(artifacts.analyzed.plan, artifacts.design.operators,
-                         record, {&predicate, 1})) {
+        if (filter.matches(record)) {
           ++expected;
         }
       }

@@ -1319,11 +1319,12 @@ int cmd_testbench(const std::vector<std::string>& args) {
   support::Xoshiro256 rng(42);
   const ndp::BoundPredicate predicate{spec.field_select, spec.operator_select,
                                       spec.compare_value};
+  const ndp::RecordFilter filter(artifacts.analyzed.plan,
+                                 artifacts.design.operators, {&predicate, 1});
   for (std::uint64_t t = 0; t < tuples; ++t) {
     std::vector<std::uint8_t> storage(layout.storage_bytes());
     for (auto& byte : storage) byte = static_cast<std::uint8_t>(rng());
-    if (ndp::matches(artifacts.analyzed.plan, artifacts.design.operators,
-                     storage, {&predicate, 1})) {
+    if (filter.matches(storage)) {
       ++spec.expected_pass_count;
     }
     spec.tuples.push_back(hwsim::pad_tuple(

@@ -30,10 +30,9 @@ std::uint32_t RegisterMap::offset_of(std::string_view name) const {
 
 const RegisterDef* RegisterMap::at_offset(std::uint32_t offset) const
     noexcept {
-  for (const auto& def : registers_) {
-    if (def.offset == offset) return &def;
-  }
-  return nullptr;
+  // add() places register i at offset 4 * i.
+  if (offset % 4 != 0 || offset / 4 >= registers_.size()) return nullptr;
+  return &registers_[offset / 4];
 }
 
 namespace reg {

@@ -1,16 +1,15 @@
 #include "hwsim/fast_path.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <map>
 #include <numeric>
 #include <span>
-#include <string_view>
 #include <type_traits>
 #include <vector>
 
 #include "hwgen/pe_platform.hpp"
-#include "hwgen/register_map.hpp"
 #include "hwsim/aggregate_unit.hpp"
 #include "hwsim/filter_stage.hpp"
 #include "hwsim/load_unit.hpp"
@@ -28,21 +27,21 @@ namespace hw = ndpgen::hwgen;
 namespace {
 
 /// Occupancy-only mirror of Stream<T>: reproduces can_push/can_pop
-/// visibility, the two-phase commit, transfer counting and high-water
-/// tracking without moving any values.
+/// visibility, the two-phase commit and transfer counting without moving
+/// any values. High-water marks are kept per span (see SpanAutomaton).
 struct ModelStream {
   std::uint32_t depth = 0;
   std::uint32_t vis = 0;     ///< queue_.size(): visible to the consumer.
   std::uint32_t staged = 0;  ///< staged_.size(): pushed this cycle.
   std::uint64_t pushes = 0;  ///< Committed transfers.
-  std::uint32_t high_water = 0;
+  std::uint32_t peak = 0;    ///< Highest occupancy in the current span.
 
   [[nodiscard]] bool can_push() const noexcept {
     return vis + staged < depth;
   }
   void push() noexcept {
     ++staged;
-    if (vis + staged > high_water) high_water = vis + staged;
+    if (vis + staged > peak) peak = vis + staged;
   }
   /// End-of-tick commit; returns the number of transfers that moved.
   std::uint32_t commit() noexcept {
@@ -57,73 +56,128 @@ struct ModelStream {
   }
 };
 
-[[nodiscard]] bool reg_present(const SimRegFile& regs,
-                               std::string_view name) noexcept {
-  return regs.map().find(name) != nullptr;
-}
+}  // namespace
 
-/// The timing replay's memo of tuple spans, alive for one run() call.
+/// The timing replay's memo of tuple spans, kept by the PE from chunk to
+/// chunk (SpanMemo holds one per setting of the run constants the ticks
+/// read: whether the aggregate unit folds, and the watchdog horizon).
 ///
-/// A node is the replay's non-counter state at the end of a tick in which
-/// the input buffer pushed a tuple; an edge is the span ticked from one
-/// such node to the next. From a node, the ticks that follow depend only
-/// on that state, on the filter decisions the stages consume (the edge's
-/// label) and on counter guards, so a span whose label matches the next
-/// decisions and whose guards hold replays by adding its counter deltas.
-/// Stream high-water marks need no delta: an edge is ticked once before it
-/// is ever replayed, and that tick already raised them. Counters travel as
-/// one flat list. The guards and labels read only the head slots below
-/// (through kPos + stages); the tail follows.
+/// A node is the replay's non-counter state at the end of the start tick
+/// or of a tick in which the input buffer pushed a tuple; an edge is the
+/// span ticked from one node to the next, or from the last node to the
+/// finish tick (a finish node, which has no edges out). From a node, the
+/// ticks that follow depend only on that state, on the filter decisions
+/// the stages consume (the edge's label) and on the counter tests of the
+/// load unit, the input buffer and the static store unit's padding. Every
+/// such test reads a remaining count: words to request, words to push,
+/// payload bits unread, and (static designs only) bytes stored.
+///
+/// Mid-chunk a node is keyed on the state alone and an edge to another
+/// such node replays while the span's tests cannot flip (its guards).
+/// Once a test has flipped (a near node: every word requested, every word
+/// pushed or the payload read), the node is keyed on the exact remaining
+/// counts too, and an edge that ends at a near or finish node replays only
+/// from the remaining counts it was ticked at. So a warm PE replays the
+/// read ramp, the tail and the drain to the finish tick as well.
+///
+/// An edge may replay in a later chunk, or after a kernel reset, than the
+/// one it was ticked in, so it carries the peak occupancy each stream
+/// reaches during the span, and a replay raises the run's high-water marks
+/// to it. Counters travel as one flat list. The guards and labels read
+/// only the head slots below (through kPos + stages); the tail follows.
 class SpanAutomaton {
  public:
   static constexpr std::size_t kNow = 0;
   static constexpr std::size_t kRequested = 1;  ///< Words requested.
   static constexpr std::size_t kPushed = 2;     ///< Words pushed.
   static constexpr std::size_t kPayloadRem = 3;
-  static constexpr std::size_t kPos = 4;  ///< One decision cursor per stage.
+  static constexpr std::size_t kStored = 4;  ///< Bytes the store wrote.
+  static constexpr std::size_t kPos = 5;  ///< One decision cursor per stage.
 
-  SpanAutomaton(const std::vector<std::vector<std::uint8_t>>& stage_pass,
-                std::uint64_t words_total)
-      : stage_pass_(stage_pass),
-        head_(kPos + stage_pass.size()),
-        words_total_(words_total) {}
+  /// The memory bound: an automaton past it at the start of a run is
+  /// cleared, so it never holds more than this plus one chunk's spans.
+  static constexpr std::size_t kMaxNodes = 4096;
+  static constexpr std::size_t kMaxEdges = 4 * kMaxNodes;
 
-  /// The id of the node with state `key`, added on first sight.
-  std::uint32_t node(const std::vector<std::uint64_t>& key) {
+  /// `pads`: the store unit pads each block to the chunk size (a static
+  /// baseline), so the bytes stored are a remaining count too.
+  SpanAutomaton(std::size_t stages, bool pads)
+      : head_(kPos + stages), pads_(pads) {}
+
+  /// Binds the automaton to one run's decisions and word count.
+  void bind(const std::vector<std::vector<std::uint8_t>>& stage_pass,
+            std::uint64_t words_total) {
+    if (nodes_.size() > kMaxNodes || edges_.size() > kMaxEdges) {
+      ids_.clear();
+      nodes_.clear();
+      edges_.clear();
+    }
+    stage_pass_ = &stage_pass;
+    words_total_ = words_total;
+  }
+
+  /// The id of the node with state `key` reached with `counters`, added on
+  /// first sight. Appends the remaining counts to `key` at a near node.
+  std::uint32_t node(std::vector<std::uint64_t>& key,
+                     const std::vector<std::uint64_t>& counters,
+                     bool finish) {
+    const bool near = !far(counters.data());
+    key.push_back(finish ? 2 : near ? 1 : 0);
+    if (near) {
+      const Remaining rem = remaining(counters.data());
+      key.insert(key.end(), rem.begin(), rem.end());
+    }
     const auto [it, added] =
         ids_.try_emplace(key, static_cast<std::uint32_t>(nodes_.size()));
-    if (added) nodes_.push_back(Node{&it->first, {}});
+    if (added) nodes_.push_back(Node{&it->first, {}, finish});
     return it->second;
   }
   [[nodiscard]] const std::vector<std::uint64_t>& key(std::uint32_t id) const {
     return *nodes_[id].key;
   }
+  /// True for a finish node: the state at the run's finish tick.
+  [[nodiscard]] bool finish(std::uint32_t id) const {
+    return nodes_[id].finish;
+  }
 
   /// Records the span ticked from node `from` (counters `before`) to node
-  /// `to` (counters `after`).
+  /// `to` (counters `after`), in which stream j peaked at `peak[j]`,
+  /// unless the same span is already an edge.
   void add_edge(std::uint32_t from, std::uint32_t to,
                 const std::vector<std::uint64_t>& before,
-                const std::vector<std::uint64_t>& after) {
-    Edge edge{to, std::vector<std::uint64_t>(after.size()), {}, 0};
+                const std::vector<std::uint64_t>& after,
+                const std::vector<std::uint32_t>& peak) {
+    Edge edge{to, !far(after.data()), remaining(before.data()),
+              std::vector<std::uint64_t>(after.size()), {}, peak, 0};
     for (std::size_t i = 0; i < after.size(); ++i) {
       edge.delta[i] = after[i] - before[i];  // mod 2^64: payload shrinks
     }
-    for (std::size_t s = 0; s < stage_pass_.size(); ++s) {
-      const auto first = stage_pass_[s].begin();
+    for (std::size_t s = 0; s < stage_pass_->size(); ++s) {
+      const auto first = (*stage_pass_)[s].begin();
       edge.label.insert(edge.label.end(),
                         first + static_cast<std::ptrdiff_t>(before[kPos + s]),
                         first + static_cast<std::ptrdiff_t>(after[kPos + s]));
+    }
+    for (const std::uint32_t e : nodes_[from].out) {
+      const Edge& seen = edges_[e];
+      if (seen.to == to && seen.exact == edge.exact &&
+          (!edge.exact || seen.from == edge.from) &&
+          seen.label == edge.label && seen.delta == edge.delta) {
+        return;
+      }
     }
     nodes_[from].out.push_back(static_cast<std::uint32_t>(edges_.size()));
     edges_.push_back(std::move(edge));
   }
 
   /// Follows replayable edges from node `id`, adding their deltas to
-  /// `counters`; returns the node reached. Each step advances only the
-  /// head slots; the tail gets each edge's deltas times its uses at the
-  /// end. A self-loop replays as a run: one step takes it as many times in
-  /// a row as its guards and the next decisions allow.
-  std::uint32_t walk(std::uint32_t id, std::vector<std::uint64_t>& counters) {
+  /// `counters` and raising `high_water` to their stream peaks; returns
+  /// the node reached. Each step advances only the head slots; the tail
+  /// and the marks get each edge's deltas times its uses at the end. A
+  /// self-loop replays as a run: one step takes it as many times in a row
+  /// as its guards and the next decisions allow.
+  std::uint32_t walk(std::uint32_t id, std::vector<std::uint64_t>& counters,
+                     std::vector<std::uint32_t>& high_water) {
     std::uint64_t* c = counters.data();
     while (true) {
       Edge* next = nullptr;
@@ -134,7 +188,8 @@ class SpanAutomaton {
         }
       }
       if (next == nullptr) break;
-      const std::uint64_t k = next->to == id ? run_length(*next, c) : 1;
+      const std::uint64_t k =
+          next->to == id && !next->exact ? run_length(*next, c) : 1;
       for (std::size_t i = 0; i < head_; ++i) c[i] += k * next->delta[i];
       if (next->uses == 0) used_.push_back(next);
       next->uses += k;
@@ -144,41 +199,72 @@ class SpanAutomaton {
       for (std::size_t i = head_; i < counters.size(); ++i) {
         c[i] += edge->uses * edge->delta[i];
       }
+      for (std::size_t j = 0; j < high_water.size(); ++j) {
+        high_water[j] = std::max(high_water[j], edge->peak[j]);
+      }
       edge->uses = 0;
     }
     used_.clear();
     return id;
   }
 
+  [[nodiscard]] std::size_t nodes() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t edges() const noexcept { return edges_.size(); }
+
  private:
+  static constexpr std::size_t kRemaining = 4;
+  /// Words to request, words to push, payload bits unread, bytes stored
+  /// (0 unless the design pads).
+  using Remaining = std::array<std::uint64_t, kRemaining>;
+
   struct Node {
     const std::vector<std::uint64_t>* key;  ///< Owned by ids_.
     std::vector<std::uint32_t> out;         ///< Edge ids.
+    bool finish;
   };
   struct Edge {
     std::uint32_t to;
+    bool exact;      ///< Ends at a near or finish node.
+    Remaining from;  ///< Remaining counts it starts at (if exact).
     std::vector<std::uint64_t> delta;  ///< Per counter slot.
     std::vector<std::uint8_t> label;   ///< Decisions consumed, by stage.
+    std::vector<std::uint32_t> peak;   ///< Highest occupancy per stream.
     std::uint64_t uses;                ///< Steps in the current walk.
   };
 
-  /// True when ticking from the current state would repeat `edge`: no
-  /// counter guard the span's ticks test flips (the load unit keeps words
-  /// to request and push, every payload take stays a full word) and the
-  /// stages' next decisions equal its label. The watchdog needs no guard:
-  /// a tuple push is a transfer, so every node restarts the stall count,
-  /// and the span passed it when ticked. Nor does the deadline: a walk
-  /// that passes it ends at the loop-top check, which declines the chunk.
+  /// True while every counter test reads as mid-chunk: the load unit has
+  /// words to request and to push, and some payload is unread.
+  [[nodiscard]] bool far(const std::uint64_t* c) const noexcept {
+    return c[kRequested] < words_total_ && c[kPushed] < words_total_ &&
+           c[kPayloadRem] > 0;
+  }
+  [[nodiscard]] Remaining remaining(const std::uint64_t* c) const noexcept {
+    return {words_total_ - c[kRequested], words_total_ - c[kPushed],
+            c[kPayloadRem], pads_ ? c[kStored] : 0};
+  }
+
+  /// True when ticking from the current state would repeat `edge`: its
+  /// counter tests read as when it was ticked, and the stages' next
+  /// decisions equal its label. An edge between mid-chunk nodes needs
+  /// only that no test flips: the load unit keeps words to request and
+  /// push, every payload take stays a full word. Any other edge needs the
+  /// remaining counts it was ticked at. The watchdog needs no guard: the
+  /// automaton is per horizon, and a node is the start tick or a tick
+  /// that moved a tuple, so the stall count at each tick of a span is the
+  /// one it had when ticked. Nor does the deadline: a walk that passes it
+  /// declines the chunk at the next loop-top check or at the finish.
   [[nodiscard]] bool replays(const Edge& edge, const std::uint64_t* c) const {
     const std::uint64_t* d = edge.delta.data();
-    if (c[kRequested] + d[kRequested] >= words_total_ ||
-        c[kPushed] + d[kPushed] >= words_total_ ||
-        c[kPayloadRem] <= 0 - d[kPayloadRem]) {
+    if (edge.exact) {
+      if (remaining(c) != edge.from) return false;
+    } else if (c[kRequested] + d[kRequested] >= words_total_ ||
+               c[kPushed] + d[kPushed] >= words_total_ ||
+               c[kPayloadRem] <= 0 - d[kPayloadRem]) {
       return false;
     }
     const std::uint8_t* label = edge.label.data();
-    for (std::size_t s = 0; s < stage_pass_.size(); ++s) {
-      const std::vector<std::uint8_t>& pass = stage_pass_[s];
+    for (std::size_t s = 0; s < stage_pass_->size(); ++s) {
+      const std::vector<std::uint8_t>& pass = (*stage_pass_)[s];
       const std::uint64_t at = c[kPos + s];
       const std::uint64_t n = d[kPos + s];
       if (n > pass.size() - at) return false;
@@ -209,10 +295,10 @@ class SpanAutomaton {
     if (const std::uint64_t taken = 0 - d[kPayloadRem]; taken > 0) {
       k = std::min(k, (c[kPayloadRem] - 1) / taken);
     }
-    for (std::size_t s = 0; s < stage_pass_.size(); ++s) {
+    for (std::size_t s = 0; s < stage_pass_->size(); ++s) {
       const std::uint64_t n = d[kPos + s];
       if (n == 0) continue;
-      const std::vector<std::uint8_t>& pass = stage_pass_[s];
+      const std::vector<std::uint8_t>& pass = (*stage_pass_)[s];
       const std::uint8_t* next = pass.data() + c[kPos + s];
       const std::uint64_t limit =
           std::min(k, (pass.size() - c[kPos + s]) / n) * n;
@@ -227,16 +313,42 @@ class SpanAutomaton {
     return k == ~std::uint64_t{0} ? 1 : k;
   }
 
-  const std::vector<std::vector<std::uint8_t>>& stage_pass_;
   std::size_t head_;
-  std::uint64_t words_total_;
+  bool pads_;
+  const std::vector<std::vector<std::uint8_t>>* stage_pass_ = nullptr;
+  std::uint64_t words_total_ = 0;
   std::map<std::vector<std::uint64_t>, std::uint32_t> ids_;
   std::vector<Node> nodes_;
   std::vector<Edge> edges_;
   std::vector<Edge*> used_;  ///< Edges the current walk has taken.
 };
 
-}  // namespace
+SpanMemo::SpanMemo() = default;
+SpanMemo::~SpanMemo() = default;
+
+std::size_t SpanMemo::nodes() const noexcept {
+  std::size_t n = 0;
+  for (const Entry& entry : automata_) n += entry.spans->nodes();
+  return n;
+}
+
+std::size_t SpanMemo::edges() const noexcept {
+  std::size_t n = 0;
+  for (const Entry& entry : automata_) n += entry.spans->edges();
+  return n;
+}
+
+SpanAutomaton& SpanMemo::automaton(bool folds, std::uint64_t watchdog,
+                                   std::size_t stages, bool pads) {
+  for (const Entry& entry : automata_) {
+    if (entry.folds == folds && entry.watchdog == watchdog) {
+      return *entry.spans;
+    }
+  }
+  automata_.push_back(
+      Entry{folds, watchdog, std::make_unique<SpanAutomaton>(stages, pads)});
+  return *automata_.back().spans;
+}
 
 bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   // ============ Phase 1: structural eligibility (no mutation) ==========
@@ -256,24 +368,23 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
 
   // Register programming prechecks mirror start_run()'s NDPGEN_CHECKs:
   // anything start_run would reject falls back so the exact path raises
-  // the identical error.
+  // the identical error. The registers were resolved when the PE was
+  // built.
   const SimRegFile& regs = pe.regs_;
+  const SimulatedPE::Registers& reg = pe.reg_;
   const bool configurable =
       pe.design_.flavor == hw::DesignFlavor::kGenerated;
-  for (std::string_view name :
-       {hw::reg::kInAddrLo, hw::reg::kInAddrHi, hw::reg::kOutAddrLo,
-        hw::reg::kOutAddrHi}) {
-    if (!reg_present(regs, name)) return false;
+  for (const RegSlot* slot : {&reg.in_addr_lo, &reg.in_addr_hi,
+                              &reg.out_addr_lo, &reg.out_addr_hi}) {
+    if (!slot->present()) return false;
   }
-  if (configurable && !reg_present(regs, hw::reg::kInSize)) return false;
+  if (configurable && !reg.in_size.present()) return false;
 
-  const std::uint64_t src =
-      regs.value64(hw::reg::kInAddrLo, hw::reg::kInAddrHi);
-  const std::uint64_t dst =
-      regs.value64(hw::reg::kOutAddrLo, hw::reg::kOutAddrHi);
+  const std::uint64_t src = regs.value64(reg.in_addr_lo, reg.in_addr_hi);
+  const std::uint64_t dst = regs.value64(reg.out_addr_lo, reg.out_addr_hi);
   const std::uint32_t chunk = pe.design_.parser.chunk_size_bytes;
   const std::uint32_t in_size =
-      configurable ? regs.value(hw::reg::kInSize)
+      configurable ? regs.value(reg.in_size)
                    : (pe.design_.static_payload_bytes != 0
                           ? pe.design_.static_payload_bytes
                           : chunk);
@@ -288,17 +399,14 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   };
   std::vector<StageCfg> cfg(num_stages);
   for (std::size_t i = 0; i < num_stages; ++i) {
-    const std::uint32_t stage = static_cast<std::uint32_t>(i);
-    if (!reg_present(regs, hw::reg::filter_field(stage)) ||
-        !reg_present(regs, hw::reg::filter_op(stage)) ||
-        !reg_present(regs, hw::reg::filter_value_lo(stage)) ||
-        !reg_present(regs, hw::reg::filter_value_hi(stage))) {
+    const SimulatedPE::Registers::Stage& stage = reg.stages[i];
+    if (!stage.field.present() || !stage.op.present() ||
+        !stage.value_lo.present() || !stage.value_hi.present()) {
       return false;
     }
-    cfg[i].field = regs.value(hw::reg::filter_field(stage));
-    cfg[i].op = regs.value(hw::reg::filter_op(stage));
-    cfg[i].cmp = regs.value64(hw::reg::filter_value_lo(stage),
-                              hw::reg::filter_value_hi(stage));
+    cfg[i].field = regs.value(stage.field);
+    cfg[i].op = regs.value(stage.op);
+    cfg[i].cmp = regs.value64(stage.value_lo, stage.value_hi);
     if (cfg[i].field >= pe.stages_[i]->fields_.size()) return false;
     if (pe.design_.operators.find_encoding(cfg[i].op) == nullptr) {
       return false;
@@ -308,14 +416,11 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   hw::AggOp agg_op = hw::AggOp::kNone;
   std::uint32_t agg_field = 0;
   if (pe.aggregate_ != nullptr) {
-    if (!reg_present(regs, hw::reg::kAggOp) ||
-        !reg_present(regs, hw::reg::kAggField)) {
-      return false;
-    }
-    const std::uint32_t op_raw = regs.value(hw::reg::kAggOp);
+    if (!reg.agg_op.present() || !reg.agg_field.present()) return false;
+    const std::uint32_t op_raw = regs.value(reg.agg_op);
     if (op_raw > static_cast<std::uint32_t>(hw::AggOp::kMax)) return false;
     agg_op = static_cast<hw::AggOp>(op_raw);
-    agg_field = regs.value(hw::reg::kAggField);
+    agg_field = regs.value(reg.agg_field);
     if (agg_field >= pe.aggregate_->fields_.size()) return false;
   }
 
@@ -400,25 +505,28 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   // commit, classification — on plain counters. Any deadline or watchdog
   // horizon reached mid-replay aborts to the exact path, which re-runs
   // the chunk from the identical pre-run state and raises at the very
-  // same virtual cycle. Tuple spans already ticked once in this call
-  // replay from the span automaton instead of being ticked again; every
-  // other tick (unseen spans, the read ramp, the tail after the last word
-  // request, the static baseline's zero-pad drain) is ticked one by one.
+  // same virtual cycle. Spans the PE's span automaton already holds
+  // replay from it instead of being ticked again; only the spans it has
+  // not seen tick, one cycle at a time.
   const std::uint32_t bpc = axi.config_.beats_per_cycle;
   const std::uint32_t latency = axi.config_.read_latency;
   const std::uint32_t max_out = axi.config_.max_outstanding;
   const std::uint64_t wd = kernel.watchdog_cycles_;
   const std::uint64_t n0 = kernel.now_;
 
-  ModelStream wi;
-  wi.depth = static_cast<std::uint32_t>(pe.words_in_->depth());
-  ModelStream wo;
-  wo.depth = static_cast<std::uint32_t>(pe.words_out_->depth());
+  // Model streams in one list: the word streams, then the tuple streams.
   const std::size_t num_tuple_streams = pe.tuple_streams_.size();
-  std::vector<ModelStream> ts(num_tuple_streams);
+  std::vector<ModelStream> ms(2 + num_tuple_streams);
+  ModelStream& wi = ms[0];
+  ModelStream& wo = ms[1];
+  ModelStream* const ts = ms.data() + 2;
+  wi.depth = static_cast<std::uint32_t>(pe.words_in_->depth());
+  wo.depth = static_cast<std::uint32_t>(pe.words_out_->depth());
   for (std::size_t j = 0; j < num_tuple_streams; ++j) {
     ts[j].depth = static_cast<std::uint32_t>(pe.tuple_streams_[j]->depth());
   }
+  std::vector<std::uint32_t> high_water(ms.size(), 0);  // The run's marks.
+  std::vector<std::uint32_t> span_peak(ms.size(), 0);
   const std::size_t agg_in = num_stages;            // ts index, if present.
   const std::size_t xform_in = num_stages + (pe.aggregate_ != nullptr ? 1 : 0);
   const std::size_t xform_out = xform_in + 1;
@@ -458,7 +566,6 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
   std::uint64_t transfers_acc = 0;
   std::uint64_t last_delta = 0;
   std::uint64_t stalled_since = n0;
-  std::uint64_t nf = 0;
   std::uint64_t now = n0;
 
   // Every counter a span advances, in SpanAutomaton's slot order.
@@ -467,13 +574,14 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     f(words_requested);
     f(words_pushed);
     f(payload_rem);
+    f(store_bytes);
     for (std::uint64_t& p : pos) f(p);
     for (std::uint64_t* c :
          {&useful, &stalled, &transfers_acc, &tuples_produced, &agg_folded,
-          &ob_tuples, &store_payload, &store_bytes, &wi.pushes, &wo.pushes}) {
+          &ob_tuples, &store_payload}) {
       f(*c);
     }
-    for (ModelStream& t : ts) f(t.pushes);
+    for (ModelStream& m : ms) f(m.pushes);
     for (std::size_t s = 0; s < num_stages; ++s) {
       f(pass_cnt[s]);
       f(drop_cnt[s]);
@@ -493,9 +601,7 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     f(ob_pending);
     f(ob_upstream_done);
     f(st_upstream_done);
-    f(wi.vis);
-    f(wo.vis);
-    for (ModelStream& t : ts) f(t.vis);
+    for (ModelStream& m : ms) f(m.vis);
     f(resp_cnt);
   };
   const auto save_node = [&](std::vector<std::uint64_t>& key) {
@@ -517,12 +623,43 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     resp_head = 0;
     for (std::size_t i = 0; i < resp_cnt; ++i) resp_ready[i] = now + key[k++];
   };
-  SpanAutomaton spans(stage_pass, words_total);
-  constexpr std::uint32_t kNoNode = ~std::uint32_t{0};
-  std::uint32_t span_from = kNoNode;  // Node the ticked span started at.
+  // Ends the ticked span at a node: its stream peaks become the edge's and
+  // raise the run's high-water marks.
+  const auto close_span = [&] {
+    for (std::size_t j = 0; j < ms.size(); ++j) {
+      span_peak[j] = ms[j].peak;
+      high_water[j] = std::max(high_water[j], ms[j].peak);
+      ms[j].peak = 0;
+    }
+  };
+  SpanAutomaton& spans = pe.spans_.automaton(
+      agg_consumes, wd, num_stages, /*pads=*/!configurable);
+  spans.bind(stage_pass, words_total);
+  std::uint32_t span_from = 0;            // Node the ticked span started at.
   std::vector<std::uint64_t> span_start;  // Counters at span_from.
   std::vector<std::uint64_t> counters;
   std::vector<std::uint64_t> key;
+  // At a node (or the finish tick): records the span just ticked as an
+  // edge, then follows edges for as long as one replays; ticking resumes
+  // from the state of the node the walk reached. Returns true when that
+  // is a finish node.
+  const auto at_node = [&](bool first, bool finish) {
+    counters.clear();
+    for_each_counter([&](std::uint64_t c) { counters.push_back(c); });
+    save_node(key);
+    const std::uint32_t id = spans.node(key, counters, finish);
+    close_span();
+    if (!first) spans.add_edge(span_from, id, span_start, counters, span_peak);
+    if (finish) return true;
+    span_from = spans.walk(id, counters, high_water);
+    if (counters[SpanAutomaton::kNow] != now) {
+      std::size_t i = 0;
+      for_each_counter([&](std::uint64_t& c) { c = counters[i++]; });
+      load_node(spans.key(span_from));
+    }
+    span_start.swap(counters);
+    return spans.finish(span_from);
+  };
 
   while (true) {
     // run_until's loop-top checks, mirrored so a fallback replay raises
@@ -540,7 +677,9 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
       // Start tick: the sequencer (last in module order) consumes
       // START and resets the datapath; every earlier module no-ops on
       // its post-previous-run state. PE busy, no transfers -> stalled.
+      // The state it leaves is the first node.
       ++stalled;
+      if (at_node(/*first=*/true, /*finish=*/false)) break;
       ++now;
       continue;
     }
@@ -668,8 +807,8 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
     bool drained = words_pushed == words_total && payload_rem == 0 &&
                    ib_pending < storage_bits && wi.empty();
     if (drained) {
-      for (const ModelStream& t : ts) {
-        if (!t.empty()) {
+      for (std::size_t j = 0; j < num_tuple_streams; ++j) {
+        if (!ts[j].empty()) {
           drained = false;
           break;
         }
@@ -684,46 +823,27 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
         store_done && rdq == 0 && resp_cnt == 0 && wrq == 0;
 
     // --- End-of-tick stream commit + classification ---
-    std::uint32_t moved = wi.commit() + wo.commit();
-    for (ModelStream& t : ts) moved += t.commit();
+    std::uint32_t moved = 0;
+    for (ModelStream& m : ms) moved += m.commit();
     if (moved > 0) {
       transfers_acc += moved;
       ++useful;
     } else if (finished) {
       // The finish tick: finish_run already ran inside the sequencer
       // step and the kernel then classifies a fully quiescent state.
-      nf = now;
+      at_node(/*first=*/false, /*finish=*/true);
       break;
     } else {
       ++stalled;
     }
 
-    // --- Span automaton ----------------------------------------------
-    //
-    // At a node, record the span just ticked as an edge, then follow
-    // edges for as long as one replays; ticking resumes from the state of
-    // the node the walk reached. A tick that fails the guards is no node,
-    // and since their counters only move one way, neither is any later one.
-    if (tuple_in_t && words_requested < words_total &&
-        words_pushed < words_total && payload_rem > 0) {
-      counters.clear();
-      for_each_counter([&](std::uint64_t c) { counters.push_back(c); });
-      save_node(key);
-      const std::uint32_t id = spans.node(key);
-      if (span_from != kNoNode) {
-        spans.add_edge(span_from, id, span_start, counters);
-      }
-      span_from = spans.walk(id, counters);
-      if (counters[SpanAutomaton::kNow] != now) {
-        std::size_t i = 0;
-        for_each_counter([&](std::uint64_t& c) { c = counters[i++]; });
-        load_node(spans.key(span_from));
-      }
-      span_start.swap(counters);
-    }
-
+    if (tuple_in_t && at_node(/*first=*/false, /*finish=*/false)) break;
     ++now;
   }
+  // The loop ends on the finish tick, ticked or replayed; its loop-top
+  // check is the run's last.
+  const std::uint64_t nf = now;
+  if (nf - n0 >= max_cycles) return false;
 
   // ================= Phase 4: state write-back =========================
   //
@@ -772,27 +892,16 @@ bool FastChunkEngine::run(SimulatedPE& pe, std::uint64_t max_cycles) {
 
   // Stream statistics: transfers and high-water marks accumulate across
   // runs; occupancies are already empty.
-  auto merge_stream = [](StreamBase* stream, const ModelStream& model) {
-    // All streams here are Stream<uint64_t> or Stream<Tuple>; transfers_
-    // and high_water_ live in the template, so dispatch on the two
-    // concrete types.
-    if (auto* words = dynamic_cast<Stream<std::uint64_t>*>(stream)) {
-      words->transfers_ += model.pushes;
-      if (model.high_water > words->high_water_) {
-        words->high_water_ = model.high_water;
-      }
-    } else if (auto* tuples = dynamic_cast<Stream<Tuple>*>(stream)) {
-      tuples->transfers_ += model.pushes;
-      if (model.high_water > tuples->high_water_) {
-        tuples->high_water_ = model.high_water;
-      }
-    }
+  const auto merge_stream = [](auto* stream, std::uint64_t pushes,
+                               std::uint32_t high) {
+    stream->transfers_ += pushes;
+    if (high > stream->high_water_) stream->high_water_ = high;
   };
-  merge_stream(pe.words_in_, wi);
+  merge_stream(pe.words_in_, wi.pushes, high_water[0]);
+  merge_stream(pe.words_out_, wo.pushes, high_water[1]);
   for (std::size_t j = 0; j < num_tuple_streams; ++j) {
-    merge_stream(pe.tuple_streams_[j], ts[j]);
+    merge_stream(pe.tuple_streams_[j], ts[j].pushes, high_water[2 + j]);
   }
-  merge_stream(pe.words_out_, wo);
 
   axi.write_first_ = write_first;
 

@@ -14,17 +14,16 @@
 // registers, metrics and trace events the tick loop would have produced —
 // byte-identical, at a fraction of the wall-clock cost.
 //
-// The replay ticks each distinct tuple span only once per chunk. At every
-// tick where the input buffer pushes a tuple, the replay's non-counter
-// state (queue and FIFO occupancies, response ready times relative to
-// now, the round-robin bit, the buffers' pending bits, the drain latches)
-// is a node of a per-call span automaton, and the ticks up to the next
-// such tick are an edge labelled with the filter decisions they consume.
-// An edge whose label matches the next decisions replays as its counter
-// deltas, as long as the load unit keeps words to request and push and
-// some payload stays unread. Every other tick is ticked one cycle at a
-// time: unseen spans, the read ramp, the tail after the last word request
-// and the static baseline's zero-pad drain.
+// The replay ticks each distinct tuple span only once per PE. The state
+// after the start tick, and the state at every tick where the input
+// buffer pushes a tuple, is a node of a span automaton that the PE keeps
+// from chunk to chunk; the ticks up to the next node (or to the finish
+// tick) are an edge labelled with the filter decisions they consume. An
+// edge whose label matches the next decisions replays as its counter
+// deltas: mid-chunk as long as the load unit keeps words to request and
+// push and some payload stays unread, and near the chunk's bounds from
+// the exact remaining counts it was ticked at. A warm PE ticks only the
+// spans it has not seen.
 //
 // Structural-event boundaries drop back to the cycle-exact path: a
 // module added to the bench kernel after the PE, in-flight state at
@@ -35,18 +34,53 @@
 // bit-preserved.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 namespace ndpgen::hwsim {
 
 class SimulatedPE;
+class SpanAutomaton;
+
+/// What the fused replay remembers about one PE between chunks: one span
+/// automaton per setting of the run constants its ticks read (whether the
+/// aggregate unit folds, and the kernel's watchdog horizon). The PE owns
+/// it, so it lives and dies with the PE and never leaves the PE's thread.
+class SpanMemo {
+ public:
+  SpanMemo();
+  ~SpanMemo();
+  SpanMemo(const SpanMemo&) = delete;
+  SpanMemo& operator=(const SpanMemo&) = delete;
+
+  /// Nodes and edges held over all automata.
+  [[nodiscard]] std::size_t nodes() const noexcept;
+  [[nodiscard]] std::size_t edges() const noexcept;
+
+ private:
+  friend class FastChunkEngine;
+
+  /// The automaton for one setting, made on first use.
+  SpanAutomaton& automaton(bool folds, std::uint64_t watchdog,
+                           std::size_t stages, bool pads);
+
+  struct Entry {
+    bool folds;
+    std::uint64_t watchdog;
+    std::unique_ptr<SpanAutomaton> spans;
+  };
+  std::vector<Entry> automata_;
+};
 
 class FastChunkEngine {
  public:
   /// Attempts to run the chunk started on `pe` (START written, run not
   /// yet begun) to completion analytically on its bench's kernel. Returns
-  /// true when the fast path applied; false means nothing was touched and
-  /// the caller must fall back to the cycle-exact run_until loop.
+  /// true when the fast path applied; false means nothing but the PE's
+  /// span memo was touched and the caller must fall back to the
+  /// cycle-exact run_until loop.
   static bool run(SimulatedPE& pe, std::uint64_t max_cycles);
 };
 

@@ -14,6 +14,24 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
       interconnect_(&interconnect),
       regs_(design.regmap) {
   design_.validate();
+  reg_ = Registers{
+      .start = regs_.slot(hw::reg::kStart),
+      .busy = regs_.slot(hw::reg::kBusy),
+      .in_addr_lo = regs_.slot(hw::reg::kInAddrLo),
+      .in_addr_hi = regs_.slot(hw::reg::kInAddrHi),
+      .out_addr_lo = regs_.slot(hw::reg::kOutAddrLo),
+      .out_addr_hi = regs_.slot(hw::reg::kOutAddrHi),
+      .in_size = regs_.slot(hw::reg::kInSize),
+      .out_size = regs_.slot(hw::reg::kOutSize),
+      .tuple_count = regs_.slot(hw::reg::kTupleCount),
+      .filter_counter = regs_.slot(hw::reg::kFilterCounter),
+      .cycle_counter = regs_.slot(hw::reg::kCycleCounter),
+      .agg_op = regs_.slot(hw::reg::kAggOp),
+      .agg_field = regs_.slot(hw::reg::kAggField),
+      .agg_result_lo = regs_.slot(hw::reg::kAggResultLo),
+      .agg_result_hi = regs_.slot(hw::reg::kAggResultHi),
+      .agg_count = regs_.slot(hw::reg::kAggCount),
+      .stages = {}};
 
   const bool configurable =
       design_.flavor == hw::DesignFlavor::kGenerated;
@@ -42,6 +60,11 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
       design.name + ".tuple_in", design_.parser.input, words_in_,
       tuple_streams_.front());
   for (std::uint32_t i = 0; i < stages; ++i) {
+    reg_.stages.push_back(Registers::Stage{
+        regs_.slot(hw::reg::filter_field(i)),
+        regs_.slot(hw::reg::filter_op(i)),
+        regs_.slot(hw::reg::filter_value_lo(i)),
+        regs_.slot(hw::reg::filter_value_hi(i))});
     stages_.push_back(std::make_unique<SimFilterStage>(
         design.name + ".filter_" + std::to_string(i), design_.parser.plan,
         design_.operators, tuple_streams_[i], tuple_streams_[i + 1]));
@@ -75,7 +98,7 @@ SimulatedPE::SimulatedPE(const hw::PEDesign& design, SimKernel& kernel,
 
 void SimulatedPE::mmio_write(std::uint32_t offset, std::uint32_t value) {
   regs_.mmio_write(offset, value);
-  if (offset == regs_.map().offset_of(hw::reg::kStart) && (value & 1u)) {
+  if (offset == regs_.offset(reg_.start) && (value & 1u)) {
     if (running_) {
       ndpgen::raise(ErrorKind::kSimulation,
                     "START written while PE '" + design_.name + "' is busy");
@@ -89,17 +112,16 @@ std::uint32_t SimulatedPE::mmio_read(std::uint32_t offset) const {
 }
 
 void SimulatedPE::start_run(std::uint64_t now) {
-  const std::uint64_t src =
-      regs_.value64(hw::reg::kInAddrLo, hw::reg::kInAddrHi);
+  const std::uint64_t src = regs_.value64(reg_.in_addr_lo, reg_.in_addr_hi);
   const std::uint64_t dst =
-      regs_.value64(hw::reg::kOutAddrLo, hw::reg::kOutAddrHi);
+      regs_.value64(reg_.out_addr_lo, reg_.out_addr_hi);
   const bool configurable =
       design_.flavor == hw::DesignFlavor::kGenerated;
   // Baseline designs hard-code the per-block payload geometry; generated
   // designs take it from the IN_SIZE register.
   const std::uint32_t in_size =
       configurable
-          ? regs_.value(hw::reg::kInSize)
+          ? regs_.value(reg_.in_size)
           : (design_.static_payload_bytes != 0
                  ? design_.static_payload_bytes
                  : design_.parser.chunk_size_bytes);
@@ -107,20 +129,18 @@ void SimulatedPE::start_run(std::uint64_t now) {
                    "IN_SIZE exceeds the PE chunk size");
 
   for (std::uint32_t i = 0; i < stages_.size(); ++i) {
-    const std::uint32_t field = regs_.value(hw::reg::filter_field(i));
-    const std::uint32_t op = regs_.value(hw::reg::filter_op(i));
-    const std::uint64_t compare =
-        regs_.value64(hw::reg::filter_value_lo(i), hw::reg::filter_value_hi(i));
-    stages_[i]->configure(field, op, compare);
+    const Registers::Stage& stage = reg_.stages[i];
+    stages_[i]->configure(regs_.value(stage.field), regs_.value(stage.op),
+                          regs_.value64(stage.value_lo, stage.value_hi));
     stages_[i]->start();
   }
 
   if (aggregate_ != nullptr) {
-    const std::uint32_t op = regs_.value(hw::reg::kAggOp);
+    const std::uint32_t op = regs_.value(reg_.agg_op);
     NDPGEN_CHECK_ARG(op <= static_cast<std::uint32_t>(hw::AggOp::kMax),
                      "invalid AGG_OP value");
     aggregate_->configure(static_cast<hw::AggOp>(op),
-                          regs_.value(hw::reg::kAggField));
+                          regs_.value(reg_.agg_field));
     aggregate_->start();
   }
 
@@ -136,7 +156,7 @@ void SimulatedPE::start_run(std::uint64_t now) {
   // execute inside a tick BEFORE the kernel classifies it, so the delta
   // covers exactly `cycles` ticks.
   run_start_classes_ = kernel_->cycle_stats();
-  regs_.hw_set(hw::reg::kBusy, 1);
+  regs_.hw_set(reg_.busy, 1);
 }
 
 bool SimulatedPE::pipeline_upstream_drained() const noexcept {
@@ -152,7 +172,7 @@ void SimulatedPE::cycle(std::uint64_t now) {
   if (start_pending_) {
     start_pending_ = false;
     // Self-clearing START bit, as in the generated hardware.
-    regs_.hw_set(hw::reg::kStart, 0);
+    regs_.hw_set(reg_.start, 0);
     start_run(now);
     return;
   }
@@ -187,24 +207,24 @@ void SimulatedPE::finish_run(std::uint64_t now) {
     last_stats_.stage_stall_out.push_back(stage->stall_out_count());
   }
 
-  regs_.hw_set(hw::reg::kBusy, 0);
-  regs_.hw_set(hw::reg::kOutSize,
+  regs_.hw_set(reg_.busy, 0);
+  regs_.hw_set(reg_.out_size,
                static_cast<std::uint32_t>(last_stats_.payload_bytes_out));
-  regs_.hw_set(hw::reg::kTupleCount,
+  regs_.hw_set(reg_.tuple_count,
                static_cast<std::uint32_t>(last_stats_.tuples_out));
-  regs_.hw_set(hw::reg::kFilterCounter,
+  regs_.hw_set(reg_.filter_counter,
                static_cast<std::uint32_t>(
                    stages_.empty() ? 0 : stages_.back()->pass_count()));
-  regs_.hw_set(hw::reg::kCycleCounter,
+  regs_.hw_set(reg_.cycle_counter,
                static_cast<std::uint32_t>(last_stats_.cycles));
   if (aggregate_ != nullptr) {
     last_stats_.agg_result = aggregate_->result();
     last_stats_.agg_folded = aggregate_->folded();
-    regs_.hw_set(hw::reg::kAggResultLo,
+    regs_.hw_set(reg_.agg_result_lo,
                  static_cast<std::uint32_t>(aggregate_->result()));
-    regs_.hw_set(hw::reg::kAggResultHi,
+    regs_.hw_set(reg_.agg_result_hi,
                  static_cast<std::uint32_t>(aggregate_->result() >> 32));
-    regs_.hw_set(hw::reg::kAggCount,
+    regs_.hw_set(reg_.agg_count,
                  static_cast<std::uint32_t>(aggregate_->folded()));
   }
   if (kernel_->observability() != nullptr) publish_observability(now);
@@ -213,34 +233,63 @@ void SimulatedPE::finish_run(std::uint64_t now) {
 void SimulatedPE::publish_observability(std::uint64_t now) {
   obs::Observability& obs = *kernel_->observability();
   obs::MetricsRegistry& m = obs.metrics;
-  const std::string prefix = "hwsim." + design_.name + ".";
-  m.add(m.counter(prefix + "chunks"), 1);
-  m.add(m.counter(prefix + "cycles"), last_stats_.cycles);
-  m.add(m.counter(prefix + "tuples_in"), last_stats_.tuples_in);
-  m.add(m.counter(prefix + "tuples_out"), last_stats_.tuples_out);
-  m.add(m.counter(prefix + "bytes_read"), last_stats_.bytes_read);
-  m.add(m.counter(prefix + "bytes_written"), last_stats_.bytes_written);
-  m.observe(m.histogram(prefix + "chunk_cycles"), last_stats_.cycles);
-  // Cycle classification, per design and rolled up globally (the global
-  // counters feed platform.publish_metrics's hwsim.idle_cycle_fraction).
-  m.add(m.counter(prefix + "cycles_useful"), last_stats_.cycles_useful);
-  m.add(m.counter(prefix + "cycles_stalled"), last_stats_.cycles_stalled);
-  m.add(m.counter(prefix + "cycles_idle"), last_stats_.cycles_idle);
-  m.add(m.counter("hwsim.cycles_useful"), last_stats_.cycles_useful);
-  m.add(m.counter("hwsim.cycles_stalled"), last_stats_.cycles_stalled);
-  m.add(m.counter("hwsim.cycles_idle"), last_stats_.cycles_idle);
-  for (std::size_t i = 0; i < stages_.size(); ++i) {
-    const std::string stage = prefix + "filter_" + std::to_string(i) + ".";
-    m.add(m.counter(stage + "pass"), stages_[i]->pass_count());
-    m.add(m.counter(stage + "drop"), stages_[i]->drop_count());
-    m.add(m.counter(stage + "stall_in"), stages_[i]->stall_in_count());
-    m.add(m.counter(stage + "stall_out"), stages_[i]->stall_out_count());
+  const auto& streams = kernel_->streams();
+  if (metrics_.registry != &m) {
+    const std::string prefix = "hwsim." + design_.name + ".";
+    metrics_ = Metrics{
+        .registry = &m,
+        .chunks = m.counter(prefix + "chunks"),
+        .cycles = m.counter(prefix + "cycles"),
+        .tuples_in = m.counter(prefix + "tuples_in"),
+        .tuples_out = m.counter(prefix + "tuples_out"),
+        .bytes_read = m.counter(prefix + "bytes_read"),
+        .bytes_written = m.counter(prefix + "bytes_written"),
+        .cycles_useful = m.counter(prefix + "cycles_useful"),
+        .cycles_stalled = m.counter(prefix + "cycles_stalled"),
+        .cycles_idle = m.counter(prefix + "cycles_idle"),
+        .all_useful = m.counter("hwsim.cycles_useful"),
+        .all_stalled = m.counter("hwsim.cycles_stalled"),
+        .all_idle = m.counter("hwsim.cycles_idle"),
+        .chunk_cycles = m.histogram(prefix + "chunk_cycles"),
+        .stages = {},
+        .high_water = {}};
+    for (std::size_t i = 0; i < stages_.size(); ++i) {
+      const std::string stage = prefix + "filter_" + std::to_string(i) + ".";
+      metrics_.stages.push_back(Metrics::Stage{
+          m.counter(stage + "pass"), m.counter(stage + "drop"),
+          m.counter(stage + "stall_in"), m.counter(stage + "stall_out")});
+    }
   }
   // FIFO high-water marks cover all kernel streams: this PE's own, named
-  // after the design.
-  for (const auto& stream : kernel_->streams()) {
-    m.raise(m.gauge("hwsim.fifo." + stream->name() + ".high_water"),
-            stream->high_water());
+  // after the design, and any a test adds after it.
+  for (std::size_t i = metrics_.high_water.size(); i < streams.size(); ++i) {
+    metrics_.high_water.push_back(
+        m.gauge("hwsim.fifo." + streams[i]->name() + ".high_water"));
+  }
+  m.add(metrics_.chunks, 1);
+  m.add(metrics_.cycles, last_stats_.cycles);
+  m.add(metrics_.tuples_in, last_stats_.tuples_in);
+  m.add(metrics_.tuples_out, last_stats_.tuples_out);
+  m.add(metrics_.bytes_read, last_stats_.bytes_read);
+  m.add(metrics_.bytes_written, last_stats_.bytes_written);
+  m.observe(metrics_.chunk_cycles, last_stats_.cycles);
+  // Cycle classification, per design and rolled up globally (the global
+  // counters feed platform.publish_metrics's hwsim.idle_cycle_fraction).
+  m.add(metrics_.cycles_useful, last_stats_.cycles_useful);
+  m.add(metrics_.cycles_stalled, last_stats_.cycles_stalled);
+  m.add(metrics_.cycles_idle, last_stats_.cycles_idle);
+  m.add(metrics_.all_useful, last_stats_.cycles_useful);
+  m.add(metrics_.all_stalled, last_stats_.cycles_stalled);
+  m.add(metrics_.all_idle, last_stats_.cycles_idle);
+  for (std::size_t i = 0; i < stages_.size(); ++i) {
+    const Metrics::Stage& stage = metrics_.stages[i];
+    m.add(stage.pass, stages_[i]->pass_count());
+    m.add(stage.drop, stages_[i]->drop_count());
+    m.add(stage.stall_in, stages_[i]->stall_in_count());
+    m.add(stage.stall_out, stages_[i]->stall_out_count());
+  }
+  for (std::size_t i = 0; i < streams.size(); ++i) {
+    m.raise(metrics_.high_water[i], streams[i]->high_water());
   }
   if (obs.tracing()) {
     // hwsim events live on the PE-cycle timeline: pid 2, 10 ns per cycle.
@@ -294,19 +343,20 @@ void PETestBench::set_filter(std::uint32_t stage, std::uint32_t field_sel,
 
 void PETestBench::start_chunk(std::uint64_t src_addr, std::uint64_t dst_addr,
                               std::uint32_t payload_bytes) {
-  const auto& map = pe_->regmap();
-  pe_->mmio_write(map.offset_of(hw::reg::kInAddrLo),
+  const SimRegFile& regs = pe_->regs_;
+  const SimulatedPE::Registers& reg = pe_->reg_;
+  pe_->mmio_write(regs.offset(reg.in_addr_lo),
                   static_cast<std::uint32_t>(src_addr));
-  pe_->mmio_write(map.offset_of(hw::reg::kInAddrHi),
+  pe_->mmio_write(regs.offset(reg.in_addr_hi),
                   static_cast<std::uint32_t>(src_addr >> 32));
-  pe_->mmio_write(map.offset_of(hw::reg::kOutAddrLo),
+  pe_->mmio_write(regs.offset(reg.out_addr_lo),
                   static_cast<std::uint32_t>(dst_addr));
-  pe_->mmio_write(map.offset_of(hw::reg::kOutAddrHi),
+  pe_->mmio_write(regs.offset(reg.out_addr_hi),
                   static_cast<std::uint32_t>(dst_addr >> 32));
-  if (map.find(hw::reg::kInSize) != nullptr) {
-    pe_->mmio_write(map.offset_of(hw::reg::kInSize), payload_bytes);
+  if (reg.in_size.present()) {
+    pe_->mmio_write(regs.offset(reg.in_size), payload_bytes);
   }
-  pe_->mmio_write(map.offset_of(hw::reg::kStart), 1);
+  pe_->mmio_write(regs.offset(reg.start), 1);
 }
 
 ChunkStats PETestBench::run_chunk(std::uint64_t src_addr,

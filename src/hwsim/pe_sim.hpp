@@ -75,6 +75,8 @@ class SimulatedPE final : public Module {
   [[nodiscard]] const hwgen::RegisterMap& regmap() const noexcept {
     return regs_.map();
   }
+  /// The fused replay's span memory of this PE.
+  [[nodiscard]] const SpanMemo& spans() const noexcept { return spans_; }
 
  private:
   friend class FastChunkEngine;
@@ -85,6 +87,30 @@ class SimulatedPE final : public Module {
   /// interconnect.
   SimulatedPE(const hwgen::PEDesign& design, SimKernel& kernel,
               AxiInterconnect& interconnect);
+
+  /// The registers the PE reads and sets, resolved once at construction.
+  struct Registers {
+    struct Stage {
+      RegSlot field, op, value_lo, value_hi;
+    };
+    RegSlot start, busy, in_addr_lo, in_addr_hi, out_addr_lo, out_addr_hi,
+        in_size, out_size, tuple_count, filter_counter, cycle_counter;
+    RegSlot agg_op, agg_field, agg_result_lo, agg_result_hi, agg_count;
+    std::vector<Stage> stages;
+  };
+  /// The metrics a chunk publishes, resolved once per registry.
+  struct Metrics {
+    const obs::MetricsRegistry* registry = nullptr;
+    obs::CounterHandle chunks, cycles, tuples_in, tuples_out, bytes_read,
+        bytes_written, cycles_useful, cycles_stalled, cycles_idle;
+    obs::CounterHandle all_useful, all_stalled, all_idle;  ///< hwsim.*
+    obs::HistogramHandle chunk_cycles;
+    struct Stage {
+      obs::CounterHandle pass, drop, stall_in, stall_out;
+    };
+    std::vector<Stage> stages;
+    std::vector<obs::GaugeHandle> high_water;  ///< Per kernel stream.
+  };
 
   void start_run(std::uint64_t now);
   void finish_run(std::uint64_t now);
@@ -99,6 +125,9 @@ class SimulatedPE final : public Module {
   /// waiting behind the load's read window).
   AxiInterconnect* interconnect_;
   SimRegFile regs_;
+  Registers reg_;
+  Metrics metrics_;
+  SpanMemo spans_;
 
   Stream<std::uint64_t>* words_in_;
   std::vector<Stream<Tuple>*> tuple_streams_;  ///< in-buffer ... out-buffer.

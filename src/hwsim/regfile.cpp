@@ -25,18 +25,10 @@ std::uint32_t SimRegFile::mmio_read(std::uint32_t offset) const {
   return values_[offset / 4];
 }
 
-void SimRegFile::hw_set(std::string_view name, std::uint32_t value) {
-  values_[map_.offset_of(name) / 4] = value;
-}
-
-std::uint32_t SimRegFile::value(std::string_view name) const {
-  return values_[map_.offset_of(name) / 4];
-}
-
-std::uint64_t SimRegFile::value64(std::string_view lo_name,
-                                  std::string_view hi_name) const {
-  return static_cast<std::uint64_t>(value(lo_name)) |
-         (static_cast<std::uint64_t>(value(hi_name)) << 32);
+RegSlot SimRegFile::slot(std::string_view name) const {
+  const hwgen::RegisterDef* def = map_.find(name);
+  return RegSlot{def != nullptr ? def->offset / 4 : RegSlot::kAbsent,
+                 std::string(name)};
 }
 
 void SimRegFile::reset() {

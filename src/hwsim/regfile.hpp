@@ -7,11 +7,24 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "hwgen/register_map.hpp"
 
 namespace ndpgen::hwsim {
+
+/// A register looked up once: its word index in the file, or absent when
+/// the map lacks it. Reading or setting an absent slot raises the map's
+/// RegisterMap::offset_of error for its name.
+struct RegSlot {
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+  std::uint32_t index = kAbsent;
+  std::string name;
+
+  [[nodiscard]] bool present() const noexcept { return index != kAbsent; }
+};
 
 class SimRegFile {
  public:
@@ -25,19 +38,35 @@ class SimRegFile {
   /// Verilog's default case.
   [[nodiscard]] std::uint32_t mmio_read(std::uint32_t offset) const;
 
-  /// Internal (hardware-side) access, bypassing the RO check.
-  void hw_set(std::string_view name, std::uint32_t value);
-  [[nodiscard]] std::uint32_t value(std::string_view name) const;
+  /// Resolves register `name` once for the accesses below.
+  [[nodiscard]] RegSlot slot(std::string_view name) const;
+  [[nodiscard]] std::uint32_t offset(const RegSlot& slot) const {
+    return index(slot) * 4;
+  }
 
+  /// Internal (hardware-side) access, bypassing the RO check.
+  void hw_set(const RegSlot& slot, std::uint32_t value) {
+    values_[index(slot)] = value;
+  }
+  [[nodiscard]] std::uint32_t value(const RegSlot& slot) const {
+    return values_[index(slot)];
+  }
   /// 64-bit helper for address/value register pairs (LO/HI).
-  [[nodiscard]] std::uint64_t value64(std::string_view lo_name,
-                                      std::string_view hi_name) const;
+  [[nodiscard]] std::uint64_t value64(const RegSlot& lo,
+                                      const RegSlot& hi) const {
+    return static_cast<std::uint64_t>(value(lo)) |
+           (static_cast<std::uint64_t>(value(hi)) << 32);
+  }
 
   void reset();
 
   [[nodiscard]] const hwgen::RegisterMap& map() const noexcept { return map_; }
 
  private:
+  [[nodiscard]] std::uint32_t index(const RegSlot& slot) const {
+    return slot.present() ? slot.index : map_.offset_of(slot.name) / 4;
+  }
+
   hwgen::RegisterMap map_;
   std::vector<std::uint32_t> values_;
 };

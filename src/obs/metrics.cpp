@@ -12,9 +12,8 @@ std::uint32_t MetricsRegistry::register_metric(std::string_view name,
                                                Kind kind) {
   NDPGEN_CHECK_ARG(!name.empty(), "metric name must not be empty");
   std::lock_guard<std::mutex> lock(register_mutex_);
-  const auto [it, inserted] = index_.try_emplace(
-      std::string(name), kind, std::uint32_t{0});
-  if (!inserted) {
+  // Look the name up as a view first: only a new name is copied.
+  if (const auto it = index_.find(name); it != index_.end()) {
     NDPGEN_CHECK_ARG(it->second.first == kind,
                      "metric '" + std::string(name) +
                          "' already registered with a different kind");
@@ -37,7 +36,7 @@ std::uint32_t MetricsRegistry::register_metric(std::string_view name,
           std::vector<RelaxedU64>(kHistogramBuckets)});
       break;
   }
-  it->second.second = index;
+  index_.emplace(std::string(name), std::pair{kind, index});
   return index;
 }
 

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <limits>
 #include <mutex>
 #include <string>
@@ -134,7 +135,7 @@ class MetricsRegistry {
                                                    double p) const;
   [[nodiscard]] bool contains(std::string_view name) const noexcept {
     std::lock_guard<std::mutex> lock(register_mutex_);
-    return index_.contains(std::string(name));
+    return index_.contains(name);
   }
   [[nodiscard]] std::size_t size() const noexcept {
     std::lock_guard<std::mutex> lock(register_mutex_);
@@ -188,8 +189,17 @@ class MetricsRegistry {
   std::deque<Counter> counters_;
   std::deque<Gauge> gauges_;
   std::deque<Histogram> histograms_;
+  /// Hashes names and string views alike, so a lookup allocates nothing.
+  struct NameHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view name) const noexcept {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
   /// name -> (kind, index). Only touched at registration and dump time.
-  std::unordered_map<std::string, std::pair<Kind, std::uint32_t>> index_;
+  std::unordered_map<std::string, std::pair<Kind, std::uint32_t>, NameHash,
+                     std::equal_to<>>
+      index_;
   mutable std::mutex register_mutex_;  ///< Guards index_ and table growth.
 };
 

@@ -1,6 +1,8 @@
 #include "query/executor.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <numeric>
 
 #include "core/testbed.hpp"
@@ -23,6 +25,61 @@ std::size_t column_index(const std::vector<std::string>& columns,
                    "' missing from the working schema");
   return static_cast<std::size_t>(it - columns.begin());
 }
+
+/// The little-endian word of `Bytes` bytes at `at`, zero-extended.
+template <std::size_t Bytes>
+std::uint64_t load_le(const std::uint8_t* at) noexcept {
+  std::uint64_t value = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&value, at, Bytes);
+  } else {
+    for (std::size_t i = 0; i < Bytes; ++i) {
+      value |= std::uint64_t{at[i]} << (8 * i);
+    }
+  }
+  return value;
+}
+
+/// A leaf's columns bound once to fixed-width loads from its device
+/// records: each column reads its field at its byte offset, and the
+/// offsets and widths are checked against the record size here, not per
+/// record.
+class LeafDecoder {
+ public:
+  explicit LeafDecoder(const analysis::RecordPlan& plan)
+      : record_bytes_(plan.input_bytes()) {
+    static constexpr Load kLoads[] = {load_le<1>, load_le<2>, load_le<3>,
+                                      load_le<4>, load_le<5>, load_le<6>,
+                                      load_le<7>, load_le<8>};
+    for (const analysis::PlanField& field : plan.fields()) {
+      const std::uint32_t offset = field.storage_offset_bits / 8;
+      const std::uint32_t bytes = field.width_bits / 8;
+      NDPGEN_CHECK(bytes >= 1 && bytes <= 8 &&
+                       offset + bytes <= record_bytes_,
+                   "leaf column outside its device record");
+      columns_.push_back(Column{offset, kLoads[bytes - 1]});
+    }
+  }
+
+  /// Appends `record`'s row to `cells`.
+  void append(std::span<const std::uint8_t> record,
+              std::vector<std::uint64_t>& cells) const {
+    NDPGEN_CHECK_ARG(record.size() == record_bytes_,
+                     "record size does not match the layout");
+    for (const Column& column : columns_) {
+      cells.push_back(column.load(record.data() + column.offset));
+    }
+  }
+
+ private:
+  using Load = std::uint64_t (*)(const std::uint8_t*) noexcept;
+  struct Column {
+    std::uint32_t offset;
+    Load load;
+  };
+  std::uint32_t record_bytes_;
+  std::vector<Column> columns_;
+};
 
 /// A row-major table: `width` cells per row, rows back to back. The tail
 /// works on these and builds ResultTable::rows only at the end.
@@ -316,19 +373,17 @@ LeafOutput run_leaf(const LeafPipeline& leaf, const QueryExecOptions& options,
 
   // Decode each device record straight into the leaf's rows through a
   // plan over the generated output layout's columns.
-  const auto decode = analysis::RecordPlan::select(artifacts.analyzed.output,
-                                                   leaf.columns);
-  out.fields = decode.fields();
-  const auto width = static_cast<std::uint32_t>(leaf.columns.size());
-  out.rows.width = width;
+  const auto plan = analysis::RecordPlan::select(artifacts.analyzed.output,
+                                                 leaf.columns);
+  out.fields = plan.fields();
+  out.rows.width = leaf.columns.size();
   // Every result is a stored record, so this bounds the table; the pages
   // the rows never reach stay untouched.
-  out.rows.cells.reserve(out.stats.records_loaded * width);
+  out.rows.cells.reserve(out.stats.records_loaded * out.rows.width);
+  const LeafDecoder decode(plan);
   const auto stats = executor.scan(
-      predicates, [&out, &decode, width](std::span<const std::uint8_t> record) {
-        for (std::uint32_t i = 0; i < width; ++i) {
-          out.rows.cells.push_back(decode.extract(record, i));
-        }
+      predicates, [&out, &decode](std::span<const std::uint8_t> record) {
+        decode.append(record, out.rows.cells);
       });
   out.stats.blocks = stats.blocks;
   out.stats.tuples_scanned = stats.tuples_scanned;

@@ -726,6 +726,216 @@ TEST(FastForward, SelfLoopRunsEndWhereExactTickingDoes) {
   }
 }
 
+// ---- One bench, many chunks: the PE's span automaton across chunks ----
+
+/// One step of a bench's life: program registers, reset the kernel as an
+/// executor call does, or run a chunk (under a deadline, if set).
+struct BenchStep {
+  enum class Kind { kFilter, kAggregate, kReset, kWatchdog, kChunk } kind;
+  std::uint32_t op = 0;         ///< kFilter: encoding; kAggregate: AggOp.
+  std::uint64_t value = 0;      ///< kFilter: compare word; kWatchdog.
+  std::size_t payload = 0;      ///< kChunk: index into the payloads.
+  std::uint32_t bytes = 0;      ///< kChunk: payload bytes.
+  std::uint64_t max_cycles = 100'000'000;  ///< kChunk deadline.
+  bool warm = false;  ///< kChunk: the PE has ticked every span of it.
+};
+
+/// What one chunk step leaves behind.
+struct StepResult {
+  bool fused = false;
+  std::string error;
+  ChunkStats stats;
+  std::vector<std::uint8_t> image;
+  std::string metrics;
+  std::vector<std::size_t> high_water;  ///< Per kernel stream.
+  std::uint64_t now = 0;
+  CycleStats cycles;
+  bool warm = false;
+  std::size_t spans = 0;  ///< Nodes and edges the PE's span memo holds.
+};
+
+/// Runs `steps` on one bench of `design` in `mode` and returns every
+/// chunk step's result. Stage 0 filters the field `field` selects; later
+/// stages pass all.
+std::vector<StepResult> run_steps(const hw::PEDesign& design, SimMode mode,
+                                  std::uint32_t field,
+                                  const std::vector<std::vector<std::uint8_t>>&
+                                      payloads,
+                                  const std::vector<BenchStep>& steps) {
+  constexpr std::uint64_t kOut = kv::kDataBlockBytes;
+  PEBenchConfig config = bench_config(mode);
+  config.memory_bytes = 2 * kv::kDataBlockBytes;
+  PETestBench bench(design, config);
+  const auto& map = bench.pe().regmap();
+  std::vector<StepResult> results;
+  for (const BenchStep& step : steps) {
+    switch (step.kind) {
+      case BenchStep::Kind::kFilter:
+        bench.set_filter(0, field, step.op, step.value);
+        for (std::uint32_t s = 1; s < design.filter_stage_count(); ++s) {
+          bench.set_filter(s, 0, 6 /* nop */, 0);
+        }
+        continue;
+      case BenchStep::Kind::kAggregate:
+        bench.pe().mmio_write(map.offset_of(hw::reg::kAggOp), step.op);
+        bench.pe().mmio_write(map.offset_of(hw::reg::kAggField), 1);
+        continue;
+      case BenchStep::Kind::kReset:
+        // PeShard::begin_call: the kernel restarts at cycle 0 with empty
+        // streams and registers; metric values restart too.
+        bench.kernel().reset();
+        bench.observability().metrics.reset_values();
+        continue;
+      case BenchStep::Kind::kWatchdog:
+        bench.kernel().set_watchdog(step.value);
+        continue;
+      case BenchStep::Kind::kChunk:
+        break;
+    }
+    const std::vector<std::uint8_t>& payload = payloads[step.payload];
+    bench.memory().write_bytes(0, std::span(payload).first(step.bytes));
+    bench.start_chunk(0, kOut, step.bytes);
+    StepResult result;
+    try {
+      result.fused = mode == SimMode::kFast &&
+                     FastChunkEngine::run(bench.pe(), step.max_cycles);
+      if (!result.fused) {
+        (void)bench.kernel().run_until([&] { return !bench.pe().busy(); },
+                                       step.max_cycles);
+      }
+    } catch (const Error& e) {
+      result.error = e.what();
+    }
+    result.stats = bench.pe().last_stats();
+    result.image = to_vec(bench.memory().read_bytes(kOut, kv::kDataBlockBytes));
+    result.metrics = bench.observability().metrics.dump_json();
+    for (const auto& stream : bench.kernel().streams()) {
+      result.high_water.push_back(stream->high_water());
+    }
+    result.now = bench.kernel().now();
+    result.cycles = bench.kernel().cycle_stats();
+    result.warm = step.warm;
+    result.spans = bench.pe().spans().nodes() + bench.pe().spans().edges();
+    results.push_back(std::move(result));
+  }
+  return results;
+}
+
+TEST(FastForward, SpanAutomatonOutlivesTheChunk) {
+  // The PE keeps its span automaton from chunk to chunk, so a span ticked
+  // in one chunk replays in later ones: across block sizes, predicates,
+  // aggregate settings, kernel resets and declined chunks. Every chunk of
+  // the fast bench must leave what the exact bench leaves, FIFO high-water
+  // marks included (a replayed span raises them to its recorded peaks).
+  const std::string pubgraph = workload::pubgraph_spec_source();
+  const auto paper_scan =
+      analysis::analyze_parser(spec::parse_spec(pubgraph), "PaperScan");
+  hw::TemplateOptions baseline;
+  baseline.flavor = hw::DesignFlavor::kHandcraftedBaseline;
+  baseline.static_payload_bytes =
+      kv::records_per_block(paper_scan.input.storage_bytes()) *
+      paper_scan.input.storage_bytes();
+  const std::vector<LongChunkDesign> designs = {
+      {"PaperScan aggregate",
+       design_for(pubgraph, "PaperScan", hw::DesignFlavor::kGenerated, true),
+       true,
+       {"year"}},
+      {"PaperScan static baseline", hw::build_pe_design(paper_scan, baseline),
+       true,
+       {"year"}},
+  };
+  using Kind = BenchStep::Kind;
+  for (const LongChunkDesign& d : designs) {
+    SCOPED_TRACE(d.name);
+    const analysis::TupleLayout& layout = d.design.parser.input;
+    const std::uint32_t tuple_bytes = layout.storage_bytes();
+    const std::uint64_t tuples = kv::records_per_block(tuple_bytes);
+    const auto full = static_cast<std::uint32_t>(tuples * tuple_bytes);
+    std::vector<std::vector<std::uint8_t>> payloads;
+    for (const auto& pattern : long_chunk_patterns(tuples)) {
+      payloads.push_back(
+          long_chunk_payload(d.design, d.papers, d.fields, {pattern.second}));
+    }
+    const auto relevant = layout.relevant_indices();
+    const auto field = static_cast<std::uint32_t>(
+        std::find(relevant.begin(), relevant.end(),
+                  layout.find_field("year").value()) -
+        relevant.begin());
+    const bool generated = d.design.flavor == hw::DesignFlavor::kGenerated;
+    // A static PE always reads its full block.
+    const auto bytes = [&](std::uint64_t n) {
+      return generated ? static_cast<std::uint32_t>(n * tuple_bytes) : full;
+    };
+    const BenchStep lt500{Kind::kFilter, 4 /* lt */, 500};
+    std::vector<BenchStep> steps = {lt500};
+    if (generated) steps.push_back({Kind::kAggregate, 1 /* kSum */});
+    const std::vector<BenchStep> chunks = {
+        {Kind::kChunk, 0, 0, 3, full},     // random 30%
+        {Kind::kChunk, 0, 0, 4, full},     // long runs
+        {Kind::kChunk, 0, 0, 3, full},     // warm: every span seen
+        {Kind::kChunk, 0, 0, 2, bytes(100)},  // partial last block
+        {Kind::kChunk, 0, 0, 3, bytes(2)},    // shorter than the ramp
+        {Kind::kChunk, 0, 0, 3, bytes(2)},
+    };
+    steps.insert(steps.end(), chunks.begin(), chunks.end());
+    steps.push_back({Kind::kFilter, 2 /* gt */, 500});  // Inverts decisions.
+    steps.push_back({Kind::kChunk, 0, 0, 3, full});
+    if (generated) {
+      steps.push_back({Kind::kAggregate, 0 /* kNone */});
+      steps.push_back({Kind::kChunk, 0, 0, 4, full});
+      steps.push_back({Kind::kChunk, 0, 0, 3, bytes(100)});
+    }
+    // A new call: the kernel restarts from cycle 0 and the registers from
+    // zero. The first chunk again replays every span, ramp to finish.
+    steps.push_back({Kind::kReset});
+    steps.push_back(lt500);
+    if (generated) steps.push_back({Kind::kAggregate, 1 /* kSum */});
+    steps.push_back({Kind::kChunk, 0, 0, 3, full, 100'000'000, true});
+    steps.push_back({Kind::kChunk, 0, 0, 3, bytes(2)});
+    // Declines: a deadline inside the chunk, then a watchdog in the read
+    // ramp; each leaves the PE mid-run, so a reset follows.
+    steps.push_back({Kind::kChunk, 0, 0, 4, full, 900});
+    steps.push_back({Kind::kReset});
+    steps.push_back(lt500);
+    steps.push_back({Kind::kWatchdog, 0, 3});
+    steps.push_back({Kind::kChunk, 0, 0, 3, full});
+    steps.push_back({Kind::kReset});
+    steps.push_back(lt500);
+    steps.push_back({Kind::kWatchdog, 0, 0});
+    steps.push_back({Kind::kChunk, 0, 0, 4, full});
+    steps.push_back({Kind::kChunk, 0, 0, 1, full});  // all-drop
+
+    const auto exact = run_steps(d.design, SimMode::kExact, field, payloads,
+                                 steps);
+    const auto fast = run_steps(d.design, SimMode::kFast, field, payloads,
+                                steps);
+    ASSERT_EQ(exact.size(), fast.size());
+    for (std::size_t i = 0; i < exact.size(); ++i) {
+      SCOPED_TRACE("chunk step " + std::to_string(i));
+      const StepResult& e = exact[i];
+      const StepResult& f = fast[i];
+      EXPECT_EQ(f.fused, e.error.empty());
+      EXPECT_EQ(e.error, f.error);
+      expect_chunk_eq(e.stats, f.stats);
+      EXPECT_EQ(e.image, f.image);  // Output DRAM image.
+      EXPECT_EQ(e.metrics, f.metrics);
+      EXPECT_EQ(e.high_water, f.high_water);
+      EXPECT_EQ(e.now, f.now);  // Virtual clock.
+      EXPECT_EQ(e.cycles.useful, f.cycles.useful);
+      EXPECT_EQ(e.cycles.stalled, f.cycles.stalled);
+      EXPECT_EQ(e.cycles.idle, f.cycles.idle);
+      // A warm chunk ticks nothing, so the PE learns no span.
+      if (f.warm) EXPECT_EQ(f.spans, fast[i - 1].spans);
+    }
+    // Two declines; every other chunk replays.
+    EXPECT_EQ(std::count_if(exact.begin(), exact.end(),
+                            [](const StepResult& r) {
+                              return !r.error.empty();
+                            }),
+              2);
+  }
+}
+
 // ---- Output plane: the record plan's projection vs the exact datapath -
 
 /// Runs `payload` through `design` in both modes — stage 0 applies

@@ -1,5 +1,6 @@
 #include "kv/db.hpp"
 
+#include <array>
 #include <cstring>
 #include <unordered_set>
 
@@ -69,10 +70,9 @@ void NKV::journal_put(SequenceNumber seq,
 
 void NKV::journal_del(SequenceNumber seq, const Key& key) {
   if (wal_ == nullptr) return;
-  std::vector<std::uint8_t> packed;
-  packed.reserve(16);
-  support::put_u64(packed, key.hi);
-  support::put_u64(packed, key.lo);
+  std::array<std::uint8_t, 16> packed;
+  support::store_u64(packed.data(), key.hi);
+  support::store_u64(packed.data() + 8, key.lo);
   wal_->append(kWalDelete, seq, packed);
   wal_->sync();
 }

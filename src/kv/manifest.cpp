@@ -1,5 +1,8 @@
 #include "kv/manifest.hpp"
 
+#include <bit>
+#include <cstring>
+
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
@@ -15,11 +18,6 @@ constexpr std::uint32_t kManifestMagic = 0x6e4b564d;  // "nKVM"
 // Older manifests still decode (missing fields read as 0/unverified).
 constexpr std::uint32_t kManifestVersion = 3;
 
-void put_key(std::vector<std::uint8_t>& out, const Key& key) {
-  support::put_u64(out, key.hi);
-  support::put_u64(out, key.lo);
-}
-
 Key get_key(std::span<const std::uint8_t> in, std::size_t& offset) {
   Key key;
   key.hi = support::get_u64(in, offset);
@@ -28,31 +26,95 @@ Key get_key(std::span<const std::uint8_t> in, std::size_t& offset) {
   return key;
 }
 
-void encode_table(std::vector<std::uint8_t>& out, const SSTable& table) {
-  support::put_u64(out, table.id);
-  support::put_u32(out, table.level);
-  support::put_u32(out, table.record_bytes);
-  put_key(out, table.min_key);
-  put_key(out, table.max_key);
-  support::put_u64(out, table.min_seq);
-  support::put_u64(out, table.max_seq);
-  support::put_varint(out, table.blocks.size());
-  for (const auto& block : table.blocks) {
-    put_key(out, block.first_key);
-    put_key(out, block.last_key);
-    support::put_u16(out, block.record_count);
-    support::put_u32(out, block.crc32c);
-    support::put_varint(out, block.flash_pages.size());
-    for (const auto page : block.flash_pages) support::put_u64(out, page);
-  }
-  support::put_varint(out, table.tombstones.size());
-  for (const auto& tombstone : table.tombstones) {
-    put_key(out, tombstone.key);
-    support::put_u64(out, tombstone.seq);
-  }
-  support::put_varint(out, table.bloom.words().size());
-  for (const auto word : table.bloom.words()) support::put_u64(out, word);
+[[nodiscard]] constexpr std::size_t varint_bytes(std::uint64_t v) noexcept {
+  std::size_t bytes = 1;
+  for (; v >= 0x80; v >>= 7) ++bytes;
+  return bytes;
 }
+
+/// Encoded size of one table, field for field as ImageWriter::table
+/// writes it.
+std::size_t table_bytes(const SSTable& table) {
+  const std::size_t words = table.bloom.words().size();
+  std::size_t bytes = 8 + 4 + 4 + 16 + 16 + 8 + 8 +
+                      varint_bytes(table.blocks.size()) +
+                      varint_bytes(table.tombstones.size()) +
+                      24 * table.tombstones.size() + varint_bytes(words) +
+                      8 * words;
+  for (const auto& block : table.blocks) {
+    const std::size_t pages = block.flash_pages.size();
+    bytes += 16 + 16 + 2 + 4 + varint_bytes(pages) + 8 * pages;
+  }
+  return bytes;
+}
+
+/// Writes a manifest image front to back into a buffer sized up front.
+class ImageWriter {
+ public:
+  explicit ImageWriter(std::uint8_t* out) noexcept : at_(out) {}
+
+  [[nodiscard]] const std::uint8_t* position() const noexcept { return at_; }
+
+  void u16(std::uint16_t v) noexcept {
+    at_[0] = static_cast<std::uint8_t>(v);
+    at_[1] = static_cast<std::uint8_t>(v >> 8);
+    at_ += 2;
+  }
+  void u32(std::uint32_t v) noexcept {
+    support::store_u32(at_, v);
+    at_ += 4;
+  }
+  void u64(std::uint64_t v) noexcept {
+    support::store_u64(at_, v);
+    at_ += 8;
+  }
+  void key(const Key& key) noexcept {
+    u64(key.hi);
+    u64(key.lo);
+  }
+  void varint(std::uint64_t v) noexcept {
+    for (; v >= 0x80; v >>= 7) *at_++ = static_cast<std::uint8_t>(v) | 0x80;
+    *at_++ = static_cast<std::uint8_t>(v);
+  }
+  /// Little-endian u64s in bulk.
+  void u64s(std::span<const std::uint64_t> words) noexcept {
+    if constexpr (std::endian::native == std::endian::little) {
+      if (!words.empty()) std::memcpy(at_, words.data(), words.size_bytes());
+      at_ += words.size_bytes();
+    } else {
+      for (const std::uint64_t word : words) u64(word);
+    }
+  }
+
+  void table(const SSTable& table) noexcept {
+    u64(table.id);
+    u32(table.level);
+    u32(table.record_bytes);
+    key(table.min_key);
+    key(table.max_key);
+    u64(table.min_seq);
+    u64(table.max_seq);
+    varint(table.blocks.size());
+    for (const auto& block : table.blocks) {
+      key(block.first_key);
+      key(block.last_key);
+      u16(block.record_count);
+      u32(block.crc32c);
+      varint(block.flash_pages.size());
+      u64s(block.flash_pages);
+    }
+    varint(table.tombstones.size());
+    for (const auto& tombstone : table.tombstones) {
+      key(tombstone.key);
+      u64(tombstone.seq);
+    }
+    varint(table.bloom.words().size());
+    u64s(table.bloom.words());
+  }
+
+ private:
+  std::uint8_t* at_;
+};
 
 std::shared_ptr<SSTable> decode_table(std::span<const std::uint8_t> in,
                                       std::size_t& offset,
@@ -113,16 +175,26 @@ std::shared_ptr<SSTable> decode_table(std::span<const std::uint8_t> in,
 }  // namespace
 
 std::vector<std::uint8_t> encode_manifest_image(const ManifestImage& image) {
-  std::vector<std::uint8_t> out;
-  support::put_u32(out, kManifestMagic);
-  support::put_u32(out, kManifestVersion);
-  support::put_u64(out, image.last_sequence);
-  support::put_u64(out, image.next_sst_id);
+  // Size the image, then write it in one pass.
+  std::size_t bytes = 4 + 4 + 8 + 8;
   for (std::uint32_t level = 1; level <= kMaxLevels; ++level) {
     const auto& tables = image.version.level(level);
-    support::put_varint(out, tables.size());
-    for (const auto& table : tables) encode_table(out, *table);
+    bytes += varint_bytes(tables.size());
+    for (const auto& table : tables) bytes += table_bytes(*table);
   }
+  std::vector<std::uint8_t> out(bytes);
+  ImageWriter writer(out.data());
+  writer.u32(kManifestMagic);
+  writer.u32(kManifestVersion);
+  writer.u64(image.last_sequence);
+  writer.u64(image.next_sst_id);
+  for (std::uint32_t level = 1; level <= kMaxLevels; ++level) {
+    const auto& tables = image.version.level(level);
+    writer.varint(tables.size());
+    for (const auto& table : tables) writer.table(*table);
+  }
+  NDPGEN_CHECK(writer.position() == out.data() + out.size(),
+               "manifest image size mismatch");
   return out;
 }
 

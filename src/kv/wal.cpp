@@ -1,5 +1,6 @@
 #include "kv/wal.hpp"
 
+#include <cstring>
 #include <memory>
 
 #include "support/bytes.hpp"
@@ -27,6 +28,8 @@ WriteAheadLog::WriteAheadLog(platform::FlashModel& flash,
   for (std::uint32_t i = 0; i < blocks; ++i) {
     blocks_.push_back(placement_.reserve_meta_block());
   }
+  buffer_.reserve(flash_.topology().page_bytes);
+  buffer_.resize(kWalPageHeader);
 }
 
 std::uint64_t WriteAheadLog::linear_of(std::uint64_t page_index) const {
@@ -50,19 +53,23 @@ void WriteAheadLog::append(std::uint8_t type, SequenceNumber seq,
   const std::size_t entry_size = kWalEntryHeader + payload.size();
   NDPGEN_CHECK_ARG(kWalPageHeader + entry_size <= page_bytes,
                    "WAL entry larger than one flash page");
-  if (kWalPageHeader + buffer_.size() + entry_size > page_bytes) {
+  if (buffer_.size() + entry_size > page_bytes) {
     sync();  // Seal the full page; the chain continues across pages.
   }
-  // Entry body (everything the chained CRC covers).
-  std::vector<std::uint8_t> body;
-  body.reserve(entry_size - 4);
-  support::put_u64(body, seq);
-  body.push_back(type);
-  support::put_u32(body, static_cast<std::uint32_t>(payload.size()));
-  body.insert(body.end(), payload.begin(), payload.end());
-  const std::uint32_t entry_crc = support::crc32c_update(chain_crc_, body);
-  support::put_u32(buffer_, entry_crc);
-  buffer_.insert(buffer_.end(), body.begin(), body.end());
+  // The entry lands in place behind the open page's header: chained CRC,
+  // then the body it covers (seq, type, payload length, payload).
+  const std::size_t at = buffer_.size();
+  buffer_.resize(at + entry_size);
+  std::uint8_t* entry = buffer_.data() + at;
+  support::store_u64(entry + 4, seq);
+  entry[12] = type;
+  support::store_u32(entry + 13, static_cast<std::uint32_t>(payload.size()));
+  if (!payload.empty()) {
+    std::memcpy(entry + kWalEntryHeader, payload.data(), payload.size());
+  }
+  const std::uint32_t entry_crc = support::crc32c_update(
+      chain_crc_, std::span<const std::uint8_t>(entry + 4, entry_size - 4));
+  support::store_u32(entry, entry_crc);
   chain_crc_ = entry_crc;
   ++buffered_entries_;
 }
@@ -73,15 +80,15 @@ void WriteAheadLog::sync() {
     ndpgen::raise(ErrorKind::kStorage,
                   "WAL blocks exhausted (flush to truncate the log)");
   }
-  std::vector<std::uint8_t> image;
-  image.reserve(kWalPageHeader + buffer_.size());
-  support::put_u32(image, kWalPageMagic);
-  support::put_u32(image, static_cast<std::uint32_t>(buffer_.size()));
-  support::put_u32(image, support::crc32c(buffer_));
-  image.insert(image.end(), buffer_.begin(), buffer_.end());
+  const std::span<const std::uint8_t> entries =
+      std::span<const std::uint8_t>(buffer_).subspan(kWalPageHeader);
+  support::store_u32(buffer_.data(), kWalPageMagic);
+  support::store_u32(buffer_.data() + 4,
+                     static_cast<std::uint32_t>(entries.size()));
+  support::store_u32(buffer_.data() + 8, support::crc32c(entries));
 
   const platform::FlashAddr addr = flash_.delinearize(linear_of(next_page_));
-  flash_.write_page_immediate(addr, image);
+  flash_.write_page_immediate(addr, buffer_);
   if (timed_) {
     auto pending = std::make_shared<std::size_t>(1);
     flash_.charge_program(addr, [pending] { --*pending; });
@@ -89,7 +96,7 @@ void WriteAheadLog::sync() {
   }
   ++next_page_;
   entries_synced_ += buffered_entries_;
-  buffer_.clear();
+  buffer_.resize(kWalPageHeader);
   buffered_entries_ = 0;
 }
 
@@ -106,7 +113,7 @@ void WriteAheadLog::reset() {
   }
   next_page_ = 0;
   chain_crc_ = 0;
-  buffer_.clear();
+  buffer_.resize(kWalPageHeader);
   buffered_entries_ = 0;
 }
 

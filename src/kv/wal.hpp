@@ -90,7 +90,9 @@ class WriteAheadLog {
   std::vector<std::uint32_t> blocks_;  ///< Block-in-LUN ids on LUN 0.
   bool timed_ = false;
 
-  std::vector<std::uint8_t> buffer_;   ///< Entry bytes of the open page.
+  /// The open page image: its header (filled in by sync()), then the
+  /// entries appended so far.
+  std::vector<std::uint8_t> buffer_;
   std::uint64_t next_page_ = 0;        ///< Sealed-page cursor.
   std::uint32_t chain_crc_ = 0;
   std::uint64_t entries_synced_ = 0;

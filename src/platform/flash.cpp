@@ -125,9 +125,12 @@ void FlashModel::write_page_immediate(const FlashAddr& addr,
         break;
     }
   }
+  // Copy the landed bytes once and zero only the rest of the page.
   auto& page = pages_[linear];
-  page.assign(topology_.page_bytes, 0);
-  std::copy(data.begin(), data.begin() + completed, page.begin());
+  page.clear();
+  page.reserve(topology_.page_bytes);
+  page.insert(page.end(), data.begin(), data.begin() + completed);
+  page.resize(topology_.page_bytes);
   if (torn) {
     for (std::size_t i = completed; i < page.size(); ++i) {
       page[i] = crash_->garbage_byte(linear, i);

@@ -14,8 +14,11 @@
 //     of host endianness. It serves constant evaluation, every host
 //     without a CRC32C instruction, and the tests as the reference;
 //   * the hardware path (crc32c.cpp): on x86-64 hosts with SSE4.2 the
-//     CRC32 instruction folds eight bytes per step. It is selected once
-//     at run time.
+//     CRC32 instruction folds eight bytes per step. From 3 x 256 bytes on
+//     it runs three independent chains over the thirds of each 3 x 8 KiB,
+//     then 3 x 256-byte run and splices them with precomputed shift-by-
+//     zeros tables, since one chain waits on the instruction's latency.
+//     It is selected once at run time.
 #pragma once
 
 #include <array>
@@ -72,6 +75,11 @@ inline constexpr Crc32cTables kCrc32cTables = make_crc32c_tables();
   }
   return ~crc;
 }
+
+/// Stream lengths of the hardware path's three-chain runs; inputs shorter
+/// than 3 * kCrc32cShortStride run one chain.
+inline constexpr std::size_t kCrc32cLongStride = 8192;
+inline constexpr std::size_t kCrc32cShortStride = 256;
 
 /// The run-time path: the hardware CRC32 instruction where the host has
 /// it, else the table path.

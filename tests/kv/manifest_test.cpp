@@ -6,7 +6,9 @@
 #include "kv/sst_reader.hpp"
 #include "platform/cosmos.hpp"
 #include "support/bytes.hpp"
+#include "support/crc32c.hpp"
 #include "support/error.hpp"
+#include "support/rng.hpp"
 
 namespace ndpgen::kv {
 namespace {
@@ -117,6 +119,64 @@ TEST(Manifest, RejectsCorruptInput) {
   bytes[0] ^= 0xff;
   bytes.push_back(0);  // Trailing garbage.
   EXPECT_THROW(decode_manifest(bytes), ndpgen::Error);
+}
+
+/// A fixed multi-level version whose every field takes a distinct value:
+/// a 130-block table (two-byte block-count varint) with two-byte page and
+/// Bloom-word varints, a tombstone-only table and empty levels.
+Version pinned_version() {
+  support::SplitMix64 rng(33);
+  auto key = [&] { return Key{rng.next(), rng.next()}; };
+  auto table = [&](std::uint64_t id, std::uint32_t level, std::size_t blocks,
+                   std::size_t pages, std::size_t tombstones,
+                   std::size_t words) {
+    auto sst = std::make_shared<SSTable>();
+    sst->id = id;
+    sst->level = level;
+    sst->record_bytes = 16 + 8 * level;
+    sst->min_key = key();
+    sst->max_key = key();
+    sst->min_seq = rng.next();
+    sst->max_seq = rng.next();
+    for (std::size_t b = 0; b < blocks; ++b) {
+      BlockHandle handle;
+      handle.first_key = key();
+      handle.last_key = key();
+      handle.record_count = static_cast<std::uint16_t>(rng.next());
+      handle.crc32c = static_cast<std::uint32_t>(rng.next());
+      for (std::size_t p = 0; p < pages + b % 2; ++p) {
+        handle.flash_pages.push_back(rng.next() >> (b % 64));
+      }
+      sst->blocks.push_back(std::move(handle));
+    }
+    for (std::size_t t = 0; t < tombstones; ++t) {
+      sst->tombstones.push_back(Tombstone{key(), rng.next()});
+    }
+    std::vector<std::uint64_t> bloom(words);
+    for (auto& word : bloom) word = rng.next();
+    sst->bloom = BloomFilter::from_words(std::move(bloom));
+    return sst;
+  };
+  Version version;
+  version.add(1, table(7, 1, 3, 2, 1, 4));
+  version.add(1, table(8, 1, 1, 2, 0, 1));
+  version.add(2, table(1'000'000, 2, 130, 2, 5, 200));
+  version.add(2, table(1'000'001, 2, 2, 140, 0, 0));
+  version.add(3, table(1'000'002, 3, 0, 0, 7, 3));
+  version.add(5, table(1'000'003, 5, 9, 1, 129, 130));
+  return version;
+}
+
+TEST(Manifest, EncodedImageIsPinned) {
+  ManifestImage image;
+  image.version = pinned_version();
+  image.last_sequence = 0x0123456789abcdefULL;
+  image.next_sst_id = 1'000'004;
+  const std::vector<std::uint8_t> bytes = encode_manifest_image(image);
+  // Recorded from the byte-per-push encoder this one replaced.
+  EXPECT_EQ(bytes.size(), 17230u);
+  EXPECT_EQ(support::crc32c(bytes), 0xe9b1475cu);
+  EXPECT_EQ(encode_manifest_image(decode_manifest_image(bytes)), bytes);
 }
 
 TEST(Manifest, RejectsTruncatedInput) {

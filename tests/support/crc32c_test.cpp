@@ -92,6 +92,28 @@ TEST(Crc32c, DispatchedEqualsTable) {
     EXPECT_EQ(crc32c(block), expected);
   }
 
+  // Around each length where the hardware path changes how many chains it
+  // runs: the short and long three-chain runs and their repeats.
+  for (const std::size_t cutover :
+       {3 * detail::kCrc32cShortStride, 6 * detail::kCrc32cShortStride,
+        3 * detail::kCrc32cLongStride,
+        3 * detail::kCrc32cLongStride + 3 * detail::kCrc32cShortStride}) {
+    for (std::size_t length = cutover - 17; length <= cutover + 17; ++length) {
+      for (const std::size_t offset : {0, 5}) {
+        const auto slice = all.subspan(offset, length);
+        ASSERT_EQ(crc32c_update(0x1234567u, slice),
+                  detail::crc32c_update_table(0x1234567u, slice))
+            << "offset " << offset << " length " << length;
+      }
+    }
+  }
+
+  // A 32 KiB block at every alignment of the 8-byte loads.
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    const auto block = all.subspan(offset, 32 * 1024);
+    EXPECT_EQ(crc32c(block), crc32c_bitwise(0, block)) << "offset " << offset;
+  }
+
   // Chained updates over uneven pieces, as the WAL chains its entries.
   std::uint32_t chained = 0;
   std::uint32_t table = 0;

@@ -26,6 +26,7 @@ set(cases
   "serve_cluster_device_loss|serve --devices 4 --replication 2 --requests 48 --scale 65536 --fault-profile device-loss"
   "scrub|scrub --requests 64 --scale 65536"
   "recover|recover --crash-at 237"
+  "recover_compacting|recover --ops 3000"
   "query_early_count|query --plan early_count --scale 8192"
   "query_hot_window|query --plan hot_window --scale 8192"
   "query_recent_top|query --plan recent_top --scale 8192")

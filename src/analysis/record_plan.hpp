@@ -15,6 +15,7 @@
 
 #include "analysis/layout.hpp"
 #include "analysis/mapping.hpp"
+#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::analysis {
@@ -69,12 +70,8 @@ class RecordPlan {
     NDPGEN_CHECK_ARG(record.size() == input_bytes_,
                      "record size does not match the layout");
     const PlanField& field = fields_[select];
-    const std::uint8_t* at = record.data() + field.storage_offset_bits / 8;
-    std::uint64_t value = 0;
-    for (std::uint32_t i = 0; i < field.width_bits / 8; ++i) {
-      value |= std::uint64_t{at[i]} << (8 * i);
-    }
-    return value;
+    return support::load_le(record.data() + field.storage_offset_bits / 8,
+                            field.width_bits / 8);
   }
 
   /// Writes `record`'s output-layout image into `out`. Throws

@@ -7,6 +7,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::hwgen {
@@ -89,30 +90,6 @@ struct FloatLane {
     return std::bit_cast<Float>(static_cast<Word>(raw));
   }
 };
-
-/// The little-endian word at `at`.
-template <class Word>
-Word load_le(const std::uint8_t* at) noexcept {
-  Word word = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&word, at, sizeof(Word));
-  } else {
-    for (std::size_t i = 0; i < sizeof(Word); ++i) {
-      word = static_cast<Word>(word | Word{at[i]} << (8 * i));
-    }
-  }
-  return word;
-}
-
-/// A raw field word `width_bits` wide at `at`, zero-extended.
-std::uint64_t load_raw(const std::uint8_t* at,
-                       std::uint32_t width_bits) noexcept {
-  std::uint64_t raw = 0;
-  for (std::uint32_t i = 0; i < width_bits / 8; ++i) {
-    raw |= std::uint64_t{at[i]} << (8 * i);
-  }
-  return raw;
-}
 
 /// The standard operators by name, in encoding order.
 constexpr std::pair<std::string_view, CompareKind> kStandardOps[] = {
@@ -259,7 +236,9 @@ struct CompareKernel::Kernels {
                        survivors, [rhs](const std::uint8_t* field) {
                          return holds<K>(
                              Lane::from_stored(
-                                 load_le<typename Lane::Stored>(field)),
+                                 static_cast<typename Lane::Stored>(
+                                     support::load_le<sizeof(
+                                         typename Lane::Stored)>(field))),
                              rhs);
                        });
   }
@@ -295,7 +274,8 @@ struct CompareKernel::Kernels {
                                    std::uint32_t* survivors) {
     return walk<kPass>(records + k.offset_, stride, ids, count, pass,
                        survivors, [&k](const std::uint8_t* field) {
-                         return test_scalar(k, load_raw(field, k.width_bits_));
+                         return test_scalar(
+                             k, support::load_le(field, k.width_bits_ / 8));
                        });
   }
 

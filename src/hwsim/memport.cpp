@@ -1,5 +1,6 @@
 #include "hwsim/memport.hpp"
 
+#include "support/bytes.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::hwsim {
@@ -16,20 +17,12 @@ bool SimMemory::in_bounds(std::uint64_t addr,
 
 std::uint64_t SimMemory::read_u64(std::uint64_t addr) const {
   NDPGEN_CHECK_ARG(in_bounds(addr, 8), "DRAM read out of bounds");
-  std::uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) {
-    value |= static_cast<std::uint64_t>(data_[addr + static_cast<std::size_t>(i)])
-             << (8 * i);
-  }
-  return value;
+  return support::load_le<8>(data_.data() + addr);
 }
 
 void SimMemory::write_u64(std::uint64_t addr, std::uint64_t value) {
   NDPGEN_CHECK_ARG(in_bounds(addr, 8), "DRAM write out of bounds");
-  for (int i = 0; i < 8; ++i) {
-    data_[addr + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(value >> (8 * i));
-  }
+  support::store_u64(data_.data() + addr, value);
 }
 
 std::span<const std::uint8_t> SimMemory::read_bytes(std::uint64_t addr,

@@ -7,10 +7,13 @@
 // tables that definitely do not contain the key.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "kv/key.hpp"
+#include "support/divider.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::kv {
@@ -27,7 +30,7 @@ class BloomFilter {
     const std::uint64_t bits =
         std::max<std::uint64_t>(64, expected_keys * bits_per_key);
     words_.assign((bits + 63) / 64, 0);
-    reciprocal_ = reciprocal(bit_count());
+    bits_ = support::Divider(bit_count());
   }
 
   [[nodiscard]] bool empty() const noexcept { return words_.empty(); }
@@ -35,12 +38,22 @@ class BloomFilter {
     return words_.size() * 64;
   }
 
-  void insert(const Key& key) {
+  void insert(const Key& key) { insert(std::span<const Key>(&key, 1)); }
+
+  /// Inserts every key of `keys`.
+  void insert(std::span<const Key> keys) {
     NDPGEN_CHECK(!words_.empty(), "inserting into an unsized Bloom filter");
-    std::uint64_t h1 = 0, h2 = 0;
-    hashes(key, h1, h2);
-    for (std::uint32_t probe = 0; probe < kProbes; ++probe) {
-      set_bit(position(h1 + probe * h2));
+    // Locals: a store to a filter word cannot alias them, so the divider
+    // stays in registers across the probes.
+    const support::Divider bits = bits_;
+    std::uint64_t* const words = words_.data();
+    for (const Key& key : keys) {
+      std::uint64_t h1 = 0, h2 = 0;
+      hashes(key, h1, h2);
+      for (std::uint32_t probe = 0; probe < kProbes; ++probe) {
+        const std::uint64_t index = bits.remainder(h1 + probe * h2);
+        words[index / 64] |= std::uint64_t{1} << (index % 64);
+      }
     }
   }
 
@@ -64,7 +77,7 @@ class BloomFilter {
     BloomFilter filter;
     filter.words_ = std::move(words);
     if (!filter.words_.empty()) {
-      filter.reciprocal_ = reciprocal(filter.bit_count());
+      filter.bits_ = support::Divider(filter.bit_count());
     }
     return filter;
   }
@@ -84,35 +97,18 @@ class BloomFilter {
     h2 = mix(key.lo * 0xc2b2ae3d27d4eb4fULL ^ key.hi) | 1;  // Odd stride.
   }
 
-  /// ceil(2^128 / bits) for bits >= 2: the reciprocal of Lemire, Kaser
-  /// and Kurz's direct remainder ("Faster Remainder by Direct
-  /// Computation", 2019).
-  static unsigned __int128 reciprocal(std::uint64_t bits) noexcept {
-    return ~static_cast<unsigned __int128>(0) / bits + 1;
-  }
-
-  /// `hash % bit_count()` without a division: with 128 fraction bits the
-  /// scaled remainder's top word is exact for every 64-bit hash and
-  /// divisor, so the filter's bits do not depend on the arithmetic.
+  /// `hash % bit_count()` by a precomputed divider: exact for every
+  /// 64-bit hash, so the filter's bits do not depend on the arithmetic.
   [[nodiscard]] std::uint64_t position(std::uint64_t hash) const noexcept {
-    const unsigned __int128 fraction = reciprocal_ * hash;  // mod 2^128
-    const std::uint64_t bits = bit_count();
-    const unsigned __int128 low =
-        (static_cast<unsigned __int128>(static_cast<std::uint64_t>(fraction)) *
-         bits) >> 64;
-    const unsigned __int128 high = (fraction >> 64) * bits;
-    return static_cast<std::uint64_t>((low + high) >> 64);
+    return bits_.remainder(hash);
   }
 
-  void set_bit(std::uint64_t index) noexcept {
-    words_[index / 64] |= std::uint64_t{1} << (index % 64);
-  }
   [[nodiscard]] bool bit(std::uint64_t index) const noexcept {
     return (words_[index / 64] >> (index % 64)) & 1;
   }
 
   std::vector<std::uint64_t> words_;
-  unsigned __int128 reciprocal_ = 0;  ///< reciprocal(bit_count()).
+  support::Divider bits_;  ///< By bit_count().
 };
 
 }  // namespace ndpgen::kv

@@ -278,17 +278,24 @@ void Compactor::compact_level(std::uint32_t level) {
       records_per_block(record_bytes_) * config_.output_sst_blocks;
   std::uint64_t records_in_output = 0;
 
-  auto open_builder = [&] {
-    builder = std::make_unique<SSTBuilder>(next_id_++, target, record_bytes_,
-                                           extractor_, placement_, flash_);
+  // One builder, its block image and Bloom key buffer serve every output.
+  auto open_table = [&] {
+    if (builder == nullptr) {
+      builder = std::make_unique<SSTBuilder>(next_id_++, target, record_bytes_,
+                                             extractor_, placement_, flash_);
+    } else if (!builder->open()) {
+      builder->start(next_id_++);
+    } else {
+      return;
+    }
     records_in_output = 0;
   };
-  // A builder opens only to take a record or a tombstone, so every open
-  // one becomes a table: a tombstone-only output still shadows the
-  // deeper levels.
-  auto close_builder = [&] {
-    if (builder != nullptr) outputs.push_back(builder->finish());
-    builder.reset();
+  // A table opens only to take a record or a tombstone, so every open one
+  // is kept: a tombstone-only output still shadows the deeper levels.
+  auto close_table = [&] {
+    if (builder != nullptr && builder->open()) {
+      outputs.push_back(builder->finish());
+    }
   };
 
   bool have_previous = false;
@@ -306,21 +313,21 @@ void Compactor::compact_level(std::uint32_t level) {
       if (bottom) {
         ++stats_.tombstones_dropped;
       } else {
-        if (builder == nullptr) open_builder();
+        open_table();
         builder->add_tombstone(key, merge.seq());
       }
       continue;
     }
-    if (builder == nullptr) open_builder();
+    open_table();
     const std::span<const std::uint8_t> record = merge.record();
     builder->add(record, merge.seq());
     if (record_hook_) record_hook_(record, /*added=*/true);
     ++stats_.records_out;
     if (++records_in_output >= records_per_output) {
-      close_builder();
+      close_table();
     }
   }
-  close_builder();
+  close_table();
 
   // Charge the merge I/O on the virtual clock: every input page is read
   // and every output page programmed. This is the background traffic the

@@ -186,6 +186,9 @@ std::span<std::uint8_t> BulkLoad::slot() {
         db_.config_.extractor, *db_.placement_, db_.platform_.flash(),
         records_per_sst_);
     in_current_ = 0;
+  } else if (!builder_->open()) {
+    builder_->start(db_.next_sst_id_++);
+    in_current_ = 0;
   }
   slot_ = builder_->slot();
   return slot_;
@@ -196,12 +199,12 @@ void BulkLoad::commit() {
   if (db_.record_hook_) db_.record_hook_(slot_, /*added=*/true);
   if (++in_current_ >= records_per_sst_) {
     db_.version_.add(level_, builder_->finish());
-    builder_.reset();
   }
 }
 
 void BulkLoad::finish() {
-  if (builder_ != nullptr && builder_->records_added() > 0) {
+  if (builder_ != nullptr && builder_->open() &&
+      builder_->records_added() > 0) {
     db_.version_.add(level_, builder_->finish());
   }
   builder_.reset();

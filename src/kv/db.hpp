@@ -134,8 +134,10 @@ class BulkLoad {
   NKV& db_;
   std::uint32_t level_;
   std::uint64_t records_per_sst_;
+  /// Built at the first slot(); one builder, and so one block image and
+  /// Bloom key buffer, serves every table of the load.
   std::unique_ptr<SSTBuilder> builder_;
-  std::uint64_t in_current_ = 0;  ///< Records in builder_'s table.
+  std::uint64_t in_current_ = 0;  ///< Records in builder_'s open table.
   std::span<std::uint8_t> slot_;  ///< The last slot() handed out.
 };
 

@@ -1,8 +1,5 @@
 #include "kv/manifest.hpp"
 
-#include <bit>
-#include <cstring>
-
 #include "support/bytes.hpp"
 #include "support/error.hpp"
 
@@ -56,8 +53,7 @@ class ImageWriter {
   [[nodiscard]] const std::uint8_t* position() const noexcept { return at_; }
 
   void u16(std::uint16_t v) noexcept {
-    at_[0] = static_cast<std::uint8_t>(v);
-    at_[1] = static_cast<std::uint8_t>(v >> 8);
+    support::store_u16(at_, v);
     at_ += 2;
   }
   void u32(std::uint32_t v) noexcept {
@@ -78,12 +74,8 @@ class ImageWriter {
   }
   /// Little-endian u64s in bulk.
   void u64s(std::span<const std::uint64_t> words) noexcept {
-    if constexpr (std::endian::native == std::endian::little) {
-      if (!words.empty()) std::memcpy(at_, words.data(), words.size_bytes());
-      at_ += words.size_bytes();
-    } else {
-      for (const std::uint64_t word : words) u64(word);
-    }
+    support::store_u64s(at_, words);
+    at_ += words.size_bytes();
   }
 
   void table(const SSTable& table) noexcept {

@@ -44,25 +44,33 @@ SSTBuilder::SSTBuilder(std::uint64_t id, std::uint32_t level,
                        PlacementPolicy& placement,
                        platform::FlashModel& flash,
                        std::uint64_t expected_records)
-    : table_(std::make_shared<SSTable>()),
-      extractor_(extractor),
+    : extractor_(extractor),
       placement_(placement),
       flash_(flash),
+      level_(level),
+      record_bytes_(record_bytes),
       block_builder_(record_bytes) {
   NDPGEN_CHECK_ARG(extractor_ != nullptr, "SST builder needs a key extractor");
   NDPGEN_CHECK_ARG(kDataBlockBytes % flash.topology().page_bytes == 0,
                    "data block must be a whole number of flash pages");
+  bloom_keys_.reserve(expected_records);
+  start(id);
+}
+
+void SSTBuilder::start(std::uint64_t id) {
+  NDPGEN_CHECK(table_ == nullptr, "SST builder already holds an open table");
+  table_ = std::make_shared<SSTable>();
   table_->id = id;
-  table_->level = level;
-  table_->record_bytes = record_bytes;
+  table_->level = level_;
+  table_->record_bytes = record_bytes_;
   table_->min_key = Key::max();
   table_->max_key = Key::min();
   table_->min_seq = ~SequenceNumber{0};
   table_->max_seq = 0;
-  bloom_keys_.reserve(expected_records);
+  records_added_ = 0;
 }
 
-void SSTBuilder::raise_unordered(const Key& key) const {
+void SSTBuilder::raise_unordered(Key key) const {
   ndpgen::raise(ErrorKind::kStorage,
                 "SST records must be added in strictly ascending key "
                 "order (got " + key.to_string() + " after " +
@@ -71,7 +79,7 @@ void SSTBuilder::raise_unordered(const Key& key) const {
 
 void SSTBuilder::add(std::span<const std::uint8_t> record,
                      SequenceNumber seq) {
-  NDPGEN_CHECK_ARG(record.size() == table_->record_bytes,
+  NDPGEN_CHECK_ARG(record.size() == record_bytes_,
                    "record size does not match the block geometry");
   std::memcpy(slot().data(), record.data(), record.size());
   commit(seq);
@@ -99,7 +107,7 @@ void SSTBuilder::flush_block() {
   const std::uint32_t page_bytes = flash_.topology().page_bytes;
   const std::uint32_t pages = kDataBlockBytes / page_bytes;
   handle.flash_pages =
-      placement_.allocate_block_pages(table_->level, pages);
+      placement_.allocate_block_pages(level_, pages);
   for (std::uint32_t i = 0; i < pages; ++i) {
     const auto addr = flash_.delinearize(handle.flash_pages[i]);
     flash_.write_page_immediate(
@@ -130,7 +138,7 @@ std::shared_ptr<SSTable> SSTBuilder::finish() {
     ndpgen::raise(ErrorKind::kStorage, "refusing to build an empty SST");
   }
   table_->bloom = BloomFilter(bloom_keys_.size());
-  for (const Key& key : bloom_keys_) table_->bloom.insert(key);
+  table_->bloom.insert(bloom_keys_);
   bloom_keys_.clear();
   return std::move(table_);
 }

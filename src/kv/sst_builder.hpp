@@ -69,12 +69,20 @@ struct SSTable {
   [[nodiscard]] const Tombstone* find_tombstone(const Key& key) const noexcept;
 };
 
+/// Builds tables one at a time: the constructor opens table `id`, finish()
+/// returns it, and start() opens the next one in the same builder, which
+/// keeps its block image and its Bloom key buffer across tables.
 class SSTBuilder {
  public:
   /// `expected_records` only sizes the Bloom key buffer up front.
   SSTBuilder(std::uint64_t id, std::uint32_t level, std::uint32_t record_bytes,
              KeyExtractor extractor, PlacementPolicy& placement,
              platform::FlashModel& flash, std::uint64_t expected_records = 0);
+
+  /// Opens table `id`; the previous table must be finished.
+  void start(std::uint64_t id);
+  /// True from the constructor or start() until finish().
+  [[nodiscard]] bool open() const noexcept { return table_ != nullptr; }
 
   /// The next record's slot (record_bytes long) in the open data block,
   /// flushing a full block first. Write the record there and commit() it;
@@ -114,24 +122,30 @@ class SSTBuilder {
 
   /// Finalizes the table: flushes the open block, writes all block pages
   /// to flash (content-immediate; timing is charged by the caller when
-  /// flush/compaction latency matters) and returns the metadata.
+  /// flush/compaction latency matters) and returns the metadata. The
+  /// builder is then closed until start().
   [[nodiscard]] std::shared_ptr<SSTable> finish();
 
  private:
   void flush_block();
-  [[noreturn]] void raise_unordered(const Key& key) const;
+  /// Takes the key by value: a reference would keep commit()'s key in
+  /// memory, and copying it on would reload 16 bytes just written as two
+  /// 8-byte halves, which the store buffer cannot forward.
+  [[noreturn]] void raise_unordered(Key key) const;
 
-  std::shared_ptr<SSTable> table_;
+  std::shared_ptr<SSTable> table_;  ///< The open table; null once finished.
   KeyExtractor extractor_;
   PlacementPolicy& placement_;
   platform::FlashModel& flash_;
+  std::uint32_t level_;
+  std::uint32_t record_bytes_;
   DataBlockBuilder block_builder_;
 
   Key first_key_;        ///< Of the first record; valid once one is added.
   Key last_key_;         ///< Of the last record added.
   Key block_first_key_;  ///< Of the open block's first record.
   std::uint64_t records_added_ = 0;
-  std::vector<Key> bloom_keys_;  ///< Filter built at finish().
+  std::vector<Key> bloom_keys_;  ///< Filter built at finish(), then cleared.
 };
 
 }  // namespace ndpgen::kv

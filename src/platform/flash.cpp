@@ -1,6 +1,7 @@
 #include "platform/flash.hpp"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 
 #include "fault/crash_scheduler.hpp"
@@ -125,16 +126,31 @@ void FlashModel::write_page_immediate(const FlashAddr& addr,
         break;
     }
   }
-  // Copy the landed bytes once and zero only the rest of the page.
-  auto& page = pages_[linear];
-  page.clear();
-  page.reserve(topology_.page_bytes);
-  page.insert(page.end(), data.begin(), data.begin() + completed);
-  page.resize(topology_.page_bytes);
-  if (torn) {
-    for (std::size_t i = completed; i < page.size(); ++i) {
-      page[i] = crash_->garbage_byte(linear, i);
+  // Copy the landed bytes once and zero only what an earlier program of
+  // the buffer left past them.
+  const auto [it, fresh] = pages_.try_emplace(linear);
+  PageBuffer& page = it->second;
+  if (fresh) {
+    if (free_pages_.empty()) {
+      page.bytes =
+          std::make_unique_for_overwrite<std::uint8_t[]>(topology_.page_bytes);
+      page.dirty = topology_.page_bytes;
+    } else {
+      page = std::move(free_pages_.back());
+      free_pages_.pop_back();
     }
+  }
+  std::uint8_t* const bytes = page.bytes.get();
+  if (completed > 0) std::memcpy(bytes, data.data(), completed);
+  if (page.dirty > completed) {
+    std::memset(bytes + completed, 0, page.dirty - completed);
+  }
+  page.dirty = completed;
+  if (torn) {
+    for (std::size_t i = completed; i < topology_.page_bytes; ++i) {
+      bytes[i] = crash_->garbage_byte(linear, i);
+    }
+    page.dirty = topology_.page_bytes;
     torn_pages_.insert(linear);
     ++torn_programs_;
   } else {
@@ -170,7 +186,7 @@ void FlashModel::erase_block_immediate(const FlashAddr& addr) {
   for (std::uint32_t p = 0; p < topology_.pages_per_block; ++p) {
     page_addr.page = p;
     const std::uint64_t linear = linearize(page_addr);
-    pages_.erase(linear);
+    release_page(linear);
     torn_pages_.erase(linear);
     page_program_time_.erase(linear);
     silently_corrupted_.erase(linear);
@@ -202,8 +218,15 @@ void FlashModel::charge_erase(const FlashAddr& addr,
   queue_.schedule_at(end, std::move(on_done));
 }
 
+void FlashModel::release_page(std::uint64_t linear) {
+  const auto it = pages_.find(linear);
+  if (it == pages_.end()) return;
+  free_pages_.push_back(std::move(it->second));
+  pages_.erase(it);
+}
+
 void FlashModel::discard_page(std::uint64_t linear_page) {
-  pages_.erase(linear_page);
+  release_page(linear_page);
   torn_pages_.erase(linear_page);
   page_program_time_.erase(linear_page);
   silently_corrupted_.erase(linear_page);
@@ -231,7 +254,7 @@ std::span<const std::uint8_t> FlashModel::page_data(
     ndpgen::raise(ErrorKind::kStorage,
                   "reading an unwritten flash page");
   }
-  return it->second;
+  return {it->second.bytes.get(), topology_.page_bytes};
 }
 
 bool FlashModel::page_written(const FlashAddr& addr) const noexcept {

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <unordered_map>
@@ -269,8 +270,23 @@ class FlashModel {
   const TimingConfig& timing_;
   FlashTopology topology_;
 
+  /// One page buffer, page_bytes long. Every byte at and past `dirty` is
+  /// zero, so a program zeroes only what earlier programs wrote past its
+  /// own data.
+  struct PageBuffer {
+    std::unique_ptr<std::uint8_t[]> bytes;
+    std::size_t dirty = 0;
+  };
+  /// Moves page `linear`'s buffer, if it has one, to free_pages_.
+  void release_page(std::uint64_t linear);
+
   /// Sparse page store: only written pages are materialized.
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> pages_;
+  std::unordered_map<std::uint64_t, PageBuffer> pages_;
+  /// Buffers of erased and discarded pages, reused by later programs (a
+  /// WAL page per sync, compaction outputs), so a program neither
+  /// allocates nor faults in a fresh page. Live plus free buffers never
+  /// exceed the most pages ever live at once.
+  std::vector<PageBuffer> free_pages_;
 
   /// Next free time per LUN (die busy through data-out) and per channel
   /// bus (each Tiger4 drives its channels through independent NAND buses;

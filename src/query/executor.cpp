@@ -1,11 +1,10 @@
 #include "query/executor.hpp"
 
 #include <algorithm>
-#include <bit>
-#include <cstring>
 #include <numeric>
 
 #include "core/testbed.hpp"
+#include "support/bytes.hpp"
 
 namespace ndpgen::query {
 
@@ -26,20 +25,6 @@ std::size_t column_index(const std::vector<std::string>& columns,
   return static_cast<std::size_t>(it - columns.begin());
 }
 
-/// The little-endian word of `Bytes` bytes at `at`, zero-extended.
-template <std::size_t Bytes>
-std::uint64_t load_le(const std::uint8_t* at) noexcept {
-  std::uint64_t value = 0;
-  if constexpr (std::endian::native == std::endian::little) {
-    std::memcpy(&value, at, Bytes);
-  } else {
-    for (std::size_t i = 0; i < Bytes; ++i) {
-      value |= std::uint64_t{at[i]} << (8 * i);
-    }
-  }
-  return value;
-}
-
 /// A leaf's columns bound once to fixed-width loads from its device
 /// records: each column reads its field at its byte offset, and the
 /// offsets and widths are checked against the record size here, not per
@@ -48,6 +33,7 @@ class LeafDecoder {
  public:
   explicit LeafDecoder(const analysis::RecordPlan& plan)
       : record_bytes_(plan.input_bytes()) {
+    using support::load_le;
     static constexpr Load kLoads[] = {load_le<1>, load_le<2>, load_le<3>,
                                       load_le<4>, load_le<5>, load_le<6>,
                                       load_le<7>, load_le<8>};

@@ -32,9 +32,26 @@ bool compare(std::uint64_t lhs, const std::string& op, std::uint64_t rhs) {
   raise(ErrorKind::kInternal, "unknown comparison operator '" + op + "'");
 }
 
+/// A row-major table: columns.size() cells per row, one flat vector of
+/// cells, so a scanned record costs its cells and no heap row of its own.
 struct Table {
   std::vector<std::string> columns;
-  std::vector<Row> rows;
+  std::vector<std::uint64_t> cells;
+
+  [[nodiscard]] std::size_t width() const { return columns.size(); }
+  [[nodiscard]] std::size_t rows() const {
+    return columns.empty() ? 0 : cells.size() / columns.size();
+  }
+  [[nodiscard]] const std::uint64_t* row(std::size_t index) const {
+    return cells.data() + index * width();
+  }
+  [[nodiscard]] std::uint64_t at(std::size_t index, std::size_t column) const {
+    return cells[index * width() + column];
+  }
+  /// Appends the cells of row `index` of `from`.
+  void append(const Table& from, std::size_t index) {
+    cells.insert(cells.end(), from.row(index), from.row(index) + from.width());
+  }
 };
 
 Table scan_dataset(Dataset dataset, std::uint64_t scale_divisor,
@@ -45,48 +62,50 @@ Table scan_dataset(Dataset dataset, std::uint64_t scale_divisor,
   table.columns = dataset_columns(dataset);
   std::uint64_t bytes = 0;
   if (dataset == Dataset::kPapers) {
-    table.rows.reserve(generator.paper_count());
+    table.cells.reserve(generator.paper_count() * table.width());
     for (std::uint64_t i = 0; i < generator.paper_count(); ++i) {
       const auto paper = generator.paper(i);
-      table.rows.push_back(Row{paper.id, paper.year, paper.venue_id,
-                               paper.n_refs, paper.n_cited});
+      table.cells.insert(table.cells.end(),
+                         {paper.id, paper.year, paper.venue_id, paper.n_refs,
+                          paper.n_cited});
     }
     bytes = generator.paper_count() * workload::PaperRecord::kBytes;
   } else {
-    table.rows.reserve(generator.ref_count());
+    table.cells.reserve(generator.ref_count() * table.width());
     for (std::uint64_t i = 0; i < generator.ref_count(); ++i) {
       const auto ref = generator.ref(i);
       // The generator may emit duplicate (src, dst) edges; the KV store
       // keys refs by exactly that pair, so a stored scan sees one record
       // per key. Mirror the dedup (edges are sorted, duplicates adjacent).
-      if (!table.rows.empty() && table.rows.back()[0] == ref.src &&
-          table.rows.back()[1] == ref.dst) {
+      const std::size_t rows = table.rows();
+      if (rows > 0 && table.at(rows - 1, 0) == ref.src &&
+          table.at(rows - 1, 1) == ref.dst) {
         continue;
       }
-      table.rows.push_back(Row{ref.src, ref.dst});
+      table.cells.insert(table.cells.end(), {ref.src, ref.dst});
     }
     bytes = generator.ref_count() * workload::RefRecord::kBytes;
   }
   if (stats != nullptr) {
-    stats->rows_scanned += table.rows.size();
+    stats->rows_scanned += table.rows();
     // Classical path: every raw record crosses NVMe at payload rate,
     // then the host decodes it.
     const platform::TimingConfig timing;
     stats->transfer_ns += static_cast<std::uint64_t>(
         static_cast<double>(bytes) * 1000.0 / timing.nvme_payload_mbps);
-    stats->host_ns += kHostDecodeNsPerRow * table.rows.size();
+    stats->host_ns += kHostDecodeNsPerRow * table.rows();
   }
   return table;
 }
 
-/// Row indices of `rows` stably sorted by column `column`.
-std::vector<std::size_t> stable_key_order(const std::vector<Row>& rows,
+/// Row indices of `table` stably sorted by column `column`.
+std::vector<std::size_t> stable_key_order(const Table& table,
                                           std::size_t column) {
-  std::vector<std::size_t> order(rows.size());
+  std::vector<std::size_t> order(table.rows());
   for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::stable_sort(order.begin(), order.end(),
                    [&](std::size_t a, std::size_t b) {
-                     return rows[a][column] < rows[b][column];
+                     return table.at(a, column) < table.at(b, column);
                    });
   return order;
 }
@@ -144,36 +163,36 @@ ResultTable reference_execute(const Plan& plan, std::uint64_t scale_divisor,
       case OpKind::kScan:
         break;  // validate() rejected this already.
       case OpKind::kFilter: {
-        local.host_ns += kHostFilterNsPerRowPred * table.rows.size() *
+        local.host_ns += kHostFilterNsPerRowPred * table.rows() *
                          op.predicates.size();
-        std::vector<Row> kept;
-        for (const Row& row : table.rows) {
+        Table kept;
+        kept.columns = table.columns;
+        for (std::size_t r = 0; r < table.rows(); ++r) {
           bool match = true;
           for (const auto& pred : op.predicates) {
-            if (!compare(row[index_of(table.columns, pred.column)], pred.op,
-                         pred.value)) {
+            if (!compare(table.at(r, index_of(table.columns, pred.column)),
+                         pred.op, pred.value)) {
               match = false;
               break;
             }
           }
-          if (match) kept.push_back(row);
+          if (match) kept.append(table, r);
         }
-        table.rows = std::move(kept);
+        table = std::move(kept);
         break;
       }
       case OpKind::kProject: {
-        local.host_ns += kHostProjectNsPerRow * table.rows.size();
-        std::vector<Row> projected;
-        projected.reserve(table.rows.size());
-        for (const Row& row : table.rows) {
-          Row out;
+        local.host_ns += kHostProjectNsPerRow * table.rows();
+        Table projected;
+        projected.columns = op.columns;
+        projected.cells.reserve(table.rows() * projected.width());
+        for (std::size_t r = 0; r < table.rows(); ++r) {
           for (const auto& name : op.columns) {
-            out.push_back(row[index_of(table.columns, name)]);
+            projected.cells.push_back(
+                table.at(r, index_of(table.columns, name)));
           }
-          projected.push_back(std::move(out));
         }
-        table.rows = std::move(projected);
-        table.columns = op.columns;
+        table = std::move(projected);
         break;
       }
       case OpKind::kHashJoin: {
@@ -183,101 +202,115 @@ ResultTable reference_execute(const Plan& plan, std::uint64_t scale_divisor,
             index_of(table.columns, op.probe_column);
         const std::size_t build_index =
             index_of(build.columns, op.build_column);
-        local.host_ns += kHostJoinBuildNsPerRow * build.rows.size() +
-                         kHostJoinProbeNsPerRow * table.rows.size();
+        local.host_ns += kHostJoinBuildNsPerRow * build.rows() +
+                         kHostJoinProbeNsPerRow * table.rows();
         // Sort-merge: both sides stably ordered by key (ties keep row
         // order), merged into each probe row's run of build rows, then
         // emitted in probe order — probe order, then build order within a
         // key, the order the compiled join keeps.
         const std::vector<std::size_t> build_order =
-            stable_key_order(build.rows, build_index);
+            stable_key_order(build, build_index);
         const std::vector<std::size_t> probe_order =
-            stable_key_order(table.rows, probe_index);
+            stable_key_order(table, probe_index);
         const auto build_key = [&](std::size_t at) {
-          return build.rows[build_order[at]][build_index];
+          return build.at(build_order[at], build_index);
         };
-        std::vector<std::pair<std::size_t, std::size_t>> runs(
-            table.rows.size());
+        std::vector<std::pair<std::size_t, std::size_t>> runs(table.rows());
         std::size_t lo = 0;
         std::size_t hi = 0;
+        std::size_t joined_rows = 0;
         for (const std::size_t p : probe_order) {
-          const std::uint64_t key = table.rows[p][probe_index];
+          const std::uint64_t key = table.at(p, probe_index);
           while (lo < build_order.size() && build_key(lo) < key) ++lo;
           hi = std::max(hi, lo);
           while (hi < build_order.size() && build_key(hi) == key) ++hi;
           runs[p] = {lo, hi};
+          joined_rows += hi - lo;
         }
-        std::vector<Row> joined;
-        for (std::size_t p = 0; p < table.rows.size(); ++p) {
-          for (std::size_t at = runs[p].first; at < runs[p].second; ++at) {
-            Row out = table.rows[p];
-            const Row& other = build.rows[build_order[at]];
-            out.insert(out.end(), other.begin(), other.end());
-            joined.push_back(std::move(out));
-          }
-        }
-        local.host_ns += kHostJoinEmitNsPerRow * joined.size();
-        table.rows = std::move(joined);
+        Table joined;
+        joined.columns = table.columns;
         const std::string prefix(to_string(op.build_dataset));
         for (const auto& name : build.columns) {
-          table.columns.push_back(prefix + "." + name);
+          joined.columns.push_back(prefix + "." + name);
         }
+        joined.cells.reserve(joined_rows * joined.width());
+        for (std::size_t p = 0; p < table.rows(); ++p) {
+          for (std::size_t at = runs[p].first; at < runs[p].second; ++at) {
+            joined.append(table, p);
+            joined.append(build, build_order[at]);
+          }
+        }
+        local.host_ns += kHostJoinEmitNsPerRow * joined.rows();
+        table = std::move(joined);
         break;
       }
       case OpKind::kAggregate: {
-        local.host_ns += kHostGroupNsPerRow * table.rows.size();
+        local.host_ns += kHostGroupNsPerRow * table.rows();
         const bool has_value = !op.agg_column.empty();
         const std::size_t value_index =
             has_value ? index_of(table.columns, op.agg_column) : 0;
         std::string out_name(hwgen::to_string(op.agg_op));
         if (has_value) out_name += "_" + op.agg_column;
+        Table folded;
         if (op.group_column.empty()) {
           Fold fold;
-          for (const Row& row : table.rows) fold.add(row[value_index]);
-          table.rows = {Row{fold.get(op.agg_op)}};
-          table.columns = {out_name};
+          for (std::size_t r = 0; r < table.rows(); ++r) {
+            fold.add(table.at(r, value_index));
+          }
+          folded.columns = {out_name};
+          folded.cells = {fold.get(op.agg_op)};
         } else {
           const std::size_t group_index =
               index_of(table.columns, op.group_column);
           std::map<std::uint64_t, Fold> groups;
-          for (const Row& row : table.rows) {
-            groups[row[group_index]].add(row[value_index]);
+          for (std::size_t r = 0; r < table.rows(); ++r) {
+            groups[table.at(r, group_index)].add(table.at(r, value_index));
           }
-          std::vector<Row> folded;
-          folded.reserve(groups.size());
+          folded.columns = {op.group_column, out_name};
+          folded.cells.reserve(2 * groups.size());
           for (const auto& [key, fold] : groups) {
-            folded.push_back(Row{key, fold.get(op.agg_op)});
+            folded.cells.insert(folded.cells.end(), {key, fold.get(op.agg_op)});
           }
-          table.rows = std::move(folded);
-          table.columns = {op.group_column, out_name};
         }
+        table = std::move(folded);
         break;
       }
       case OpKind::kTopK: {
         const std::size_t order_index =
             index_of(table.columns, op.order_column);
         local.host_ns +=
-            kHostSortNsPerRowLog * table.rows.size() *
-            ref_ceil_log2(std::max<std::uint64_t>(table.rows.size(), 2));
-        std::sort(table.rows.begin(), table.rows.end(),
-                  [&](const Row& a, const Row& b) {
-                    if (a[order_index] != b[order_index]) {
-                      return op.descending ? a[order_index] > b[order_index]
-                                           : a[order_index] < b[order_index];
-                    }
-                    return a < b;
+            kHostSortNsPerRowLog * table.rows() *
+            ref_ceil_log2(std::max<std::uint64_t>(table.rows(), 2));
+        std::vector<std::size_t> order(table.rows());
+        for (std::size_t r = 0; r < order.size(); ++r) order[r] = r;
+        std::sort(order.begin(), order.end(),
+                  [&](std::size_t a, std::size_t b) {
+                    const std::uint64_t x = table.at(a, order_index);
+                    const std::uint64_t y = table.at(b, order_index);
+                    if (x != y) return op.descending ? x > y : x < y;
+                    return std::lexicographical_compare(
+                        table.row(a), table.row(a) + table.width(),
+                        table.row(b), table.row(b) + table.width());
                   });
-        if (table.rows.size() > op.k) table.rows.resize(op.k);
+        if (order.size() > op.k) order.resize(op.k);
+        Table top;
+        top.columns = table.columns;
+        top.cells.reserve(order.size() * top.width());
+        for (const std::size_t r : order) top.append(table, r);
+        table = std::move(top);
         break;
       }
     }
   }
 
-  local.rows_out = table.rows.size();
+  local.rows_out = table.rows();
   if (stats != nullptr) *stats = local;
   ResultTable out;
+  out.rows.reserve(table.rows());
+  for (std::size_t r = 0; r < table.rows(); ++r) {
+    out.rows.emplace_back(table.row(r), table.row(r) + table.width());
+  }
   out.columns = std::move(table.columns);
-  out.rows = std::move(table.rows);
   return out;
 }
 

@@ -37,23 +37,22 @@ __attribute__((target("avx512f"))) inline __m512i lanes(std::uint64_t v) {
   return _mm512_set1_epi64(static_cast<long long>(v));
 }
 
-/// x % 26 per 64-bit lane for lanes below 2^32: x / 26 is exactly
-/// (x * 0x4EC4EC4F) >> 35 for every 32-bit x.
-__attribute__((target("avx512f"))) inline __m512i mod26_u32_lanes(__m512i x) {
-  const __m512i q = _mm512_maskz_srli_epi64(
-      kAllLanes, _mm512_maskz_mul_epu32(kAllLanes, x, lanes(0x4EC4EC4F)), 35);
-  return _mm512_sub_epi64(x, _mm512_maskz_mul_epu32(kAllLanes, q, lanes(26)));
-}
-
 /// Eight title bytes per step, one SplitMix64 per lane. AVX-512 has no
-/// 64-bit high multiply, so z % 26 folds z = hi * 2^32 + lo as
-/// ((hi % 26) * (2^32 % 26) + lo % 26) % 26, with 2^32 % 26 = 22.
+/// 64-bit high multiply, so z % 26 takes one step in doubles. With
+/// z = hi * 2^32 + lo and 2^32 % 26 = 22, v = hi * 22 + lo is z modulo 26
+/// and below 2^37, so it converts exactly. (v + 1/2) / 26 lies at least
+/// 1/52 from every integer, and one FMA by the rounded constants 1/26 and
+/// 1/52 is off by less than 2^-19, so the floor of that FMA is exactly
+/// floor(v / 26); v - 26 * it is exact in doubles too.
 __attribute__((target("avx512f,avx512dq"))) void title_postfix_avx512(
     std::uint64_t seed, std::uint64_t index,
     std::span<char, detail::kTitlePostfixBytes> out) noexcept {
   using support::SplitMix64;
   const __m512i stream = lanes(title_stream(seed));
   const __m512i step = lanes(8 * kIndexMul);
+  const __m512d inv26 = _mm512_set1_pd(1.0 / 26);
+  const __m512d half_inv26 = _mm512_set1_pd(0.5 / 26);
+  const __m512d d26 = _mm512_set1_pd(26.0);
   __m512i term = _mm512_add_epi64(
       lanes(title_term(index)),
       _mm512_mullo_epi64(_mm512_set_epi64(7, 6, 5, 4, 3, 2, 1, 0),
@@ -66,11 +65,17 @@ __attribute__((target("avx512f,avx512dq"))) void title_postfix_avx512(
     z = _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAllLanes, z, 27));
     z = _mm512_mullo_epi64(z, lanes(SplitMix64::kMul2));
     z = _mm512_xor_si512(z, _mm512_maskz_srli_epi64(kAllLanes, z, 31));
-    const __m512i hi =
-        mod26_u32_lanes(_mm512_maskz_srli_epi64(kAllLanes, z, 32));
-    const __m512i lo = mod26_u32_lanes(_mm512_and_si512(z, lanes(0xFFFFFFFF)));
-    const __m512i rem = mod26_u32_lanes(_mm512_add_epi64(
-        _mm512_maskz_mul_epu32(kAllLanes, hi, lanes(22)), lo));
+    const __m512i v = _mm512_add_epi64(
+        _mm512_maskz_mul_epu32(kAllLanes,
+                               _mm512_maskz_srli_epi64(kAllLanes, z, 32),
+                               lanes(22)),
+        _mm512_and_si512(z, lanes(0xFFFFFFFF)));
+    const __m512d vd = _mm512_maskz_cvtepi64_pd(kAllLanes, v);
+    const __m512d q = _mm512_maskz_roundscale_pd(
+        kAllLanes, _mm512_fmadd_pd(vd, inv26, half_inv26),
+        _MM_FROUND_TO_NEG_INF | _MM_FROUND_NO_EXC);
+    const __m512i rem = _mm512_maskz_cvttpd_epi64(
+        kAllLanes, _mm512_fnmadd_pd(q, d26, vd));
     _mm512_mask_cvtepi64_storeu_epi8(out.data() + i, kAllLanes,
                                      _mm512_add_epi64(rem, lanes('a')));
     term = _mm512_add_epi64(term, step);
@@ -201,8 +206,10 @@ PubGraphGenerator::PubGraphGenerator(PubGraphConfig config)
   NDPGEN_CHECK_ARG(config.scale_divisor >= 1, "scale divisor must be >= 1");
   papers_ = std::max<std::uint64_t>(1, kFullScalePapers / config.scale_divisor);
   refs_ = std::max<std::uint64_t>(1, kFullScaleRefs / config.scale_divisor);
-  degree_ = std::max<std::uint64_t>(1, refs_ / papers_);
-  width_ = std::max<std::uint64_t>(1, papers_ / degree_);
+  const std::uint64_t degree = std::max<std::uint64_t>(1, refs_ / papers_);
+  degree_ = support::Divider(degree);
+  width_ = support::Divider(std::max<std::uint64_t>(1, papers_ / degree));
+  cited_ = support::Divider(2 * degree + 1);
 }
 
 PaperRecord PubGraphGenerator::paper(std::uint64_t index) const {
@@ -217,9 +224,9 @@ PaperRecord PubGraphGenerator::paper(std::uint64_t index) const {
   record.year = kMinYear + static_cast<std::uint32_t>(std::sqrt(u) * range);
   record.venue_id =
       static_cast<std::uint32_t>(mix(config_.seed, 2, index) % kVenues);
-  record.n_refs = static_cast<std::uint32_t>(degree_);
+  record.n_refs = static_cast<std::uint32_t>(degree_.divisor());
   record.n_cited = static_cast<std::uint32_t>(
-      mix(config_.seed, 3, index) % (2 * degree_ + 1));
+      cited_.remainder(mix(config_.seed, 3, index)));
   // Title: readable prefix "P" + the id in seven zero-padded digits, then
   // the pseudo-random postfix.
   static_assert(kFullScalePapers < 10'000'000, "ids fit seven digits");
@@ -260,13 +267,15 @@ void title_postfix(std::uint64_t seed, std::uint64_t index,
 RefRecord PubGraphGenerator::ref(std::uint64_t index) const {
   NDPGEN_CHECK_ARG(index < refs_, "ref index out of range");
   RefRecord record;
-  const std::uint64_t src_index = std::min(index / degree_, papers_ - 1);
-  const std::uint64_t j = index - src_index * degree_;
+  // The last paper takes the overflow refs: its j runs past the degree.
+  const std::uint64_t src_index =
+      std::min(degree_.quotient(index), papers_ - 1);
+  const std::uint64_t j = index - src_index * degree_.divisor();
   record.src = src_index + 1;
   // Destination: j-th segment of the id space with deterministic jitter,
   // strictly ascending within a source (bulk-load ordering).
-  const std::uint64_t base = std::min(j * width_, papers_ - 1);
-  const std::uint64_t jitter = mix(config_.seed, 5, index) % width_;
+  const std::uint64_t base = std::min(j * width_.divisor(), papers_ - 1);
+  const std::uint64_t jitter = width_.remainder(mix(config_.seed, 5, index));
   record.dst = std::min(base + jitter, papers_ - 1) + 1;
   return record;
 }

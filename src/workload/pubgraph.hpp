@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "kv/db.hpp"
+#include "support/divider.hpp"
 #include "support/rng.hpp"
 
 namespace ndpgen::workload {
@@ -105,8 +106,9 @@ class PubGraphGenerator {
   PubGraphConfig config_;
   std::uint64_t papers_;
   std::uint64_t refs_;
-  std::uint64_t degree_;  ///< Refs per paper, >= 1.
-  std::uint64_t width_;   ///< Destination id segment per ref slot, >= 1.
+  support::Divider degree_;  ///< By refs per paper, >= 1.
+  support::Divider width_;   ///< By the destination id segment per ref slot.
+  support::Divider cited_;   ///< By the n_cited range, 2 * degree + 1.
 };
 
 namespace detail {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
@@ -206,6 +207,40 @@ TEST(Bloom, CoversTombstones) {
   // The tombstone's key must be in the filter, or GET would skip the
   // table and resurrect an older version.
   EXPECT_TRUE(table->bloom.may_contain(Key{77, 0}));
+}
+
+// A bulk load builds all its tables in one builder and one Bloom key
+// buffer. Each table's filter equals a filter built on its own from that
+// table's keys, also for the smaller last table, whose keys land in a
+// buffer the full tables before it grew.
+TEST(Bloom, BulkLoadedTablesEqualFiltersBuiltAlone) {
+  platform::CosmosPlatform cosmos;
+  DBConfig config;
+  config.record_bytes = 16;
+  config.extractor = extract;
+  NKV db(cosmos, config);
+  constexpr std::uint64_t kRecords = 2'500;
+  constexpr std::uint64_t kPerTable = 700;
+  BulkLoad load = db.bulk_load(2, kPerTable);
+  for (std::uint64_t i = 0; i < kRecords; ++i) {
+    const std::vector<std::uint8_t> record = make_record(5 + 3 * i);
+    std::copy(record.begin(), record.end(), load.slot().begin());
+    load.commit();
+  }
+  load.finish();
+  const auto& tables = db.version().level(2);
+  ASSERT_EQ(tables.size(), 4u);
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    SCOPED_TRACE(t);
+    const std::uint64_t first = t * kPerTable;
+    const std::uint64_t last = std::min(kRecords, first + kPerTable);
+    BloomFilter alone(last - first);
+    for (std::uint64_t i = first; i < last; ++i) {
+      alone.insert(Key{5 + 3 * i, 0});
+    }
+    EXPECT_EQ(tables[t]->record_count(), last - first);
+    EXPECT_EQ(tables[t]->bloom.words(), alone.words());
+  }
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+
 #include "kv/sst_builder.hpp"
 #include "kv/sst_reader.hpp"
 #include "platform/cosmos.hpp"
@@ -138,6 +141,82 @@ TEST_F(SstFixture, BlocksLandOnDistinctLunsWithinStripe) {
   const bool same_lun =
       a.controller == b.controller && a.channel == b.channel && a.lun == b.lun;
   EXPECT_FALSE(same_lun);
+}
+
+// One builder reused across tables (a bulk load's tables, a compaction's
+// outputs) keeps its block image and Bloom key buffer. Every table it
+// builds equals the one a fresh builder on a fresh device builds: the
+// block images and flash pages, the index, the tombstones and every Bloom
+// word. The sizes shrink and grow, so a table's filter is built from a
+// key buffer the previous, larger table left with spare capacity.
+TEST(SstBuilderReuse, BackToBackTablesEqualSeparateBuilders) {
+  struct Spec {
+    std::uint64_t records;
+    std::uint64_t tombstones;
+  };
+  const Spec specs[] = {{3'000, 0}, {500, 7}, {2'047, 0}, {1, 0},
+                        {0, 3},     {4'100, 40}};
+  const auto fill = [](SSTBuilder& builder, std::size_t t, const Spec& spec) {
+    const std::uint64_t base = (t + 1) * 1'000'000;
+    for (std::uint64_t i = 0; i < spec.records; ++i) {
+      builder.add(make_record(base + 3 * i, i * 7 % 5), base + i);
+    }
+    for (std::uint64_t i = 0; i < spec.tombstones; ++i) {
+      builder.add_tombstone(Key{base + 3 * i + 1, 0}, base + spec.records + i);
+    }
+  };
+
+  platform::CosmosPlatform reused_cosmos;
+  PlacementPolicy reused_placement(reused_cosmos.flash().topology());
+  platform::CosmosPlatform fresh_cosmos;
+  PlacementPolicy fresh_placement(fresh_cosmos.flash().topology());
+  SSTBuilder reused(1, 2, 16, extract, reused_placement,
+                    reused_cosmos.flash(), 16);
+  for (std::size_t t = 0; t < std::size(specs); ++t) {
+    SCOPED_TRACE(t);
+    if (t > 0) {
+      EXPECT_FALSE(reused.open());
+      reused.start(t + 1);
+    }
+    ASSERT_TRUE(reused.open());
+    fill(reused, t, specs[t]);
+    const auto got = reused.finish();
+    EXPECT_FALSE(reused.open());
+
+    SSTBuilder fresh(t + 1, 2, 16, extract, fresh_placement,
+                     fresh_cosmos.flash());
+    fill(fresh, t, specs[t]);
+    const auto want = fresh.finish();
+
+    EXPECT_EQ(got->id, want->id);
+    EXPECT_EQ(got->min_key, want->min_key);
+    EXPECT_EQ(got->max_key, want->max_key);
+    EXPECT_EQ(got->min_seq, want->min_seq);
+    EXPECT_EQ(got->max_seq, want->max_seq);
+    EXPECT_EQ(got->bloom.words(), want->bloom.words());
+    ASSERT_EQ(got->tombstones.size(), want->tombstones.size());
+    for (std::size_t i = 0; i < got->tombstones.size(); ++i) {
+      EXPECT_EQ(got->tombstones[i].key, want->tombstones[i].key);
+      EXPECT_EQ(got->tombstones[i].seq, want->tombstones[i].seq);
+    }
+    ASSERT_EQ(got->blocks.size(), want->blocks.size());
+    for (std::size_t b = 0; b < got->blocks.size(); ++b) {
+      const BlockHandle& x = got->blocks[b];
+      const BlockHandle& y = want->blocks[b];
+      EXPECT_EQ(x.first_key, y.first_key);
+      EXPECT_EQ(x.last_key, y.last_key);
+      EXPECT_EQ(x.record_count, y.record_count);
+      EXPECT_EQ(x.crc32c, y.crc32c);
+      ASSERT_EQ(x.flash_pages, y.flash_pages);
+      for (const std::uint64_t page : x.flash_pages) {
+        const auto a = reused_cosmos.flash().page_data(
+            reused_cosmos.flash().delinearize(page));
+        const auto c = fresh_cosmos.flash().page_data(
+            fresh_cosmos.flash().delinearize(page));
+        ASSERT_TRUE(std::equal(a.begin(), a.end(), c.begin(), c.end()));
+      }
+    }
+  }
 }
 
 }  // namespace

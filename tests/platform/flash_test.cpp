@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "fault/crash_scheduler.hpp"
 #include "support/error.hpp"
 
 namespace ndpgen::platform {
@@ -156,6 +159,72 @@ TEST_F(FlashFixture, StatsReset) {
   EXPECT_EQ(flash_.bytes_read(), 16u * 1024);
   flash_.reset_stats();
   EXPECT_EQ(flash_.pages_read(), 0u);
+}
+
+/// The bytes page_data must return after programming `data`: the data,
+/// then zeros to the end of the page.
+std::vector<std::uint8_t> padded(std::vector<std::uint8_t> data,
+                                 std::size_t page_bytes) {
+  data.resize(page_bytes, 0);
+  return data;
+}
+
+std::vector<std::uint8_t> read(const FlashModel& flash, const FlashAddr& at) {
+  const auto view = flash.page_data(at);
+  return {view.begin(), view.end()};
+}
+
+// Erased and discarded pages hand their buffers to later programs, which
+// zero only what the buffer's earlier programs wrote: every read returns
+// the programmed bytes and zeros, whatever the buffer held before (a full
+// page, a torn page's garbage tail), and a torn program on a reused
+// buffer leaves the same garbage as on a fresh one.
+TEST_F(FlashFixture, ReusedPageBuffersReadBackExactly) {
+  const std::size_t page_bytes = flash_.topology().page_bytes;
+  const FlashAddr full{0, 0, 0, 5, 0};
+  const FlashAddr torn{0, 0, 0, 5, 1};
+  fault::CrashScheduler crash(fault::CrashPlan{.crash_at_step = 2});
+  flash_.set_crash_scheduler(&crash);
+  flash_.write_page_immediate(full, std::vector<std::uint8_t>(page_bytes, 0xFF));
+  flash_.write_page_immediate(torn, std::vector<std::uint8_t>(100, 0x77));
+  flash_.set_crash_scheduler(nullptr);
+  ASSERT_TRUE(flash_.page_torn(flash_.linearize(torn)));
+  flash_.erase_block_immediate(full);  // Both buffers are free now.
+  EXPECT_FALSE(flash_.page_written(full));
+
+  const FlashAddr small{1, 0, 0, 9, 0};
+  const FlashAddr smaller{1, 0, 0, 9, 1};
+  const std::vector<std::uint8_t> a(40, 0x11);
+  const std::vector<std::uint8_t> b(7, 0x22);
+  flash_.write_page_immediate(small, a);
+  flash_.write_page_immediate(smaller, b);
+  EXPECT_EQ(read(flash_, small), padded(a, page_bytes));
+  EXPECT_EQ(read(flash_, smaller), padded(b, page_bytes));
+
+  // Reprogramming a page in place clears the longer earlier image.
+  const std::vector<std::uint8_t> c(3, 0x33);
+  flash_.write_page_immediate(small, c);
+  EXPECT_EQ(read(flash_, small), padded(c, page_bytes));
+  flash_.write_page_immediate(small, {});
+  EXPECT_EQ(read(flash_, small), padded({}, page_bytes));
+
+  // A discarded page's buffer, then a torn program into it.
+  flash_.write_page_immediate(full, std::vector<std::uint8_t>(page_bytes, 0xEE));
+  flash_.discard_page(flash_.linearize(full));
+  fault::CrashScheduler crash2(fault::CrashPlan{.crash_at_step = 1});
+  flash_.set_crash_scheduler(&crash2);
+  const FlashAddr again{1, 1, 0, 3, 0};
+  const std::vector<std::uint8_t> d(200, 0x44);
+  flash_.write_page_immediate(again, d);
+  flash_.set_crash_scheduler(nullptr);
+  std::vector<std::uint8_t> expected(d.begin(), d.begin() + 100);
+  for (std::size_t i = 100; i < page_bytes; ++i) {
+    expected.push_back(crash2.garbage_byte(flash_.linearize(again), i));
+  }
+  EXPECT_EQ(read(flash_, again), expected);
+  // Its garbage tail is cleared by the next program of the page.
+  flash_.write_page_immediate(again, a);
+  EXPECT_EQ(read(flash_, again), padded(a, page_bytes));
 }
 
 }  // namespace

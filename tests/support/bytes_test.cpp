@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <type_traits>
+#include <vector>
+
 namespace ndpgen::support {
 namespace {
 
@@ -36,6 +41,53 @@ TEST(Bytes, OutOfBoundsThrows) {
   std::vector<std::uint8_t> buffer = {1, 2};
   EXPECT_THROW(get_u32(buffer, 0), Error);
   EXPECT_THROW(get_u16(buffer, 1), Error);
+}
+
+// Every width of the word-sized helpers reads and writes exactly the byte
+// loop's bytes, at unaligned addresses, and touches nothing past its width.
+TEST(Bytes, LittleEndianLoadsAndStoresMatchTheByteLoop) {
+  constexpr std::uint64_t kValue = 0x8877665544332211ULL;
+  std::uint8_t buffer[24];
+  const auto check = [&]<std::size_t N>(std::integral_constant<std::size_t, N>) {
+    for (std::size_t at = 0; at < 8; ++at) {
+      std::fill(std::begin(buffer), std::end(buffer), 0xA5);
+      store_le<N>(buffer + at, kValue);
+      for (std::size_t i = 0; i < sizeof(buffer); ++i) {
+        const bool inside = i >= at && i < at + N;
+        const std::uint8_t expected =
+            inside ? static_cast<std::uint8_t>(kValue >> (8 * (i - at)))
+                   : std::uint8_t{0xA5};
+        ASSERT_EQ(buffer[i], expected) << N << " bytes at " << at;
+      }
+      const std::uint64_t mask =
+          N == 8 ? ~std::uint64_t{0} : (std::uint64_t{1} << (8 * N)) - 1;
+      EXPECT_EQ(load_le<N>(buffer + at), kValue & mask);
+      EXPECT_EQ(load_le(buffer + at, N), kValue & mask);
+    }
+  };
+  check(std::integral_constant<std::size_t, 1>{});
+  check(std::integral_constant<std::size_t, 2>{});
+  check(std::integral_constant<std::size_t, 3>{});
+  check(std::integral_constant<std::size_t, 4>{});
+  check(std::integral_constant<std::size_t, 5>{});
+  check(std::integral_constant<std::size_t, 6>{});
+  check(std::integral_constant<std::size_t, 7>{});
+  check(std::integral_constant<std::size_t, 8>{});
+  EXPECT_EQ(load_le(buffer, 0), 0u);
+
+  std::vector<std::uint8_t> expected;
+  const std::uint64_t words[] = {kValue, 1, ~std::uint64_t{0}};
+  for (const std::uint64_t word : words) put_u64(expected, word);
+  std::vector<std::uint8_t> bulk(expected.size());
+  store_u64s(bulk.data(), words);
+  EXPECT_EQ(bulk, expected);
+  std::uint8_t narrow[8] = {};
+  store_u16(narrow, 0xbeef);
+  store_u32(narrow + 2, 0x12345678);
+  EXPECT_EQ(get_u16(narrow, 0), 0xbeef);
+  EXPECT_EQ(get_u32(narrow, 2), 0x12345678u);
+  EXPECT_EQ(narrow[0], 0xef);
+  EXPECT_EQ(narrow[2], 0x78);
 }
 
 TEST(Varint, SmallValues) {

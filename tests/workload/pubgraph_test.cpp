@@ -229,13 +229,19 @@ TEST(PubGraph, GeneratedBytesArePinned) {
 }
 
 // The host's title path (AVX-512 lanes where available) writes the same
-// bytes as the portable loop, for every seed and index tried.
+// bytes as the portable loop, for every seed and index tried: with the
+// default seed every paper index up to 2^18 (all of the 1/16 store),
+// with other seeds dense and random indices.
 TEST(PubGraph, TitlePostfixPathsAgree) {
   support::SplitMix64 rng(131);
-  for (const std::uint64_t seed : {std::uint64_t{20210521}, std::uint64_t{0},
+  const std::uint64_t default_seed = PubGraphConfig{}.seed;
+  for (const std::uint64_t seed : {default_seed, std::uint64_t{0},
                                    ~std::uint64_t{0}, rng.next()}) {
-    for (std::uint64_t n = 0; n < 4096; ++n) {
-      const std::uint64_t index = n < 2048 ? n : rng.next();
+    const std::uint64_t count = seed == default_seed ? 1 << 18 : 4096;
+    for (std::uint64_t n = 0; n < count; ++n) {
+      const std::uint64_t index = n < count / 2 || seed == default_seed
+                                      ? n
+                                      : rng.next();
       char fast[detail::kTitlePostfixBytes];
       char portable[detail::kTitlePostfixBytes];
       detail::title_postfix(seed, index, fast);
